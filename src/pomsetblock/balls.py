@@ -95,21 +95,23 @@ def I_sphere_cardinality(space: Space, i: Ideal) -> int:
     """Number of vectors whose support generates exactly this ideal.
 
     Maximal blocks must weigh exactly their count c, giving
-    min(2c+1, m)^k - (2c-1)^k choices; non-maximal root blocks are free.
-    The empty ideal's sphere is the zero vector alone (size 1).
+    min(2c+1, m)^k - min(2c-1, m)^k choices; a root block with a present
+    block above it is free (m^k).  The empty ideal's sphere is the zero
+    vector alone (size 1).
     """
     _require_ideal(space, i)
-    if i.cardinality == 0:
-        return 1
-    maximal = i.maximal_elements
+    m = space.m
+    counts = i.counts
+    above = space.pomset.strictly_above
+    root = {t for t, c in enumerate(counts, start=1) if c}
     size = 1
-    for t in sorted(i.root_set):
+    for t in root:
+        c = counts[t - 1]
         k = space.labeling[t - 1]
-        if t in maximal:
-            c = i.counts[t - 1]
-            size *= lee_ball_size(space.m, c) ** k - lee_ball_size(space.m, c - 1) ** k
+        if above[t].isdisjoint(root):
+            size *= lee_ball_size(m, c) ** k - lee_ball_size(m, c - 1) ** k
         else:
-            size *= space.m ** k
+            size *= m ** k
     return size
 
 

@@ -48,27 +48,62 @@ class Problem:
     radius: int | None = None
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer; an integral float such as 5.0 counts as one.
+
+    Booleans, fractional numbers and strings are input errors naming the
+    field, never coerced.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {json.dumps(value)}")
+
+
+def _integers(values, field: str) -> list[int]:
+    """A JSON list of integers, each checked by `_integer`."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field} must be a list, got {json.dumps(values)}")
+    return [_integer(x, f"{field}[{j}]") for j, x in enumerate(values)]
+
+
+def _integer_rows(values, field: str) -> list[list[int]]:
+    """A JSON list of integer lists, such as relation pairs or codewords."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field} must be a list, got {json.dumps(values)}")
+    return [_integers(row, f"{field}[{j}]") for j, row in enumerate(values)]
+
+
 def problem_from_dict(doc: dict) -> Problem:
     """Validate and assemble a problem from its JSON document."""
-    m = int(doc["m"])
+    m = _integer(doc["m"], "m")
     pd = doc["pomset"]
-    pomset = Pomset.from_relations(int(pd["s"]), m // 2, pd.get("relations", []))
-    space = Space(m, pomset, tuple(doc["labeling"]))
+    relations = _integer_rows(pd.get("relations", []), "pomset.relations")
+    for j, pair in enumerate(relations):
+        if len(pair) != 2:
+            raise ValueError(f"pomset.relations[{j}] must be a pair, got {pair}")
+    pomset = Pomset.from_relations(_integer(pd["s"], "pomset.s"), m // 2, relations)
+    space = Space(m, pomset, tuple(_integers(doc["labeling"], "labeling")))
     code = None
     if "code" in doc:
         cd = doc["code"]
         if "generator" in cd:
-            code = codes.span_generator(space, cd["generator"])
+            code = codes.span_generator(
+                space, _integer_rows(cd["generator"], "code.generator")
+            )
         elif "codewords" in cd:
-            code = codes.Code.from_codewords(space, cd["codewords"])
+            code = codes.Code.from_codewords(
+                space, _integer_rows(cd["codewords"], "code.codewords")
+            )
         else:
             raise ValueError("code must supply 'codewords' or 'generator'")
     ideal = None
     if "ideal" in doc:
-        ideal = Ideal(pomset, tuple(doc["ideal"]["counts"]))
+        ideal = Ideal(pomset, tuple(_integers(doc["ideal"]["counts"], "ideal.counts")))
     radius = None
     if "radius" in doc:
-        radius = int(doc["radius"])
+        radius = _integer(doc["radius"], "radius")
         if not 0 <= radius <= space.max_weight:
             raise ValueError(f"radius {radius} outside 0..{space.max_weight}")
     return Problem(space, code, ideal, radius)
@@ -250,7 +285,6 @@ def cmd_partition(problem, args, rep) -> int:
         rep.say(f"no tiling exists: {exc}")
         rep.put("partition", False)
         rep.put("witness_element", exc.element)
-        rep.emit()
         return EXIT_FALSE
     rep.say(f"{len(centers)} centers tile the space for {_ideal_str(ideal)}")
     rep.put("partition", True)
@@ -521,6 +555,8 @@ def run(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     rep = Report(args.machine, out)
     try:
+        if args.budget < 0:
+            raise ValueError(f"--budget must be non-negative, got {args.budget}")
         problem = load_problem(args.problem)
         status = COMMANDS[args.command](problem, args, rep)
     except BudgetExceededError as exc:

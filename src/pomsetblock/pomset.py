@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, cached_property
+from functools import cached_property
 
 from .mset import Mset, ShapeError, complement as mset_complement
 
@@ -107,6 +107,27 @@ class Pomset:
             out[a].add(b)
         return {i: frozenset(v) for i, v in out.items()}
 
+    @cached_property
+    def downsets(self) -> tuple[frozenset[int], ...]:
+        """All downward-closed subsets of the ground set, canonically ordered.
+
+        Walks a linear extension (fewer elements below comes first), keeping
+        the downsets of each prefix: every one stays, and those already
+        holding everything below the next element also gain it.  Each
+        prefix downset extends to a whole one, so the walk costs
+        O(s * #downsets) rather than 2^s (cf. Squire, "Enumerating the
+        ideals of a poset", 1995).  Order: by size, then by sorted elements.
+        """
+        below = self.strictly_below
+        found = [0]
+        for i in sorted(below, key=lambda i: len(below[i])):
+            need = sum(1 << j for j in below[i])
+            found += [d | 1 << i for d in found if d & need == need]
+        elements = range(1, self.ground_size + 1)
+        members = [tuple(i for i in elements if d >> i & 1) for d in found]
+        members.sort(key=lambda t: (len(t), t))
+        return tuple(frozenset(t) for t in members)
+
     @property
     def is_chain(self) -> bool:
         s = self.ground_size
@@ -144,19 +165,20 @@ class Ideal:
 
     def __post_init__(self):
         p = self.pomset
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) != p.ground_size:
-            raise ShapeError(
-                f"expected {p.ground_size} counts, got {len(self.counts)}"
-            )
-        for i, c in enumerate(self.counts, start=1):
-            if not 0 <= c <= p.height:
-                raise ValueError(f"count {c}/{i} outside 0..{p.height}")
-        for j in range(1, p.ground_size + 1):
-            if self.counts[j - 1] == p.height:
+        l = p.height
+        counts = tuple(map(int, self.counts))
+        object.__setattr__(self, "counts", counts)
+        if len(counts) != p.ground_size:
+            raise ShapeError(f"expected {p.ground_size} counts, got {len(counts)}")
+        for i, c in enumerate(counts, start=1):
+            if not 0 <= c <= l:
+                raise ValueError(f"count {c}/{i} outside 0..{l}")
+        above = p.strictly_above
+        for j, c in enumerate(counts, start=1):
+            if c == l:
                 continue
-            for i in p.strictly_above[j]:
-                if self.counts[i - 1]:
+            for i in above[j]:
+                if counts[i - 1]:
                     raise NotAnIdealError(
                         f"element {i} present but {j} < {i} lacks full count"
                     )
@@ -236,56 +258,82 @@ def ideal_generated(p: Pomset, s: Mset) -> Ideal:
     return Ideal(p, p.closure_counts(s.counts))
 
 
-@lru_cache(maxsize=None)
-def _downsets(p: Pomset) -> tuple[frozenset[int], ...]:
-    """All downward-closed subsets of the ground set, canonically ordered."""
-    out = []
-    elements = range(1, p.ground_size + 1)
-    below = p.strictly_below
-    for bits in itertools.product((False, True), repeat=p.ground_size):
-        sub = frozenset(i for i, keep in zip(elements, bits) if keep)
-        if all(below[i] <= sub for i in sub):
-            out.append(sub)
-    out.sort(key=lambda d: (len(d), sorted(d)))
-    return tuple(out)
-
-
 def enumerate_root_downsets(p: Pomset, size: int) -> list[frozenset[int]]:
     """All downward-closed subsets of the given size (root sets of ideals)."""
     if not 0 <= size <= p.ground_size:
         raise ValueError(f"size {size} outside 0..{p.ground_size}")
-    return [d for d in _downsets(p) if len(d) == size]
+    return [d for d in p.downsets if len(d) == size]
 
 
-def _ideals_with_root(p: Pomset, down: frozenset[int]):
-    """All ideals whose root set is exactly the given downset."""
+def _compositions(total: int, parts: int, cap: int):
+    """Tuples of `parts` counts in 1..cap summing to `total`, lexicographic.
+
+    The caller ensures parts <= total <= parts * cap; each first count is
+    then bounded so the rest stays feasible, and every branch ends in an
+    output.
+    """
+    if parts <= 1:
+        yield (total,) if parts else ()
+        return
+    lo = max(1, total - cap * (parts - 1))
+    hi = min(cap, total - parts + 1)
+    for first in range(lo, hi + 1):
+        for rest in _compositions(total - first, parts - 1, cap):
+            yield (first,) + rest
+
+
+def _ideals_on(
+    p: Pomset, down: frozenset[int], cardinality: int | None = None
+) -> list[Ideal]:
+    """The ideals whose root set is exactly the given downset.
+
+    Elements below another element of the downset carry the full height;
+    the maximal ones carry any count in 1..height.  With a cardinality,
+    only the maximal counts that reach it are generated.
+    """
     l = p.height
     above = p.strictly_above
-    free = sorted(i for i in down if not (above[i] & down))
-    forced = {i: l for i in down if above[i] & down}
-    for choice in itertools.product(range(1, l + 1), repeat=len(free)):
-        counts = [0] * p.ground_size
-        for i, c in forced.items():
+    maximal = [i for i in down if above[i].isdisjoint(down)]
+    if cardinality is None:
+        choices = itertools.product(range(1, l + 1), repeat=len(maximal))
+    else:
+        rest = cardinality - l * (len(down) - len(maximal))
+        if not len(maximal) <= rest <= l * len(maximal):
+            return []
+        choices = _compositions(rest, len(maximal), l)
+    counts = [0] * p.ground_size
+    for i in down:
+        counts[i - 1] = l
+    out = []
+    for choice in choices:
+        for i, c in zip(maximal, choice):
             counts[i - 1] = c
-        for i, c in zip(free, choice):
-            counts[i - 1] = c
-        yield Ideal(p, tuple(counts))
+        out.append(Ideal(p, tuple(counts)))
+    return out
 
 
 def all_ideals(p: Pomset) -> list[Ideal]:
     """Every order ideal of the pomset, sorted by count vector."""
     out = []
-    for down in _downsets(p):
-        out.extend(_ideals_with_root(p, down))
+    for down in p.downsets:
+        out += _ideals_on(p, down)
     out.sort(key=lambda i: i.counts)
     return out
 
 
 def enumerate_ideals(p: Pomset, r: int) -> list[Ideal]:
-    """All ideals of cardinality r, sorted lexicographically by count vector."""
+    """All ideals of cardinality r, sorted lexicographically by count vector.
+
+    Costs O(#downsets + output): downsets that cannot weigh r are skipped,
+    and the others generate only the ideals of cardinality r.
+    """
     if not 0 <= r <= p.ground_size * p.height:
         raise ValueError(f"cardinality {r} outside 0..{p.ground_size * p.height}")
-    out = [i for i in all_ideals(p) if i.cardinality == r]
+    out = []
+    for down in p.downsets:
+        if len(down) <= r <= p.height * len(down):
+            out += _ideals_on(p, down, r)
+    out.sort(key=lambda i: i.counts)
     return out
 
 

@@ -249,3 +249,43 @@ def test_signed_vectors_accepted():
     status, out = invoke("weight", fixture_path("perfect_r1_z5"), "--vector=-1,0")
     assert status == 0
     assert kv(out)["weight"] == "1"
+
+
+def test_failed_partition_prints_its_report_once():
+    status, out = invoke("partition", fixture_path("mds_z5_len3"), "--ideal", "0,1",
+                         "--machine")
+    assert status == 1
+    assert out == "partition=false\nwitness_element=2\n"
+
+
+def test_negative_budget_is_an_input_error():
+    status, out = invoke("partition", fixture_path("mds_z5_len3"), "--ideal", "0,1",
+                         "--budget", "-1", "--machine")
+    assert status == 2
+    assert out == "error=input\n"
+
+
+def test_malformed_numbers_rejected_naming_the_field(tmp_path):
+    base = {"m": 5, "pomset": {"s": 2, "relations": [[2, 1]]}, "labeling": [2, 1]}
+    cases = [
+        ({"m": 5.9}, "m must be an integer, got 5.9"),
+        ({"m": True}, "m must be an integer, got true"),
+        ({"pomset": {"s": 2.5}}, "pomset.s must be an integer, got 2.5"),
+        ({"pomset": {"s": 2, "relations": [[True, 2]]}},
+         "pomset.relations[0][0] must be an integer, got true"),
+        ({"labeling": [2, 1.5]}, "labeling[1] must be an integer, got 1.5"),
+        ({"ideal": {"counts": [1, False]}}, "ideal.counts[1] must be an integer, got false"),
+        ({"radius": 1.5}, "radius must be an integer, got 1.5"),
+        ({"code": {"codewords": [[0, 0, "1"]]}},
+         'code.codewords[0][2] must be an integer, got "1"'),
+    ]
+    path = tmp_path / "bad.json"
+    for override, message in cases:
+        path.write_text(json.dumps({**base, **override}))
+        status, out = invoke("weight", str(path), "--vector", "0,0,0")
+        assert status == 2
+        assert out == f"# input error: {message}\nerror=input\n"
+    # Integral floats are integers.
+    path.write_text(json.dumps({**base, "m": 5.0, "radius": 2.0}))
+    status, out = invoke("weight", str(path), "--vector", "0,0,1", "--machine")
+    assert (status, out) == (0, "weight=1\n")

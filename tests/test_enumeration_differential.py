@@ -1,0 +1,103 @@
+"""Differential tests of the downset and ideal enumerators and the sphere
+and radius-ball closed forms, each against a brute-force reference on
+random small orders and spaces.
+
+Hypothesis runs derandomized, without an example database and with a
+bounded number of examples, so the suite stays deterministic and quick.
+"""
+
+import itertools
+import math
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_pomset
+from pomsetblock.balls import I_sphere_cardinality, r_ball_cardinality
+from pomsetblock.oracle import weight_census
+from pomsetblock.pomset import all_ideals, enumerate_ideals
+from pomsetblock.space import Space
+
+
+def bounded(max_examples):
+    return settings(derandomize=True, database=None, deadline=None,
+                    max_examples=max_examples)
+
+
+DENSITIES = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def orders(draw, max_size=6, max_height=3):
+    s = draw(st.integers(1, max_size))
+    height = draw(st.integers(1, max_height))
+    rng = random.Random(draw(SEEDS))
+    return random_pomset(rng, s, height, draw(DENSITIES))
+
+
+@st.composite
+def spaces(draw, max_vectors=2500):
+    m = draw(st.integers(2, 7))
+    room = int(math.log(max_vectors, m))  # longest n with m^n <= max_vectors
+    s = draw(st.integers(1, min(3, room)))
+    labeling = []
+    for t in range(s):
+        labeling.append(draw(st.integers(1, room - sum(labeling) - (s - 1 - t))))
+    rng = random.Random(draw(SEEDS))
+    return Space(m, random_pomset(rng, s, m // 2, draw(DENSITIES)), tuple(labeling))
+
+
+def subset_filter_downsets(p):
+    """Reference: every subset of the ground set, kept when downward closed."""
+    below = p.strictly_below
+    found = [
+        sub
+        for k in range(p.ground_size + 1)
+        for sub in itertools.combinations(range(1, p.ground_size + 1), k)
+        if all(below[i] <= set(sub) for i in sub)
+    ]
+    found.sort(key=lambda t: (len(t), t))
+    return tuple(frozenset(t) for t in found)
+
+
+def closure_of(p, counts):
+    """Raise every element strictly below a present one to full height."""
+    out = list(counts)
+    for a, b in p.order:
+        if counts[b - 1]:
+            out[a - 1] = p.height
+    return tuple(out)
+
+
+@bounded(60)
+@given(orders())
+def test_downsets_match_subset_filter(p):
+    assert p.downsets == subset_filter_downsets(p)
+
+
+@bounded(60)
+@given(orders())
+def test_all_ideals_are_the_closures_of_all_count_vectors(p):
+    vectors = itertools.product(range(p.height + 1), repeat=p.ground_size)
+    closures = sorted({closure_of(p, v) for v in vectors})
+    assert [i.counts for i in all_ideals(p)] == closures
+
+
+@bounded(60)
+@given(orders())
+def test_enumerate_ideals_is_a_cardinality_layer_of_all_ideals(p):
+    everything = [i.counts for i in all_ideals(p)]
+    for r in range(p.ground_size * p.height + 1):
+        layer = [i.counts for i in enumerate_ideals(p, r)]
+        assert layer == [c for c in everything if sum(c) == r]
+
+
+@bounded(30)
+@given(spaces())
+def test_sphere_and_radius_ball_sizes_match_census(space):
+    census = weight_census(space)
+    for i in all_ideals(space.pomset):
+        assert I_sphere_cardinality(space, i) == census.ideal_sphere_counts.get(i.counts, 0)
+    for r in range(space.max_weight + 1):
+        assert r_ball_cardinality(space, r) == census.ball_size(r)
