@@ -61,6 +61,13 @@ def _integer(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {json.dumps(value)}")
 
 
+def _object(value, field: str) -> dict:
+    """A JSON object, such as the problem document or one of its sections."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be an object, got {json.dumps(value)}")
+    return value
+
+
 def _integers(values, field: str) -> list[int]:
     """A JSON list of integers, each checked by `_integer`."""
     if not isinstance(values, list):
@@ -77,8 +84,9 @@ def _integer_rows(values, field: str) -> list[list[int]]:
 
 def problem_from_dict(doc: dict) -> Problem:
     """Validate and assemble a problem from its JSON document."""
+    doc = _object(doc, "problem")
     m = _integer(doc["m"], "m")
-    pd = doc["pomset"]
+    pd = _object(doc["pomset"], "pomset")
     relations = _integer_rows(pd.get("relations", []), "pomset.relations")
     for j, pair in enumerate(relations):
         if len(pair) != 2:
@@ -87,7 +95,7 @@ def problem_from_dict(doc: dict) -> Problem:
     space = Space(m, pomset, tuple(_integers(doc["labeling"], "labeling")))
     code = None
     if "code" in doc:
-        cd = doc["code"]
+        cd = _object(doc["code"], "code")
         if "generator" in cd:
             code = codes.span_generator(
                 space, _integer_rows(cd["generator"], "code.generator")
@@ -100,7 +108,8 @@ def problem_from_dict(doc: dict) -> Problem:
             raise ValueError("code must supply 'codewords' or 'generator'")
     ideal = None
     if "ideal" in doc:
-        ideal = Ideal(pomset, tuple(_integers(doc["ideal"]["counts"], "ideal.counts")))
+        counts = _object(doc["ideal"], "ideal")["counts"]
+        ideal = Ideal(pomset, tuple(_integers(counts, "ideal.counts")))
     radius = None
     if "radius" in doc:
         radius = _integer(doc["radius"], "radius")
@@ -498,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     flags.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="enumeration budget (vectors / memberships)")
     flags.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled verification")
+                       help="seed for the sampled triples of 'oracle metric'; "
+                       "no other command draws at random")
     flags.add_argument("--machine", action="store_true",
                        help="suppress the human section, print key=value only")
 

@@ -289,3 +289,23 @@ def test_malformed_numbers_rejected_naming_the_field(tmp_path):
     path.write_text(json.dumps({**base, "m": 5.0, "radius": 2.0}))
     status, out = invoke("weight", str(path), "--vector", "0,0,1", "--machine")
     assert (status, out) == (0, "weight=1\n")
+
+
+def test_non_object_sections_rejected_naming_the_section(tmp_path):
+    base = {"m": 5, "pomset": {"s": 1}, "labeling": [1]}
+    cases = [
+        ([base], "problem must be an object, got [{"),
+        ({**base, "pomset": [1]}, "pomset must be an object, got [1]"),
+        ({**base, "code": [[0]]}, "code must be an object, got [[0]]"),
+        ({**base, "ideal": [1]}, "ideal must be an object, got [1]"),
+    ]
+    path = tmp_path / "bad.json"
+    for doc, message in cases:
+        path.write_text(json.dumps(doc))
+        status, out = invoke("weight", str(path), "--vector", "1")
+        assert status == 2
+        assert out.startswith(f"# input error: {message}")
+        assert out.endswith("\nerror=input\n")
+    path.write_text(json.dumps({"m": 5, "pomset": [1], "labeling": [1]}))
+    status, out = invoke("weight", str(path), "--vector", "1", "--machine")
+    assert (status, out) == (2, "error=input\n")

@@ -1,9 +1,18 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pomsetblock import balls
 from pomsetblock.balls import BudgetExceededError
-from pomsetblock.oracle import verify_formula_suite, verify_metric, weight_census
-from pomsetblock.pomset import Pomset
+from pomsetblock.oracle import (
+    _generated,
+    verify_formula_suite,
+    verify_metric,
+    weight_census,
+)
+from pomsetblock.pomset import Ideal, Pomset, dual_pomset
 from pomsetblock.space import Space
 
 
@@ -148,3 +157,89 @@ def test_formula_suite_detects_ball_mutation(monkeypatch):
     assert not report.ok
     failing = {c.name for c in report.failures}
     assert "ball-formula" in failing
+
+
+def test_formula_suite_detects_a_ball_that_is_not_closed(monkeypatch):
+    # Swap one member of each proper full-count ball for a non-member: the
+    # size still matches, so only the closure test can notice.
+    original = balls.iter_I_ball_coords
+
+    def swapped(space, ideal, *args, **kwargs):
+        members = list(original(space, ideal, *args, **kwargs))
+        if ideal.is_full_count and 0 < len(members) < space.size:
+            inside = set(members)
+            members[-1] = next(c for c in space.iter_coords() if c not in inside)
+        return iter(members)
+
+    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", swapped)
+    report = verify_formula_suite(make_space(5, [], (1, 1)))
+    failed = {c.name: c.detail for c in report.failures}
+    assert failed["full-ball-submodule"].endswith(": closure")
+
+
+def test_formula_suite_detects_a_wrong_dual_ball(monkeypatch):
+    def empty_complement(p, ideal):
+        return Ideal(dual_pomset(p), (0,) * p.ground_size)
+
+    monkeypatch.setattr("pomsetblock.oracle.ideal_complement", empty_complement)
+    report = verify_formula_suite(make_space(5, [(1, 2)], (1, 1)))
+    assert "ball-duality" in {c.name for c in report.failures}
+
+
+def additive_closure(m, n, vectors):
+    """Reference: every sum of members, by a breadth-first walk from zero."""
+    zero = (0,) * n
+    reached = {zero}
+    frontier = [zero]
+    while frontier:
+        v = frontier.pop()
+        for b in vectors:
+            w = tuple((x + y) % m for x, y in zip(v, b))
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return reached
+
+
+def is_subgroup(m, n, members):
+    inside = set(members)
+    return (0,) * n in inside and all(
+        tuple((x + y) % m for x, y in zip(a, b)) in inside
+        for a in inside
+        for b in inside
+    )
+
+
+def annihilator(m, n, vectors):
+    return {
+        v
+        for v in itertools.product(range(m), repeat=n)
+        if all(sum(x * y for x, y in zip(v, b)) % m == 0 for b in vectors)
+    }
+
+
+@st.composite
+def member_lists(draw):
+    """Non-empty vector lists over Z_m^n, m in 2..9 and n <= 3: either a
+    random subset or, as often, the whole span of a few random rows."""
+    m = draw(st.integers(2, 9))
+    n = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(0, m - 1)] * n)
+    rows = draw(st.lists(vector, min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        members = sorted(additive_closure(m, n, rows))
+        random.Random(draw(st.integers(0, 2 ** 32 - 1))).shuffle(members)
+    else:
+        members = rows
+    return m, n, members
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(member_lists())
+def test_generated_matches_brute_force(case):
+    m, n, members = case
+    gens, span = _generated(members, m)
+    assert span == additive_closure(m, n, members)
+    assert set(gens) <= set(members) <= span
+    assert annihilator(m, n, gens) == annihilator(m, n, members)
+    assert is_subgroup(m, n, members) == (span == set(members))
