@@ -68,6 +68,14 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _required(section: dict, field: str):
+    """A field the problem document must supply, named by its dotted path."""
+    key = field.rpartition(".")[2]
+    if key not in section:
+        raise ValueError(f"missing required field {field}")
+    return section[key]
+
+
 def _integers(values, field: str) -> list[int]:
     """A JSON list of integers, each checked by `_integer`."""
     if not isinstance(values, list):
@@ -85,14 +93,15 @@ def _integer_rows(values, field: str) -> list[list[int]]:
 def problem_from_dict(doc: dict) -> Problem:
     """Validate and assemble a problem from its JSON document."""
     doc = _object(doc, "problem")
-    m = _integer(doc["m"], "m")
-    pd = _object(doc["pomset"], "pomset")
+    m = _integer(_required(doc, "m"), "m")
+    pd = _object(_required(doc, "pomset"), "pomset")
     relations = _integer_rows(pd.get("relations", []), "pomset.relations")
     for j, pair in enumerate(relations):
         if len(pair) != 2:
             raise ValueError(f"pomset.relations[{j}] must be a pair, got {pair}")
-    pomset = Pomset.from_relations(_integer(pd["s"], "pomset.s"), m // 2, relations)
-    space = Space(m, pomset, tuple(_integers(doc["labeling"], "labeling")))
+    s = _integer(_required(pd, "pomset.s"), "pomset.s")
+    pomset = Pomset.from_relations(s, m // 2, relations)
+    space = Space(m, pomset, tuple(_integers(_required(doc, "labeling"), "labeling")))
     code = None
     if "code" in doc:
         cd = _object(doc["code"], "code")
@@ -108,7 +117,7 @@ def problem_from_dict(doc: dict) -> Problem:
             raise ValueError("code must supply 'codewords' or 'generator'")
     ideal = None
     if "ideal" in doc:
-        counts = _object(doc["ideal"], "ideal")["counts"]
+        counts = _required(_object(doc["ideal"], "ideal"), "ideal.counts")
         ideal = Ideal(pomset, tuple(_integers(counts, "ideal.counts")))
     radius = None
     if "radius" in doc:
@@ -431,7 +440,7 @@ def cmd_intersect(problem, args, rep) -> int:
 
 def cmd_block_threshold(problem, args, rep) -> int:
     code = _need_code(problem)
-    threshold, witnesses = codes.block_dependency_witnesses(code, args.budget)
+    threshold, witnesses = codes.block_dependency_witnesses(code)
     direct = codes.min_ideal_root_size(code)
     rep.say(
         f"first dependent block set has size {threshold}; "
@@ -580,8 +589,6 @@ def run(argv=None, out=None) -> int:
         CycleError,
         codes.UndefinedDistanceError,
         ValueError,
-        KeyError,
-        TypeError,
         OSError,
         json.JSONDecodeError,
     ) as exc:

@@ -2,6 +2,9 @@
 the Singleton bound and MDS verification, parity-block dependence, and
 weight distributions.
 
+Spans, duals, linearity and parity-check ranks all come from one diagonal
+form over Z_m, so they cost what they output rather than what the space
+holds.  Radius balls are listed from the block-weight tuples they contain.
 Perfectness checks run an exact membership census over the whole space,
 so they are budget-guarded rather than approximate.
 """
@@ -9,6 +12,7 @@ so they are budget-guarded rather than approximate.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,10 +21,12 @@ from .balls import (
     BudgetExceededError,
     in_I_ball,
     iter_I_ball_coords,
+    lee_ball_residues,
+    lee_ball_size,
 )
 from .mset import ShapeError
 from .pomset import Ideal, enumerate_root_downsets
-from .space import Space, Vector, distance
+from .space import Space, Vector, block_weight, distance
 
 
 class UndefinedDistanceError(ValueError):
@@ -70,42 +76,131 @@ class Code:
 
     @cached_property
     def is_linear(self) -> bool:
-        """True iff the code is a submodule (closed under + and -)."""
+        """True iff the code is a submodule (closed under + and -).
+
+        A finite set is a submodule exactly when its span is no larger than
+        itself, and the diagonal form gives the span's size directly.
+        """
         if self.generator is not None or self.known_linear:
             return True
-        words = self.coord_set
-        if (0,) * self.space.n not in words:
-            return False
         m = self.space.m
-        for a in words:
-            if tuple((-x) % m for x in a) not in words:
-                return False
-            for b in words:
-                if tuple((x + y) % m for x, y in zip(a, b)) not in words:
-                    return False
-        return True
+        d, _, _ = _diagonal([w.coords for w in self.codewords], self.space.n, m)
+        return math.prod(m // math.gcd(x, m) for x in d) == self.size
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) for a > 0 and b >= 0.
+
+    When a divides b the answer is (a, 1, 0), so an operation whose pivot
+    already divides the entry leaves the pivot's row or column alone.
+    """
+    if b % a == 0:
+        return a, 1, 0
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _diagonal(rows, n: int, m: int):
+    """Diagonal form U*A*V = diag(d) over Z_m of the matrix whose rows are given.
+
+    Extended-gcd row and column operations of determinant 1 reach it, so U
+    and V are invertible mod m and the rows d[t]*Vinv[t] span the same
+    submodule as the input, as a direct sum.  Returns (d, V, Vinv) reduced
+    mod m, with d zero-padded to length n.
+    """
+    a = [[x % m for x in row] for row in rows]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    vinv = [row[:] for row in v]
+    d = [0] * n
+    for k in range(min(len(a), n)):
+        pivot = next(
+            ((i, j) for i in range(k, len(a)) for j in range(k, n) if a[i][j]), None
+        )
+        if pivot is None:
+            break
+        i, j = pivot
+        a[k], a[i] = a[i], a[k]
+        for row in a + v:
+            row[k], row[j] = row[j], row[k]
+        vinv[k], vinv[j] = vinv[j], vinv[k]
+        # Each pass clears the pivot's column or row; a pass that changes the
+        # other one strictly lowers the pivot, so the loop ends.
+        while True:
+            for i in range(k + 1, len(a)):
+                if a[i][k]:
+                    g, x, y = _bezout(a[k][k], a[i][k])
+                    p, q = a[k][k] // g, a[i][k] // g
+                    rk, ri = a[k], a[i]
+                    a[k] = [(x * s + y * t) % m for s, t in zip(rk, ri)]
+                    a[i] = [(p * t - q * s) % m for s, t in zip(rk, ri)]
+            if not any(a[k][k + 1 :]):
+                break
+            for j in range(k + 1, n):
+                if a[k][j]:
+                    g, x, y = _bezout(a[k][k], a[k][j])
+                    p, q = a[k][k] // g, a[k][j] // g
+                    for row in a + v:
+                        s, t = row[k], row[j]
+                        row[k], row[j] = (x * s + y * t) % m, (p * t - q * s) % m
+                    rk, rj = vinv[k], vinv[j]
+                    vinv[k] = [(p * s + q * t) % m for s, t in zip(rk, rj)]
+                    vinv[j] = [(x * t - y * s) % m for s, t in zip(rk, rj)]
+            if not any(a[i][k] for i in range(k + 1, len(a))):
+                break
+        d[k] = a[k][k]
+    return d, v, vinv
+
+
+def _order(b, m: int) -> int:
+    """Additive order of a vector of Z_m^n."""
+    return m // math.gcd(m, *b)
+
+
+def _direct_sum(gens, n: int, m: int) -> list[tuple[int, ...]]:
+    """Every sum of c*b over the generators b, 0 <= c < order(b), once each.
+
+    The generators must form a direct sum, as those read off `_diagonal`
+    do, so the sums are pairwise distinct and cost O(output * n).
+    """
+    words = [(0,) * n]
+    for b in gens:
+        if any(b):
+            words = [
+                tuple((x + c * y) % m for x, y in zip(w, b))
+                for c in range(_order(b, m))
+                for w in words
+            ]
+    return words
+
+
+def _budgeted_code(space: Space, gens, budget: int, what: str, **kwargs) -> Code:
+    """The code a direct sum spans, once its size is known to fit the budget."""
+    size = math.prod(_order(b, space.m) for b in gens)
+    if size > budget:
+        raise BudgetExceededError(f"{what} of {size} codewords exceeds budget {budget}")
+    words = _direct_sum(gens, space.n, space.m)
+    return Code(space, tuple(Vector(space, w) for w in words), **kwargs)
 
 
 def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
-    """All linear combinations over Z_m of the given rows."""
+    """All linear combinations over Z_m of the given rows.
+
+    The span is the direct sum of the cyclic modules of d[t]*Vinv[t] from
+    the diagonal form, so the budget counts its codewords.
+    """
     norm = tuple(tuple(int(x) % space.m for x in row) for row in rows)
     for row in norm:
         if len(row) != space.n:
             raise ShapeError(f"generator row of length {len(row)}, expected {space.n}")
-    if space.m ** len(norm) > budget:
-        raise BudgetExceededError(
-            f"{space.m ** len(norm)} coefficient tuples exceed budget {budget}"
-        )
     m = space.m
-    words = set()
-    for coeffs in itertools.product(range(m), repeat=len(norm)):
-        acc = [0] * space.n
-        for a, row in zip(coeffs, norm):
-            if a:
-                for t, x in enumerate(row):
-                    acc[t] = (acc[t] + a * x) % m
-        words.add(tuple(acc))
-    return Code(space, tuple(Vector(space, w) for w in words), generator=norm)
+    d, _, vinv = _diagonal(norm, space.n, m)
+    gens = [tuple(dt * x % m for x in row) for dt, row in zip(d, vinv)]
+    return _budgeted_code(space, gens, budget, "span", generator=norm)
 
 
 def min_distance(c: Code) -> int:
@@ -122,23 +217,33 @@ def min_distance(c: Code) -> int:
     )
 
 
-def dual_code(c: Code, budget: int = DEFAULT_BUDGET) -> Code:
-    """Annihilator { v : v . c = 0 mod m for all c }, by exhaustive scan."""
+def _dual_generators(c: Code) -> list[tuple[int, ...]]:
+    """Generators (m/g_t)*V[:, t] of the annihilator, g_t = gcd(d_t, m).
+
+    With U*A*V = diag(d), a vector V*y annihilates the rows of A exactly when
+    d_t*y_t = 0 mod m for every t; past the rank d_t = 0 and g_t = m.
+    """
     if not c.is_linear:
         raise ValueError("dual code requires a linear (submodule) code")
     sp = c.space
-    if sp.size > budget:
-        raise BudgetExceededError(f"space of size {sp.size} exceeds budget {budget}")
+    m, n = sp.m, sp.n
     # Annihilating a spanning set annihilates every combination of it.
     rows = c.generator if c.generator is not None else tuple(
         w.coords for w in c.codewords
     )
-    m = sp.m
-    words = []
-    for coords in sp.iter_coords():
-        if all(sum(x * y for x, y in zip(coords, row)) % m == 0 for row in rows):
-            words.append(Vector(sp, coords))
-    return Code(sp, tuple(words), known_linear=True)
+    d, v, _ = _diagonal(rows, n, m)
+    return [
+        tuple(m // math.gcd(dt, m) * v[i][t] % m for i in range(n))
+        for t, dt in enumerate(d)
+    ]
+
+
+def dual_code(c: Code, budget: int = DEFAULT_BUDGET) -> Code:
+    """Annihilator { v : v . c = 0 mod m for all c }, from the diagonal form.
+
+    The budget counts the dual's codewords; |C| * |dual| = m^n.
+    """
+    return _budgeted_code(c.space, _dual_generators(c), budget, "dual", known_linear=True)
 
 
 @dataclass(frozen=True)
@@ -190,11 +295,59 @@ def is_I_perfect(c: Code, i: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def _r_ball_coords(sp: Space, r: int, budget: int):
+    """Members of the radius-r ball about zero, in lexicographic order.
+
+    The ball is the disjoint union, over the block-weight tuples whose
+    generated ideal has at most r elements, of the products of each
+    block's residue tuples of exactly that weight.  A depth-first walk over
+    the blocks finds the tuples and cuts a branch once the closure exceeds
+    r (closure size is monotone), so the cost follows the ball's size.
+    """
     if not 0 <= r <= sp.max_weight:
         raise ValueError(f"radius {r} outside 0..{sp.max_weight}")
-    if sp.size > budget:
-        raise BudgetExceededError(f"space of size {sp.size} exceeds budget {budget}")
-    return [co for co in sp.iter_coords() if sp.coords_weight(co) <= r]
+    closure, m, s = sp.pomset.closure_counts, sp.m, sp.s
+    tuples = []
+    weights = [0] * s
+
+    def walk(j: int) -> None:
+        if j == s:
+            tuples.append(tuple(weights))
+            return
+        for w in range(sp.height + 1):
+            weights[j] = w
+            if w and sum(closure(tuple(weights))) > r:
+                break
+            walk(j + 1)
+        weights[j] = 0
+
+    walk(0)
+
+    def exact_count(k: int, w: int) -> int:
+        # Residue tuples of length k whose largest Lee weight is exactly w.
+        return lee_ball_size(m, w) ** k - (lee_ball_size(m, w - 1) ** k if w else 0)
+
+    size = sum(
+        math.prod(exact_count(k, w) for k, w in zip(sp.labeling, ws)) for ws in tuples
+    )
+    if size > budget:
+        raise BudgetExceededError(f"ball of {size} vectors exceeds budget {budget}")
+    # One exact-weight table per block size, for the weights the ball uses.
+    tables = {}
+    for k, w in {kw for ws in tuples for kw in zip(sp.labeling, ws)}:
+        tables[k, w] = [
+            t
+            for t in itertools.product(lee_ball_residues(m, w), repeat=k)
+            if block_weight(t, m) == w
+        ]
+    members = [
+        sum(parts, ())
+        for ws in tuples
+        for parts in itertools.product(
+            *(tables[k, w] for k, w in zip(sp.labeling, ws))
+        )
+    ]
+    members.sort()
+    return members
 
 
 def check_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> CheckResult:
@@ -334,50 +487,27 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def _rref_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Reduced row echelon form over the field Z_p; zero rows dropped."""
-    mat = [list(r) for r in rows]
-    pivot_row = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(pivot_row, len(mat)) if mat[r][col] % p), None
-        )
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        inv = pow(mat[pivot_row][col], p - 2, p)
-        mat[pivot_row] = [(x * inv) % p for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] % p:
-                factor = mat[r][col]
-                mat[r] = [
-                    (x - factor * y) % p for x, y in zip(mat[r], mat[pivot_row])
-                ]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return [r for r in mat[:pivot_row]]
-
-
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over the field Z_p: the nonzero entries of the diagonal form."""
     if not rows:
         return 0
-    return len(_rref_mod_p(rows, p))
+    return sum(1 for x in _diagonal(rows, len(rows[0]), p)[0] if x)
 
 
-def parity_check_rows(c: Code, budget: int = DEFAULT_BUDGET) -> list[list[int]]:
-    """A reduced basis of the dual code, as parity-check rows (prime m only)."""
+def parity_check_rows(c: Code) -> list[list[int]]:
+    """A basis of the dual code, as parity-check rows (prime m only).
+
+    These are the nonzero dual generators of the diagonal form.  Over a
+    field the rank of any column subset is the same for every basis, so
+    block dependence does not depend on this choice.
+    """
     sp = c.space
     if not is_prime(sp.m):
         raise ValueError("parity-check analysis requires a prime modulus")
-    dual = dual_code(c, budget)
-    return _rref_mod_p([list(w.coords) for w in dual.codewords], sp.m)
+    return [list(b) for b in _dual_generators(c) if any(b)]
 
 
-def block_dependency_witnesses(
-    c: Code, budget: int = DEFAULT_BUDGET
-) -> tuple[int, list[frozenset[int]]]:
+def block_dependency_witnesses(c: Code) -> tuple[int, list[frozenset[int]]]:
     """Smallest downset size whose parity-check blocks are linearly dependent.
 
     Returns the size together with every witnessing downset of that size.
@@ -385,7 +515,7 @@ def block_dependency_witnesses(
     sp = c.space
     if c.size < 2:
         raise ValueError("the zero code has no dependent block set")
-    h = parity_check_rows(c, budget)
+    h = parity_check_rows(c)
     p = sp.m
     nrows = len(h)
     for j in range(1, sp.s + 1):
@@ -405,8 +535,8 @@ def block_dependency_witnesses(
     raise InternalInconsistencyError("no dependent block set found")
 
 
-def block_dependency_threshold(c: Code, budget: int = DEFAULT_BUDGET) -> int:
-    return block_dependency_witnesses(c, budget)[0]
+def block_dependency_threshold(c: Code) -> int:
+    return block_dependency_witnesses(c)[0]
 
 
 def min_ideal_root_size(c: Code) -> int:

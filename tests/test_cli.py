@@ -1,6 +1,9 @@
 import io
 import json
 
+import pytest
+
+from pomsetblock import cli
 from pomsetblock.cli import canonical_json, load_problem, problem_from_dict, run
 from pomsetblock.fixtures import NAMES, fixture_path
 
@@ -130,6 +133,19 @@ def test_check_error_correcting():
         "check-error-correcting", fixture_path("partial_perfect_z6"), "--radius", "4"
     )
     assert status == 1 and kv(out)["error_correcting"] == "false"
+
+
+def test_error_correcting_witness_is_the_first_collision_in_order():
+    # The census reports the first vector two balls share, walking the
+    # codewords and the ball's members in lexicographic order.  Here the
+    # zero offset already collides, so only the second case tells the
+    # lexicographic listing from, say, one grouped by block weights.
+    status, out = invoke("check-error-correcting", fixture_path("partial_perfect_z6"),
+                         "--radius", "4", "--machine")
+    assert (status, out) == (1, "error_correcting=false\nwitness=0,3,0\n")
+    status, out = invoke("check-error-correcting", fixture_path("perfect_r1_z5"),
+                         "--radius", "2", "--machine")
+    assert (status, out) == (1, "error_correcting=false\nwitness=1,4\n")
 
 
 def test_singleton_dual_and_threshold():
@@ -309,3 +325,60 @@ def test_non_object_sections_rejected_naming_the_section(tmp_path):
     path.write_text(json.dumps({"m": 5, "pomset": [1], "labeling": [1]}))
     status, out = invoke("weight", str(path), "--vector", "1", "--machine")
     assert (status, out) == (2, "error=input\n")
+
+
+def test_missing_required_fields_are_named(tmp_path):
+    base = {"m": 5, "pomset": {"s": 2, "relations": [[2, 1]]}, "labeling": [2, 1],
+            "ideal": {"counts": [2, 2]}}
+    cases = [
+        ({k: v for k, v in base.items() if k != "m"}, "m"),
+        ({k: v for k, v in base.items() if k != "pomset"}, "pomset"),
+        ({**base, "pomset": {"relations": [[2, 1]]}}, "pomset.s"),
+        ({k: v for k, v in base.items() if k != "labeling"}, "labeling"),
+        ({**base, "ideal": {}}, "ideal.counts"),
+    ]
+    path = tmp_path / "bad.json"
+    for doc, field in cases:
+        path.write_text(json.dumps(doc))
+        status, out = invoke("weight", str(path), "--vector", "0,0,1")
+        assert (status, out) == (
+            2, f"# input error: missing required field {field}\nerror=input\n"
+        )
+
+
+def test_programming_errors_are_not_input_errors(monkeypatch):
+    def broken(problem, args, rep):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli.COMMANDS, "weight", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        invoke("weight", fixture_path("perfect_r1_z5"), "--vector", "0,0")
+
+
+def test_dual_budget_counts_the_dual():
+    # The space has 6^3 = 216 vectors and the dual 54 codewords.
+    path = fixture_path("iperfect_not_mds_z6")
+    status, out = invoke("dual", path, "--budget", "53", "--machine")
+    assert (status, out) == (3, "error=budget\n")
+    status, out = invoke("dual", path, "--budget", "53")
+    assert out.startswith("# budget exceeded: dual of 54 codewords exceeds budget 53\n")
+    status, out = invoke("dual", path, "--budget", "54", "--machine")
+    assert status == 0
+    assert out.splitlines()[0] == "size=54"
+
+
+def test_redundant_generator_rows_load_when_the_span_fits(tmp_path):
+    # 5^11 coefficient tuples exceed the default budget of 10^7; the span
+    # they generate has 25 codewords.
+    first, second = [1, 0, 2], [0, 1, 3]
+    rows = [first, second] + [
+        [(k * x + y) % 5 for x, y in zip(first, second)] for k in range(9)
+    ]
+    doc = {"m": 5, "pomset": {"s": 2, "relations": [[1, 2]]}, "labeling": [2, 1],
+           "code": {"generator": rows}}
+    path = tmp_path / "redundant.json"
+    path.write_text(json.dumps(doc))
+    status, out = invoke("dual", str(path), "--machine")
+    assert status == 0
+    assert out.splitlines()[0] == "size=5"
+    assert load_problem(str(path)).code.size == 25

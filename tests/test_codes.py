@@ -105,10 +105,11 @@ def test_dual_code():
 
 def test_dual_size_product_for_prime_modulus():
     rng = random.Random(4)
-    for _ in range(10):
-        sp = make_space(5, [(1, 2)], (rng.randint(1, 2), rng.randint(1, 2)))
+    # The product holds over composite moduli too.
+    for m in (5,) * 10 + (6, 8) * 5:
+        sp = make_space(m, [(1, 2)], (rng.randint(1, 2), rng.randint(1, 2)))
         rows = [
-            [rng.randrange(5) for _ in range(sp.n)]
+            [rng.randrange(m) for _ in range(sp.n)]
             for _ in range(rng.randint(1, 2))
         ]
         code = span_generator(sp, rows)
