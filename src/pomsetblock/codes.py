@@ -301,16 +301,31 @@ def _r_ball_coords(sp: Space, r: int, budget: int):
     generated ideal has at most r elements, of the products of each
     block's residue tuples of exactly that weight.  A depth-first walk over
     the blocks finds the tuples and cuts a branch once the closure exceeds
-    r (closure size is monotone), so the cost follows the ball's size.
+    r (closure size is monotone).  Each tuple holds at least one member, so
+    counting members as the walk goes stops it within about budget * s
+    closures once the ball outgrows the budget.
     """
     if not 0 <= r <= sp.max_weight:
         raise ValueError(f"radius {r} outside 0..{sp.max_weight}")
     closure, m, s = sp.pomset.closure_counts, sp.m, sp.s
+    # Residue tuples of length k whose largest Lee weight is exactly w.
+    exact = {
+        (k, w): lee_ball_size(m, w) ** k - (lee_ball_size(m, w - 1) ** k if w else 0)
+        for k in set(sp.labeling)
+        for w in range(sp.height + 1)
+    }
     tuples = []
     weights = [0] * s
+    size = 0
 
     def walk(j: int) -> None:
+        nonlocal size
         if j == s:
+            size += math.prod(exact[kw] for kw in zip(sp.labeling, weights))
+            if size > budget:
+                raise BudgetExceededError(
+                    f"radius-{r} ball exceeds {budget} vectors"
+                )
             tuples.append(tuple(weights))
             return
         for w in range(sp.height + 1):
@@ -321,16 +336,6 @@ def _r_ball_coords(sp: Space, r: int, budget: int):
         weights[j] = 0
 
     walk(0)
-
-    def exact_count(k: int, w: int) -> int:
-        # Residue tuples of length k whose largest Lee weight is exactly w.
-        return lee_ball_size(m, w) ** k - (lee_ball_size(m, w - 1) ** k if w else 0)
-
-    size = sum(
-        math.prod(exact_count(k, w) for k, w in zip(sp.labeling, ws)) for ws in tuples
-    )
-    if size > budget:
-        raise BudgetExceededError(f"ball of {size} vectors exceeds budget {budget}")
     # One exact-weight table per block size, for the weights the ball uses.
     tables = {}
     for k, w in {kw for ws in tuples for kw in zip(sp.labeling, ws)}:
@@ -350,8 +355,24 @@ def _r_ball_coords(sp: Space, r: int, budget: int):
     return members
 
 
+def _census_ball(c: Code, r: int, budget: int):
+    """The radius-r ball, listed only while the census can take |C| copies."""
+    try:
+        return _r_ball_coords(c.space, r, budget // c.size)
+    except BudgetExceededError:
+        raise BudgetExceededError(
+            f"census of {c.size} codewords x a radius-{r} ball of more than "
+            f"{budget // c.size} vectors exceeds budget {budget}"
+        ) from None
+
+
 def check_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> CheckResult:
-    return _ball_census(c, _r_ball_coords(c.space, r, budget), budget, True)
+    # The cover check walks the whole space: reject before listing the ball.
+    if c.space.size > budget:
+        raise BudgetExceededError(
+            f"space of size {c.space.size} exceeds budget {budget}"
+        )
+    return _ball_census(c, _census_ball(c, r, budget), budget, True)
 
 
 def is_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> bool:
@@ -361,7 +382,7 @@ def is_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> bool:
 def check_r_error_correcting(
     c: Code, r: int, budget: int = DEFAULT_BUDGET
 ) -> CheckResult:
-    return _ball_census(c, _r_ball_coords(c.space, r, budget), budget, False)
+    return _ball_census(c, _census_ball(c, r, budget), budget, False)
 
 
 def is_r_error_correcting(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> bool:

@@ -382,3 +382,32 @@ def test_redundant_generator_rows_load_when_the_span_fits(tmp_path):
     assert status == 0
     assert out.splitlines()[0] == "size=5"
     assert load_problem(str(path)).code.size == 25
+
+
+def _wide_antichain(tmp_path):
+    # 24 incomparable blocks of dimension 1 over Z_5: 5^24 vectors, and a
+    # radius-12 ball of about 3e8 members.
+    doc = {"m": 5, "pomset": {"s": 24}, "labeling": [1] * 24,
+           "code": {"codewords": [[0] * 24, [1] * 24]}}
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_radius_ball_budget_stops_the_listing(tmp_path):
+    path = _wide_antichain(tmp_path)
+    status, out = invoke("check-error-correcting", path, "--radius", "12",
+                         "--budget", "10", "--machine")
+    assert (status, out) == (3, "error=budget\n")
+    status, out = invoke("check-error-correcting", path, "--radius", "12",
+                         "--budget", "10")
+    assert out.startswith("# budget exceeded: census of 2 codewords x a radius-12 "
+                          "ball of more than 5 vectors exceeds budget 10\n")
+
+
+def test_radius_perfect_rejects_a_space_above_the_budget(tmp_path):
+    status, out = invoke("check-perfect", _wide_antichain(tmp_path), "--radius",
+                         "12", "--budget", "10")
+    assert status == 3
+    assert out.startswith(f"# budget exceeded: space of size {5 ** 24} exceeds "
+                          "budget 10\n")

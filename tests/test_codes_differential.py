@@ -10,9 +10,11 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
+from pomsetblock.balls import BudgetExceededError
 from pomsetblock.codes import Code, _r_ball_coords, dual_code, span_generator
 from pomsetblock.pomset import Pomset
 from pomsetblock.space import Space
@@ -118,3 +120,17 @@ def test_r_ball_lists_the_weight_filter_in_its_order(space):
     for r in range(space.max_weight + 1):
         expected = [co for co in space.iter_coords() if space.coords_weight(co) <= r]
         assert _r_ball_coords(space, r, space.size) == expected
+
+
+def test_r_ball_walk_stops_at_the_budget(monkeypatch):
+    # 5^24 vectors and a radius-12 ball of about 3e8 members; the walk must
+    # give up after a few closures per block, not after listing the ball.
+    space = Space(5, Pomset.from_relations(24, 2, []), (1,) * 24)
+    calls = []
+    closure = Pomset.closure_counts
+    monkeypatch.setattr(
+        Pomset, "closure_counts", lambda self, w: calls.append(1) or closure(self, w)
+    )
+    with pytest.raises(BudgetExceededError):
+        _r_ball_coords(space, 12, 10)
+    assert len(calls) <= 2 * 11 * 24
