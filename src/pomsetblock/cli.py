@@ -9,6 +9,7 @@ carries a witness), 2 input error, 3 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -511,7 +512,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every later `run`.
+
+    Parsing leaves the tree unchanged, so a process serving many requests
+    builds it once; callers must not modify the returned parser.
+    """
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="enumeration budget (vectors / memberships)")

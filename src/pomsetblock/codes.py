@@ -5,8 +5,10 @@ weight distributions.
 Spans, duals, linearity and parity-check ranks all come from one diagonal
 form over Z_m, so they cost what they output rather than what the space
 holds.  Radius balls are listed from the block-weight tuples they contain.
-Perfectness checks run an exact membership census over the whole space,
-so they are budget-guarded rather than approximate.
+Perfectness and error-correction checks are an exact census of the ball
+translates at the codewords, `space.translate_census`, which keys every
+vector by an integer; it is budget-guarded rather than approximate.
+`ball_code_intersection` walks whichever of the ball and the code is smaller.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ from functools import cached_property
 from .balls import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    in_I_ball,
+    _ball_block_choices,
+    _counts_of,
     iter_I_ball_coords,
     lee_ball_residues,
     lee_ball_size,
 )
 from .mset import ShapeError
 from .pomset import Ideal, enumerate_root_downsets
-from .space import Space, Vector, block_weight, distance
+from .space import Space, Vector, block_weight, distance, translate_census
 
 
 class UndefinedDistanceError(ValueError):
@@ -267,23 +270,12 @@ def _ball_census(c: Code, ball_coords, budget: int, require_cover: bool) -> Chec
             f"census of {c.size} x {len(ball)} memberships over a space of "
             f"{sp.size} vectors exceeds budget {budget}"
         )
-    m = sp.m
-    seen: dict[tuple[int, ...], int] = {}
-    for w in c.codewords:
-        base = w.coords
-        for offset in ball:
-            x = tuple((a + b) % m for a, b in zip(base, offset))
-            if x in seen:
-                return CheckResult(False, x, "vector covered by two balls")
-            seen[x] = 1
-    if not require_cover:
+    hit = translate_census(sp, (w.coords for w in c.codewords), ball, require_cover)
+    if hit is None:
         return CheckResult(True)
-    if len(seen) == sp.size:
-        return CheckResult(True)
-    for coords in sp.iter_coords():
-        if coords not in seen:
-            return CheckResult(False, coords, "vector covered by no ball")
-    raise InternalInconsistencyError("census undercount without witness")
+    x, shared = hit
+    reason = "vector covered by two balls" if shared else "vector covered by no ball"
+    return CheckResult(False, x, reason)
 
 
 def check_I_perfect(c: Code, i: Ideal, budget: int = DEFAULT_BUDGET) -> CheckResult:
@@ -577,8 +569,27 @@ def min_ideal_root_size(c: Code) -> int:
 
 
 def ball_code_intersection(c: Code, i, x: Vector) -> int:
-    """Exact size of { codewords inside the I-ball centered at x }."""
-    return sum(1 for w in c.codewords if in_I_ball(w, x, i))
+    """Exact size of { codewords inside the I-ball centered at x }.
+
+    `i` is an Ideal or an Mset.  The ball about x is the product of the
+    residues x_t + r with r within coordinate t's count, so whichever of
+    the ball and the code is smaller is walked and tested against the other.
+    """
+    sp = c.space
+    if x.space != sp:
+        raise ShapeError("vectors belong to different spaces")
+    m = sp.m
+    shifted = [
+        {(a + r) % m for r in residues}
+        for a, residues in zip(x.coords, _ball_block_choices(sp, _counts_of(sp, i)))
+    ]
+    words = c.coord_set
+    if math.prod(map(len, shifted)) < c.size:
+        return sum(1 for w in itertools.product(*shifted) if w in words)
+    for t, residues in enumerate(shifted):
+        if len(residues) < m:
+            words = [w for w in words if w[t] in residues]
+    return len(words)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import balls
 from .balls import BudgetExceededError, PartitionImpossibleError
 from .pomset import all_ideals, dual_pomset, enumerate_ideals, ideal_complement
-from .space import Space
+from .space import Space, translate_census
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
 DEFAULT_PAIR_BUDGET = 10 ** 6
@@ -372,19 +372,8 @@ def _check_partition_tiling(space, ideals, budget, checks):
         if len(centers) != expected:
             bad = (i, f"center count {len(centers)} != {expected}")
             break
-        ball = list(balls.iter_I_ball_coords(space, i, budget))
-        seen = set()
-        overlap = False
-        for center in centers:
-            for offset in ball:
-                x = tuple((a + b) % m for a, b in zip(center.coords, offset))
-                if x in seen:
-                    overlap = True
-                    break
-                seen.add(x)
-            if overlap:
-                break
-        if overlap or len(seen) != space.size:
+        ball = balls.iter_I_ball_coords(space, i, budget)
+        if translate_census(space, (c.coords for c in centers), ball, cover=True):
             bad = (i, "translates do not tile")
             break
     checks.append(

@@ -9,6 +9,7 @@ support.  All values are immutable.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -166,6 +167,73 @@ class Vector:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
+
+
+def translate_census(space: Space, centers, offsets, cover: bool):
+    """First vector where the translates c + o of the offsets fail to tile.
+
+    The centers are walked in order and each center's offsets in order; the
+    answer is `(x, True)` for the first vector x an earlier translate
+    already reached.  With `cover`, disjoint translates must also reach
+    every vector, and the answer is `(x, False)` for the lexicographically
+    first vector none reaches.  `None` means the translates are pairwise
+    disjoint (and, with `cover`, tile the space).  Centers and offsets are
+    reduced coordinate tuples; the offsets must be distinct.
+
+    A vector is keyed by its big-endian base-m value, so numeric order is
+    lexicographic order (Knuth, TAOCP 4A 7.2.1.1).  The key splits at
+    coordinate n // 2 into a head and a tail part, each tabled once per
+    pair of a distinct center part and a distinct offset part, so one
+    membership costs one integer addition.  Only addition mod m is used.
+    """
+    m, n = space.m, space.n
+    offsets = list(offsets)
+    if len(set(offsets)) != len(offsets):
+        raise ValueError("translate offsets must be distinct")
+    cut = n // 2
+
+    def part(lo: int, hi: int, scale: int):
+        """Key parts of coordinates lo..hi-1 of c + o, one per offset."""
+        distinct: dict[tuple[int, ...], int] = {}
+        index = [distinct.setdefault(o[lo:hi], len(distinct)) for o in offsets]
+        tables: dict[tuple[int, ...], list[int]] = {}
+
+        def keys(c):
+            own = c[lo:hi]
+            table = tables.get(own)
+            if table is None:
+                table = tables[own] = []
+                for q in distinct:
+                    k = 0
+                    for a, b in zip(own, q):
+                        k = k * m + (a + b) % m
+                    table.append(k * scale)
+            return map(table.__getitem__, index)
+
+        return keys
+
+    head_keys = part(0, cut, m ** (n - cut))
+    tail_keys = part(cut, n, 1)
+    seen: set[int] = set()
+    for c in centers:
+        keys = list(map(operator.add, head_keys(c), tail_keys(c)))
+        if seen.isdisjoint(keys):
+            seen.update(keys)
+            continue
+        # One center's translates are pairwise distinct, so the first of its
+        # keys already seen is the first repeat of a center-major walk.
+        return _decode(next(k for k in keys if k in seen), m, n), True
+    if not cover or len(seen) == m ** n:
+        return None
+    return _decode(next(k for k in itertools.count() if k not in seen), m, n), False
+
+
+def _decode(key: int, m: int, n: int) -> tuple[int, ...]:
+    """The coordinate tuple whose big-endian base-m value is `key`."""
+    coords = [0] * n
+    for t in range(n - 1, -1, -1):
+        key, coords[t] = divmod(key, m)
+    return tuple(coords)
 
 
 def _check_space(u: Vector, v: Vector) -> None:

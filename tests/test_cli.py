@@ -54,6 +54,14 @@ def test_check_perfect_radius_witness():
     assert status == 0
 
 
+def test_check_perfect_reports_the_first_uncovered_vector():
+    # The translates are disjoint but leave vectors out; the witness is the
+    # lexicographically first vector no ball reaches.
+    status, out = invoke("check-perfect", "--machine", "--ideal", "0,0,2,2",
+                         fixture_path("mds_z5_len6"))
+    assert (status, out) == (1, "mode=ideal\nperfect=false\nwitness=0,0,1,0,0,0\n")
+
+
 def test_check_perfect_ideal_from_file():
     status, out = invoke("check-perfect", fixture_path("partial_perfect_z6"),
                          "--ideal", "1,3")
@@ -411,3 +419,34 @@ def test_radius_perfect_rejects_a_space_above_the_budget(tmp_path):
     assert status == 3
     assert out.startswith(f"# budget exceeded: space of size {5 ** 24} exceeds "
                           "budget 10\n")
+
+
+def test_one_parser_serves_every_request(monkeypatch, capsys):
+    # `run` builds the argument tree once per process; a request after a
+    # usage error or --help must read exactly as with a freshly built tree.
+    path = fixture_path("perfect_r1_z5")
+    requests = [
+        ["check-perfect", path, "--machine"],
+        ["check-perfect", path, "--radius", "one"],
+        ["--help"],
+        ["check-perfect", path, "--machine"],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in requests:
+            buf = io.StringIO()
+            try:
+                status = run(argv, out=buf)
+            except SystemExit as exc:
+                status = exc.code
+            captured = capsys.readouterr()
+            seen.append((status, buf.getvalue(), captured.out, captured.err))
+        return seen
+
+    shared = outcomes()
+    assert cli.build_parser() is cli.build_parser()
+    assert [status for status, *_ in shared] == [0, 2, 0, 0]
+    assert shared[0] == shared[3] and shared[0][1] == "mode=radius\nperfect=true\n"
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outcomes() == shared

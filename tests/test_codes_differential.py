@@ -1,5 +1,5 @@
-"""Differential tests of the diagonal-form module algebra and the radius-ball
-lister in `codes`, each against a brute-force reference over Z_m for m in
+"""Differential tests of the diagonal-form module algebra, the radius-ball
+lister and the ball-code intersection count in `codes`, each against a brute-force reference over Z_m for m in
 2..12, composite moduli included.
 
 Hypothesis runs derandomized, without an example database and with a
@@ -14,9 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
-from pomsetblock.balls import BudgetExceededError
-from pomsetblock.codes import Code, _r_ball_coords, dual_code, span_generator
-from pomsetblock.pomset import Pomset
+from pomsetblock.balls import BudgetExceededError, in_I_ball
+from pomsetblock.codes import (
+    Code,
+    _r_ball_coords,
+    ball_code_intersection,
+    dual_code,
+    span_generator,
+)
+from pomsetblock.mset import Mset, ShapeError
+from pomsetblock.pomset import Ideal, Pomset, all_ideals
 from pomsetblock.space import Space
 
 
@@ -134,3 +141,35 @@ def test_r_ball_walk_stops_at_the_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         _r_ball_coords(space, 12, 10)
     assert len(calls) <= 2 * 11 * 24
+
+
+@bounded(150)
+@given(ordered_spaces(max_vectors=600), SEEDS)
+def test_ball_code_intersection_matches_in_I_ball(space, seed):
+    # Code sizes from 1 to the whole space put the ball on either side of
+    # the code's size; the counts come as an ideal or as a plain multiset.
+    rng = random.Random(seed)
+    words = rng.sample(list(space.iter_coords()), rng.randint(1, space.size))
+    code = Code.from_codewords(space, words)
+    ideals = all_ideals(space.pomset)
+    for i in rng.sample(ideals, min(4, len(ideals))):
+        counts = i if rng.random() < 0.5 else Mset(space.s, space.height, i.counts)
+        for _ in range(3):
+            x = space.vector([rng.randrange(space.m) for _ in range(space.n)])
+            expected = sum(1 for w in code.codewords if in_I_ball(w, x, counts))
+            assert ball_code_intersection(code, counts, x) == expected
+
+
+def test_ball_code_intersection_rejects_what_in_I_ball_rejects():
+    space = Space(5, Pomset.from_relations(2, 2, [(1, 2)]), (1, 1))
+    code = Code.from_codewords(space, [(0, 0), (1, 2)])
+    ideal = Ideal(space.pomset, (2, 1))
+    other = Space(5, Pomset.from_relations(2, 2, []), (1, 1))
+    with pytest.raises(ShapeError, match="different spaces"):
+        ball_code_intersection(code, ideal, other.zero())
+    with pytest.raises(ShapeError, match="order"):
+        ball_code_intersection(code, Ideal(other.pomset, (1, 1)), space.zero())
+    with pytest.raises(ShapeError, match="shape"):
+        ball_code_intersection(code, Mset(3, 2, (0, 0, 0)), space.zero())
+    with pytest.raises(TypeError, match="Ideal or Mset"):
+        ball_code_intersection(code, (2, 1), space.zero())

@@ -186,6 +186,43 @@ def test_formula_suite_detects_a_wrong_dual_ball(monkeypatch):
     assert "ball-duality" in {c.name for c in report.failures}
 
 
+def tamper_centers(monkeypatch, tamper):
+    """Make `partition_centers` return a tampered list of the right length."""
+    original = balls.partition_centers
+
+    def tampered(space, ideal, *args, **kwargs):
+        centers = original(space, ideal, *args, **kwargs)
+        if len(centers) > 1 and balls.I_ball_cardinality(space, ideal) > 1:
+            centers = list(centers)
+            tamper(space, ideal, centers)
+        return centers
+
+    monkeypatch.setattr("pomsetblock.balls.partition_centers", tampered)
+
+
+def assert_tiling_fails(space):
+    # With the count right, the translates fail to tile only by overlapping.
+    failed = {c.name: c.detail for c in verify_formula_suite(space).failures}
+    assert failed["partition-tiling"].endswith(": translates do not tile")
+
+
+def test_formula_suite_detects_a_center_moved_into_a_neighbours_ball(monkeypatch):
+    def move(space, ideal, centers):
+        offset = list(balls.iter_I_ball_coords(space, ideal))[1]
+        centers[1] = space.vector(a + b for a, b in zip(centers[0].coords, offset))
+
+    tamper_centers(monkeypatch, move)
+    assert_tiling_fails(make_space(6, [], (1, 1)))
+
+
+def test_formula_suite_detects_a_center_replacing_another(monkeypatch):
+    def repeat(space, ideal, centers):
+        centers[-1] = centers[0]
+
+    tamper_centers(monkeypatch, repeat)
+    assert_tiling_fails(make_space(6, [(1, 2)], (1, 2)))
+
+
 def additive_closure(m, n, vectors):
     """Reference: every sum of members, by a breadth-first walk from zero."""
     zero = (0,) * n
