@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .mset import Mset, ShapeError
+from .mset import Mset, ShapeError, check_shape
 from .pomset import Ideal, enumerate_ideals
 from .space import Space, Vector
 
@@ -46,16 +46,13 @@ def lee_ball_residues(m: int, a: int) -> tuple[int, ...]:
 
 
 def _counts_of(space: Space, i) -> tuple[int, ...]:
-    """Accept an Ideal or a plain Mset over the space's ground shape."""
+    """Accept an Ideal of the space's order or a plain Mset of its shape."""
     if isinstance(i, Ideal):
-        if i.pomset != space.pomset:
-            raise ShapeError("ideal does not belong to the space's order")
-        return i.counts
-    if isinstance(i, Mset):
-        if i.ground_size != space.s or i.height != space.height:
-            raise ShapeError("mset shape does not match the space")
-        return i.counts
-    raise TypeError(f"expected Ideal or Mset, got {type(i).__name__}")
+        return _require_ideal(space, i).counts
+    if not isinstance(i, Mset):
+        raise TypeError(f"expected Ideal or Mset, got {type(i).__name__}")
+    check_shape(i, space.pomset)
+    return i.counts
 
 
 def in_I_ball(v: Vector, u: Vector, i) -> bool:
@@ -163,8 +160,10 @@ def enumerate_I_ball(u: Vector, i: Ideal, budget: int = DEFAULT_BUDGET) -> list[
     return members
 
 
-def partition_centers(space: Space, i: Ideal, budget: int = DEFAULT_BUDGET) -> list[Vector]:
-    """Centers whose I-balls tile the space.
+def partition_centers(
+    space: Space, i: Ideal, budget: int = DEFAULT_BUDGET
+) -> list[tuple[int, ...]]:
+    """Centers whose I-balls tile the space, as sorted coordinate tuples.
 
     Full-count blocks are pinned to zero, partially counted blocks step in
     multiples of 2c+1 (each must divide m), and blocks outside the root set
@@ -190,6 +189,5 @@ def partition_centers(space: Space, i: Ideal, budget: int = DEFAULT_BUDGET) -> l
         total *= len(residues)
     if total > budget:
         raise BudgetExceededError(f"{total} centers exceed budget {budget}")
-    centers = [space.vector(coords) for coords in itertools.product(*choices)]
-    centers.sort(key=lambda v: v.coords)
-    return centers
+    # A product of ascending residue tuples comes out in lexicographic order.
+    return list(itertools.product(*choices))

@@ -147,7 +147,7 @@ def problem_to_dict(p: Problem) -> dict:
         if p.code.generator is not None:
             doc["code"] = {"generator": [list(r) for r in p.code.generator]}
         else:
-            doc["code"] = {"codewords": [list(w.coords) for w in p.code.codewords]}
+            doc["code"] = {"codewords": [list(w) for w in p.code.codewords]}
     if p.ideal is not None:
         doc["ideal"] = {"counts": list(p.ideal.counts)}
     if p.radius is not None:
@@ -309,7 +309,7 @@ def cmd_partition(problem, args, rep) -> int:
     rep.put("partition", True)
     rep.put("count", len(centers))
     for j, center in enumerate(centers):
-        rep.put(f"center.{j}", center.coords)
+        rep.put(f"center.{j}", center)
     return EXIT_OK
 
 
@@ -393,7 +393,7 @@ def cmd_dual(problem, args, rep) -> int:
     rep.say(f"dual code has {dual.size} codewords")
     rep.put("size", dual.size)
     for j, w in enumerate(dual.codewords):
-        rep.put(f"codeword.{j}", w.coords)
+        rep.put(f"codeword.{j}", w)
     return EXIT_OK
 
 

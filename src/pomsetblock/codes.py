@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,13 +24,14 @@ from .balls import (
     BudgetExceededError,
     _ball_block_choices,
     _counts_of,
+    _require_ideal,
     iter_I_ball_coords,
     lee_ball_residues,
     lee_ball_size,
 )
 from .mset import ShapeError
 from .pomset import Ideal, enumerate_root_downsets
-from .space import Space, Vector, block_weight, distance, translate_census
+from .space import Space, Vector, block_weight, translate_census
 
 
 class UndefinedDistanceError(ValueError):
@@ -42,32 +44,37 @@ class InternalInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Code:
-    """Finite nonempty set of vectors of one space, canonically ordered.
+    """Finite nonempty set of coordinate tuples of one space, sorted.
 
-    `generator` records the rows the code was spanned from, when it was;
-    `known_linear` marks codes that are submodules by construction.
+    Every codeword is a tuple of n residues reduced mod m.  `generator`
+    records the rows the code was spanned from, when it was; `known_linear`
+    marks codes that are submodules by construction.
     """
 
     space: Space
-    codewords: tuple[Vector, ...]
+    codewords: tuple[tuple[int, ...], ...]
     generator: tuple[tuple[int, ...], ...] | None = None
     known_linear: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        words = list(self.codewords)
+        sp = self.space
+        words = list(map(tuple, self.codewords))
         if not words:
             raise ValueError("a code must contain at least one codeword")
-        for w in words:
-            if w.space != self.space:
-                raise ShapeError("codeword from a different space")
-        words = sorted({w.coords for w in words})
-        object.__setattr__(
-            self, "codewords", tuple(Vector(self.space, c) for c in words)
-        )
+        if set(map(len, words)) != {sp.n}:
+            w = next(w for w in words if len(w) != sp.n)
+            raise ShapeError(f"expected {sp.n} coordinates, got {len(w)}")
+        stray = set(itertools.chain.from_iterable(words)).difference(range(sp.m))
+        if stray:
+            x = next(x for w in words for x in w if x in stray)
+            raise ShapeError(f"coordinate {x} not reduced mod {sp.m}")
+        object.__setattr__(self, "codewords", tuple(sorted(set(words))))
 
     @classmethod
     def from_codewords(cls, space: Space, coord_lists) -> "Code":
-        return cls(space, tuple(space.vector(c) for c in coord_lists))
+        """The code of the given words, reducing signed integers mod m."""
+        m = space.m
+        return cls(space, [tuple(operator.index(x) % m for x in c) for c in coord_lists])
 
     @property
     def size(self) -> int:
@@ -75,7 +82,7 @@ class Code:
 
     @cached_property
     def coord_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(w.coords for w in self.codewords)
+        return frozenset(self.codewords)
 
     @cached_property
     def is_linear(self) -> bool:
@@ -87,7 +94,7 @@ class Code:
         if self.generator is not None or self.known_linear:
             return True
         m = self.space.m
-        d, _, _ = _diagonal([w.coords for w in self.codewords], self.space.n, m)
+        d, _, _ = _diagonal(self.codewords, self.space.n, m)
         return math.prod(m // math.gcd(x, m) for x in d) == self.size
 
 
@@ -186,8 +193,7 @@ def _budgeted_code(space: Space, gens, budget: int, what: str, **kwargs) -> Code
     size = math.prod(_order(b, space.m) for b in gens)
     if size > budget:
         raise BudgetExceededError(f"{what} of {size} codewords exceeds budget {budget}")
-    words = _direct_sum(gens, space.n, space.m)
-    return Code(space, tuple(Vector(space, w) for w in words), **kwargs)
+    return Code(space, _direct_sum(gens, space.n, space.m), **kwargs)
 
 
 def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
@@ -196,7 +202,7 @@ def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
     The span is the direct sum of the cyclic modules of d[t]*Vinv[t] from
     the diagonal form, so the budget counts its codewords.
     """
-    norm = tuple(tuple(int(x) % space.m for x in row) for row in rows)
+    norm = tuple(tuple(operator.index(x) % space.m for x in row) for row in rows)
     for row in norm:
         if len(row) != space.n:
             raise ShapeError(f"generator row of length {len(row)}, expected {space.n}")
@@ -210,13 +216,12 @@ def min_distance(c: Code) -> int:
     """Least distance between distinct codewords; min nonzero weight if linear."""
     if c.size < 2:
         raise UndefinedDistanceError("minimum distance needs at least two codewords")
-    sp = c.space
+    sp, m = c.space, c.space.m
     if c.is_linear:
-        return min(
-            sp.coords_weight(w.coords) for w in c.codewords if any(w.coords)
-        )
+        return min(sp.coords_weight(w) for w in c.codewords if any(w))
     return min(
-        distance(u, v) for u, v in itertools.combinations(c.codewords, 2)
+        sp.coords_weight(tuple((x - y) % m for x, y in zip(u, v)))
+        for u, v in itertools.combinations(c.codewords, 2)
     )
 
 
@@ -231,9 +236,7 @@ def _dual_generators(c: Code) -> list[tuple[int, ...]]:
     sp = c.space
     m, n = sp.m, sp.n
     # Annihilating a spanning set annihilates every combination of it.
-    rows = c.generator if c.generator is not None else tuple(
-        w.coords for w in c.codewords
-    )
+    rows = c.generator if c.generator is not None else c.codewords
     d, v, _ = _diagonal(rows, n, m)
     return [
         tuple(m // math.gcd(dt, m) * v[i][t] % m for i in range(n))
@@ -270,7 +273,7 @@ def _ball_census(c: Code, ball_coords, budget: int, require_cover: bool) -> Chec
             f"census of {c.size} x {len(ball)} memberships over a space of "
             f"{sp.size} vectors exceeds budget {budget}"
         )
-    hit = translate_census(sp, (w.coords for w in c.codewords), ball, require_cover)
+    hit = translate_census(sp, c.codewords, ball, require_cover)
     if hit is None:
         return CheckResult(True)
     x, shared = hit
@@ -447,8 +450,7 @@ def construct_I_perfect(
     over the blocks inside it; the resulting code tiles the space with
     I-balls, which is verified before returning.
     """
-    if i.pomset != space.pomset:
-        raise ShapeError("ideal does not belong to the space's order")
+    _require_ideal(space, i)
     if not i.is_full_count:
         raise ValueError("construction requires an ideal with full count")
     root = i.root_set
@@ -467,7 +469,7 @@ def construct_I_perfect(
             raise ValueError(
                 f"f must map every outside tuple to {in_dim} inside coordinates"
             )
-        w = tuple(int(x) % space.m for x in w)
+        w = tuple(operator.index(x) % space.m for x in w)
         coords = [0] * space.n
         pos = 0
         for t in outside:
@@ -479,8 +481,8 @@ def construct_I_perfect(
             lo, hi = space.block_bounds[t - 1]
             coords[lo:hi] = w[pos : pos + (hi - lo)]
             pos += hi - lo
-        words.append(Vector(space, tuple(coords)))
-    code = Code(space, tuple(words))
+        words.append(tuple(coords))
+    code = Code(space, words)
     result = check_I_perfect(code, i, budget)
     if not result.ok:
         raise InternalInconsistencyError(
@@ -562,9 +564,9 @@ def min_ideal_root_size(c: Code) -> int:
         raise ValueError("needs a nonzero codeword")
     sp = c.space
     return min(
-        sum(1 for x in sp.weight_counts(w.coords) if x)
+        sum(1 for x in sp.weight_counts(w) if x)
         for w in c.codewords
-        if any(w.coords)
+        if any(w)
     )
 
 
@@ -614,7 +616,7 @@ def weight_distribution(c: Code) -> WeightDistribution:
     sp = c.space
     counts = [0] * (sp.max_weight + 1)
     for w in c.codewords:
-        counts[sp.coords_weight(w.coords)] += 1
+        counts[sp.coords_weight(w)] += 1
     return WeightDistribution(tuple(counts))
 
 

@@ -6,6 +6,7 @@ common height, and all operations are pure functions on immutable values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -26,7 +27,7 @@ class Mset:
             raise ValueError(f"ground_size must be positive, got {self.ground_size}")
         if self.height < 1:
             raise ValueError(f"height must be positive, got {self.height}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(map(operator.index, self.counts)))
         if len(self.counts) != self.ground_size:
             raise ShapeError(
                 f"expected {self.ground_size} counts, got {len(self.counts)}"
@@ -75,17 +76,18 @@ class Mset:
         return "{" + inner + "}"
 
 
-def _check_shape(a: Mset, b: Mset) -> None:
-    if a.ground_size != b.ground_size or a.height != b.height:
+def check_shape(a, b) -> None:
+    """Reject operands (multisets or pomsets) of different ground size or height."""
+    if (a.ground_size, a.height) != (b.ground_size, b.height):
         raise ShapeError(
-            f"mset shapes differ: ({a.ground_size},{a.height}) vs "
+            f"shapes differ: ({a.ground_size},{a.height}) vs "
             f"({b.ground_size},{b.height})"
         )
 
 
 def msum(a: Mset, b: Mset) -> Mset:
     """Sum capped at the common height: min(height, a_i + b_i) per element."""
-    _check_shape(a, b)
+    check_shape(a, b)
     l = a.height
     return Mset(
         a.ground_size, l, tuple(min(l, x + y) for x, y in zip(a.counts, b.counts))
@@ -94,7 +96,7 @@ def msum(a: Mset, b: Mset) -> Mset:
 
 def mdiff(a: Mset, b: Mset) -> Mset:
     """Difference clamped at zero: max(a_i - b_i, 0) per element."""
-    _check_shape(a, b)
+    check_shape(a, b)
     return Mset(
         a.ground_size,
         a.height,
@@ -109,5 +111,5 @@ def complement(a: Mset) -> Mset:
 
 def is_submset(a: Mset, b: Mset) -> bool:
     """True iff a_i <= b_i for every element."""
-    _check_shape(a, b)
+    check_shape(a, b)
     return all(x <= y for x, y in zip(a.counts, b.counts))

@@ -373,7 +373,7 @@ def _check_partition_tiling(space, ideals, budget, checks):
             bad = (i, f"center count {len(centers)} != {expected}")
             break
         ball = balls.iter_I_ball_coords(space, i, budget)
-        if translate_census(space, (c.coords for c in centers), ball, cover=True):
+        if translate_census(space, centers, ball, cover=True):
             bad = (i, "translates do not tile")
             break
     checks.append(

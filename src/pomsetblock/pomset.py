@@ -10,10 +10,11 @@ so the whole ideal lattice is driven by the poset alone.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .mset import Mset, ShapeError, complement as mset_complement
+from .mset import Mset, ShapeError, check_shape, complement as mset_complement
 
 
 class CycleError(ValueError):
@@ -27,6 +28,7 @@ class NotAnIdealError(ValueError):
 def _transitive_closure(s: int, pairs) -> frozenset[tuple[int, int]]:
     below = {i: set() for i in range(1, s + 1)}  # below[b] = {a : a < b}
     for a, b in pairs:
+        a, b = operator.index(a), operator.index(b)
         if not (1 <= a <= s and 1 <= b <= s):
             raise ValueError(f"relation ({a},{b}) outside ground set 1..{s}")
         if a == b:
@@ -66,7 +68,8 @@ class Pomset:
         if self.height < 1:
             raise ValueError("height must be positive")
         object.__setattr__(
-            self, "order", frozenset((int(a), int(b)) for a, b in self.order)
+            self, "order",
+            frozenset((operator.index(a), operator.index(b)) for a, b in self.order),
         )
         for a, b in self.order:
             if not (1 <= a <= self.ground_size and 1 <= b <= self.ground_size):
@@ -156,63 +159,49 @@ class Pomset:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """Order ideal of a pomset, stored as its count vector."""
+@dataclass(frozen=True, init=False)
+class Ideal(Mset):
+    """Order ideal of a pomset: a multiset of its shape, closed downward."""
 
     pomset: Pomset
-    counts: tuple[int, ...]
+
+    def __init__(self, pomset: Pomset, counts):
+        object.__setattr__(self, "pomset", pomset)
+        super().__init__(pomset.ground_size, pomset.height, counts)
 
     def __post_init__(self):
-        p = self.pomset
-        l = p.height
-        counts = tuple(map(int, self.counts))
-        object.__setattr__(self, "counts", counts)
-        if len(counts) != p.ground_size:
-            raise ShapeError(f"expected {p.ground_size} counts, got {len(counts)}")
-        for i, c in enumerate(counts, start=1):
-            if not 0 <= c <= l:
-                raise ValueError(f"count {c}/{i} outside 0..{l}")
-        above = p.strictly_above
-        for j, c in enumerate(counts, start=1):
-            if c == l:
-                continue
-            for i in above[j]:
-                if counts[i - 1]:
-                    raise NotAnIdealError(
-                        f"element {i} present but {j} < {i} lacks full count"
-                    )
+        super().__post_init__()
+        p, counts = self.pomset, self.counts
+        if p.closure_counts(counts) != counts:
+            i, j = next(
+                (i, j)
+                for j in range(1, p.ground_size + 1)
+                if counts[j - 1] != p.height
+                for i in p.strictly_above[j]
+                if counts[i - 1]
+            )
+            raise NotAnIdealError(f"element {i} present but {j} < {i} lacks full count")
 
     @classmethod
-    def from_mset(cls, pomset: Pomset, a: Mset) -> "Ideal":
-        _check_ground(pomset, a)
-        return cls(pomset, a.counts)
-
-    @property
-    def mset(self) -> Mset:
-        return Mset(self.pomset.ground_size, self.pomset.height, self.counts)
-
-    @property
-    def cardinality(self) -> int:
-        return sum(self.counts)
-
-    def count(self, a: int) -> int:
-        return self.counts[a - 1]
-
-    @property
-    def root_set(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.counts, start=1) if c)
+    def _trusted(cls, pomset: Pomset, counts: tuple[int, ...]) -> "Ideal":
+        """An ideal from counts the caller built downward closed; unchecked."""
+        ideal = object.__new__(cls)
+        ideal.__dict__.update(
+            ground_size=pomset.ground_size, height=pomset.height,
+            counts=counts, pomset=pomset,
+        )
+        return ideal
 
     @property
     def full_elements(self) -> frozenset[int]:
         """Root elements carrying the full height."""
-        l = self.pomset.height
+        l = self.height
         return frozenset(i for i, c in enumerate(self.counts, start=1) if c == l)
 
     @property
     def partial_elements(self) -> frozenset[int]:
         """Root elements with count strictly below the height (I_p)."""
-        l = self.pomset.height
+        l = self.height
         return frozenset(
             i for i, c in enumerate(self.counts, start=1) if 0 < c < l
         )
@@ -228,34 +217,17 @@ class Ideal:
     def is_full_count(self) -> bool:
         return not self.partial_elements
 
-    def __str__(self) -> str:
-        return str(self.mset)
-
-
-def _check_ground(p: Pomset, a: Mset) -> None:
-    if a.ground_size != p.ground_size or a.height != p.height:
-        raise ShapeError(
-            f"mset shape ({a.ground_size},{a.height}) does not match pomset "
-            f"({p.ground_size},{p.height})"
-        )
-
 
 def is_ideal(p: Pomset, a: Mset) -> bool:
     """True iff every element strictly below a present element has full count."""
-    _check_ground(p, a)
-    for j in range(1, p.ground_size + 1):
-        if a.counts[j - 1] == p.height:
-            continue
-        for i in p.strictly_above[j]:
-            if a.counts[i - 1]:
-                return False
-    return True
+    check_shape(p, a)
+    return p.closure_counts(a.counts) == a.counts
 
 
 def ideal_generated(p: Pomset, s: Mset) -> Ideal:
     """Smallest ideal containing the given multiset."""
-    _check_ground(p, s)
-    return Ideal(p, p.closure_counts(s.counts))
+    check_shape(p, s)
+    return Ideal._trusted(p, p.closure_counts(s.counts))
 
 
 def enumerate_root_downsets(p: Pomset, size: int) -> list[frozenset[int]]:
@@ -308,7 +280,7 @@ def _ideals_on(
     for choice in choices:
         for i, c in zip(maximal, choice):
             counts[i - 1] = c
-        out.append(Ideal(p, tuple(counts)))
+        out.append(Ideal._trusted(p, tuple(counts)))
     return out
 
 
@@ -346,11 +318,10 @@ def ideal_complement(p: Pomset, ideal: Ideal) -> Ideal:
     """Count-wise complement, returned as an ideal of the dual pomset."""
     if ideal.pomset != p:
         raise ShapeError("ideal does not belong to the given pomset")
-    return Ideal.from_mset(dual_pomset(p), mset_complement(ideal.mset))
+    return Ideal(dual_pomset(p), mset_complement(ideal).counts)
 
 
 def is_finer(p1: Pomset, p2: Pomset) -> bool:
     """True iff every related pair of p1 is related in p2."""
-    if p1.ground_size != p2.ground_size or p1.height != p2.height:
-        raise ShapeError("pomsets differ in ground size or height")
+    check_shape(p1, p2)
     return p1.order <= p2.order

@@ -47,7 +47,7 @@ class Space:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError(f"modulus must be at least 2, got {self.m}")
-        object.__setattr__(self, "labeling", tuple(int(k) for k in self.labeling))
+        object.__setattr__(self, "labeling", tuple(map(operator.index, self.labeling)))
         if not self.labeling or any(k < 1 for k in self.labeling):
             raise ValueError("labeling must be a nonempty list of positive sizes")
         if self.pomset.ground_size != len(self.labeling):
@@ -91,7 +91,7 @@ class Space:
 
     def vector(self, coords) -> "Vector":
         """Wrap coordinates, reducing signed integers mod m."""
-        reduced = tuple(int(x) % self.m for x in coords)
+        reduced = tuple(operator.index(x) % self.m for x in coords)
         return Vector(self, reduced)
 
     def zero(self) -> "Vector":
@@ -134,7 +134,7 @@ class Vector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(x) for x in self.coords))
+        object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
         if len(self.coords) != self.space.n:
             raise ShapeError(
                 f"expected {self.space.n} coordinates, got {len(self.coords)}"

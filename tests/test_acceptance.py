@@ -126,7 +126,7 @@ def _ball_intersection_tally(code, ideal):
     tally: dict[tuple[int, ...], int] = {}
     for offset in iter_I_ball_coords(sp, ideal):
         for w in code.codewords:
-            x = tuple((a + b) % sp.m for a, b in zip(w.coords, offset))
+            x = tuple((a + b) % sp.m for a, b in zip(w, offset))
             tally[x] = tally.get(x, 0) + 1
     return tally
 
@@ -152,11 +152,7 @@ def test_criterion_05_equal_blocks_duality_equivalences():
         # (3)+(4) the dual code in the dual order
         dual_sp = Space(sp.m, dual_pomset(sp.pomset), sp.labeling)
         dual = dual_code(code)
-        dual = Code(
-            dual_sp,
-            tuple(dual_sp.vector(w.coords) for w in dual.codewords),
-            known_linear=True,
-        )
+        dual = Code(dual_sp, dual.codewords, known_linear=True)
         for i in enumerate_ideals(dual_sp.pomset, k // t * lh):
             if i.is_full_count:
                 assert is_I_perfect(dual, i)
@@ -275,17 +271,17 @@ def _error_correcting_criteria(code):
     sp = code.space
     lh = sp.height
     diffs = [
-        sp.block_weights((u - v).coords)
+        sp.block_weights(tuple((x - y) % sp.m for x, y in zip(u, v)))
         for u, v in itertools.permutations(code.codewords, 2)
     ]
     for r in range(sp.max_weight + 1):
         layer = enumerate_ideals(sp.pomset, r)
         pair_bounds = [
-            msum(i.mset, j.mset).counts
+            msum(i, j).counts
             for i, j in itertools.product(layer, repeat=2)
         ]
         full_bounds = [
-            msum(i.mset, j.mset).counts
+            msum(i, j).counts
             for i, j in itertools.product(
                 [i for i in layer if i.is_full_count], repeat=2
             )

@@ -84,9 +84,8 @@ def test_translate_census_matches_the_tuple_loop(case, cover):
     assert got == tuple_loop(m, n, centers, offsets, cover)
     # Through the perfectness census, whose codewords are sorted and distinct.
     code = Code.from_codewords(space, centers)
-    words = [w.coords for w in code.codewords]
     result = _ball_census(code, offsets, space.size * len(offsets), cover)
-    expected = tuple_loop(m, n, words, offsets, cover)
+    expected = tuple_loop(m, n, code.codewords, offsets, cover)
     assert result.ok == (expected is None)
     if expected is not None:
         assert (result.witness, result.reason) == expected

@@ -51,9 +51,9 @@ def test_span_generator():
     fixture = load_fixture("mds_z5_len6")
     assert fixture.code.size == 25
     sp = make_space(6, [], (1,))
-    assert {w.coords for w in span_generator(sp, [[3]]).codewords} == {(0,), (3,)}
+    assert set(span_generator(sp, [[3]]).codewords) == {(0,), (3,)}
     zero = span_generator(sp, [[0]])
-    assert [w.coords for w in zero.codewords] == [(0,)]
+    assert zero.codewords == ((0,),)
     with pytest.raises(ShapeError):
         span_generator(sp, [[1, 2]])
 
@@ -73,6 +73,35 @@ def test_min_distance_undefined_for_singleton():
         min_distance(Code.from_codewords(sp, [(0, 0)]))
 
 
+def test_code_guards():
+    sp = make_space(5, [], (1, 1))
+    assert Code(sp, ((1, 2), (0, 0), (1, 2))).codewords == ((0, 0), (1, 2))
+    with pytest.raises(ValueError, match="at least one"):
+        Code(sp, ())
+    with pytest.raises(ShapeError, match="expected 2 coordinates, got 3"):
+        Code(sp, ((0, 0), (0, 0, 0)))
+    with pytest.raises(ShapeError, match="coordinate 5 not reduced mod 5"):
+        Code(sp, ((0, 0), (0, 5)))
+
+
+def test_constructors_reject_non_integers():
+    p = Pomset.antichain(2, 2)
+    sp = Space(5, p, (1, 1))
+    for build in (
+        lambda: Mset(1, 2, (1.9,)),
+        lambda: Ideal(p, (2.7, True)),
+        lambda: Space(5, p, (1.9, 1)),
+        lambda: sp.vector((6.9, -1.2)),
+        lambda: span_generator(sp, [[1.5, 2]]),
+        lambda: Code.from_codewords(sp, [(0, "1")]),
+        lambda: Pomset(2, 2, frozenset({(1.0, 2)})),
+        lambda: Pomset.from_relations(2, 2, [(1.5, 2)]),
+        lambda: construct_I_perfect(sp, Ideal(p, (2, 0)), lambda v: (0.5,)),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_min_distance_nonlinear_matches_pairwise():
     code = load_fixture("iperfect_z9_mds").code
     assert not code.is_linear
@@ -80,7 +109,8 @@ def test_min_distance_nonlinear_matches_pairwise():
     from pomsetblock.space import distance
 
     brute = min(
-        distance(u, v) for u, v in itertools.combinations(code.codewords, 2)
+        distance(sp.vector(u), sp.vector(v))
+        for u, v in itertools.combinations(code.codewords, 2)
     )
     assert min_distance(code) == brute
 
@@ -93,7 +123,7 @@ def test_dual_code():
     code = load_fixture("iperfect_not_mds_z6").code
     dual = dual_code(code)
     assert dual.size == 54
-    assert {w.coords for w in dual.codewords} == {
+    assert set(dual.codewords) == {
         (a, b, c)
         for a in range(6)
         for b in (0, 2, 4)
@@ -230,8 +260,7 @@ def test_dual_perfectness_equivalence():
         sp = code.space
         dual_sp = Space(sp.m, dual_pomset(sp.pomset), sp.labeling)
         dual = dual_code(code)
-        dual = Code(dual_sp, tuple(dual_sp.vector(w.coords) for w in dual.codewords),
-                    known_linear=True)
+        dual = Code(dual_sp, dual.codewords, known_linear=True)
         for i in all_ideals(sp.pomset):
             if not i.is_full_count or i.cardinality == 0:
                 continue
@@ -247,8 +276,7 @@ def _all_duality_conditions(code):
     lh = sp.height
     dual_sp = Space(sp.m, dual_pomset(sp.pomset), sp.labeling)
     dual = dual_code(code)
-    dual = Code(dual_sp, tuple(dual_sp.vector(w.coords) for w in dual.codewords),
-                known_linear=True)
+    dual = Code(dual_sp, dual.codewords, known_linear=True)
 
     cond1 = is_MDS(code)
     cond2 = all(
@@ -308,11 +336,11 @@ def test_construct_I_perfect():
     sp = Z5_CHAIN
     i = Ideal(sp.pomset, (2, 0))
     doubled = construct_I_perfect(sp, i, lambda v: (2 * v[0],))
-    assert {w.coords for w in doubled.codewords} == {(2 * y % 5, y) for y in range(5)}
+    assert set(doubled.codewords) == {(2 * y % 5, y) for y in range(5)}
     assert is_I_perfect(doubled, i)
 
     zero_section = construct_I_perfect(sp, i, lambda v: (0,))
-    assert all(w.coords[0] == 0 for w in zero_section.codewords)
+    assert all(w[0] == 0 for w in zero_section.codewords)
     assert is_I_perfect(zero_section, i)
 
     rng = random.Random(12)
@@ -437,7 +465,7 @@ def test_error_correcting_ball_sum_criteria():
     sp = code.space
     lh = sp.height
     diffs = [
-        (u - v).coords
+        tuple((x - y) % sp.m for x, y in zip(u, v))
         for u, v in itertools.permutations(code.codewords, 2)
     ]
     for r in range(0, sp.max_weight + 1):
@@ -448,7 +476,7 @@ def test_error_correcting_ball_sum_criteria():
             for i, j in itertools.product(layer, repeat=2):
                 if not (i.is_full_count and j.is_full_count):
                     continue
-                bound = msum(i.mset, j.mset)
+                bound = msum(i, j)
                 for diff in diffs:
                     assert not all(
                         w <= c
@@ -458,7 +486,7 @@ def test_error_correcting_ball_sum_criteria():
         hypothesis = all(
             not all(
                 w <= c
-                for w, c in zip(sp.block_weights(diff), msum(i.mset, j.mset).counts)
+                for w, c in zip(sp.block_weights(diff), msum(i, j).counts)
             )
             for i, j in itertools.product(layer, repeat=2)
             for diff in diffs
@@ -470,24 +498,19 @@ def test_error_correcting_ball_sum_criteria():
 def test_finer_order_preserves_mds():
     base = load_fixture("mds_equal_blocks_z5")
     finer = make_space(5, [(1, 2), (3, 2), (1, 3)], (2, 2, 2))
-    refit = Code(finer, tuple(finer.vector(w.coords) for w in base.code.codewords),
-                 known_linear=True)
+    refit = Code(finer, base.code.codewords, known_linear=True)
     assert is_MDS(base.code) and is_MDS(refit)
 
     one = load_fixture("perfect_r1_z5")
     for relations in ([(1, 2)], [(2, 1)]):
         chain_sp = make_space(5, relations, (1, 1))
-        chained = Code(
-            chain_sp, tuple(chain_sp.vector(w.coords) for w in one.code.codewords)
-        )
+        chained = Code(chain_sp, one.code.codewords)
         assert is_MDS(chained)
 
     z9 = load_fixture("iperfect_z9_mds")
     for relations in ([(1, 2)], [(2, 1)]):
         chain_sp = make_space(9, relations, (1, 1))
-        chained = Code(
-            chain_sp, tuple(chain_sp.vector(w.coords) for w in z9.code.codewords)
-        )
+        chained = Code(chain_sp, z9.code.codewords)
         assert is_MDS(chained)
 
 

@@ -156,7 +156,9 @@ def test_ball_code_intersection_matches_in_I_ball(space, seed):
         counts = i if rng.random() < 0.5 else Mset(space.s, space.height, i.counts)
         for _ in range(3):
             x = space.vector([rng.randrange(space.m) for _ in range(space.n)])
-            expected = sum(1 for w in code.codewords if in_I_ball(w, x, counts))
+            expected = sum(
+                1 for w in code.codewords if in_I_ball(space.vector(w), x, counts)
+            )
             assert ball_code_intersection(code, counts, x) == expected
 
 

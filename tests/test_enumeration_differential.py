@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_pomset
 from pomsetblock.balls import I_sphere_cardinality, r_ball_cardinality
 from pomsetblock.oracle import weight_census
-from pomsetblock.pomset import all_ideals, enumerate_ideals
+from pomsetblock.pomset import Ideal, all_ideals, enumerate_ideals
 from pomsetblock.space import Space
 
 
@@ -82,6 +82,7 @@ def test_all_ideals_are_the_closures_of_all_count_vectors(p):
     vectors = itertools.product(range(p.height + 1), repeat=p.ground_size)
     closures = sorted({closure_of(p, v) for v in vectors})
     assert [i.counts for i in all_ideals(p)] == closures
+    assert all(Ideal(p, i.counts) == i for i in all_ideals(p))
 
 
 @bounded(60)

@@ -209,7 +209,7 @@ def assert_tiling_fails(space):
 def test_formula_suite_detects_a_center_moved_into_a_neighbours_ball(monkeypatch):
     def move(space, ideal, centers):
         offset = list(balls.iter_I_ball_coords(space, ideal))[1]
-        centers[1] = space.vector(a + b for a, b in zip(centers[0].coords, offset))
+        centers[1] = tuple((a + b) % space.m for a, b in zip(centers[0], offset))
 
     tamper_centers(monkeypatch, move)
     assert_tiling_fails(make_space(6, [], (1, 1)))

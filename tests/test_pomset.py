@@ -50,7 +50,7 @@ def test_ideal_generated():
     chain = Pomset.chain(2, 3)
     assert ideal_generated(chain, Mset(2, 3, (0, 3))).counts == (3, 3)
     for i in all_ideals(VSHAPE):
-        assert ideal_generated(VSHAPE, i.mset) == i
+        assert ideal_generated(VSHAPE, i) == i
 
 
 def test_enumerate_ideals_against_brute_force():
