@@ -8,6 +8,7 @@ Closed forms here are certified against exhaustive enumeration by the
 from __future__ import annotations
 
 import itertools
+import math
 
 from .mset import Mset, ShapeError, check_shape
 from .pomset import Ideal, enumerate_ideals
@@ -123,41 +124,40 @@ def r_ball_cardinality(space: Space, r: int) -> int:
     return total
 
 
-def _ball_block_choices(space: Space, counts: tuple[int, ...]):
-    """Per-coordinate residue ranges of the origin-centered ball."""
+def _ball_block_choices(space: Space, counts: tuple[int, ...], center=None):
+    """Per-coordinate residue lists of an I-ball, each ascending.
+
+    Every coordinate of a block with count c takes the residues of Lee
+    weight at most c; about a center they are shifted by its coordinates.
+    The product of the lists is the ball in lexicographic order.
+    """
     choices = []
-    for t, c in enumerate(counts, start=1):
-        k = space.labeling[t - 1]
-        if c == 0:
-            residues = (0,)
-        elif c == space.height:
-            residues = tuple(range(space.m))
-        else:
-            residues = lee_ball_residues(space.m, c)
-        choices.extend([residues] * k)
-    return choices
+    for c, k in zip(counts, space.labeling):
+        choices.extend([lee_ball_residues(space.m, c)] * k)
+    if center is None:
+        return choices
+    m = space.m
+    return [sorted((a + r) % m for r in rs) for a, rs in zip(center, choices)]
+
+
+def _ball_product(space: Space, i: Ideal, budget: int, center=None):
+    """The I-ball's members about a center (zero if None), within the budget."""
+    size = I_ball_cardinality(space, i)
+    if size > budget:
+        raise BudgetExceededError(f"I-ball of size {size} exceeds budget {budget}")
+    return itertools.product(*_ball_block_choices(space, i.counts, center))
 
 
 def iter_I_ball_coords(space: Space, i: Ideal, budget: int = DEFAULT_BUDGET):
     """Coordinate tuples of the origin-centered I-ball, lexicographic order."""
-    _require_ideal(space, i)
-    if I_ball_cardinality(space, i) > budget:
-        raise BudgetExceededError(
-            f"I-ball of size {I_ball_cardinality(space, i)} exceeds budget {budget}"
-        )
-    return itertools.product(*_ball_block_choices(space, i.counts))
+    return _ball_product(space, i, budget)
 
 
-def enumerate_I_ball(u: Vector, i: Ideal, budget: int = DEFAULT_BUDGET) -> list[Vector]:
-    """Exact member list of the I-ball centered at u, canonically ordered."""
-    sp = u.space
-    m = sp.m
-    members = [
-        sp.vector(tuple((a + b) % m for a, b in zip(u.coords, offset)))
-        for offset in iter_I_ball_coords(sp, i, budget)
-    ]
-    members.sort(key=lambda v: v.coords)
-    return members
+def enumerate_I_ball(
+    u: Vector, i: Ideal, budget: int = DEFAULT_BUDGET
+) -> list[tuple[int, ...]]:
+    """Coordinate tuples of the I-ball centered at u, lexicographic order."""
+    return list(_ball_product(u.space, i, budget, u.coords))
 
 
 def partition_centers(
@@ -165,29 +165,21 @@ def partition_centers(
 ) -> list[tuple[int, ...]]:
     """Centers whose I-balls tile the space, as sorted coordinate tuples.
 
-    Full-count blocks are pinned to zero, partially counted blocks step in
-    multiples of 2c+1 (each must divide m), and blocks outside the root set
-    are free.  Raises PartitionImpossibleError when the divisibility fails.
+    Each block steps by its per-coordinate ball size min(2c+1, m), which
+    must divide m: a full-count block is pinned to zero and a block outside
+    the root set is free.  Raises PartitionImpossibleError when the
+    divisibility fails.
     """
     _require_ideal(space, i)
-    height = space.height
+    m = space.m
     choices = []
-    for t, c in enumerate(i.counts, start=1):
-        k = space.labeling[t - 1]
-        if c == height:
-            residues = (0,)
-        elif c == 0:
-            residues = tuple(range(space.m))
-        else:
-            step = 2 * c + 1
-            if space.m % step:
-                raise PartitionImpossibleError(t, c, space.m)
-            residues = tuple(range(0, space.m, step))
-        choices.extend([residues] * k)
-    total = 1
-    for residues in choices:
-        total *= len(residues)
+    for t, (c, k) in enumerate(zip(i.counts, space.labeling), start=1):
+        step = lee_ball_size(m, c)
+        if m % step:
+            raise PartitionImpossibleError(t, c, m)
+        choices.extend([range(0, m, step)] * k)
+    total = math.prod(map(len, choices))
     if total > budget:
         raise BudgetExceededError(f"{total} centers exceed budget {budget}")
-    # A product of ascending residue tuples comes out in lexicographic order.
+    # A product of ascending residue ranges comes out in lexicographic order.
     return list(itertools.product(*choices))

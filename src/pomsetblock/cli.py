@@ -350,40 +350,22 @@ def cmd_check_error_correcting(problem, args, rep) -> int:
     return EXIT_FALSE
 
 
-def _singleton_facts(code: codes.Code) -> dict:
-    d = codes.min_distance(code)
-    sp = code.space
-    return {
-        "d": d,
-        "r": (d - 1) // sp.height,
-        "rhs": codes.singleton_rhs(code),
-        "lhs": sp.n - codes.ceil_log(code.size, sp.m),
-    }
-
-
 def cmd_check_mds(problem, args, rep) -> int:
-    code = _need_code(problem)
-    facts = _singleton_facts(code)
-    mds = codes.is_MDS(code)
-    rep.say(
-        f"MDS: {'true' if mds else 'false'}, d={facts['d']}, rhs={facts['rhs']}"
-    )
-    for key in ("d", "r", "rhs", "lhs"):
-        rep.put(key, facts[key])
+    d, r, lhs, rhs = codes.singleton_facts(_need_code(problem))
+    mds = lhs == rhs
+    rep.say(f"MDS: {'true' if mds else 'false'}, d={d}, rhs={rhs}")
+    for key, value in (("d", d), ("r", r), ("rhs", rhs), ("lhs", lhs)):
+        rep.put(key, value)
     rep.put("mds", mds)
     return EXIT_OK if mds else EXIT_FALSE
 
 
 def cmd_singleton(problem, args, rep) -> int:
-    code = _need_code(problem)
-    facts = _singleton_facts(code)
-    rep.say(
-        f"n - ceil(log_m K) = {facts['lhs']} >= {facts['rhs']} = "
-        f"max block sum at root size {facts['r']}"
-    )
-    for key in ("d", "r", "rhs", "lhs"):
-        rep.put(key, facts[key])
-    rep.put("attained", facts["lhs"] == facts["rhs"])
+    d, r, lhs, rhs = codes.singleton_facts(_need_code(problem))
+    rep.say(f"n - ceil(log_m K) = {lhs} >= {rhs} = max block sum at root size {r}")
+    for key, value in (("d", d), ("r", r), ("rhs", rhs), ("lhs", lhs)):
+        rep.put(key, value)
+    rep.put("attained", lhs == rhs)
     return EXIT_OK
 
 

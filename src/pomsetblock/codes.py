@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .balls import (
@@ -46,19 +46,18 @@ class InternalInconsistencyError(RuntimeError):
 class Code:
     """Finite nonempty set of coordinate tuples of one space, sorted.
 
-    Every codeword is a tuple of n residues reduced mod m.  `generator`
-    records the rows the code was spanned from, when it was; `known_linear`
-    marks codes that are submodules by construction.
+    Every codeword is a tuple of n integer residues reduced mod m.
+    `generator` records the rows the code was spanned from, when it was,
+    and so marks the code as a submodule.
     """
 
     space: Space
     codewords: tuple[tuple[int, ...], ...]
     generator: tuple[tuple[int, ...], ...] | None = None
-    known_linear: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         sp = self.space
-        words = list(map(tuple, self.codewords))
+        words = [tuple(map(operator.index, w)) for w in self.codewords]
         if not words:
             raise ValueError("a code must contain at least one codeword")
         if set(map(len, words)) != {sp.n}:
@@ -91,7 +90,7 @@ class Code:
         A finite set is a submodule exactly when its span is no larger than
         itself, and the diagonal form gives the span's size directly.
         """
-        if self.generator is not None or self.known_linear:
+        if self.generator is not None:
             return True
         m = self.space.m
         d, _, _ = _diagonal(self.codewords, self.space.n, m)
@@ -247,9 +246,11 @@ def _dual_generators(c: Code) -> list[tuple[int, ...]]:
 def dual_code(c: Code, budget: int = DEFAULT_BUDGET) -> Code:
     """Annihilator { v : v . c = 0 mod m for all c }, from the diagonal form.
 
-    The budget counts the dual's codewords; |C| * |dual| = m^n.
+    The budget counts the dual's codewords; |C| * |dual| = m^n.  The dual
+    records its generators, so its own dual diagonalises at most n rows.
     """
-    return _budgeted_code(c.space, _dual_generators(c), budget, "dual", known_linear=True)
+    gens = _dual_generators(c)
+    return _budgeted_code(c.space, gens, budget, "dual", generator=tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -395,28 +396,36 @@ def ceil_log(k: int, m: int) -> int:
     return e
 
 
-def singleton_rhs(c: Code) -> int:
-    """Largest block-dimension sum over downsets of size floor((d-1)/height)."""
-    d = min_distance(c)
+def singleton_facts(c: Code) -> tuple[int, int, int, int]:
+    """(d, r, lhs, rhs) of the Singleton bound lhs >= rhs.
+
+    r = floor((d-1)/height), lhs = n - ceil(log_m K), and rhs is the largest
+    block-dimension sum over downsets of size r.  Raises
+    InternalInconsistencyError if the bound fails.
+    """
     sp = c.space
+    d = min_distance(c)
     r = (d - 1) // sp.height
-    if r == 0:
-        return 0
-    return max(
+    lhs = sp.n - ceil_log(c.size, sp.m)
+    rhs = max(
         sum(sp.labeling[i - 1] for i in down)
         for down in enumerate_root_downsets(sp.pomset, r)
     )
-
-
-def is_MDS(c: Code) -> bool:
-    """True iff n - ceil(log_m K) meets the Singleton bound with equality."""
-    sp = c.space
-    lhs = sp.n - ceil_log(c.size, sp.m)
-    rhs = singleton_rhs(c)
     if lhs < rhs:
         raise InternalInconsistencyError(
             f"Singleton bound violated: {lhs} < {rhs}"
         )
+    return d, r, lhs, rhs
+
+
+def singleton_rhs(c: Code) -> int:
+    """Largest block-dimension sum over downsets of size floor((d-1)/height)."""
+    return singleton_facts(c)[3]
+
+
+def is_MDS(c: Code) -> bool:
+    """True iff n - ceil(log_m K) meets the Singleton bound with equality."""
+    _, _, lhs, rhs = singleton_facts(c)
     return lhs == rhs
 
 
@@ -428,9 +437,7 @@ def critical_ideals(c: Code) -> list[Ideal]:
     ideals whose balls tile the space around the codewords.
     """
     sp = c.space
-    d = min_distance(c)
-    r = (d - 1) // sp.height
-    rhs = singleton_rhs(c)
+    _, r, _, rhs = singleton_facts(c)
     out = []
     for down in enumerate_root_downsets(sp.pomset, r):
         if sum(sp.labeling[i - 1] for i in down) == rhs:
@@ -453,35 +460,25 @@ def construct_I_perfect(
     _require_ideal(space, i)
     if not i.is_full_count:
         raise ValueError("construction requires an ideal with full count")
-    root = i.root_set
-    inside = [t for t in range(1, space.s + 1) if t in root]
-    outside = [t for t in range(1, space.s + 1) if t not in root]
-    out_dim = sum(space.labeling[t - 1] for t in outside)
-    in_dim = sum(space.labeling[t - 1] for t in inside)
-    if space.m ** out_dim > budget:
-        raise BudgetExceededError(
-            f"{space.m ** out_dim} codewords exceed budget {budget}"
-        )
+    m, root = space.m, i.root_set
+    # Per coordinate: True inside the root set's blocks, False outside.
+    inside = [
+        t in root for t, k in enumerate(space.labeling, start=1) for _ in range(k)
+    ]
+    in_dim = sum(inside)
+    out_dim = space.n - in_dim
+    if m ** out_dim > budget:
+        raise BudgetExceededError(f"{m ** out_dim} codewords exceed budget {budget}")
     words = []
-    for v in itertools.product(range(space.m), repeat=out_dim):
+    for v in itertools.product(range(m), repeat=out_dim):
         w = f(v)
-        if w is None or len(tuple(w)) != in_dim:
+        w = None if w is None else tuple(w)
+        if w is None or len(w) != in_dim:
             raise ValueError(
                 f"f must map every outside tuple to {in_dim} inside coordinates"
             )
-        w = tuple(operator.index(x) % space.m for x in w)
-        coords = [0] * space.n
-        pos = 0
-        for t in outside:
-            lo, hi = space.block_bounds[t - 1]
-            coords[lo:hi] = v[pos : pos + (hi - lo)]
-            pos += hi - lo
-        pos = 0
-        for t in inside:
-            lo, hi = space.block_bounds[t - 1]
-            coords[lo:hi] = w[pos : pos + (hi - lo)]
-            pos += hi - lo
-        words.append(tuple(coords))
+        ins, outs = (operator.index(x) % m for x in w), iter(v)
+        words.append(tuple(next(ins) if x else next(outs) for x in inside))
     code = Code(space, words)
     result = check_I_perfect(code, i, budget)
     if not result.ok:
@@ -581,10 +578,7 @@ def ball_code_intersection(c: Code, i, x: Vector) -> int:
     if x.space != sp:
         raise ShapeError("vectors belong to different spaces")
     m = sp.m
-    shifted = [
-        {(a + r) % m for r in residues}
-        for a, residues in zip(x.coords, _ball_block_choices(sp, _counts_of(sp, i)))
-    ]
+    shifted = _ball_block_choices(sp, _counts_of(sp, i), x.coords)
     words = c.coord_set
     if math.prod(map(len, shifted)) < c.size:
         return sum(1 for w in itertools.product(*shifted) if w in words)
@@ -601,7 +595,7 @@ class WeightDistribution:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(x) for x in self.counts))
+        object.__setattr__(self, "counts", tuple(map(operator.index, self.counts)))
 
     def __getitem__(self, r: int) -> int:
         return self.counts[r]

@@ -8,6 +8,7 @@ from pomsetblock.balls import in_I_ball
 from pomsetblock.codes import (
     Code,
     UndefinedDistanceError,
+    WeightDistribution,
     ball_code_intersection,
     block_dependency_threshold,
     block_dependency_witnesses,
@@ -97,6 +98,8 @@ def test_constructors_reject_non_integers():
         lambda: Pomset(2, 2, frozenset({(1.0, 2)})),
         lambda: Pomset.from_relations(2, 2, [(1.5, 2)]),
         lambda: construct_I_perfect(sp, Ideal(p, (2, 0)), lambda v: (0.5,)),
+        lambda: Code(sp, [(1.0, 0), (0, 0)]),
+        lambda: WeightDistribution((1.7, 2)),
     ):
         with pytest.raises(TypeError):
             build()
@@ -260,7 +263,7 @@ def test_dual_perfectness_equivalence():
         sp = code.space
         dual_sp = Space(sp.m, dual_pomset(sp.pomset), sp.labeling)
         dual = dual_code(code)
-        dual = Code(dual_sp, dual.codewords, known_linear=True)
+        dual = Code(dual_sp, dual.codewords, dual.generator)
         for i in all_ideals(sp.pomset):
             if not i.is_full_count or i.cardinality == 0:
                 continue
@@ -276,7 +279,7 @@ def _all_duality_conditions(code):
     lh = sp.height
     dual_sp = Space(sp.m, dual_pomset(sp.pomset), sp.labeling)
     dual = dual_code(code)
-    dual = Code(dual_sp, dual.codewords, known_linear=True)
+    dual = Code(dual_sp, dual.codewords, dual.generator)
 
     cond1 = is_MDS(code)
     cond2 = all(
@@ -338,6 +341,7 @@ def test_construct_I_perfect():
     doubled = construct_I_perfect(sp, i, lambda v: (2 * v[0],))
     assert set(doubled.codewords) == {(2 * y % 5, y) for y in range(5)}
     assert is_I_perfect(doubled, i)
+    assert construct_I_perfect(sp, i, lambda v: iter((2 * v[0],))) == doubled
 
     zero_section = construct_I_perfect(sp, i, lambda v: (0,))
     assert all(w[0] == 0 for w in zero_section.codewords)
@@ -498,7 +502,7 @@ def test_error_correcting_ball_sum_criteria():
 def test_finer_order_preserves_mds():
     base = load_fixture("mds_equal_blocks_z5")
     finer = make_space(5, [(1, 2), (3, 2), (1, 3)], (2, 2, 2))
-    refit = Code(finer, base.code.codewords, known_linear=True)
+    refit = Code(finer, base.code.codewords, base.code.generator)
     assert is_MDS(base.code) and is_MDS(refit)
 
     one = load_fixture("perfect_r1_z5")
