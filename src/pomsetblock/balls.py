@@ -12,7 +12,7 @@ import math
 
 from .mset import Mset, ShapeError, check_shape
 from .pomset import Ideal, enumerate_ideals
-from .space import Space, Vector
+from .space import Space, Vector, _check_radius, _check_space
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -58,8 +58,7 @@ def _counts_of(space: Space, i) -> tuple[int, ...]:
 
 def in_I_ball(v: Vector, u: Vector, i) -> bool:
     """True iff the block support of u - v fits inside i (Ideal or Mset)."""
-    if v.space != u.space:
-        raise ShapeError("vectors belong to different spaces")
+    _check_space(v, u)
     counts = _counts_of(v.space, i)
     bw = v.space.block_weights(tuple((a - b) % v.space.m
                                      for a, b in zip(u.coords, v.coords)))
@@ -115,8 +114,7 @@ def I_sphere_cardinality(space: Space, i: Ideal) -> int:
 
 def r_ball_cardinality(space: Space, r: int) -> int:
     """Size of a radius-r ball: one plus all sphere sizes at cardinalities <= r."""
-    if not 0 <= r <= space.max_weight:
-        raise ValueError(f"radius {r} outside 0..{space.max_weight}")
+    _check_radius(space, r)
     total = 1
     for card in range(1, r + 1):
         for i in enumerate_ideals(space.pomset, card):

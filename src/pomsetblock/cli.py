@@ -33,7 +33,7 @@ from .pomset import (
     enumerate_ideals,
     enumerate_root_downsets,
 )
-from .space import Space, Vector, distance, pomset_weight, support
+from .space import Space, Vector, _check_radius, distance, pomset_weight, support
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -123,8 +123,7 @@ def problem_from_dict(doc: dict) -> Problem:
     radius = None
     if "radius" in doc:
         radius = _integer(doc["radius"], "radius")
-        if not 0 <= radius <= space.max_weight:
-            raise ValueError(f"radius {radius} outside 0..{space.max_weight}")
+        _check_radius(space, radius)
     return Problem(space, code, ideal, radius)
 
 
@@ -204,28 +203,34 @@ def _need_code(problem: Problem) -> codes.Code:
 
 
 def _resolve_ideal(problem: Problem, args) -> Ideal | None:
-    if getattr(args, "ideal", None) is not None:
+    if args.ideal is not None:
         return Ideal(problem.space.pomset, _parse_ints(args.ideal))
     return problem.ideal
 
 
+def _need_ideal(problem: Problem, args) -> Ideal:
+    ideal = _resolve_ideal(problem, args)
+    if ideal is None:
+        raise ValueError("need --ideal (or an ideal in the file)")
+    return ideal
+
+
 def _resolve_radius(problem: Problem, args) -> int | None:
-    if getattr(args, "radius", None) is not None:
-        return args.radius
-    return problem.radius
+    return args.radius if args.radius is not None else problem.radius
 
 
 def _resolve_ideal_or_radius(problem: Problem, args) -> tuple[Ideal | None, int | None]:
+    """Exactly one of an ideal and a radius; an explicit flag beats the file."""
     ideal = _resolve_ideal(problem, args)
     radius = _resolve_radius(problem, args)
-    explicit_ideal = getattr(args, "ideal", None) is not None
-    explicit_radius = getattr(args, "radius", None) is not None
-    if explicit_ideal and not explicit_radius:
+    if args.ideal is not None and args.radius is None:
         return ideal, None
-    if explicit_radius and not explicit_ideal:
+    if args.radius is not None and args.ideal is None:
         return None, radius
     if ideal is not None and radius is not None:
         raise ValueError("both ideal and radius available; pass --ideal or --radius")
+    if ideal is None and radius is None:
+        raise ValueError("need --ideal or --radius (or those fields in the file)")
     return ideal, radius
 
 
@@ -275,19 +280,15 @@ def cmd_ball_size(problem, args, rep) -> int:
     if ideal is not None:
         size = I_ball_cardinality(problem.space, ideal)
         rep.say(f"ball of ideal {_ideal_str(ideal)} has {size} vectors")
-    elif radius is not None:
+    else:
         size = r_ball_cardinality(problem.space, radius)
         rep.say(f"ball of radius {radius} has {size} vectors")
-    else:
-        raise ValueError("need --ideal or --radius (or those fields in the file)")
     rep.put("size", size)
     return EXIT_OK
 
 
 def cmd_sphere_size(problem, args, rep) -> int:
-    ideal = _resolve_ideal(problem, args)
-    if ideal is None:
-        raise ValueError("need --ideal (or an ideal in the file)")
+    ideal = _need_ideal(problem, args)
     size = I_sphere_cardinality(problem.space, ideal)
     rep.say(f"sphere of ideal {_ideal_str(ideal)} has {size} vectors")
     rep.put("size", size)
@@ -295,9 +296,7 @@ def cmd_sphere_size(problem, args, rep) -> int:
 
 
 def cmd_partition(problem, args, rep) -> int:
-    ideal = _resolve_ideal(problem, args)
-    if ideal is None:
-        raise ValueError("need --ideal (or an ideal in the file)")
+    ideal = _need_ideal(problem, args)
     try:
         centers = partition_centers(problem.space, ideal, args.budget)
     except PartitionImpossibleError as exc:
@@ -313,6 +312,17 @@ def cmd_partition(problem, args, rep) -> int:
     return EXIT_OK
 
 
+def _verdict(rep, key, result, holds: str, fails: str) -> int:
+    """Report a census result under `key`; a failure also names its witness."""
+    rep.put(key, result.ok)
+    if result.ok:
+        rep.say(holds)
+        return EXIT_OK
+    rep.say(f"{fails}: {result.reason} at {result.witness}")
+    rep.put("witness", result.witness)
+    return EXIT_FALSE
+
+
 def cmd_check_perfect(problem, args, rep) -> int:
     code = _need_code(problem)
     ideal, radius = _resolve_ideal_or_radius(problem, args)
@@ -320,19 +330,12 @@ def cmd_check_perfect(problem, args, rep) -> int:
         result = codes.check_I_perfect(code, ideal, args.budget)
         rep.say(f"ideal {_ideal_str(ideal)}")
         rep.put("mode", "ideal")
-    elif radius is not None:
+    else:
         result = codes.check_r_perfect(code, radius, args.budget)
         rep.say(f"radius {radius}")
         rep.put("mode", "radius")
-    else:
-        raise ValueError("need --ideal or --radius (or those fields in the file)")
-    rep.put("perfect", result.ok)
-    if result.ok:
-        rep.say("balls at the codewords tile the space")
-        return EXIT_OK
-    rep.say(f"not perfect: {result.reason} at {result.witness}")
-    rep.put("witness", result.witness)
-    return EXIT_FALSE
+    return _verdict(rep, "perfect", result, "balls at the codewords tile the space",
+                    "not perfect")
 
 
 def cmd_check_error_correcting(problem, args, rep) -> int:
@@ -341,13 +344,9 @@ def cmd_check_error_correcting(problem, args, rep) -> int:
     if radius is None:
         raise ValueError("need --radius (or a radius in the file)")
     result = codes.check_r_error_correcting(code, radius, args.budget)
-    rep.put("error_correcting", result.ok)
-    if result.ok:
-        rep.say(f"radius-{radius} balls at the codewords are pairwise disjoint")
-        return EXIT_OK
-    rep.say(f"balls overlap: {result.reason} at {result.witness}")
-    rep.put("witness", result.witness)
-    return EXIT_FALSE
+    return _verdict(rep, "error_correcting", result,
+                    f"radius-{radius} balls at the codewords are pairwise disjoint",
+                    "balls overlap")
 
 
 def cmd_check_mds(problem, args, rep) -> int:
@@ -409,11 +408,7 @@ def cmd_weight_dist(problem, args, rep) -> int:
 
 def cmd_intersect(problem, args, rep) -> int:
     code = _need_code(problem)
-    ideal = _resolve_ideal(problem, args)
-    if ideal is None:
-        raise ValueError("need --ideal (or an ideal in the file)")
-    if args.center is None:
-        raise ValueError("need --center")
+    ideal = _need_ideal(problem, args)
     x = _vector_arg(problem, args.center)
     count = codes.ball_code_intersection(code, ideal, x)
     rep.say(f"{count} codeword(s) inside the ball of {_ideal_str(ideal)} at {x}")
@@ -509,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "no other command draws at random")
     flags.add_argument("--machine", action="store_true",
                        help="suppress the human section, print key=value only")
+    # Commands without --ideal or --radius read these as absent.
+    flags.set_defaults(ideal=None, radius=None)
 
     parser = argparse.ArgumentParser(
         prog="pomsetblock",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .balls import (
@@ -31,7 +31,15 @@ from .balls import (
 )
 from .mset import ShapeError
 from .pomset import Ideal, enumerate_root_downsets
-from .space import Space, Vector, block_weight, translate_census
+from .space import (
+    Space,
+    Vector,
+    _check_radius,
+    _check_space,
+    _check_words,
+    block_weight,
+    translate_census,
+)
 
 
 class UndefinedDistanceError(ValueError):
@@ -48,25 +56,17 @@ class Code:
 
     Every codeword is a tuple of n integer residues reduced mod m.
     `generator` records the rows the code was spanned from, when it was,
-    and so marks the code as a submodule.
+    and so marks the code as a submodule; equality and hashing ignore it.
     """
 
     space: Space
     codewords: tuple[tuple[int, ...], ...]
-    generator: tuple[tuple[int, ...], ...] | None = None
+    generator: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        sp = self.space
-        words = [tuple(map(operator.index, w)) for w in self.codewords]
+        words = _check_words(self.space, self.codewords)
         if not words:
             raise ValueError("a code must contain at least one codeword")
-        if set(map(len, words)) != {sp.n}:
-            w = next(w for w in words if len(w) != sp.n)
-            raise ShapeError(f"expected {sp.n} coordinates, got {len(w)}")
-        stray = set(itertools.chain.from_iterable(words)).difference(range(sp.m))
-        if stray:
-            x = next(x for w in words for x in w if x in stray)
-            raise ShapeError(f"coordinate {x} not reduced mod {sp.m}")
         object.__setattr__(self, "codewords", tuple(sorted(set(words))))
 
     @classmethod
@@ -301,8 +301,7 @@ def _r_ball_coords(sp: Space, r: int, budget: int):
     counting members as the walk goes stops it within about budget * s
     closures once the ball outgrows the budget.
     """
-    if not 0 <= r <= sp.max_weight:
-        raise ValueError(f"radius {r} outside 0..{sp.max_weight}")
+    _check_radius(sp, r)
     closure, m, s = sp.pomset.closure_counts, sp.m, sp.s
     # Residue tuples of length k whose largest Lee weight is exactly w.
     exact = {
@@ -363,7 +362,9 @@ def _census_ball(c: Code, r: int, budget: int):
 
 
 def check_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> CheckResult:
-    # The cover check walks the whole space: reject before listing the ball.
+    # A bad radius is an input error whatever the budget.  The cover check
+    # walks the whole space: reject before listing the ball.
+    _check_radius(c.space, r)
     if c.space.size > budget:
         raise BudgetExceededError(
             f"space of size {c.space.size} exceeds budget {budget}"
@@ -574,10 +575,8 @@ def ball_code_intersection(c: Code, i, x: Vector) -> int:
     residues x_t + r with r within coordinate t's count, so whichever of
     the ball and the code is smaller is walked and tested against the other.
     """
-    sp = c.space
-    if x.space != sp:
-        raise ShapeError("vectors belong to different spaces")
-    m = sp.m
+    _check_space(c, x)
+    sp, m = c.space, c.space.m
     shifted = _ball_block_choices(sp, _counts_of(sp, i), x.coords)
     words = c.coord_set
     if math.prod(map(len, shifted)) < c.size:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import balls
 from .balls import BudgetExceededError, PartitionImpossibleError
-from .pomset import all_ideals, dual_pomset, enumerate_ideals, ideal_complement
+from .pomset import all_ideals, dual_pomset, ideal_complement
 from .space import Space, translate_census
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
@@ -156,6 +156,27 @@ def _submset(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _outcome(name, failure, passed, skipped=0, what=""):
+    """A failure detail fails the check; otherwise any skip marks it skipped.
+
+    `passed` is the detail of a check that passed; a skipped one reads how
+    many of `what` went over budget.
+    """
+    if failure:
+        return CheckOutcome(name, "fail", failure)
+    if skipped:
+        return CheckOutcome(name, "skip", f"{skipped} {what} over budget")
+    return CheckOutcome(name, "pass", passed)
+
+
+def _first_mismatch(space, label, items, closed_form, enumerated):
+    """Failure detail at the first item where the two routes disagree."""
+    for x in items:
+        if closed_form(space, x) != enumerated(x):
+            return f"first mismatch at {label}{x}"
+    return None
+
+
 def verify_formula_suite(
     space: Space,
     budget: int = DEFAULT_SCAN_BUDGET,
@@ -168,94 +189,55 @@ def verify_formula_suite(
     The suite is deterministic: `seed` is accepted for callers that pass
     one but draws nothing.
     """
-    report = SuiteReport(space)
-    checks = report.checks
     census = weight_census(space, budget)
     ideals = all_ideals(space.pomset)
+    by_ideal = census.ideal_sphere_counts
 
-    bad = [
-        i
-        for i in ideals
-        if balls.I_sphere_cardinality(space, i)
-        != census.ideal_sphere_counts.get(i.counts, 0)
-    ]
-    checks.append(
-        CheckOutcome(
+    def ball_size(i):
+        # A vector lies in the I-ball iff its generated ideal fits inside I,
+        # so ball sizes follow from the census by summing nested ideal keys.
+        return sum(n for key, n in by_ideal.items() if _submset(key, i.counts))
+
+    total = f"total {census.total}"
+    return SuiteReport(space, [
+        _outcome(
             "sphere-formula",
-            "fail" if bad else "pass",
-            f"first mismatch at ideal {bad[0]}" if bad else f"{len(ideals)} ideals",
-        )
-    )
-
-    # A vector lies in the I-ball iff its generated ideal fits inside I,
-    # so ball sizes follow from the census by summing nested ideal keys.
-    bad = []
-    for i in ideals:
-        enumerated = sum(
-            count
-            for key, count in census.ideal_sphere_counts.items()
-            if _submset(key, i.counts)
-        )
-        if balls.I_ball_cardinality(space, i) != enumerated:
-            bad.append(i)
-    checks.append(
-        CheckOutcome(
+            _first_mismatch(space, "ideal ", ideals, balls.I_sphere_cardinality,
+                            lambda i: by_ideal.get(i.counts, 0)),
+            f"{len(ideals)} ideals",
+        ),
+        _outcome(
             "ball-formula",
-            "fail" if bad else "pass",
-            f"first mismatch at ideal {bad[0]}" if bad else f"{len(ideals)} ideals",
-        )
-    )
-
-    bad_r = [
-        r
-        for r in range(space.max_weight + 1)
-        if balls.r_ball_cardinality(space, r) != census.ball_size(r)
-    ]
-    checks.append(
-        CheckOutcome(
+            _first_mismatch(space, "ideal ", ideals, balls.I_ball_cardinality,
+                            ball_size),
+            f"{len(ideals)} ideals",
+        ),
+        _outcome(
             "rball-formula",
-            "fail" if bad_r else "pass",
-            f"first mismatch at r={bad_r[0]}" if bad_r else "all radii",
-        )
-    )
-
-    checks.append(
-        CheckOutcome(
-            "sphere-partition",
-            "pass" if census.telescopes() else "fail",
-            f"total {census.total}",
-        )
-    )
-
-    _check_rball_union(space, census, pair_budget, checks)
-    _check_full_count_balls(space, ideals, checks)
-    _check_ball_duality(space, ideals, pair_budget, checks)
-    _check_partition_tiling(space, ideals, budget, checks)
-    return report
+            _first_mismatch(space, "r=", range(space.max_weight + 1),
+                            balls.r_ball_cardinality, census.ball_size),
+            "all radii",
+        ),
+        _outcome("sphere-partition", None if census.telescopes() else total, total),
+        _check_rball_union(space, census, ideals, pair_budget),
+        *_check_full_count_balls(space, ideals, pair_budget),
+        _check_partition_tiling(space, ideals, budget),
+    ])
 
 
-def _check_rball_union(space, census, pair_budget, checks):
+def _check_rball_union(space, census, ideals, pair_budget):
     skipped = 0
-    bad = None
     for r in range(space.max_weight + 1):
-        layer = enumerate_ideals(space.pomset, r)
-        cost = sum(balls.I_ball_cardinality(space, i) for i in layer)
-        if cost > pair_budget:
+        layer = [i for i in ideals if i.cardinality == r]
+        if sum(balls.I_ball_cardinality(space, i) for i in layer) > pair_budget:
             skipped += 1
             continue
         union = set()
         for i in layer:
             union.update(balls.iter_I_ball_coords(space, i))
         if len(union) != census.ball_size(r):
-            bad = r
-            break
-    status = "fail" if bad is not None else ("skip" if skipped else "pass")
-    detail = (
-        f"mismatch at r={bad}"
-        if bad is not None
-        else (f"{skipped} radii over budget" if skipped else "all radii")
-    )
-    checks.append(CheckOutcome("rball-union", status, detail))
+            return _outcome("rball-union", f"mismatch at r={r}", "")
+    return _outcome("rball-union", None, "all radii", skipped, "radii")
 
 
 def _generated(members, m):
@@ -286,64 +268,62 @@ def _generated(members, m):
     return gens, span
 
 
-def _check_full_count_balls(space, ideals, checks):
-    # A finite subset of Z_m^n is a submodule iff it equals its span.
-    m = space.m
-    bad = None
-    for i in ideals:
-        if not i.is_full_count or i.cardinality == 0:
-            continue
-        members = set(balls.iter_I_ball_coords(space, i))
-        expected = m ** sum(space.labeling[t - 1] for t in i.root_set)
-        if len(members) != expected:
-            bad = (i, "size")
-            break
-        if _generated(members, m)[1] != members:
-            bad = (i, "closure")
-            break
-    checks.append(
-        CheckOutcome(
-            "full-ball-submodule",
-            "fail" if bad else "pass",
-            f"ideal {bad[0]}: {bad[1]}" if bad else "all full-count ideals",
-        )
-    )
+def _ball_span(space, i):
+    """Generators of the I-ball's span, the ball's size and the span's size.
+
+    The ball is listed once, in lexicographic order, which yields fewer
+    generators than set order does.  Only the counts and the generators
+    outlive the call, so no listing meets the previous ball's sets.
+    """
+    members = list(balls.iter_I_ball_coords(space, i))
+    size = len(set(members))
+    gens, span = _generated(members, space.m)
+    return gens, size, len(span)
 
 
-def _check_ball_duality(space, ideals, pair_budget, checks):
-    # Ann(B) = Ann(<B>) by bilinearity, so a scan against generators suffices.
-    dual_space = Space(space.m, dual_pomset(space.pomset), space.labeling)
+def _check_full_count_balls(space, ideals, pair_budget):
+    """The submodule and duality outcomes, from one span per full-count ball.
+
+    A finite subset of Z_m^n is a submodule iff it equals its span, and the
+    span holds the members, so equal sizes decide it.  Ann(B) = Ann(<B>) by
+    bilinearity, so the duality scan tests the space against the span's
+    generators alone; it is skipped where |ball| * m^n exceeds the budget.
+    """
     m = space.m
+    dual_space = Space(m, dual_pomset(space.pomset), space.labeling)
+    closure = duality = None
     skipped = 0
-    bad = None
     for i in ideals:
-        if not i.is_full_count:
+        if not i.is_full_count or (closure and duality):
             continue
-        size = balls.I_ball_cardinality(space, i)
+        gens, size, spanned = _ball_span(space, i)
+        if i.cardinality and not closure:
+            expected = m ** sum(space.labeling[t - 1] for t in i.root_set)
+            if size != expected:
+                closure = f"ideal {i}: size"
+            elif spanned != size:
+                closure = f"ideal {i}: closure"
+        if duality:
+            continue
         if size * space.size > pair_budget:
             skipped += 1
             continue
-        gens = _generated(balls.iter_I_ball_coords(space, i), m)[0]
-        annihilator = {
+        # Neither set outlives the comparison: the empty ideal's annihilator
+        # is the whole space.
+        comp = ideal_complement(space.pomset, i)
+        if set(balls.iter_I_ball_coords(dual_space, comp)) != {
             coords
             for coords in space.iter_coords()
             if all(sum(x * y for x, y in zip(coords, b)) % m == 0 for b in gens)
-        }
-        comp = ideal_complement(space.pomset, i)
-        dual_ball = set(balls.iter_I_ball_coords(dual_space, comp))
-        if annihilator != dual_ball:
-            bad = i
-            break
-    status = "fail" if bad is not None else ("skip" if skipped else "pass")
-    detail = (
-        f"mismatch at ideal {bad}"
-        if bad is not None
-        else (f"{skipped} ideals over budget" if skipped else "all full-count ideals")
+        }:
+            duality = f"mismatch at ideal {i}"
+    return (
+        _outcome("full-ball-submodule", closure, "all full-count ideals"),
+        _outcome("ball-duality", duality, "all full-count ideals", skipped, "ideals"),
     )
-    checks.append(CheckOutcome("ball-duality", status, detail))
 
 
-def _check_partition_tiling(space, ideals, budget, checks):
+def _check_partition_tiling(space, ideals, budget):
     m = space.m
     bad = None
     for i in ideals:
@@ -359,7 +339,7 @@ def _check_partition_tiling(space, ideals, budget, checks):
                 balls.partition_centers(space, i, budget)
             except PartitionImpossibleError:
                 continue
-            bad = (i, "divisibility error not raised")
+            bad = f"ideal {i}: divisibility error not raised"
             break
         centers = balls.partition_centers(space, i, budget)
         expected = 1
@@ -370,16 +350,10 @@ def _check_partition_tiling(space, ideals, budget, checks):
             elif c < space.height:
                 expected *= (m // (2 * c + 1)) ** k
         if len(centers) != expected:
-            bad = (i, f"center count {len(centers)} != {expected}")
+            bad = f"ideal {i}: center count {len(centers)} != {expected}"
             break
         ball = balls.iter_I_ball_coords(space, i, budget)
         if translate_census(space, centers, ball, cover=True):
-            bad = (i, "translates do not tile")
+            bad = f"ideal {i}: translates do not tile"
             break
-    checks.append(
-        CheckOutcome(
-            "partition-tiling",
-            "fail" if bad else "pass",
-            f"ideal {bad[0]}: {bad[1]}" if bad else "all ideals",
-        )
-    )
+    return _outcome("partition-tiling", bad, "all ideals")

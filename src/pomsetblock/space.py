@@ -134,14 +134,7 @@ class Vector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
-        if len(self.coords) != self.space.n:
-            raise ShapeError(
-                f"expected {self.space.n} coordinates, got {len(self.coords)}"
-            )
-        for x in self.coords:
-            if not 0 <= x < self.space.m:
-                raise ValueError(f"coordinate {x} not reduced mod {self.space.m}")
+        object.__setattr__(self, "coords", _check_words(self.space, [self.coords])[0])
 
     def block(self, i: int) -> tuple[int, ...]:
         lo, hi = self.space.block_bounds[i - 1]
@@ -236,9 +229,32 @@ def _decode(key: int, m: int, n: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def _check_space(u: Vector, v: Vector) -> None:
+def _check_words(space: Space, words) -> list[tuple[int, ...]]:
+    """Integer tuples of the words, each n residues reduced mod m.
+
+    The first word of the wrong length is reported before any coordinate
+    outside 0..m-1; both are ShapeErrors.
+    """
+    words = [tuple(map(operator.index, w)) for w in words]
+    if set(map(len, words)).difference((space.n,)):
+        w = next(w for w in words if len(w) != space.n)
+        raise ShapeError(f"expected {space.n} coordinates, got {len(w)}")
+    stray = set(itertools.chain.from_iterable(words)).difference(range(space.m))
+    if stray:
+        x = next(x for w in words for x in w if x in stray)
+        raise ShapeError(f"coordinate {x} not reduced mod {space.m}")
+    return words
+
+
+def _check_space(u, v) -> None:
+    """Vectors, or a code and a vector, must share one space."""
     if u.space != v.space:
         raise ShapeError("vectors belong to different spaces")
+
+
+def _check_radius(space: Space, r: int) -> None:
+    if not 0 <= r <= space.max_weight:
+        raise ValueError(f"radius {r} outside 0..{space.max_weight}")
 
 
 def support(u: Vector) -> Mset:

@@ -234,6 +234,27 @@ def test_input_errors():
     assert status == 2
     status, out = invoke("check-mds", fixture_path("ideal_census_vshape"))
     assert status == 2  # no code in the file
+    # The file carries a code but neither an ideal nor a radius.
+    path = fixture_path("mds_z5_len6")
+    cases = [
+        # The radius is checked before the space is measured against the budget.
+        (["check-perfect", path, "--radius", "99", "--budget", "100"],
+         "radius 99 outside 0..8"),
+        (["sphere-size", path], "need --ideal (or an ideal in the file)"),
+        (["partition", path], "need --ideal (or an ideal in the file)"),
+        (["intersect", path, "--center", "0,0,0,0,0,0"],
+         "need --ideal (or an ideal in the file)"),
+        (["ball-size", path], "need --ideal or --radius (or those fields in the file)"),
+        (["check-perfect", path],
+         "need --ideal or --radius (or those fields in the file)"),
+        (["check-error-correcting", path], "need --radius (or a radius in the file)"),
+        (["weight-dist", fixture_path("iperfect_not_mds_z6"), "--closed-form"],
+         "closed form needs equal block dimensions"),
+        (["weight-dist", fixture_path("iperfect_z9_mds"), "--closed-form"],
+         "closed form needs a chain order"),
+    ]
+    for argv, message in cases:
+        assert invoke(*argv) == (2, f"# input error: {message}\nerror=input\n"), argv
 
 
 def test_budget_exit_code():
@@ -302,6 +323,13 @@ def test_malformed_numbers_rejected_naming_the_field(tmp_path):
         ({"radius": 1.5}, "radius must be an integer, got 1.5"),
         ({"code": {"codewords": [[0, 0, "1"]]}},
          'code.codewords[0][2] must be an integer, got "1"'),
+        ({"labeling": 3}, "labeling must be a list, got 3"),
+        ({"code": {"codewords": 5}}, "code.codewords must be a list, got 5"),
+        ({"code": {"codewords": [5]}}, "code.codewords[0] must be a list, got 5"),
+        ({"pomset": {"s": 2, "relations": [[1, 2, 3]]}},
+         "pomset.relations[0] must be a pair, got [1, 2, 3]"),
+        ({"code": {}}, "code must supply 'codewords' or 'generator'"),
+        ({"radius": 99}, "radius 99 outside 0..4"),
     ]
     path = tmp_path / "bad.json"
     for override, message in cases:

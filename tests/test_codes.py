@@ -178,6 +178,19 @@ def test_r_perfect_examples():
     assert not check.ok and check.witness is not None
     pr_chain = load_fixture("partial_perfect_z6_chain")
     assert is_r_perfect(pr_chain.code, 4)
+    # The radius is checked before the space is measured against the budget.
+    with pytest.raises(ValueError, match=r"radius 99 outside 0\.\.8"):
+        check_r_perfect(load_fixture("mds_z5_len6").code, 99, budget=100)
+
+
+def test_code_equality_ignores_how_the_code_was_built():
+    code = load_fixture("mds_z5_len6").code
+    assert code.generator is not None
+    plain = Code(code.space, code.codewords)
+    assert code == plain and len({code, plain}) == 1
+    dual = dual_code(code)
+    plain_dual = Code(code.space, dual.codewords)
+    assert dual == plain_dual and len({dual, plain_dual}) == 1
 
 
 def test_quoted_witness_lies_in_two_four_balls():

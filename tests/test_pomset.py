@@ -192,6 +192,13 @@ def test_relations_input_forms():
         Pomset(3, 2, frozenset({(1, 2), (2, 3)}))  # not closed
     with pytest.raises(ValueError):
         Pomset.from_relations(2, 2, [(1, 5)])
+    # A closed order given directly is checked by the same closure pass.
+    with pytest.raises(ValueError, match=r"relation \(1,5\) outside ground set 1\.\.3"):
+        Pomset(3, 2, frozenset({(1, 5)}))
+    with pytest.raises(CycleError, match=r"reflexive pair \(1,1\)"):
+        Pomset(3, 2, frozenset({(1, 1)}))
+    with pytest.raises(CycleError, match="lies on a cycle"):
+        Pomset(3, 2, frozenset({(1, 2), (2, 1)}))
 
 
 def test_chain_antichain_predicates():
