@@ -185,11 +185,17 @@ class Report:
             print(f"{key}={value}", file=self.out)
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
+def _parse_ints(args, name: str) -> tuple[int, ...]:
+    """The comma-separated integers of flag --name; an error names the flag."""
+    text = getattr(args, name)
+    if not text.strip():
         return ()
-    return tuple(int(part) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--{name} must be comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _ideal_str(i: Ideal) -> str:
@@ -204,7 +210,7 @@ def _need_code(problem: Problem) -> codes.Code:
 
 def _resolve_ideal(problem: Problem, args) -> Ideal | None:
     if args.ideal is not None:
-        return Ideal(problem.space.pomset, _parse_ints(args.ideal))
+        return Ideal(problem.space.pomset, _parse_ints(args, "ideal"))
     return problem.ideal
 
 
@@ -234,12 +240,12 @@ def _resolve_ideal_or_radius(problem: Problem, args) -> tuple[Ideal | None, int 
     return ideal, radius
 
 
-def _vector_arg(problem: Problem, text: str) -> Vector:
-    return problem.space.vector(_parse_ints(text))
+def _vector_arg(problem: Problem, args, name: str) -> Vector:
+    return problem.space.vector(_parse_ints(args, name))
 
 
 def cmd_weight(problem, args, rep) -> int:
-    u = _vector_arg(problem, args.vector)
+    u = _vector_arg(problem, args, "vector")
     w = pomset_weight(u)
     rep.say(f"weight of {u} is {w}; support {support(u)}")
     rep.put("weight", w)
@@ -247,8 +253,8 @@ def cmd_weight(problem, args, rep) -> int:
 
 
 def cmd_distance(problem, args, rep) -> int:
-    u = _vector_arg(problem, args.vector)
-    v = _vector_arg(problem, args.other)
+    u = _vector_arg(problem, args, "vector")
+    v = _vector_arg(problem, args, "other")
     d = distance(u, v)
     rep.say(f"distance between {u} and {v} is {d}")
     rep.put("distance", d)
@@ -409,7 +415,7 @@ def cmd_weight_dist(problem, args, rep) -> int:
 def cmd_intersect(problem, args, rep) -> int:
     code = _need_code(problem)
     ideal = _need_ideal(problem, args)
-    x = _vector_arg(problem, args.center)
+    x = _vector_arg(problem, args, "center")
     count = codes.ball_code_intersection(code, ideal, x)
     rep.say(f"{count} codeword(s) inside the ball of {_ideal_str(ideal)} at {x}")
     rep.put("count", count)

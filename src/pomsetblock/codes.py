@@ -2,11 +2,11 @@
 the Singleton bound and MDS verification, parity-block dependence, and
 weight distributions.
 
-Spans, duals, linearity and parity-check ranks all come from one diagonal
-form over Z_m, so they cost what they output rather than what the space
-holds.  Radius balls are listed from the block-weight tuples they contain.
-Perfectness and error-correction checks are an exact census of the ball
-translates at the codewords, `space.translate_census`, which keys every
+Spans, duals, linearity and parity-block dependence all come from one
+diagonal form over Z_m, so they cost what they output rather than what the
+space holds.  Radius balls are listed from the block-weight tuples they
+contain.  Perfectness and error-correction checks are an exact census of the
+ball translates at the codewords, `space.translate_census`, which keys every
 vector by an integer; it is budget-guarded rather than approximate.
 `ball_code_intersection` walks whichever of the ball and the code is smaller.
 """
@@ -489,63 +489,35 @@ def construct_I_perfect(
     return code
 
 
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            return False
-        p += 1
-    return True
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank over the field Z_p: the nonzero entries of the diagonal form."""
-    if not rows:
-        return 0
-    return sum(1 for x in _diagonal(rows, len(rows[0]), p)[0] if x)
-
-
-def parity_check_rows(c: Code) -> list[list[int]]:
-    """A basis of the dual code, as parity-check rows (prime m only).
-
-    These are the nonzero dual generators of the diagonal form.  Over a
-    field the rank of any column subset is the same for every basis, so
-    block dependence does not depend on this choice.
-    """
-    sp = c.space
-    if not is_prime(sp.m):
-        raise ValueError("parity-check analysis requires a prime modulus")
-    return [list(b) for b in _dual_generators(c) if any(b)]
-
-
 def block_dependency_witnesses(c: Code) -> tuple[int, list[frozenset[int]]]:
     """Smallest downset size whose parity-check blocks are linearly dependent.
 
     Returns the size together with every witnessing downset of that size.
+    The columns H_D of the dual's generators over a downset's blocks are
+    dependent when H_D*x = 0 for some nonzero x, that is when the diagonal
+    form of H_D, zero padding included, has an entry that is not a unit
+    mod m.  Z_m is a Frobenius ring, so the code is the annihilator of its
+    dual and such an x is a codeword; the size found is therefore
+    `min_ideal_root_size` for every m.
     """
     sp = c.space
     if c.size < 2:
         raise ValueError("the zero code has no dependent block set")
-    h = parity_check_rows(c)
-    p = sp.m
-    nrows = len(h)
-    for j in range(1, sp.s + 1):
-        witnesses = []
-        for down in enumerate_root_downsets(sp.pomset, j):
-            cols = [
-                t
-                for i in sorted(down)
-                for t in range(*sp.block_bounds[i - 1])
-            ]
-            width = len(cols)
-            sub = [[row[t] for t in cols] for row in h] if nrows else []
-            if _rank_mod_p(sub, p) < width:
-                witnesses.append(down)
-        if witnesses:
-            return j, witnesses
-    raise InternalInconsistencyError("no dependent block set found")
+    m = sp.m
+    # Zero rows leave every kernel unchanged.
+    h = [b for b in _dual_generators(c) if any(b)]
+    witnesses = []
+    # Downsets come by size, so the first witness fixes the size to list.
+    for down in sp.pomset.downsets:
+        if witnesses and len(down) > len(witnesses[0]):
+            break
+        cols = [t for i in sorted(down) for t in range(*sp.block_bounds[i - 1])]
+        d, _, _ = _diagonal([[row[t] for t in cols] for row in h], len(cols), m)
+        if any(math.gcd(x, m) > 1 for x in d):
+            witnesses.append(down)
+    if not witnesses:
+        raise InternalInconsistencyError("no dependent block set found")
+    return len(witnesses[0]), witnesses
 
 
 def block_dependency_threshold(c: Code) -> int:
@@ -556,7 +528,7 @@ def min_ideal_root_size(c: Code) -> int:
     """Smallest root-set size of the generated ideal over nonzero codewords.
 
     Independent counterpart of `block_dependency_threshold`; the two agree
-    for linear codes over a prime modulus.
+    for every linear code.
     """
     if c.size < 2:
         raise ValueError("needs a nonzero codeword")
@@ -631,20 +603,17 @@ def mds_chain_weight_distribution(
         raise ValueError(f"dimension k={k} outside 1..{n}")
     if (n - k) % t:
         raise ValueError(f"t={t} must divide n-k={n - k}")
-    lh = m // 2
-    d = (n - k) // t * lh + 1
+    h = m // 2
+    d = (n - k) // t * h + 1
     if expected_d is not None and expected_d != d:
         raise ValueError(f"distance {expected_d} inconsistent with MDS value {d}")
-    counts = [0] * (s * lh + 1)
+    counts = [0] * (s * h + 1)
     counts[0] = 1
-    for r in range(d, s * lh + 1):
-        l, p = divmod(r, lh)
-        if p == 0:
-            counts[r] = (m ** t - (2 * lh - 1) ** t) * m ** (t * l - n + k - t)
-        elif p == 1:
-            counts[r] = (3 ** t - 1) * m ** (t * l - n + k)
-        else:
-            counts[r] = ((2 * p + 1) ** t - (2 * p - 1) ** t) * m ** (t * l - n + k)
+    for r in range(d, s * h + 1):
+        # r = l*h + p + 1: l blocks below the top one, whose Lee weight is p+1.
+        l, p = divmod(r - 1, h)
+        top = lee_ball_size(m, p + 1) ** t - lee_ball_size(m, p) ** t
+        counts[r] = top * m ** (t * l - n + k)
     if sum(counts) != m ** k:
         raise InternalInconsistencyError("distribution does not sum to m^k")
     return WeightDistribution(tuple(counts))

@@ -180,14 +180,14 @@ def _first_mismatch(space, label, items, closed_form, enumerated):
 def verify_formula_suite(
     space: Space,
     budget: int = DEFAULT_SCAN_BUDGET,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
     seed: int = 0,
 ) -> SuiteReport:
     """Certify every closed-form quantity of the space against enumeration.
 
-    Over-budget sub-checks are reported as skipped, never silently dropped.
-    The suite is deterministic: `seed` is accepted for callers that pass
-    one but draws nothing.
+    Over-budget sub-checks are reported as skipped, never silently dropped;
+    the union and duality checks skip beyond `DEFAULT_PAIR_BUDGET`.  The
+    suite is deterministic: `seed` is accepted for callers that pass one
+    but draws nothing.
     """
     census = weight_census(space, budget)
     ideals = all_ideals(space.pomset)
@@ -219,17 +219,18 @@ def verify_formula_suite(
             "all radii",
         ),
         _outcome("sphere-partition", None if census.telescopes() else total, total),
-        _check_rball_union(space, census, ideals, pair_budget),
-        *_check_full_count_balls(space, ideals, pair_budget),
+        _check_rball_union(space, census, ideals),
+        *_check_full_count_balls(space, ideals),
         _check_partition_tiling(space, ideals, budget),
     ])
 
 
-def _check_rball_union(space, census, ideals, pair_budget):
+def _check_rball_union(space, census, ideals):
     skipped = 0
     for r in range(space.max_weight + 1):
         layer = [i for i in ideals if i.cardinality == r]
-        if sum(balls.I_ball_cardinality(space, i) for i in layer) > pair_budget:
+        size = sum(balls.I_ball_cardinality(space, i) for i in layer)
+        if size > DEFAULT_PAIR_BUDGET:
             skipped += 1
             continue
         union = set()
@@ -281,7 +282,7 @@ def _ball_span(space, i):
     return gens, size, len(span)
 
 
-def _check_full_count_balls(space, ideals, pair_budget):
+def _check_full_count_balls(space, ideals):
     """The submodule and duality outcomes, from one span per full-count ball.
 
     A finite subset of Z_m^n is a submodule iff it equals its span, and the
@@ -305,7 +306,7 @@ def _check_full_count_balls(space, ideals, pair_budget):
                 closure = f"ideal {i}: closure"
         if duality:
             continue
-        if size * space.size > pair_budget:
+        if size * space.size > DEFAULT_PAIR_BUDGET:
             skipped += 1
             continue
         # Neither set outlives the comparison: the empty ideal's annihilator
@@ -334,14 +335,16 @@ def _check_partition_tiling(space, ideals, budget):
             for c in i.counts
             if 0 < c < space.height
         )
+        try:
+            centers = balls.partition_centers(space, i, budget)
+        except PartitionImpossibleError:
+            if divisible:
+                bad = f"ideal {i}: divisibility error raised"
+                break
+            continue
         if not divisible:
-            try:
-                balls.partition_centers(space, i, budget)
-            except PartitionImpossibleError:
-                continue
             bad = f"ideal {i}: divisibility error not raised"
             break
-        centers = balls.partition_centers(space, i, budget)
         expected = 1
         for t, c in enumerate(i.counts, start=1):
             k = space.labeling[t - 1]

@@ -170,6 +170,10 @@ def test_singleton_dual_and_threshold():
     assert status == 0
     pairs = kv(out)
     assert pairs["threshold"] == pairs["min_root"]
+    # A composite modulus is answered too.
+    status, out = invoke("block-threshold", fixture_path("partial_perfect_z6"),
+                         "--machine")
+    assert (status, out) == (0, "threshold=1\nmin_root=1\nwitness.0=1\n")
 
 
 def test_weight_dist(tmp_path):
@@ -252,6 +256,15 @@ def test_input_errors():
          "closed form needs equal block dimensions"),
         (["weight-dist", fixture_path("iperfect_z9_mds"), "--closed-form"],
          "closed form needs a chain order"),
+        # A malformed integer list names its flag and echoes the text.
+        (["ball-size", path, "--ideal", "a"],
+         "--ideal must be comma-separated integers, got 'a'"),
+        (["weight", path, "--vector", "1,x"],
+         "--vector must be comma-separated integers, got '1,x'"),
+        (["distance", path, "--vector", "0,0,0,0,0,0", "--other", "1,,2"],
+         "--other must be comma-separated integers, got '1,,2'"),
+        (["intersect", path, "--ideal", "2,2,2,0", "--center", "1.5"],
+         "--center must be comma-separated integers, got '1.5'"),
     ]
     for argv, message in cases:
         assert invoke(*argv) == (2, f"# input error: {message}\nerror=input\n"), argv

@@ -381,17 +381,29 @@ def test_block_dependency_threshold():
 
     code = load_fixture("mds_z5_len6").code
     assert block_dependency_threshold(code) == min_ideal_root_size(code)
-    with pytest.raises(ValueError):
-        block_dependency_threshold(load_fixture("mds_chain_z6").code)  # m = 6
+    # A code that is not a submodule has no parity checks.
+    for name in ("mds_chain_z6", "iperfect_z9_mds"):
+        with pytest.raises(ValueError):
+            block_dependency_threshold(load_fixture(name).code)
 
 
-def test_block_dependency_agrees_on_prime_fixtures():
+def test_block_dependency_agrees_on_linear_fixtures():
     for name in ("perfect_r1_z5", "mds_z5_len3", "mds_equal_blocks_z5"):
         code = load_fixture(name).code
         threshold, witnesses = block_dependency_witnesses(code)
         assert witnesses
         assert all(len(d) == threshold for d in witnesses)
         assert threshold == min_ideal_root_size(code), name
+    # Composite moduli: the code is the annihilator of its dual over Z_m.
+    for name, witness in (
+        ("partial_perfect_z6", {1}),
+        ("partial_perfect_z6_chain", {1, 2}),
+        ("iperfect_not_mds_z6", {2}),
+        ("iperfect_z9_repetition", {2}),
+    ):
+        code = load_fixture(name).code
+        assert block_dependency_witnesses(code) == (len(witness), [witness]), name
+        assert min_ideal_root_size(code) == len(witness), name
 
 
 def test_ball_code_intersection():

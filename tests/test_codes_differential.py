@@ -1,6 +1,7 @@
-"""Differential tests of the diagonal-form module algebra, the radius-ball
-lister and the ball-code intersection count in `codes`, each against a brute-force reference over Z_m for m in
-2..12, composite moduli included.
+"""Differential tests of the diagonal-form module algebra, parity-block
+dependence, the radius-ball lister and the ball-code intersection count in
+`codes`, each against a brute-force reference over Z_m for m in 2..12,
+composite moduli included.
 
 Hypothesis runs derandomized, without an example database and with a
 bounded number of examples, so the suite stays deterministic and quick.
@@ -19,7 +20,10 @@ from pomsetblock.codes import (
     Code,
     _r_ball_coords,
     ball_code_intersection,
+    block_dependency_threshold,
+    block_dependency_witnesses,
     dual_code,
+    min_ideal_root_size,
     span_generator,
 )
 from pomsetblock.mset import Mset, ShapeError
@@ -35,6 +39,16 @@ def bounded(max_examples):
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
+def divisor_scaled_rows(rng, m, n, count):
+    """Random generator rows of length n over Z_m."""
+    rows = []
+    for _ in range(count):
+        # Multiples of a random divisor of m give non-free spans too.
+        unit = rng.choice([g for g in range(1, m + 1) if m % g == 0])
+        rows.append([unit * rng.randrange(m) % m for _ in range(n)])
+    return rows
+
+
 @st.composite
 def generated(draw, max_vectors=3000):
     """A space of single-coordinate blocks on an antichain, and generator rows."""
@@ -42,12 +56,7 @@ def generated(draw, max_vectors=3000):
     n = draw(st.integers(1, max(1, int(math.log(max_vectors, m)))))
     space = Space(m, Pomset.from_relations(n, m // 2, []), (1,) * n)
     rng = random.Random(draw(SEEDS))
-    rows = []
-    for _ in range(draw(st.integers(0, 3))):
-        # Multiples of a random divisor of m give non-free spans too.
-        unit = rng.choice([g for g in range(1, m + 1) if m % g == 0])
-        rows.append([unit * rng.randrange(m) % m for _ in range(n)])
-    return space, rows
+    return space, divisor_scaled_rows(rng, m, n, draw(st.integers(0, 3)))
 
 
 def combinations_of(m, n, rows):
@@ -127,6 +136,34 @@ def test_r_ball_lists_the_weight_filter_in_its_order(space):
     for r in range(space.max_weight + 1):
         expected = [co for co in space.iter_coords() if space.coords_weight(co) <= r]
         assert _r_ball_coords(space, r, space.size) == expected
+
+
+@bounded(150)
+@given(ordered_spaces(), SEEDS)
+def test_block_dependency_is_the_least_downsets_holding_a_codeword(space, seed):
+    rng = random.Random(seed)
+    rows = divisor_scaled_rows(rng, space.m, space.n, rng.randint(0, 3))
+    code = span_generator(space, rows)
+    listed = Code.from_codewords(space, code.codewords)
+    if code.size < 2:
+        with pytest.raises(ValueError):
+            block_dependency_witnesses(code)
+        return
+    # Definition: a dependent downset holds the block support of a nonzero
+    # codeword; the witnesses are the least such downsets.
+    supports = {
+        frozenset(
+            b for b, (lo, hi) in enumerate(space.block_bounds, start=1) if any(w[lo:hi])
+        )
+        for w in code.codewords
+        if any(w)
+    }
+    holding = [d for d in space.pomset.downsets if any(s <= d for s in supports)]
+    least = min(map(len, holding))
+    expected = (least, [d for d in holding if len(d) == least])
+    assert block_dependency_witnesses(code) == expected
+    assert block_dependency_witnesses(listed) == expected
+    assert block_dependency_threshold(code) == min_ideal_root_size(code) == least
 
 
 def test_r_ball_walk_stops_at_the_budget(monkeypatch):

@@ -223,6 +223,18 @@ def test_formula_suite_detects_a_center_replacing_another(monkeypatch):
     assert_tiling_fails(make_space(6, [(1, 2)], (1, 2)))
 
 
+def test_formula_suite_fails_when_a_divisible_ideal_refuses_to_tile(monkeypatch):
+    # A divisibility error raised for an ideal that has a tiling, such as
+    # the full-count ideal (2, 0), fails the check instead of escaping.
+    def refuse(space, ideal, *args, **kwargs):
+        raise balls.PartitionImpossibleError(1, 1, space.m)
+
+    monkeypatch.setattr("pomsetblock.balls.partition_centers", refuse)
+    report = verify_formula_suite(make_space(5, [(1, 2)], (1, 1)))
+    failed = {c.name: c.detail for c in report.failures}
+    assert failed["partition-tiling"].endswith(": divisibility error raised")
+
+
 def additive_closure(m, n, vectors):
     """Reference: every sum of members, by a breadth-first walk from zero."""
     zero = (0,) * n
