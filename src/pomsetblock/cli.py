@@ -450,6 +450,12 @@ def cmd_oracle(problem, args, rep) -> int:
             rep.put(f"ideal_sphere.{name}", report.ideal_sphere_counts[key])
         return EXIT_OK
     if args.mode == "metric":
+        cube = sp.size ** 3
+        triples = cube if cube <= oracle.DEFAULT_TRIPLE_BUDGET else oracle.DEFAULT_SAMPLES
+        if triples > args.budget:
+            raise BudgetExceededError(
+                f"metric check of {triples} triples exceeds budget {args.budget}"
+            )
         report = oracle.verify_metric(sp, seed=args.seed)
         rep.say(
             ("exhaustive" if report.exhaustive else "sampled")

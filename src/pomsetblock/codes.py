@@ -4,11 +4,13 @@ weight distributions.
 
 Spans, duals, linearity and parity-block dependence all come from one
 diagonal form over Z_m, so they cost what they output rather than what the
-space holds.  Radius balls are listed from the block-weight tuples they
-contain.  Perfectness and error-correction checks are an exact census of the
-ball translates at the codewords, `space.translate_census`, which keys every
-vector by an integer; it is budget-guarded rather than approximate.
-`ball_code_intersection` walks whichever of the ball and the code is smaller.
+space holds.  Radius balls are listed sphere by sphere, over the ideals
+whose sphere sizes `balls.r_ball_cardinality` adds up, and never by
+filtering the space.  Perfectness and error-correction checks are an exact
+census of the ball translates at the codewords, `space.translate_census`,
+which keys every vector by an integer; it is budget-guarded rather than
+approximate.  `ball_code_intersection` walks whichever of the ball and the
+code is smaller.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from functools import cached_property
 from .balls import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    I_sphere_cardinality,
     _ball_block_choices,
     _counts_of,
     _require_ideal,
@@ -29,8 +32,7 @@ from .balls import (
     lee_ball_residues,
     lee_ball_size,
 )
-from .mset import ShapeError
-from .pomset import Ideal, enumerate_root_downsets
+from .pomset import Ideal, enumerate_ideals, enumerate_root_downsets
 from .space import (
     Space,
     Vector,
@@ -201,11 +203,8 @@ def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
     The span is the direct sum of the cyclic modules of d[t]*Vinv[t] from
     the diagonal form, so the budget counts its codewords.
     """
-    norm = tuple(tuple(operator.index(x) % space.m for x in row) for row in rows)
-    for row in norm:
-        if len(row) != space.n:
-            raise ShapeError(f"generator row of length {len(row)}, expected {space.n}")
     m = space.m
+    norm = tuple(_check_words(space, [[operator.index(x) % m for x in row] for row in rows]))
     d, _, vinv = _diagonal(norm, space.n, m)
     gens = [tuple(dt * x % m for x in row) for dt, row in zip(d, vinv)]
     return _budgeted_code(space, gens, budget, "span", generator=norm)
@@ -293,59 +292,41 @@ def is_I_perfect(c: Code, i: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
 def _r_ball_coords(sp: Space, r: int, budget: int):
     """Members of the radius-r ball about zero, in lexicographic order.
 
-    The ball is the disjoint union, over the block-weight tuples whose
-    generated ideal has at most r elements, of the products of each
-    block's residue tuples of exactly that weight.  A depth-first walk over
-    the blocks finds the tuples and cuts a branch once the closure exceeds
-    r (closure size is monotone).  Each tuple holds at least one member, so
-    counting members as the walk goes stops it within about budget * s
-    closures once the ball outgrows the budget.
+    The ball is the disjoint union of the I-spheres of the ideals with at
+    most r elements, whose sizes `r_ball_cardinality` adds up.  A sphere is
+    a product of per-block tables: a maximal block of count c takes the
+    residue tuples of Lee weight exactly c, a block below another present
+    block takes every tuple, and every other block is zero.  The sphere
+    sizes are added up before any member is listed, so a ball past the
+    budget costs only the ideals of its first few cardinalities.
     """
     _check_radius(sp, r)
-    closure, m, s = sp.pomset.closure_counts, sp.m, sp.s
-    # Residue tuples of length k whose largest Lee weight is exactly w.
-    exact = {
-        (k, w): lee_ball_size(m, w) ** k - (lee_ball_size(m, w - 1) ** k if w else 0)
-        for k in set(sp.labeling)
-        for w in range(sp.height + 1)
-    }
-    tuples = []
-    weights = [0] * s
+    ideals = []
     size = 0
-
-    def walk(j: int) -> None:
-        nonlocal size
-        if j == s:
-            size += math.prod(exact[kw] for kw in zip(sp.labeling, weights))
+    for card in range(r + 1):
+        for i in enumerate_ideals(sp.pomset, card):
+            size += I_sphere_cardinality(sp, i)
             if size > budget:
-                raise BudgetExceededError(
-                    f"radius-{r} ball exceeds {budget} vectors"
-                )
-            tuples.append(tuple(weights))
-            return
-        for w in range(sp.height + 1):
-            weights[j] = w
-            if w and sum(closure(tuple(weights))) > r:
-                break
-            walk(j + 1)
-        weights[j] = 0
-
-    walk(0)
-    # One exact-weight table per block size, for the weights the ball uses.
+                raise BudgetExceededError(f"radius-{r} ball exceeds {budget} vectors")
+            ideals.append(i)
+    m = sp.m
+    # Block tuples of weight lo..c, keyed (k, lo, c); lo is c on a maximal
+    # block and 0 elsewhere (a zero block has c = 0, a lower block c = h).
     tables = {}
-    for k, w in {kw for ws in tuples for kw in zip(sp.labeling, ws)}:
-        tables[k, w] = [
-            t
-            for t in itertools.product(lee_ball_residues(m, w), repeat=k)
-            if block_weight(t, m) == w
-        ]
-    members = [
-        sum(parts, ())
-        for ws in tuples
-        for parts in itertools.product(
-            *(tables[k, w] for k, w in zip(sp.labeling, ws))
-        )
-    ]
+    members = []
+    for i in ideals:
+        maximal = i.maximal_elements
+        parts = []
+        for t, (c, k) in enumerate(zip(i.counts, sp.labeling), start=1):
+            lo = c if t in maximal else 0
+            if (k, lo, c) not in tables:
+                tables[k, lo, c] = [
+                    x
+                    for x in itertools.product(lee_ball_residues(m, c), repeat=k)
+                    if block_weight(x, m) >= lo
+                ]
+            parts.append(tables[k, lo, c])
+        members += (sum(p, ()) for p in itertools.product(*parts))
     members.sort()
     return members
 
@@ -506,18 +487,17 @@ def block_dependency_witnesses(c: Code) -> tuple[int, list[frozenset[int]]]:
     m = sp.m
     # Zero rows leave every kernel unchanged.
     h = [b for b in _dual_generators(c) if any(b)]
-    witnesses = []
-    # Downsets come by size, so the first witness fixes the size to list.
-    for down in sp.pomset.downsets:
-        if witnesses and len(down) > len(witnesses[0]):
-            break
+
+    def dependent(down: frozenset[int]) -> bool:
         cols = [t for i in sorted(down) for t in range(*sp.block_bounds[i - 1])]
         d, _, _ = _diagonal([[row[t] for t in cols] for row in h], len(cols), m)
-        if any(math.gcd(x, m) > 1 for x in d):
-            witnesses.append(down)
-    if not witnesses:
-        raise InternalInconsistencyError("no dependent block set found")
-    return len(witnesses[0]), witnesses
+        return any(math.gcd(x, m) > 1 for x in d)
+
+    for size in range(1, sp.s + 1):
+        witnesses = list(filter(dependent, sp.pomset.downsets_of_size(size)))
+        if witnesses:
+            return size, witnesses
+    raise InternalInconsistencyError("no dependent block set found")
 
 
 def block_dependency_threshold(c: Code) -> int:

@@ -106,25 +106,36 @@ class Pomset:
         return {i: frozenset(v) for i, v in out.items()}
 
     @cached_property
-    def downsets(self) -> tuple[frozenset[int], ...]:
-        """All downward-closed subsets of the ground set, canonically ordered.
+    def _downset_levels(self) -> list[tuple[frozenset[int], ...]]:
+        """Downsets by size, grown by `downsets_of_size` as far as asked."""
+        return [(frozenset(),)]
 
-        Walks a linear extension (fewer elements below comes first), keeping
-        the downsets of each prefix: every one stays, and those already
-        holding everything below the next element also gain it.  Each
-        prefix downset extends to a whole one, so the walk costs
-        O(s * #downsets) rather than 2^s (cf. Squire, "Enumerating the
-        ideals of a poset", 1995).  Order: by size, then by sorted elements.
+    def downsets_of_size(self, size: int) -> tuple[frozenset[int], ...]:
+        """The downward-closed subsets with `size` elements, by sorted elements.
+
+        A downset of size j+1 is one of size j plus an element outside it
+        whose lower elements it holds, so each level grows from the one
+        below.  Levels are built only as far as asked and cached on the
+        order, so listing small downsets of a wide order stays cheap.
         """
+        if not 0 <= size <= self.ground_size:
+            raise ValueError(f"size {size} outside 0..{self.ground_size}")
+        levels = self._downset_levels
         below = self.strictly_below
-        found = [0]
-        for i in sorted(below, key=lambda i: len(below[i])):
-            need = sum(1 << j for j in below[i])
-            found += [d | 1 << i for d in found if d & need == need]
-        elements = range(1, self.ground_size + 1)
-        members = [tuple(i for i in elements if d >> i & 1) for d in found]
-        members.sort(key=lambda t: (len(t), t))
-        return tuple(frozenset(t) for t in members)
+        while len(levels) <= size:
+            grown = {
+                d | {i} for d in levels[-1] for i in below
+                if i not in d and below[i] <= d
+            }
+            levels.append(tuple(sorted(grown, key=sorted)))
+        return levels[size]
+
+    @property
+    def downsets(self) -> tuple[frozenset[int], ...]:
+        """All downward-closed subsets, by size and then by sorted elements."""
+        return tuple(itertools.chain.from_iterable(
+            map(self.downsets_of_size, range(self.ground_size + 1))
+        ))
 
     @property
     def is_chain(self) -> bool:
@@ -227,9 +238,7 @@ def ideal_generated(p: Pomset, s: Mset) -> Ideal:
 
 def enumerate_root_downsets(p: Pomset, size: int) -> list[frozenset[int]]:
     """All downward-closed subsets of the given size (root sets of ideals)."""
-    if not 0 <= size <= p.ground_size:
-        raise ValueError(f"size {size} outside 0..{p.ground_size}")
-    return [d for d in p.downsets if len(d) == size]
+    return list(p.downsets_of_size(size))
 
 
 def _compositions(total: int, parts: int, cap: int):
@@ -291,14 +300,15 @@ def all_ideals(p: Pomset) -> list[Ideal]:
 def enumerate_ideals(p: Pomset, r: int) -> list[Ideal]:
     """All ideals of cardinality r, sorted lexicographically by count vector.
 
-    Costs O(#downsets + output): downsets that cannot weigh r are skipped,
-    and the others generate only the ideals of cardinality r.
+    Only downsets of ceil(r/height)..r elements can weigh r, and each
+    generates only the ideals of cardinality r, so the cost is
+    O(downsets of at most r elements + output).
     """
     if not 0 <= r <= p.ground_size * p.height:
         raise ValueError(f"cardinality {r} outside 0..{p.ground_size * p.height}")
     out = []
-    for down in p.downsets:
-        if len(down) <= r <= p.height * len(down):
+    for size in range(-(-r // p.height), min(r, p.ground_size) + 1):
+        for down in p.downsets_of_size(size):
             out += _ideals_on(p, down, r)
     out.sort(key=lambda i: i.counts)
     return out

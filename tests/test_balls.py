@@ -15,7 +15,13 @@ from pomsetblock.balls import (
     r_ball_cardinality,
 )
 from pomsetblock.mset import Mset, ShapeError
-from pomsetblock.pomset import Ideal, Pomset, all_ideals, enumerate_ideals
+from pomsetblock.pomset import (
+    Ideal,
+    Pomset,
+    all_ideals,
+    enumerate_ideals,
+    enumerate_root_downsets,
+)
 from pomsetblock.space import Space
 
 
@@ -91,6 +97,16 @@ def test_r_ball_cardinality():
         assert r_ball_cardinality(sp, sp.max_weight) == sp.size
     with pytest.raises(ValueError):
         r_ball_cardinality(Z5_11, 5)
+
+
+def test_small_layers_of_a_wide_order_build_only_small_downsets():
+    # A 30-block antichain has 2^30 downsets; the layers asked for here
+    # need only those with at most two elements.
+    sp = make_space(5, [], (1,) * 30)
+    p = sp.pomset
+    assert len(enumerate_root_downsets(p, 2)) == 435
+    assert len(enumerate_ideals(p, 2)) == 465  # 435 pairs at 1,1 and 30 at 2
+    assert r_ball_cardinality(sp, 1) == 61
 
 
 def test_enumerate_I_ball_matches_formula_and_membership():

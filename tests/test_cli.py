@@ -227,6 +227,17 @@ def test_oracle_commands():
     assert pairs["check.sphere-formula"] == "pass"
 
 
+def test_oracle_metric_honours_the_budget():
+    # 25 vectors: the exhaustive check runs 25^3 = 15625 triples.
+    status, out = invoke("oracle", "metric", "--budget", "0", fixture_path("perfect_r1_z5"))
+    assert status == 3
+    assert kv(out)["error"] == "budget"
+    assert "metric check of 15625 triples exceeds budget 0" in out
+    status, out = invoke("oracle", "metric", "--budget", "15625", "--machine",
+                         fixture_path("perfect_r1_z5"))
+    assert status == 0 and kv(out)["triples"] == "15625"
+
+
 def test_input_errors():
     status, out = invoke("weight", "/nonexistent.json", "--vector", "0")
     assert status == 2

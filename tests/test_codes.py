@@ -57,6 +57,8 @@ def test_span_generator():
     assert zero.codewords == ((0,),)
     with pytest.raises(ShapeError):
         span_generator(sp, [[1, 2]])
+    with pytest.raises(ShapeError, match="expected 1 coordinates, got 0"):
+        span_generator(sp, [[3], []])
 
 
 def test_min_distance_fixtures():

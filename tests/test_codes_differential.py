@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
-from pomsetblock.balls import BudgetExceededError, in_I_ball
+from pomsetblock.balls import BudgetExceededError, in_I_ball, r_ball_cardinality
 from pomsetblock.codes import (
     Code,
     _r_ball_coords,
@@ -135,7 +135,9 @@ def ordered_spaces(draw, max_vectors=2500):
 def test_r_ball_lists_the_weight_filter_in_its_order(space):
     for r in range(space.max_weight + 1):
         expected = [co for co in space.iter_coords() if space.coords_weight(co) <= r]
-        assert _r_ball_coords(space, r, space.size) == expected
+        listed = _r_ball_coords(space, r, space.size)
+        assert listed == expected
+        assert len(listed) == r_ball_cardinality(space, r)
 
 
 @bounded(150)
@@ -167,17 +169,26 @@ def test_block_dependency_is_the_least_downsets_holding_a_codeword(space, seed):
 
 
 def test_r_ball_walk_stops_at_the_budget(monkeypatch):
-    # 5^24 vectors and a radius-12 ball of about 3e8 members; the walk must
-    # give up after a few closures per block, not after listing the ball.
+    # 5^24 vectors and a radius-12 ball of about 3e8 members; the spheres
+    # of cardinality 0 and 1 already hold 49 > 10, so the lister must stop
+    # at downset level 1, weighing no vector and building no later level.
     space = Space(5, Pomset.from_relations(24, 2, []), (1,) * 24)
-    calls = []
-    closure = Pomset.closure_counts
-    monkeypatch.setattr(
-        Pomset, "closure_counts", lambda self, w: calls.append(1) or closure(self, w)
-    )
+    levels = []
+    level = Pomset.downsets_of_size
+
+    def guarded_level(self, size):
+        assert size <= 1, f"downset level {size} built"
+        levels.append(size)
+        return level(self, size)
+
+    def no_closure(self, weights):
+        raise AssertionError("the lister weighed a vector")
+
+    monkeypatch.setattr(Pomset, "downsets_of_size", guarded_level)
+    monkeypatch.setattr(Pomset, "closure_counts", no_closure)
     with pytest.raises(BudgetExceededError):
         _r_ball_coords(space, 12, 10)
-    assert len(calls) <= 2 * 11 * 24
+    assert sorted(set(levels)) == [0, 1]
 
 
 @bounded(150)

@@ -71,9 +71,15 @@ def closure_of(p, counts):
 
 
 @bounded(60)
-@given(orders())
-def test_downsets_match_subset_filter(p):
-    assert p.downsets == subset_filter_downsets(p)
+@given(orders(), SEEDS)
+def test_downsets_match_subset_filter(p, seed):
+    expected = subset_filter_downsets(p)
+    # Shuffled sizes make the level cache grow out of order.
+    sizes = list(range(p.ground_size + 1))
+    random.Random(seed).shuffle(sizes)
+    for j in sizes:
+        assert p.downsets_of_size(j) == tuple(d for d in expected if len(d) == j)
+    assert p.downsets == expected
 
 
 @bounded(60)
