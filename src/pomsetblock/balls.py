@@ -138,24 +138,24 @@ def _ball_block_choices(space: Space, counts: tuple[int, ...], center=None):
     return [sorted((a + r) % m for r in rs) for a, rs in zip(center, choices)]
 
 
-def _ball_product(space: Space, i: Ideal, budget: int, center=None):
-    """The I-ball's members about a center (zero if None), within the budget."""
+def _ball_box(space: Space, i: Ideal, budget: int, center=None):
+    """The I-ball's residue lists about a center (zero if None), within the budget."""
     size = I_ball_cardinality(space, i)
     if size > budget:
         raise BudgetExceededError(f"I-ball of size {size} exceeds budget {budget}")
-    return itertools.product(*_ball_block_choices(space, i.counts, center))
+    return _ball_block_choices(space, i.counts, center)
 
 
 def iter_I_ball_coords(space: Space, i: Ideal, budget: int = DEFAULT_BUDGET):
     """Coordinate tuples of the origin-centered I-ball, lexicographic order."""
-    return _ball_product(space, i, budget)
+    return itertools.product(*_ball_box(space, i, budget))
 
 
 def enumerate_I_ball(
     u: Vector, i: Ideal, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
     """Coordinate tuples of the I-ball centered at u, lexicographic order."""
-    return list(_ball_product(u.space, i, budget, u.coords))
+    return list(itertools.product(*_ball_box(u.space, i, budget, u.coords)))
 
 
 def partition_centers(

@@ -3,7 +3,8 @@ or verification, and emit a human-readable report followed by greppable
 key=value lines.
 
 Exit codes: 0 computed or verified true, 1 check evaluated false (report
-carries a witness), 2 input error, 3 enumeration budget exceeded.
+carries a witness), 2 input error, 3 enumeration budget exceeded; `main`
+exits 141, as a filter killed by SIGPIPE does, when its reader closes early.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -130,32 +132,6 @@ def problem_from_dict(doc: dict) -> Problem:
 def load_problem(path: str) -> Problem:
     with open(path, "r", encoding="utf-8") as fh:
         return problem_from_dict(json.load(fh))
-
-
-def problem_to_dict(p: Problem) -> dict:
-    """Canonical document: closed relation set, sorted, codewords ordered."""
-    doc: dict = {
-        "m": p.space.m,
-        "pomset": {
-            "s": p.space.s,
-            "relations": [list(pair) for pair in sorted(p.space.pomset.order)],
-        },
-        "labeling": list(p.space.labeling),
-    }
-    if p.code is not None:
-        if p.code.generator is not None:
-            doc["code"] = {"generator": [list(r) for r in p.code.generator]}
-        else:
-            doc["code"] = {"codewords": [list(w) for w in p.code.codewords]}
-    if p.ideal is not None:
-        doc["ideal"] = {"counts": list(p.ideal.counts)}
-    if p.radius is not None:
-        doc["radius"] = p.radius
-    return doc
-
-
-def canonical_json(p: Problem) -> str:
-    return json.dumps(problem_to_dict(p), sort_keys=True, indent=2) + "\n"
 
 
 class Report:
@@ -599,7 +575,15 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early, as `| head` does.  Exit as a filter killed
+        # by SIGPIPE would, with stdout on devnull so the final flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 128 + 13
+    sys.exit(status)
 
 
 if __name__ == "__main__":

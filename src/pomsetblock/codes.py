@@ -4,13 +4,14 @@ weight distributions.
 
 Spans, duals, linearity and parity-block dependence all come from one
 diagonal form over Z_m, so they cost what they output rather than what the
-space holds.  Radius balls are listed sphere by sphere, over the ideals
-whose sphere sizes `balls.r_ball_cardinality` adds up, and never by
-filtering the space.  Perfectness and error-correction checks are an exact
-census of the ball translates at the codewords, `space.translate_census`,
-which keys every vector by an integer; it is budget-guarded rather than
-approximate.  `ball_code_intersection` walks whichever of the ball and the
-code is smaller.
+space holds.  Perfectness and error-correction checks are an exact census
+of the ball translates at the codewords, `space.translate_census`, which
+takes the ball as boxes of per-coordinate residue lists and keys every
+vector by an integer; it is budget-guarded rather than approximate.  An
+I-ball is one box, and a radius ball splits into disjoint boxes sphere by
+sphere, so no ball is listed member by member or found by filtering the
+space.  `ball_code_intersection` walks whichever of the ball and the code
+is smaller.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .balls import (
     BudgetExceededError,
     I_sphere_cardinality,
     _ball_block_choices,
+    _ball_box,
     _counts_of,
     _require_ideal,
-    iter_I_ball_coords,
     lee_ball_residues,
     lee_ball_size,
 )
@@ -39,7 +40,6 @@ from .space import (
     _check_radius,
     _check_space,
     _check_words,
-    block_weight,
     translate_census,
 )
 
@@ -264,16 +264,21 @@ class CheckResult:
         return self.ok
 
 
-def _ball_census(c: Code, ball_coords, budget: int, require_cover: bool) -> CheckResult:
-    """Tally ball translates at every codeword; exact and deterministic."""
+def _ball_census(c: Code, boxes, budget: int, require_cover: bool) -> CheckResult:
+    """Tally ball translates at every codeword; exact and deterministic.
+
+    The ball about zero is the union of a list of residue-list boxes, and
+    the budget counts their members: the ball's size, as every caller's
+    boxes are disjoint.
+    """
     sp = c.space
-    ball = list(ball_coords)
-    if c.size * len(ball) > budget or (require_cover and sp.size > budget):
+    size = sum(math.prod(map(len, box)) for box in boxes)
+    if c.size * size > budget or (require_cover and sp.size > budget):
         raise BudgetExceededError(
-            f"census of {c.size} x {len(ball)} memberships over a space of "
+            f"census of {c.size} x {size} memberships over a space of "
             f"{sp.size} vectors exceeds budget {budget}"
         )
-    hit = translate_census(sp, c.codewords, ball, require_cover)
+    hit = translate_census(sp, c.codewords, boxes, require_cover)
     if hit is None:
         return CheckResult(True)
     x, shared = hit
@@ -282,7 +287,7 @@ def _ball_census(c: Code, ball_coords, budget: int, require_cover: bool) -> Chec
 
 
 def check_I_perfect(c: Code, i: Ideal, budget: int = DEFAULT_BUDGET) -> CheckResult:
-    return _ball_census(c, iter_I_ball_coords(c.space, i, budget), budget, True)
+    return _ball_census(c, [_ball_box(c.space, i, budget)], budget, True)
 
 
 def is_I_perfect(c: Code, i: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
@@ -290,15 +295,15 @@ def is_I_perfect(c: Code, i: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def _r_ball_coords(sp: Space, r: int, budget: int):
-    """Members of the radius-r ball about zero, in lexicographic order.
+    """The radius-r ball about zero, as disjoint boxes for `translate_census`.
 
     The ball is the disjoint union of the I-spheres of the ideals with at
-    most r elements, whose sizes `r_ball_cardinality` adds up.  A sphere is
-    a product of per-block tables: a maximal block of count c takes the
-    residue tuples of Lee weight exactly c, a block below another present
-    block takes every tuple, and every other block is zero.  The sphere
-    sizes are added up before any member is listed, so a ball past the
-    budget costs only the ideals of its first few cardinalities.
+    most r elements, whose sizes (`r_ball_cardinality`'s terms) are summed
+    before any box is built, so a ball past the budget costs only the ideals
+    of its first few cardinalities.  In an I-sphere each coordinate of a
+    block with count c has Lee weight at most c, and a maximal block has
+    weight exactly c: it splits into one box per choice of its first
+    coordinate of weight c, the ones before it weighing less.
     """
     _check_radius(sp, r)
     ideals = []
@@ -310,25 +315,17 @@ def _r_ball_coords(sp: Space, r: int, budget: int):
                 raise BudgetExceededError(f"radius-{r} ball exceeds {budget} vectors")
             ideals.append(i)
     m = sp.m
-    # Block tuples of weight lo..c, keyed (k, lo, c); lo is c on a maximal
-    # block and 0 elsewhere (a zero block has c = 0, a lower block c = h).
-    tables = {}
-    members = []
+    at_most = [lee_ball_residues(m, c) for c in range(m // 2 + 1)]
+    boxes = []
     for i in ideals:
-        maximal = i.maximal_elements
-        parts = []
-        for t, (c, k) in enumerate(zip(i.counts, sp.labeling), start=1):
-            lo = c if t in maximal else 0
-            if (k, lo, c) not in tables:
-                tables[k, lo, c] = [
-                    x
-                    for x in itertools.product(lee_ball_residues(m, c), repeat=k)
-                    if block_weight(x, m) >= lo
-                ]
-            parts.append(tables[k, lo, c])
-        members += (sum(p, ()) for p in itertools.product(*parts))
-    members.sort()
-    return members
+        ball = [at_most[c] for c, k in zip(i.counts, sp.labeling) for _ in range(k)]
+        top = [(i.counts[t - 1], *sp.block_bounds[t - 1]) for t in i.maximal_elements]
+        for firsts in itertools.product(*(range(lo, hi) for _, lo, hi in top)):
+            box = ball.copy()
+            for (c, lo, _), j in zip(top, firsts):
+                box[lo : j + 1] = [at_most[c - 1]] * (j - lo) + [sorted({c, m - c})]
+            boxes.append(box)
+    return boxes
 
 
 def _census_ball(c: Code, r: int, budget: int):

@@ -355,8 +355,8 @@ def _check_partition_tiling(space, ideals, budget):
         if len(centers) != expected:
             bad = f"ideal {i}: center count {len(centers)} != {expected}"
             break
-        ball = balls.iter_I_ball_coords(space, i, budget)
-        if translate_census(space, centers, ball, cover=True):
+        box = balls._ball_box(space, i, budget)
+        if translate_census(space, centers, [box], cover=True):
             bad = f"ideal {i}: translates do not tile"
             break
     return _outcome("partition-tiling", bad, "all ideals")

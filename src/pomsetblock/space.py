@@ -3,11 +3,14 @@
 Coordinates are grouped into one block per ordered ground-set element; a
 block weighs as the maximum Lee weight of its coordinates, and the weight
 of a vector is the cardinality of the order ideal generated by its block
-support.  All values are immutable.
+support.  All values are immutable.  `translate_census` decides whether
+the translates of a ball, given as a union of residue-list boxes, overlap
+or tile the space.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -162,60 +165,56 @@ class Vector:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
 
 
-def translate_census(space: Space, centers, offsets, cover: bool):
-    """First vector where the translates c + o of the offsets fail to tile.
+def translate_census(space: Space, centers, boxes, cover: bool):
+    """First vector where the translates c + B of a ball B fail to tile.
 
-    The centers are walked in order and each center's offsets in order; the
-    answer is `(x, True)` for the first vector x an earlier translate
-    already reached.  With `cover`, disjoint translates must also reach
-    every vector, and the answer is `(x, False)` for the lexicographically
-    first vector none reaches.  `None` means the translates are pairwise
-    disjoint (and, with `cover`, tile the space).  Centers and offsets are
-    reduced coordinate tuples; the offsets must be distinct.
+    B is the union of the `boxes`, each n per-coordinate residue lists whose
+    product it holds; boxes may overlap.  Walking the centers (reduced
+    coordinate tuples) in order, the answer is `(x, True)` for the first
+    whose translate meets an earlier one, x being that center plus the
+    lexicographically least offset of B already reached.  With `cover`,
+    disjoint translates must also reach every vector, and the answer is
+    `(x, False)` for the lexicographically first vector none reaches.
+    `None` means the translates are disjoint (with `cover`, a tiling).
 
-    A vector is keyed by its big-endian base-m value, so numeric order is
-    lexicographic order (Knuth, TAOCP 4A 7.2.1.1).  The key splits at
-    coordinate n // 2 into a head and a tail part, each tabled once per
-    pair of a distinct center part and a distinct offset part, so one
-    membership costs one integer addition.  Only addition mod m is used.
+    A vector's key is its big-endian base-m value, so numeric order is
+    lexicographic order (Knuth, TAOCP 4A 7.2.1.1).  The key of c + b is the
+    key of c plus the deltas ((c_t + b_t) mod m - c_t)*m^(n-1-t) at the
+    coordinates t where the box is not 0, tabled once per coordinate,
+    residue list and c_t: about one integer addition per member.
     """
     m, n = space.m, space.n
-    offsets = list(offsets)
-    if len(set(offsets)) != len(offsets):
-        raise ValueError("translate offsets must be distinct")
-    cut = n // 2
 
-    def part(lo: int, hi: int, scale: int):
-        """Key parts of coordinates lo..hi-1 of c + o, one per offset."""
-        distinct: dict[tuple[int, ...], int] = {}
-        index = [distinct.setdefault(o[lo:hi], len(distinct)) for o in offsets]
-        tables: dict[tuple[int, ...], list[int]] = {}
+    @functools.cache
+    def deltas(t: int, rs: tuple[int, ...]) -> list[list[int]]:
+        """Per c_t, the key deltas of the residues rs at coordinate t."""
+        return [[((a + r) % m - a) * m ** (n - 1 - t) for r in rs] for a in range(m)]
 
-        def keys(c):
-            own = c[lo:hi]
-            table = tables.get(own)
-            if table is None:
-                table = tables[own] = []
-                for q in distinct:
-                    k = 0
-                    for a, b in zip(own, q):
-                        k = k * m + (a + b) % m
-                    table.append(k * scale)
-            return map(table.__getitem__, index)
+    # Per box, (t, deltas) for each coordinate t where the box is not 0.
+    tables = [
+        [(t, deltas(t, tuple(rs))) for t, rs in enumerate(box) if any(rs)]
+        for box in boxes
+    ]
 
-        return keys
+    def keys(c) -> list[int]:
+        """Keys of c + b, b in each box in turn; a key repeats where boxes overlap."""
+        found, base = [], sum(a * m ** (n - 1 - t) for t, a in enumerate(c))
+        for steps in tables:
+            part = [base]
+            for t, row in steps:
+                part = [x + d for d in row[c[t]] for x in part]
+            found += part
+        return found
 
-    head_keys = part(0, cut, m ** (n - cut))
-    tail_keys = part(cut, n, 1)
     seen: set[int] = set()
     for c in centers:
-        keys = list(map(operator.add, head_keys(c), tail_keys(c)))
-        if seen.isdisjoint(keys):
-            seen.update(keys)
+        own = keys(c)
+        if seen.isdisjoint(own):
+            seen.update(own)
             continue
-        # One center's translates are pairwise distinct, so the first of its
-        # keys already seen is the first repeat of a center-major walk.
-        return _decode(next(k for k in keys if k in seen), m, n), True
+        # The keys about zero are the offsets' own, listed in the same order.
+        _, first = min((o, k) for k, o in zip(own, keys((0,) * n)) if k in seen)
+        return _decode(first, m, n), True
     if not cover or len(seen) == m ** n:
         return None
     return _decode(next(k for k in itertools.count() if k not in seen), m, n), False

@@ -1,17 +1,21 @@
 """Differential tests of `space.translate_census`, the integer-keyed census
 behind every perfectness check and the oracle's tiling check, against a
-reference copy of the tuple-per-membership loop it replaced.
+tuple-per-membership loop.
 
-Hypothesis runs derandomized, without an example database and with a
-bounded number of examples, so the suite stays deterministic and quick.
+The ball is given as boxes, each n per-coordinate residue lists whose
+product it holds; boxes may repeat and overlap, and the ball is their
+union.  Hypothesis runs derandomized, without an example database and with
+a bounded number of examples, so the suite stays deterministic and quick.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pomsetblock.balls import BudgetExceededError
 from pomsetblock.codes import Code, _ball_census
 from pomsetblock.pomset import Pomset
 from pomsetblock.space import Space, translate_census
@@ -20,9 +24,16 @@ OVERLAP = "vector covered by two balls"
 UNCOVERED = "vector covered by no ball"
 
 
-def tuple_loop(m, n, centers, offsets, cover):
-    """Reference: one fresh tuple per (center, offset) pair, then a scan of
-    the space in lexicographic order for the first vector never reached."""
+def union(boxes):
+    """The members of the boxes' union, in lexicographic order."""
+    return sorted({o for box in boxes for o in itertools.product(*box)})
+
+
+def tuple_loop(m, n, centers, boxes, cover):
+    """Reference: one fresh tuple per (center, offset) pair, each center's
+    offsets walked in lexicographic order, then a scan of the space in
+    lexicographic order for the first vector never reached."""
+    offsets = union(boxes)
     seen = set()
     for c in centers:
         for o in offsets:
@@ -38,14 +49,21 @@ def tuple_loop(m, n, centers, offsets, cover):
     return None
 
 
+def sub_box(rng, box):
+    """A box inside the given one: a nonempty sample of each residue list."""
+    return [rng.sample(rs, rng.randint(1, len(rs))) for rs in box]
+
+
 @st.composite
 def translates(draw):
-    """A space Z_m^n (m in 2..9, n in 1..4) with centers and distinct offsets.
+    """A space Z_m^n (m in 2..9, n in 1..4) with centers and a ball of boxes.
 
     Half the cases are a tiling (a product of per-coordinate subgroups
     translated by their cosets), possibly with centers dropped, one center
-    moved or one center repeated; the rest are random vectors, which
-    overlap more often than not.  Centers and offsets are shuffled.
+    moved or one center repeated; the tiling box comes with a repeat of
+    itself or a box inside it, which leaves the union alone.  The rest are
+    one to three random boxes, which overlap more often than not.  Centers
+    and residue lists are shuffled.
     """
     m = draw(st.integers(2, 9))
     n = draw(st.integers(1, 4))
@@ -56,7 +74,8 @@ def translates(draw):
     everything = list(itertools.product(range(m), repeat=n))
     if draw(st.booleans()):
         steps = [rng.choice([d for d in range(1, m + 1) if m % d == 0]) for _ in range(n)]
-        offsets = list(itertools.product(*(range(d) for d in steps)))
+        box = [list(range(d)) for d in steps]
+        boxes = [box, draw(st.sampled_from((box, sub_box(rng, box))))]
         centers = list(itertools.product(*(range(0, m, d) for d in steps)))
         tamper = draw(st.sampled_from(("none", "drop", "move", "repeat")))
         if tamper == "drop" and len(centers) > 1:
@@ -67,32 +86,32 @@ def translates(draw):
             j, k = rng.sample(range(len(centers)), 2)
             centers[j] = centers[k]
     else:
-        offsets = rng.sample(everything, rng.randint(1, min(len(everything), 40)))
+        boxes = [
+            [rng.sample(range(m), rng.randint(1, m)) for _ in range(n)]
+            for _ in range(rng.randint(1, 3))
+        ]
         centers = rng.sample(everything, rng.randint(1, min(len(everything), 40)))
-    rng.shuffle(offsets)
+    boxes = [[rng.sample(rs, len(rs)) for rs in box] for box in boxes]
     rng.shuffle(centers)
-    return space, centers, offsets
+    return space, centers, boxes
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(translates(), st.booleans())
 def test_translate_census_matches_the_tuple_loop(case, cover):
-    space, centers, offsets = case
+    space, centers, boxes = case
     m, n = space.m, space.n
-    hit = translate_census(space, centers, offsets, cover)
+    hit = translate_census(space, centers, boxes, cover)
     got = None if hit is None else (hit[0], OVERLAP if hit[1] else UNCOVERED)
-    assert got == tuple_loop(m, n, centers, offsets, cover)
-    # Through the perfectness census, whose codewords are sorted and distinct.
+    assert got == tuple_loop(m, n, centers, boxes, cover)
+    # Through the perfectness census, whose codewords are sorted and distinct;
+    # its budget counts the members the boxes list, overlaps included.
     code = Code.from_codewords(space, centers)
-    result = _ball_census(code, offsets, space.size * len(offsets), cover)
-    expected = tuple_loop(m, n, code.codewords, offsets, cover)
+    size = sum(math.prod(map(len, box)) for box in boxes)
+    result = _ball_census(code, boxes, space.size * size, cover)
+    expected = tuple_loop(m, n, code.codewords, boxes, cover)
     assert result.ok == (expected is None)
     if expected is not None:
         assert (result.witness, result.reason) == expected
-
-
-def test_translate_census_requires_distinct_offsets():
-    # A repeated offset would hide an overlap inside one center's translates.
-    space = Space(5, Pomset.from_relations(2, 2, []), (1, 1))
-    with pytest.raises(ValueError, match="distinct"):
-        translate_census(space, [(0, 0)], [(0, 1), (0, 1)], False)
+    with pytest.raises(BudgetExceededError, match=f"x {size} memberships"):
+        _ball_census(code, boxes, code.size * size - 1, False)

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pomsetblock import cli
-from pomsetblock.cli import canonical_json, load_problem, problem_from_dict, run
+from pomsetblock.cli import load_problem, run
 from pomsetblock.fixtures import NAMES, fixture_path
 
 
@@ -306,14 +310,6 @@ def test_every_fixture_loads():
         assert problem.space.size >= 4
 
 
-def test_round_trip_is_canonical():
-    for name in NAMES:
-        problem = load_problem(fixture_path(name))
-        text = canonical_json(problem)
-        reparsed = problem_from_dict(json.loads(text))
-        assert canonical_json(reparsed) == text
-
-
 def test_signed_vectors_accepted():
     status, out = invoke("weight", fixture_path("perfect_r1_z5"), "--vector=-1,0")
     assert status == 0
@@ -502,3 +498,25 @@ def test_one_parser_serves_every_request(monkeypatch, capsys):
     assert shared[0] == shared[3] and shared[0][1] == "mode=radius\nperfect=true\n"
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert outcomes() == shared
+
+
+def test_main_exits_quietly_when_its_reader_closes(tmp_path):
+    # As in `pomsetblock downsets --machine --size 1 wide.json | head -1`,
+    # with the reader gone before the first line is written.
+    wide = tmp_path / "antichain24.json"
+    wide.write_text(json.dumps({"m": 5, "pomset": {"s": 24, "relations": []},
+                                "labeling": [1] * 24}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from pomsetblock.cli import main; main()",
+         "downsets", "--machine", "--size", "1", str(wide)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    status = proc.wait(timeout=60)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert status not in (cli.EXIT_OK, cli.EXIT_FALSE)
