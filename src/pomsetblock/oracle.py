@@ -5,17 +5,29 @@ block supports, generated ideals, and raw coordinate scans.  The closed
 forms being certified (ball and sphere cardinalities, tiling centers) are
 only ever invoked on the comparison side of a check, so agreement between
 the two routes is meaningful evidence rather than a tautology.
+
+The whole-space scans still reach every vector, block by block: per block,
+each residue tuple is weighed once, in lexicographic order, and the product
+over blocks walks the space in lexicographic order.  The census tallies the
+block-weight tuples of that walk.  The duality check makes one such walk for
+every full-count ideal at once, keying each vector by its block weights and
+its inner products with every ball's generators, and decides each ideal per
+distinct key.  A full-count ball listed as the whole space is not spanned,
+since the unit vectors it holds generate it.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import balls
 from .balls import BudgetExceededError, PartitionImpossibleError
 from .pomset import all_ideals, dual_pomset, ideal_complement
-from .space import Space, translate_census
+from .space import Space, block_weight, translate_census
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
 DEFAULT_PAIR_BUDGET = 10 ** 6
@@ -44,20 +56,44 @@ class CensusReport:
         return full == self.total and by_ideal == self.total
 
 
+def _block_weights(space: Space) -> list[list[int]]:
+    """Per block, the weights of its residue tuples in lexicographic order.
+
+    A block of k coordinates lists `itertools.product(range(m), repeat=k)`.
+    The product over blocks of those listings is every vector of the space
+    in lexicographic order (Knuth, TAOCP 4A 7.2.1.1), so the product of the
+    weight lists gives each vector's block weights in that order, and a
+    whole-space scan weighs each block tuple once rather than each vector.
+    """
+    m = space.m
+    return [
+        [block_weight(x, m) for x in itertools.product(range(m), repeat=k)]
+        for k in space.labeling
+    ]
+
+
 def weight_census(space: Space, budget: int = DEFAULT_SCAN_BUDGET) -> CensusReport:
-    """Scan every vector, recording its weight and its generated ideal."""
+    """Scan every vector, recording its weight and its generated ideal.
+
+    The product of the per-block weight lists gives every vector's block
+    weights; they are tallied per distinct tuple, and each tuple's
+    generated ideal is taken once.  The tuples are met in the order of
+    their first vector, so both dicts are filled in the order a
+    vector-by-vector scan would fill them.
+    """
     if space.size > budget:
         raise BudgetExceededError(
             f"space of size {space.size} exceeds budget {budget}"
         )
+    weights = _block_weights(space)
     sphere_counts: dict[int, int] = {}
     ideal_counts: dict[tuple[int, ...], int] = {}
-    for coords in space.iter_coords():
-        key = space.weight_counts(coords)
+    for bw, count in Counter(itertools.product(*weights)).items():
+        key = space.pomset.closure_counts(bw)
         w = sum(key)
         if w:
-            sphere_counts[w] = sphere_counts.get(w, 0) + 1
-        ideal_counts[key] = ideal_counts.get(key, 0) + 1
+            sphere_counts[w] = sphere_counts.get(w, 0) + count
+        ideal_counts[key] = ideal_counts.get(key, 0) + count
     return CensusReport(space, sphere_counts, ideal_counts, space.size)
 
 
@@ -270,58 +306,109 @@ def _generated(members, m):
 
 
 def _ball_span(space, i):
-    """Generators of the I-ball's span, the ball's size and the span's size.
+    """Generators of the I-ball's span, the ball's size, and whether it is closed.
 
     The ball is listed once, in lexicographic order, which yields fewer
-    generators than set order does.  Only the counts and the generators
-    outlive the call, so no listing meets the previous ball's sets.
+    generators than set order does.  A listing equal to the whole space is
+    not spanned: the unit vectors it holds generate it.  Only the counts and
+    the generators outlive the call.
     """
     members = list(balls.iter_I_ball_coords(space, i))
-    size = len(set(members))
+    inside = set(members)
+    if len(inside) == space.size and inside.issuperset(space.iter_coords()):
+        n = space.n
+        units = [tuple(int(t == u) for t in range(n)) for u in range(n)]
+        return units, len(inside), True
     gens, span = _generated(members, space.m)
-    return gens, size, len(span)
+    return gens, len(inside), span == inside
 
 
 def _check_full_count_balls(space, ideals):
     """The submodule and duality outcomes, from one span per full-count ball.
 
-    A finite subset of Z_m^n is a submodule iff it equals its span, and the
-    span holds the members, so equal sizes decide it.  Ann(B) = Ann(<B>) by
-    bilinearity, so the duality scan tests the space against the span's
-    generators alone; it is skipped where |ball| * m^n exceeds the budget.
+    A finite subset of Z_m^n is a submodule iff it equals its span.
+    Ann(B) = Ann(<B>) by bilinearity, so the duality check needs the span's
+    generators alone, and one scan serves every ideal it checks.  An ideal
+    is skipped where |ball| * m^n exceeds the pair budget, a rule from when
+    each ideal rescanned the space, kept so the output stays as it was; it
+    also holds that scan to m^n <= the pair budget.
     """
     m = space.m
-    dual_space = Space(m, dual_pomset(space.pomset), space.labeling)
-    closure = duality = None
+    closure = None
+    checked = []
     skipped = 0
     for i in ideals:
-        if not i.is_full_count or (closure and duality):
+        if not i.is_full_count:
             continue
-        gens, size, spanned = _ball_span(space, i)
+        gens, size, closed = _ball_span(space, i)
         if i.cardinality and not closure:
             expected = m ** sum(space.labeling[t - 1] for t in i.root_set)
             if size != expected:
                 closure = f"ideal {i}: size"
-            elif spanned != size:
+            elif not closed:
                 closure = f"ideal {i}: closure"
-        if duality:
-            continue
         if size * space.size > DEFAULT_PAIR_BUDGET:
             skipped += 1
-            continue
-        # Neither set outlives the comparison: the empty ideal's annihilator
-        # is the whole space.
-        comp = ideal_complement(space.pomset, i)
-        if set(balls.iter_I_ball_coords(dual_space, comp)) != {
-            coords
-            for coords in space.iter_coords()
-            if all(sum(x * y for x, y in zip(coords, b)) % m == 0 for b in gens)
-        }:
-            duality = f"mismatch at ideal {i}"
+        else:
+            checked.append((i, gens))
     return (
         _outcome("full-ball-submodule", closure, "all full-count ideals"),
-        _outcome("ball-duality", duality, "all full-count ideals", skipped, "ideals"),
+        _outcome("ball-duality", _first_dual_mismatch(space, checked),
+                 "all full-count ideals", skipped, "ideals"),
     )
+
+
+def _first_dual_mismatch(space, checked):
+    """Failure detail at the first ideal whose annihilator is not B_{I^c}.
+
+    `checked` pairs each ideal with its ball's generators.  One scan keys
+    every vector by its block weights and by its inner products with all
+    the generators, packed into one int: a block's product with a generator
+    is reduced mod m and added in the generator's digit of base s(m-1)+1,
+    so the s block sums never carry.  A key annihilates an ideal's
+    generators iff those digits are 0 mod m; it lies in the dual order's
+    ball B_{I^c} iff the dual closure of its block weights fits inside the
+    complement.  Each ideal is decided per distinct key, not per vector.
+    """
+    if not checked:
+        return None
+    m = space.m
+    gens = [g for _, ideal_gens in checked for g in ideal_gens]
+    base = space.s * (m - 1) + 1
+    scales = [base ** j for j in range(len(gens))]
+    packed = []
+    for lo, hi in space.block_bounds:
+        parts = [g[lo:hi] for g in gens]
+        packed.append([
+            sum(sum(map(operator.mul, block, part)) % m * scale
+                for part, scale in zip(parts, scales))
+            for block in itertools.product(range(m), repeat=hi - lo)
+        ])
+    # Each distinct key as (generators it fails to annihilate, block weights).
+    found = set()
+    for total, bw in set(zip(map(sum, itertools.product(*packed)),
+                             itertools.product(*_block_weights(space)))):
+        fails = j = 0
+        while total:
+            total, digit = divmod(total, base)
+            if digit % m:
+                fails |= 1 << j
+            j += 1
+        found.add((fails, bw))
+    dual = dual_pomset(space.pomset)
+    closures = {bw: dual.closure_counts(bw) for _, bw in found}
+    lo = 0
+    for i, ideal_gens in checked:
+        hi = lo + len(ideal_gens)
+        need = (1 << hi) - (1 << lo)
+        lo = hi
+        comp = ideal_complement(space.pomset, i).counts
+        if any(
+            (not fails & need) != _submset(closures[bw], comp)
+            for fails, bw in found
+        ):
+            return f"mismatch at ideal {i}"
+    return None
 
 
 def _check_partition_tiling(space, ideals, budget):

@@ -104,10 +104,6 @@ class Space:
         """All coordinate tuples in lexicographic order."""
         return itertools.product(range(self.m), repeat=self.n)
 
-    def iter_vectors(self):
-        for coords in self.iter_coords():
-            yield Vector(self, coords)
-
     def block_weights(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Per-block maximum Lee weight of a raw coordinate tuple."""
         m = self.m
@@ -156,10 +152,6 @@ class Vector:
         return Vector(
             self.space, tuple((x - y) % m for x, y in zip(self.coords, other.coords))
         )
-
-    def __neg__(self) -> "Vector":
-        m = self.space.m
-        return Vector(self.space, tuple((-x) % m for x in self.coords))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from pomsetblock import balls
 from pomsetblock.balls import BudgetExceededError
 from pomsetblock.oracle import (
+    DEFAULT_PAIR_BUDGET,
+    _check_full_count_balls,
     _generated,
     verify_formula_suite,
     verify_metric,
     weight_census,
 )
-from pomsetblock.pomset import Ideal, Pomset, dual_pomset
+from pomsetblock.pomset import Ideal, Pomset, all_ideals, dual_pomset, ideal_complement
 from pomsetblock.space import Space
 
 
@@ -186,6 +188,64 @@ def test_formula_suite_detects_a_wrong_dual_ball(monkeypatch):
     assert "ball-duality" in {c.name for c in report.failures}
 
 
+@pytest.mark.parametrize("tamper", ["duplicate", "out of range"])
+def test_a_tampered_whole_space_listing_fails_the_submodule_check(monkeypatch, tamper):
+    # A listing as large as the space is spanned unless it equals the space,
+    # so neither a repeated member nor a stray tuple passes as the space.
+    original = balls.iter_I_ball_coords
+
+    def tampered(space, ideal, *args, **kwargs):
+        members = list(original(space, ideal, *args, **kwargs))
+        if len(members) == space.size:
+            members[-1] = members[0] if tamper == "duplicate" else (space.m,) * space.n
+        return iter(members)
+
+    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", tampered)
+    sp = make_space(5, [(1, 2)], (1, 1))
+    top = all_ideals(sp.pomset)[-1]
+    failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
+    why = "size" if tamper == "duplicate" else "closure"
+    assert failed["full-ball-submodule"] == f"ideal {top}: {why}"
+
+
+def test_ball_duality_names_the_one_ideal_with_a_wrong_complement(monkeypatch):
+    # 64 vectors, so every full-count ideal's duality is checked in the one
+    # scan; a wrong complement for any one of them must be reported as it.
+    sp = make_space(4, [(1, 2)], (1, 1, 1))
+    targets = [i for i in all_ideals(sp.pomset) if i.is_full_count and i.cardinality]
+    assert len(targets) == 5
+    for target in targets:
+        def tampered(p, ideal, target=target):
+            comp = ideal_complement(p, ideal)
+            if ideal != target:
+                return comp
+            wrong = 0 if any(comp.counts) else p.height
+            return Ideal(dual_pomset(p), (wrong,) * p.ground_size)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("pomsetblock.oracle.ideal_complement", tampered)
+            failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
+        assert failed == {"ball-duality": f"mismatch at ideal {target}"}
+
+
+def test_ball_duality_reduces_inner_products_summed_over_blocks(monkeypatch):
+    # The top ball listed as the line through (4, 1): its annihilator is the
+    # line through (1, 1), where the blocks' products 4 and 1 sum to 5, which
+    # is 0 mod 5 but not 0; that line is not the dual ball {0}.
+    original = balls.iter_I_ball_coords
+
+    def line(space, ideal, *args, **kwargs):
+        if len(list(original(space, ideal))) == space.size:
+            return iter([(4 * a % 5, a) for a in range(5)])
+        return original(space, ideal, *args, **kwargs)
+
+    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", line)
+    sp = make_space(5, [], (1, 1))
+    top = all_ideals(sp.pomset)[-1]
+    failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
+    assert failed["ball-duality"] == f"mismatch at ideal {top}"
+
+
 def tamper_centers(monkeypatch, tamper):
     """Make `partition_centers` return a tampered list of the right length."""
     original = balls.partition_centers
@@ -292,3 +352,120 @@ def test_generated_matches_brute_force(case):
     assert set(gens) <= set(members) <= span
     assert annihilator(m, n, gens) == annihilator(m, n, members)
     assert is_subgroup(m, n, members) == (span == set(members))
+
+
+@st.composite
+def small_spaces(draw, cap):
+    """A space over Z_m, m in 2..9, with at most `cap` vectors in at most
+    three blocks, ordered by pairs oriented along a random permutation."""
+    m = draw(st.integers(2, 9))
+    n = draw(st.integers(1, max(k for k in range(1, cap) if m ** k <= cap)))
+    s = draw(st.integers(1, min(n, 3)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), min_size=s - 1, max_size=s - 1)))
+    labeling = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+    perm = draw(st.permutations(range(1, s + 1)))
+    pairs = [
+        (perm[a], perm[b])
+        for a in range(s)
+        for b in range(a + 1, s)
+        if draw(st.booleans())
+    ]
+    return Space(m, Pomset.from_relations(s, m // 2, pairs), labeling)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(small_spaces(3000))
+def test_census_matches_a_vector_by_vector_scan(space):
+    spheres, ideals = {}, {}
+    for coords in space.iter_coords():
+        key = space.weight_counts(coords)
+        if sum(key):
+            spheres[sum(key)] = spheres.get(sum(key), 0) + 1
+        ideals[key] = ideals.get(key, 0) + 1
+    report = weight_census(space)
+    # Equal as lists, so the key order of both dicts is pinned too.
+    assert list(report.sphere_counts.items()) == list(spheres.items())
+    assert list(report.ideal_sphere_counts.items()) == list(ideals.items())
+    assert report.total == space.size
+
+
+def reference_full_count_checks(space, lister, complement):
+    """Per-ideal reference for the submodule and duality outcomes.
+
+    Each full-count ball comes from `lister`; it is a submodule iff it lies
+    in Z_m^n and is closed under addition, and its annihilator (over all
+    members, not generators) must be the dual order's ball of the ideal's
+    `complement`, as `balls.iter_I_ball_coords` lists it.
+    """
+    m, n = space.m, space.n
+    whole = set(itertools.product(range(m), repeat=n))
+    dual_space = Space(m, dual_pomset(space.pomset), space.labeling)
+    closure = duality = None
+    skipped = 0
+    for i in all_ideals(space.pomset):
+        if not i.is_full_count:
+            continue
+        members = set(lister(space, i))
+        if i.cardinality and closure is None:
+            expected = m ** sum(k for k, c in zip(space.labeling, i.counts) if c)
+            if len(members) != expected:
+                closure = f"ideal {i}: size"
+            elif not (members <= whole and is_subgroup(m, n, members)):
+                closure = f"ideal {i}: closure"
+        if len(members) * space.size > DEFAULT_PAIR_BUDGET:
+            skipped += 1
+        elif duality is None:
+            comp = complement(space.pomset, i)
+            dual_ball = set(balls.iter_I_ball_coords(dual_space, comp))
+            if dual_ball != annihilator(m, n, members):
+                duality = f"mismatch at ideal {i}"
+    return (
+        ("fail", closure) if closure else ("pass", "all full-count ideals"),
+        ("fail", duality) if duality
+        else ("skip", f"{skipped} ideals over budget") if skipped
+        else ("pass", "all full-count ideals"),
+    )
+
+
+@st.composite
+def tampered_spaces(draw):
+    """A small space, and at most one change for one full-count ideal: a
+    complement taken from another ideal, one listed member replaced by a
+    tuple whose coordinates may be m (out of range) or repeat a member, or
+    the ball listed in reverse, which spans it from generators that cross
+    blocks, so inner products sum to multiples of m across blocks."""
+    space = draw(small_spaces(150))
+    full = [i for i in all_ideals(space.pomset) if i.is_full_count]
+    target = draw(st.sampled_from(full))
+    fault = draw(st.sampled_from([None, "complement", "member", "reversed"]))
+    other = draw(st.sampled_from(full))
+    where = draw(st.integers(0, space.size - 1))
+    stray = draw(st.tuples(*[st.integers(0, space.m)] * space.n))
+    return space, target, fault, other, where, stray
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(tampered_spaces())
+def test_full_count_checks_match_a_per_ideal_reference(case):
+    space, target, fault, other, where, stray = case
+    original_lister, original_complement = balls.iter_I_ball_coords, ideal_complement
+
+    def lister(sp, ideal, *args, **kwargs):
+        members = list(original_lister(sp, ideal, *args, **kwargs))
+        if sp == space and ideal == target:
+            if fault == "member":
+                members[where % len(members)] = stray
+            elif fault == "reversed":
+                members.reverse()
+        return iter(members)
+
+    def complement(p, ideal):
+        return original_complement(p, other if fault == "complement" and ideal == target else ideal)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
+        patch.setattr("pomsetblock.oracle.ideal_complement", complement)
+        outcomes = _check_full_count_balls(space, all_ideals(space.pomset))
+    expected = reference_full_count_checks(space, lister, complement)
+    assert [c.name for c in outcomes] == ["full-ball-submodule", "ball-duality"]
+    assert [(c.status, c.detail) for c in outcomes] == list(expected)

@@ -74,7 +74,7 @@ def test_metric_axioms_small_exhaustive():
         make_space(5, [], (2,)),
         make_space(3, [(1, 2)], (1, 2)),
     ):
-        vecs = list(sp.iter_vectors())
+        vecs = [sp.vector(c) for c in sp.iter_coords()]
         for u in vecs:
             for v in vecs:
                 d = distance(u, v)
@@ -118,7 +118,7 @@ def test_vector_normalization_and_blocks():
     assert v.coords == (5, 1, 0)
     assert v.block(1) == (5, 1)
     assert v.block(2) == (0,)
-    assert (-v).coords == (1, 5, 0)
+    assert (sp.zero() - v).coords == (1, 5, 0)
 
 
 def test_space_validation():
