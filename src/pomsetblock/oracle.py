@@ -33,6 +33,9 @@ DEFAULT_SCAN_BUDGET = 10 ** 7
 DEFAULT_PAIR_BUDGET = 10 ** 6
 DEFAULT_TRIPLE_BUDGET = 10 ** 5
 DEFAULT_SAMPLES = 10 ** 5
+# Block-weight tuples the metric kernel remembers; beyond them it recomputes,
+# so a wide space's memo stays a few MB.
+METRIC_MEMO_LIMIT = 1 << 13
 
 
 @dataclass
@@ -108,6 +111,36 @@ class MetricReport:
         return self.passed
 
 
+def _metric_kernel(space: Space):
+    """The pomset block distance d(a, b) = w(a - b), tabled once per space.
+
+    `lee[x][y]` is the Lee weight of x - y, so one table lookup per
+    coordinate gives the difference's Lee weights without building the
+    difference.  A block weighs as the maximum over its slice of those, and
+    the weight is the size of the ideal the block weights generate, remembered
+    per block-weight tuple for the first `METRIC_MEMO_LIMIT` tuples met.
+    """
+    m = space.m
+    lee = [[min((x - y) % m, (y - x) % m) for y in range(m)] for x in range(m)]
+    row = lee.__getitem__
+    at = list.__getitem__
+    blocks = [slice(lo, hi) for lo, hi in space.block_bounds]
+    closure = space.pomset.closure_counts
+    memo: dict[tuple[int, ...], int] = {}
+
+    def distance(a, b):
+        d = list(map(at, map(row, a), b))
+        bw = tuple(map(max, map(d.__getitem__, blocks)))
+        w = memo.get(bw)
+        if w is None:
+            w = sum(closure(bw))
+            if len(memo) < METRIC_MEMO_LIMIT:
+                memo[bw] = w
+        return w
+
+    return distance
+
+
 def verify_metric(
     space: Space,
     triple_budget: int = DEFAULT_TRIPLE_BUDGET,
@@ -118,13 +151,17 @@ def verify_metric(
     """Check identity, symmetry and the triangle inequality.
 
     Exhaustive over all triples when (m^n)^3 fits the budget, otherwise a
-    seeded uniform sample of `samples` triples.  An alternative distance
-    can be injected to confirm the check has teeth.
+    seeded uniform sample of `samples` triples, each sliced into u, v and w
+    from one draw of 3n residues.  A sampled triple checks d(u, u) = 0,
+    d(u, v) = 0 iff u = v, d(u, v) = d(v, u) and d(u, v) <= d(u, w) + d(w, v).
+    The default distance is `_metric_kernel`, built from definitions alone;
+    another one, taking two coordinate tuples, can be injected to confirm
+    the check has teeth.  A sample count below 1 is a ValueError.
     """
-    m = space.m
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if distance_fn is None:
-        def distance_fn(a, b):
-            return space.coords_weight(tuple((x - y) % m for x, y in zip(a, b)))
+        distance_fn = _metric_kernel(space)
 
     size = space.size
     if size ** 3 <= triple_budget:
@@ -148,12 +185,12 @@ def verify_metric(
                         return MetricReport(False, True, size ** 3, ("triangle", u, v, w))
         return MetricReport(True, True, size ** 3)
 
-    rng = random.Random(seed)
+    choices = random.Random(seed).choices
+    residues = range(space.m)
     n = space.n
     for i in range(samples):
-        u = tuple(rng.randrange(m) for _ in range(n))
-        v = tuple(rng.randrange(m) for _ in range(n))
-        w = tuple(rng.randrange(m) for _ in range(n))
+        draw = tuple(choices(residues, k=3 * n))
+        u, v, w = draw[:n], draw[n:2 * n], draw[2 * n:]
         duv = distance_fn(u, v)
         if (duv == 0) != (u == v) or distance_fn(u, u) != 0:
             return MetricReport(False, False, i + 1, ("identity", u, v, None))

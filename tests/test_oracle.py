@@ -79,6 +79,47 @@ def test_metric_negative_control():
     assert axiom in ("symmetry", "identity", "triangle")
 
 
+@pytest.mark.parametrize("samples", [-3, 0])
+def test_metric_rejects_sample_counts_below_one(samples):
+    sp = make_space(5, [], (1, 1, 1))
+    with pytest.raises(ValueError, match=f"got {samples}$"):
+        verify_metric(sp, samples=samples)
+
+
+# 125 vectors: 125^3 triples exceed the default triple budget, so sampled.
+SAMPLED = make_space(5, [], (1, 1, 1))
+
+
+def lee_sum(a, b):
+    """The Lee distance, which is the weight on a unit-block antichain."""
+    return sum(min((x - y) % 5, (y - x) % 5) for x, y in zip(a, b))
+
+
+def test_sampled_negative_control_breaks_symmetry():
+    # Zero exactly on the diagonal, but one more in one direction.
+    def skewed(a, b):
+        return lee_sum(a, b) + (a > b)
+
+    report = verify_metric(SAMPLED, distance_fn=skewed)
+    assert not report.passed and not report.exhaustive
+    axiom, u, v, w = report.counterexample
+    assert axiom == "symmetry" and w is None
+    assert skewed(u, v) != skewed(v, u)
+
+
+def test_sampled_negative_control_breaks_the_triangle_inequality():
+    # Squaring keeps identity and symmetry: 0-1-2 in one coordinate gives 4 > 1 + 1.
+    def squared(a, b):
+        return lee_sum(a, b) ** 2
+
+    report = verify_metric(SAMPLED, distance_fn=squared)
+    assert not report.passed and not report.exhaustive
+    assert 1 <= report.triples_checked < 10 ** 5
+    axiom, u, v, w = report.counterexample
+    assert axiom == "triangle"
+    assert squared(u, v) > squared(u, w) + squared(w, v)
+
+
 def test_metric_deterministic_sampling():
     sp = make_space(6, [], (2, 1))
     a = verify_metric(sp, seed=11, samples=500)
