@@ -113,13 +113,20 @@ def I_sphere_cardinality(space: Space, i: Ideal) -> int:
 
 
 def r_ball_cardinality(space: Space, r: int) -> int:
-    """Size of a radius-r ball: one plus all sphere sizes at cardinalities <= r."""
+    """Size of a radius-r ball: one plus all sphere sizes at cardinalities <= r.
+
+    The sizes are prefix sums kept on the space: each call adds the spheres
+    of only the cardinalities no earlier call reached, so a sweep over every
+    radius sums each sphere once and a repeated radius is a lookup.
+    """
     _check_radius(space, r)
-    total = 1
-    for card in range(1, r + 1):
-        for i in enumerate_ideals(space.pomset, card):
-            total += I_sphere_cardinality(space, i)
-    return total
+    levels = space._rball_levels
+    while len(levels) <= r:
+        levels.append(levels[-1] + sum(
+            I_sphere_cardinality(space, i)
+            for i in enumerate_ideals(space.pomset, len(levels))
+        ))
+    return levels[r]
 
 
 def _ball_block_choices(space: Space, counts: tuple[int, ...], center=None):

@@ -25,13 +25,13 @@ from functools import cached_property
 from .balls import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    I_sphere_cardinality,
     _ball_block_choices,
     _ball_box,
     _counts_of,
     _require_ideal,
     lee_ball_residues,
     lee_ball_size,
+    r_ball_cardinality,
 )
 from .pomset import Ideal, enumerate_ideals, enumerate_root_downsets
 from .space import (
@@ -298,22 +298,20 @@ def _r_ball_coords(sp: Space, r: int, budget: int):
     """The radius-r ball about zero, as disjoint boxes for `translate_census`.
 
     The ball is the disjoint union of the I-spheres of the ideals with at
-    most r elements, whose sizes (`r_ball_cardinality`'s terms) are summed
-    before any box is built, so a ball past the budget costs only the ideals
-    of its first few cardinalities.  In an I-sphere each coordinate of a
-    block with count c has Lee weight at most c, and a maximal block has
-    weight exactly c: it splits into one box per choice of its first
-    coordinate of weight c, the ones before it weighing less.
+    most r elements.  Its size is checked against the budget one radius at
+    a time, by `r_ball_cardinality`, before any box is built, so a ball past
+    the budget costs only the ideals of its first few cardinalities.  In an
+    I-sphere each coordinate of a block with count c has Lee weight at most
+    c, and a maximal block has weight exactly c: it splits into one box per
+    choice of its first coordinate of weight c, the ones before it weighing
+    less.
     """
     _check_radius(sp, r)
     ideals = []
-    size = 0
     for card in range(r + 1):
-        for i in enumerate_ideals(sp.pomset, card):
-            size += I_sphere_cardinality(sp, i)
-            if size > budget:
-                raise BudgetExceededError(f"radius-{r} ball exceeds {budget} vectors")
-            ideals.append(i)
+        if r_ball_cardinality(sp, card) > budget:
+            raise BudgetExceededError(f"radius-{r} ball exceeds {budget} vectors")
+        ideals += enumerate_ideals(sp.pomset, card)
     m = sp.m
     at_most = [lee_ball_residues(m, c) for c in range(m // 2 + 1)]
     boxes = []

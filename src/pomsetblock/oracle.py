@@ -299,9 +299,11 @@ def verify_formula_suite(
 
 
 def _check_rball_union(space, census, ideals):
+    layers = [[] for _ in range(space.max_weight + 1)]
+    for i in ideals:
+        layers[i.cardinality].append(i)
     skipped = 0
-    for r in range(space.max_weight + 1):
-        layer = [i for i in ideals if i.cardinality == r]
+    for r, layer in enumerate(layers):
         size = sum(balls.I_ball_cardinality(space, i) for i in layer)
         if size > DEFAULT_PAIR_BUDGET:
             skipped += 1

@@ -3,9 +3,11 @@
 Coordinates are grouped into one block per ordered ground-set element; a
 block weighs as the maximum Lee weight of its coordinates, and the weight
 of a vector is the cardinality of the order ideal generated by its block
-support.  All values are immutable.  `translate_census` decides whether
-the translates of a ball, given as a union of residue-list boxes, overlap
-or tile the space.
+support.  All values are immutable but for one lazy cache per space,
+`Space._rball_levels`: the radius-ball sizes `balls.r_ball_cardinality` has
+worked out so far, which never enter equality, hashing or repr.
+`translate_census` decides whether the translates of a ball, given as a
+union of residue-list boxes, overlap or tile the space.
 """
 
 from __future__ import annotations
@@ -83,6 +85,11 @@ class Space:
             bounds.append((start, start + k))
             start += k
         return tuple(bounds)
+
+    @cached_property
+    def _rball_levels(self) -> list[int]:
+        """Radius-ball sizes by radius, grown by `r_ball_cardinality` as far as asked."""
+        return [1]
 
     @property
     def max_weight(self) -> int:

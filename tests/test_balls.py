@@ -109,6 +109,36 @@ def test_small_layers_of_a_wide_order_build_only_small_downsets():
     assert r_ball_cardinality(sp, 1) == 61
 
 
+def test_radius_one_ball_of_a_wide_antichain_builds_only_small_downsets(monkeypatch):
+    # 5^24 vectors; the radius-1 ball is the zero vector plus 24 spheres of
+    # two vectors each, so only downset levels 0 and 1 are needed.
+    space = make_space(5, [], (1,) * 24)
+    levels = []
+    level = Pomset.downsets_of_size
+
+    def guarded_level(self, size):
+        assert size <= 1, f"downset level {size} built"
+        levels.append(size)
+        return level(self, size)
+
+    monkeypatch.setattr(Pomset, "downsets_of_size", guarded_level)
+    assert r_ball_cardinality(space, 1) == 49
+    assert r_ball_cardinality(space, 0) == 1
+    assert max(levels) == 1
+
+
+def test_radius_ball_cache_is_per_space_and_leaves_equality_hash_and_repr_alone():
+    p = Pomset.from_relations(3, 2, [(1, 2)])
+    queried, fresh, wider = Space(5, p, (2, 1, 1)), Space(5, p, (2, 1, 1)), Space(5, p, (2, 2, 1))
+    assert r_ball_cardinality(queried, queried.max_weight) == queried.size
+    assert queried == fresh and fresh == queried
+    assert hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh)
+    assert len({queried, fresh}) == 1
+    # Same order, other labeling: its sizes are its own.
+    assert r_ball_cardinality(wider, wider.max_weight) == wider.size
+
+
 def test_enumerate_I_ball_matches_formula_and_membership():
     for sp in (Z5_11, Z5_CHAIN, Z6_12, Z6_21):
         zero = sp.zero()

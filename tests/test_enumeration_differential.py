@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_pomset
 from pomsetblock.balls import I_sphere_cardinality, r_ball_cardinality
 from pomsetblock.oracle import weight_census
-from pomsetblock.pomset import Ideal, all_ideals, enumerate_ideals
+from pomsetblock.pomset import Ideal, Pomset, all_ideals, enumerate_ideals
 from pomsetblock.space import Space
 
 
@@ -108,3 +108,19 @@ def test_sphere_and_radius_ball_sizes_match_census(space):
         assert I_sphere_cardinality(space, i) == census.ideal_sphere_counts.get(i.counts, 0)
     for r in range(space.max_weight + 1):
         assert r_ball_cardinality(space, r) == census.ball_size(r)
+
+
+@bounded(30)
+@given(spaces(), SEEDS)
+def test_radius_ball_sizes_in_any_order_match_census_and_a_fresh_space(space, seed):
+    census = weight_census(space)
+    # Shuffled radii make the cached prefix sums grow out of order and then
+    # answer from the cache.
+    radii = list(range(space.max_weight + 1))
+    random.Random(seed).shuffle(radii)
+    for r in radii:
+        p = space.pomset
+        fresh = Space(space.m, Pomset(p.ground_size, p.height, p.order), space.labeling)
+        assert fresh == space
+        assert r_ball_cardinality(space, r) == census.ball_size(r)
+        assert r_ball_cardinality(fresh, r) == r_ball_cardinality(space, r)
