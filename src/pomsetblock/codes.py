@@ -31,7 +31,6 @@ from .balls import (
     _require_ideal,
     lee_ball_residues,
     lee_ball_size,
-    r_ball_cardinality,
 )
 from .pomset import Ideal, enumerate_ideals, enumerate_root_downsets
 from .space import (
@@ -269,11 +268,12 @@ def _ball_census(c: Code, boxes, budget: int, require_cover: bool) -> CheckResul
 
     The ball about zero is the union of a list of residue-list boxes, and
     the budget counts their members: the ball's size, as every caller's
-    boxes are disjoint.
+    boxes are disjoint.  |C| x |B| memberships also bound the cover check,
+    whose first gap lies among the first |C| x |B| + 1 keys.
     """
     sp = c.space
     size = sum(math.prod(map(len, box)) for box in boxes)
-    if c.size * size > budget or (require_cover and sp.size > budget):
+    if c.size * size > budget:
         raise BudgetExceededError(
             f"census of {c.size} x {size} memberships over a space of "
             f"{sp.size} vectors exceeds budget {budget}"
@@ -298,31 +298,30 @@ def _r_ball_coords(sp: Space, r: int, budget: int):
     """The radius-r ball about zero, as disjoint boxes for `translate_census`.
 
     The ball is the disjoint union of the I-spheres of the ideals with at
-    most r elements.  Its size is checked against the budget one radius at
-    a time, by `r_ball_cardinality`, before any box is built, so a ball past
-    the budget costs only the ideals of its first few cardinalities.  In an
-    I-sphere each coordinate of a block with count c has Lee weight at most
-    c, and a maximal block has weight exactly c: it splits into one box per
-    choice of its first coordinate of weight c, the ones before it weighing
-    less.
+    most r elements, listed one cardinality at a time.  The lister adds up
+    the size of every box it builds and stops once the total passes the
+    budget, so a ball past the budget costs only the ideals of its first
+    few cardinalities.  In an I-sphere each coordinate of a block with
+    count c has Lee weight at most c, and a maximal block has weight
+    exactly c: it splits into one box per choice of its first coordinate of
+    weight c, the ones before it weighing less.
     """
     _check_radius(sp, r)
-    ideals = []
-    for card in range(r + 1):
-        if r_ball_cardinality(sp, card) > budget:
-            raise BudgetExceededError(f"radius-{r} ball exceeds {budget} vectors")
-        ideals += enumerate_ideals(sp.pomset, card)
     m = sp.m
     at_most = [lee_ball_residues(m, c) for c in range(m // 2 + 1)]
-    boxes = []
-    for i in ideals:
-        ball = [at_most[c] for c, k in zip(i.counts, sp.labeling) for _ in range(k)]
-        top = [(i.counts[t - 1], *sp.block_bounds[t - 1]) for t in i.maximal_elements]
-        for firsts in itertools.product(*(range(lo, hi) for _, lo, hi in top)):
-            box = ball.copy()
-            for (c, lo, _), j in zip(top, firsts):
-                box[lo : j + 1] = [at_most[c - 1]] * (j - lo) + [sorted({c, m - c})]
-            boxes.append(box)
+    boxes, size = [], 0
+    for card in range(r + 1):
+        for i in enumerate_ideals(sp.pomset, card):
+            ball = [at_most[c] for c, k in zip(i.counts, sp.labeling) for _ in range(k)]
+            top = [(i.counts[t - 1], *sp.block_bounds[t - 1]) for t in i.maximal_elements]
+            for firsts in itertools.product(*(range(lo, hi) for _, lo, hi in top)):
+                box = ball.copy()
+                for (c, lo, _), j in zip(top, firsts):
+                    box[lo : j + 1] = [at_most[c - 1]] * (j - lo) + [sorted({c, m - c})]
+                boxes.append(box)
+                size += math.prod(map(len, box))
+            if size > budget:
+                raise BudgetExceededError(f"radius-{r} ball exceeds {budget} vectors")
     return boxes
 
 
@@ -338,13 +337,6 @@ def _census_ball(c: Code, r: int, budget: int):
 
 
 def check_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> CheckResult:
-    # A bad radius is an input error whatever the budget.  The cover check
-    # walks the whole space: reject before listing the ball.
-    _check_radius(c.space, r)
-    if c.space.size > budget:
-        raise BudgetExceededError(
-            f"space of size {c.space.size} exceeds budget {budget}"
-        )
     return _ball_census(c, _census_ball(c, r, budget), budget, True)
 
 

@@ -461,12 +461,18 @@ def test_radius_ball_budget_stops_the_listing(tmp_path):
                           "ball of more than 5 vectors exceeds budget 10\n")
 
 
-def test_radius_perfect_rejects_a_space_above_the_budget(tmp_path):
-    status, out = invoke("check-perfect", _wide_antichain(tmp_path), "--radius",
-                         "12", "--budget", "10")
+def test_radius_perfect_budgets_the_census_not_the_space(tmp_path):
+    # 5^24 vectors, but 2 translates of a 49-member radius-1 ball: the
+    # census answers, and its first gap is the least vector of weight 2.
+    path = _wide_antichain(tmp_path)
+    status, out = invoke("check-perfect", path, "--radius", "1", "--machine")
+    assert status == 1
+    assert kv(out)["perfect"] == "false"
+    assert kv(out)["witness"] == "0," * 23 + "2"
+    status, out = invoke("check-perfect", path, "--radius", "12", "--budget", "10")
     assert status == 3
-    assert out.startswith(f"# budget exceeded: space of size {5 ** 24} exceeds "
-                          "budget 10\n")
+    assert out.startswith("# budget exceeded: census of 2 codewords x a radius-12 "
+                          "ball of more than 5 vectors exceeds budget 10\n")
 
 
 def test_one_parser_serves_every_request(monkeypatch, capsys):

@@ -15,19 +15,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
-from pomsetblock.balls import BudgetExceededError, in_I_ball, r_ball_cardinality
+from pomsetblock import balls, codes
+from pomsetblock.balls import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    I_ball_cardinality,
+    in_I_ball,
+    r_ball_cardinality,
+)
 from pomsetblock.codes import (
     Code,
     _r_ball_coords,
     ball_code_intersection,
     block_dependency_threshold,
     block_dependency_witnesses,
+    check_I_perfect,
+    check_r_error_correcting,
+    check_r_perfect,
     dual_code,
     min_ideal_root_size,
     span_generator,
 )
 from pomsetblock.mset import Mset, ShapeError
-from pomsetblock.pomset import Ideal, Pomset, all_ideals
+from pomsetblock.pomset import Ideal, Pomset, all_ideals, enumerate_ideals
 from pomsetblock.space import Space
 
 
@@ -171,6 +181,33 @@ def test_block_dependency_is_the_least_downsets_holding_a_codeword(space, seed):
     assert block_dependency_threshold(code) == min_ideal_root_size(code) == least
 
 
+@bounded(120)
+@given(ordered_spaces(max_vectors=1200), SEEDS)
+def test_census_budget_counts_memberships_not_the_space(space, seed):
+    # Balls smaller than the space and codes with |C| x |B| < m^n: the
+    # census fits a budget of exactly |C| x |B| memberships, cover check
+    # included, and no budget below it.
+    rng = random.Random(seed)
+    i = rng.choice([i for i in all_ideals(space.pomset)
+                    if I_ball_cardinality(space, i) < space.size])
+    r = rng.choice([r for r in range(space.max_weight + 1)
+                    if r_ball_cardinality(space, r) < space.size])
+    i_size, r_size = I_ball_cardinality(space, i), r_ball_cardinality(space, r)
+    cases = [(check_I_perfect, i, i_size), (check_r_perfect, r, r_size),
+             (check_r_error_correcting, r, r_size)]
+    rows = divisor_scaled_rows(rng, space.m, space.n, rng.randint(0, 3))
+    room = (space.size - 1) // max(i_size, r_size)
+    words = rng.sample(list(space.iter_coords()), rng.randint(1, room))
+    for code in (span_generator(space, rows), Code.from_codewords(space, words)):
+        for check, ball, size in cases:
+            need = code.size * size
+            if need >= space.size:
+                continue
+            assert check(code, ball, need) == check(code, ball, DEFAULT_BUDGET)
+            with pytest.raises(BudgetExceededError):
+                check(code, ball, need - 1)
+
+
 def test_r_ball_walk_stops_at_the_budget(monkeypatch):
     # 5^24 vectors and a radius-12 ball of about 3e8 members; the spheres
     # of cardinality 0 and 1 already hold 49 > 10, so the lister must stop
@@ -192,6 +229,31 @@ def test_r_ball_walk_stops_at_the_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         _r_ball_coords(space, 12, 10)
     assert sorted(set(levels)) == [0, 1]
+
+
+def test_r_ball_lister_builds_each_ideal_once(monkeypatch):
+    # Ten unit blocks over Z_5 with covering pairs (1, 2) and (3, 4): the
+    # radius-6 ball takes every ideal of at most 6 elements, each built once
+    # and none sized by a sphere formula.
+    space = Space(5, Pomset.from_relations(10, 2, [(1, 2), (3, 4)]), (1,) * 10)
+    built = []
+
+    def counted(p, r):
+        ideals = enumerate_ideals(p, r)
+        built.extend(ideals)
+        return ideals
+
+    def no_sphere(space, i):
+        raise AssertionError("the lister sized a sphere")
+
+    for module in (codes, balls):
+        monkeypatch.setattr(module, "enumerate_ideals", counted)
+    monkeypatch.setattr(balls, "I_sphere_cardinality", no_sphere)
+    boxes = _r_ball_coords(space, 6, space.size)
+    expected = [i for i in all_ideals(space.pomset) if i.cardinality <= 6]
+    assert sorted(built, key=lambda i: i.counts) == sorted(expected, key=lambda i: i.counts)
+    assert len(built) == 2010
+    assert len(boxes) == 2010
 
 
 @bounded(150)
