@@ -97,6 +97,9 @@ def problem_from_dict(doc: dict) -> Problem:
     """Validate and assemble a problem from its JSON document."""
     doc = _object(doc, "problem")
     m = _integer(_required(doc, "m"), "m")
+    if m < 2:
+        # The order's height is m // 2, so name the modulus before deriving it.
+        raise ValueError(f"modulus must be at least 2, got {m}")
     pd = _object(_required(doc, "pomset"), "pomset")
     relations = _integer_rows(pd.get("relations", []), "pomset.relations")
     for j, pair in enumerate(relations):
@@ -331,21 +334,25 @@ def cmd_check_error_correcting(problem, args, rep) -> int:
                     "balls overlap")
 
 
-def cmd_check_mds(problem, args, rep) -> int:
+def _put_singleton_facts(problem, rep):
+    """Puts d, r, rhs and lhs of the code's Singleton bound and returns them."""
     d, r, lhs, rhs = codes.singleton_facts(_need_code(problem))
-    mds = lhs == rhs
-    rep.say(f"MDS: {'true' if mds else 'false'}, d={d}, rhs={rhs}")
     for key, value in (("d", d), ("r", r), ("rhs", rhs), ("lhs", lhs)):
         rep.put(key, value)
+    return d, r, lhs, rhs
+
+
+def cmd_check_mds(problem, args, rep) -> int:
+    d, r, lhs, rhs = _put_singleton_facts(problem, rep)
+    mds = lhs == rhs
+    rep.say(f"MDS: {'true' if mds else 'false'}, d={d}, rhs={rhs}")
     rep.put("mds", mds)
     return EXIT_OK if mds else EXIT_FALSE
 
 
 def cmd_singleton(problem, args, rep) -> int:
-    d, r, lhs, rhs = codes.singleton_facts(_need_code(problem))
+    d, r, lhs, rhs = _put_singleton_facts(problem, rep)
     rep.say(f"n - ceil(log_m K) = {lhs} >= {rhs} = max block sum at root size {r}")
-    for key, value in (("d", d), ("r", r), ("rhs", rhs), ("lhs", lhs)):
-        rep.put(key, value)
     rep.put("attained", lhs == rhs)
     return EXIT_OK
 

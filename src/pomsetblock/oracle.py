@@ -9,24 +9,23 @@ the two routes is meaningful evidence rather than a tautology.
 The whole-space scans still reach every vector, block by block: per block,
 each residue tuple is weighed once, in lexicographic order, and the product
 over blocks walks the space in lexicographic order.  The census tallies the
-block-weight tuples of that walk.  The duality check makes one such walk for
-every full-count ideal at once, keying each vector by its block weights and
-its inner products with every ball's generators, and decides each ideal per
-distinct key.  A full-count ball listed as the whole space is not spanned,
-since the unit vectors it holds generate it.
+block-weight tuples of that walk.  The full-count balls are checked one
+coordinate at a time: each listing's projections decide whether it is a
+product of subgroups of Z_m, and that product's annihilator is compared,
+block by block, with the dual order's ball of the complement.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 
 from . import balls
 from .balls import BudgetExceededError, PartitionImpossibleError
-from .pomset import all_ideals, dual_pomset, ideal_complement
+from .pomset import all_ideals, ideal_complement
 from .space import Space, block_weight, translate_census
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
@@ -316,138 +315,58 @@ def _check_rball_union(space, census, ideals):
     return _outcome("rball-union", None, "all radii", skipped, "radii")
 
 
-def _generated(members, m):
-    """Generators and additive span of non-empty members of Z_m^n.
-
-    The members are walked in order; each one outside the span so far
-    becomes a generator b, and the span H grows by the cosets H+b, H+2b,
-    ... until a multiple of b falls back into H.  Every element of the
-    span is produced by exactly one vector addition mod m, and the
-    generators span the same subgroup as the members.
-    """
-    gens = []
-    span = set()
-    for b in members:
-        if not span:
-            span.add((0,) * len(b))
-        if b in span:
-            continue
-        gens.append(b)
-        cosets = []
-        shift = b
-        while shift not in span:
-            cosets.extend(
-                tuple((x + y) % m for x, y in zip(h, shift)) for h in span
-            )
-            shift = tuple((x + y) % m for x, y in zip(shift, b))
-        span.update(cosets)
-    return gens, span
-
-
-def _ball_span(space, i):
-    """Generators of the I-ball's span, the ball's size, and whether it is closed.
-
-    The ball is listed once, in lexicographic order, which yields fewer
-    generators than set order does.  A listing equal to the whole space is
-    not spanned: the unit vectors it holds generate it.  Only the counts and
-    the generators outlive the call.
-    """
-    members = list(balls.iter_I_ball_coords(space, i))
-    inside = set(members)
-    if len(inside) == space.size and inside.issuperset(space.iter_coords()):
-        n = space.n
-        units = [tuple(int(t == u) for t in range(n)) for u in range(n)]
-        return units, len(inside), True
-    gens, span = _generated(members, space.m)
-    return gens, len(inside), span == inside
-
-
 def _check_full_count_balls(space, ideals):
-    """The submodule and duality outcomes, from one span per full-count ball.
+    """The submodule and duality outcomes, from each full-count ball's projections.
 
-    A finite subset of Z_m^n is a submodule iff it equals its span.
-    Ann(B) = Ann(<B>) by bilinearity, so the duality check needs the span's
-    generators alone, and one scan serves every ideal it checks.  An ideal
-    is skipped where |ball| * m^n exceeds the pair budget, a rule from when
-    each ideal rescanned the space, kept so the output stays as it was; it
-    also holds that scan to m^n <= the pair budget.
+    A full-count I-ball is every vector supported on the root blocks of I.
+    Its listing, with projections P_t and g_t = gcd(m, P_t), is that
+    submodule iff it has m^(root dims) members, as many as the product of
+    the P_t, and each P_t is the subgroup of multiples of g_t; it then is
+    the product.  The product's annihilator holds, coordinate by coordinate,
+    the a with g_t * a = 0 mod m, the multiples of m / g_t.  The dual order's
+    ball of the complement, an ideal of that order, holds block by block the
+    tuples weighing at most the complement's count, so the two products are
+    compared per block and nothing scans the space.  An ideal is skipped
+    where |ball| * m^n exceeds the pair budget, a rule from when each ideal
+    rescanned the space, kept so the output stays as it was.
     """
     m = space.m
-    closure = None
-    checked = []
+    blocks = [
+        (lo, hi, list(itertools.product(range(m), repeat=hi - lo)), weights)
+        for (lo, hi), weights in zip(space.block_bounds, _block_weights(space))
+    ]
+    closure = duality = None
     skipped = 0
     for i in ideals:
         if not i.is_full_count:
             continue
-        gens, size, closed = _ball_span(space, i)
+        members = set(balls.iter_I_ball_coords(space, i))
+        projections = [set(p) for p in zip(*members)]
+        gcds = [math.gcd(m, *p) for p in projections]
         if i.cardinality and not closure:
             expected = m ** sum(space.labeling[t - 1] for t in i.root_set)
-            if size != expected:
+            if len(members) != expected:
                 closure = f"ideal {i}: size"
-            elif not closed:
+            elif len(members) != math.prod(map(len, projections)) or any(
+                p != set(range(0, m, g)) for p, g in zip(projections, gcds)
+            ):
                 closure = f"ideal {i}: closure"
-        if size * space.size > DEFAULT_PAIR_BUDGET:
+        if len(members) * space.size > DEFAULT_PAIR_BUDGET:
             skipped += 1
-        else:
-            checked.append((i, gens))
+        elif not duality:
+            annihilator = [range(0, m, m // g) for g in gcds]
+            comp = ideal_complement(space.pomset, i).counts
+            # Both sides of a block are listed in lexicographic order.
+            if any(
+                list(itertools.product(*annihilator[lo:hi]))
+                != [x for x, w in zip(tuples, weights) if w <= c]
+                for (lo, hi, tuples, weights), c in zip(blocks, comp)
+            ):
+                duality = f"mismatch at ideal {i}"
     return (
         _outcome("full-ball-submodule", closure, "all full-count ideals"),
-        _outcome("ball-duality", _first_dual_mismatch(space, checked),
-                 "all full-count ideals", skipped, "ideals"),
+        _outcome("ball-duality", duality, "all full-count ideals", skipped, "ideals"),
     )
-
-
-def _first_dual_mismatch(space, checked):
-    """Failure detail at the first ideal whose annihilator is not B_{I^c}.
-
-    `checked` pairs each ideal with its ball's generators.  One scan keys
-    every vector by its block weights and by its inner products with all
-    the generators, packed into one int: a block's product with a generator
-    is reduced mod m and added in the generator's digit of base s(m-1)+1,
-    so the s block sums never carry.  A key annihilates an ideal's
-    generators iff those digits are 0 mod m; it lies in the dual order's
-    ball B_{I^c} iff the dual closure of its block weights fits inside the
-    complement.  Each ideal is decided per distinct key, not per vector.
-    """
-    if not checked:
-        return None
-    m = space.m
-    gens = [g for _, ideal_gens in checked for g in ideal_gens]
-    base = space.s * (m - 1) + 1
-    scales = [base ** j for j in range(len(gens))]
-    packed = []
-    for lo, hi in space.block_bounds:
-        parts = [g[lo:hi] for g in gens]
-        packed.append([
-            sum(sum(map(operator.mul, block, part)) % m * scale
-                for part, scale in zip(parts, scales))
-            for block in itertools.product(range(m), repeat=hi - lo)
-        ])
-    # Each distinct key as (generators it fails to annihilate, block weights).
-    found = set()
-    for total, bw in set(zip(map(sum, itertools.product(*packed)),
-                             itertools.product(*_block_weights(space)))):
-        fails = j = 0
-        while total:
-            total, digit = divmod(total, base)
-            if digit % m:
-                fails |= 1 << j
-            j += 1
-        found.add((fails, bw))
-    dual = dual_pomset(space.pomset)
-    closures = {bw: dual.closure_counts(bw) for _, bw in found}
-    lo = 0
-    for i, ideal_gens in checked:
-        hi = lo + len(ideal_gens)
-        need = (1 << hi) - (1 << lo)
-        lo = hi
-        comp = ideal_complement(space.pomset, i).counts
-        if any(
-            (not fails & need) != _submset(closures[bw], comp)
-            for fails, bw in found
-        ):
-            return f"mismatch at ideal {i}"
-    return None
 
 
 def _check_partition_tiling(space, ideals, budget):

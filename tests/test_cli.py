@@ -335,6 +335,10 @@ def test_malformed_numbers_rejected_naming_the_field(tmp_path):
     cases = [
         ({"m": 5.9}, "m must be an integer, got 5.9"),
         ({"m": True}, "m must be an integer, got true"),
+        # Named before the order's height m // 2 is derived from it.
+        ({"m": 1}, "modulus must be at least 2, got 1"),
+        ({"m": 0}, "modulus must be at least 2, got 0"),
+        ({"m": -3}, "modulus must be at least 2, got -3"),
         ({"pomset": {"s": 2.5}}, "pomset.s must be an integer, got 2.5"),
         ({"pomset": {"s": 2, "relations": [[True, 2]]}},
          "pomset.relations[0][0] must be an integer, got true"),

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +8,6 @@ from pomsetblock.balls import BudgetExceededError
 from pomsetblock.oracle import (
     DEFAULT_PAIR_BUDGET,
     _check_full_count_balls,
-    _generated,
     verify_formula_suite,
     verify_metric,
     weight_census,
@@ -271,8 +269,10 @@ def test_ball_duality_names_the_one_ideal_with_a_wrong_complement(monkeypatch):
 
 def test_ball_duality_reduces_inner_products_summed_over_blocks(monkeypatch):
     # The top ball listed as the line through (4, 1): its annihilator is the
-    # line through (1, 1), where the blocks' products 4 and 1 sum to 5, which
-    # is 0 mod 5 but not 0; that line is not the dual ball {0}.
+    # line through (1, 1), where the blocks' products 4 and 1 sum to 5.  The
+    # line is too small for the ball, and both projections are all of Z_5,
+    # whose product annihilates only {0}, the dual ball; so the size fails
+    # and duality, taken over the product, passes.
     original = balls.iter_I_ball_coords
 
     def line(space, ideal, *args, **kwargs):
@@ -283,8 +283,30 @@ def test_ball_duality_reduces_inner_products_summed_over_blocks(monkeypatch):
     monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", line)
     sp = make_space(5, [], (1, 1))
     top = all_ideals(sp.pomset)[-1]
+    outcomes = {c.name: (c.status, c.detail) for c in verify_formula_suite(sp).checks}
+    assert outcomes["full-ball-submodule"] == ("fail", f"ideal {top}: size")
+    assert outcomes["ball-duality"] == ("pass", "all full-count ideals")
+
+
+def test_a_product_of_subgroups_of_the_right_size_fails_only_duality(monkeypatch):
+    # Over Z_4, the ball of (2, 0) is Z_4 x {0}; listed as {0, 2} x {0, 2} it
+    # has the right size and is a product of subgroups, so only its
+    # annihilator {0, 2} x {0, 2}, not the dual ball {0} x Z_4, gives it away.
+    # The radius-2 union, which holds that listing, loses its size too.
+    original = balls.iter_I_ball_coords
+
+    def halves(space, ideal, *args, **kwargs):
+        if ideal.counts == (2, 0):
+            return iter(itertools.product((0, 2), repeat=2))
+        return original(space, ideal, *args, **kwargs)
+
+    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", halves)
+    sp = make_space(4, [], (1, 1))
     failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
-    assert failed["ball-duality"] == f"mismatch at ideal {top}"
+    assert failed == {
+        "rball-union": "mismatch at r=2",
+        "ball-duality": "mismatch at ideal {2/1}",
+    }
 
 
 def tamper_centers(monkeypatch, tamper):
@@ -336,21 +358,6 @@ def test_formula_suite_fails_when_a_divisible_ideal_refuses_to_tile(monkeypatch)
     assert failed["partition-tiling"].endswith(": divisibility error raised")
 
 
-def additive_closure(m, n, vectors):
-    """Reference: every sum of members, by a breadth-first walk from zero."""
-    zero = (0,) * n
-    reached = {zero}
-    frontier = [zero]
-    while frontier:
-        v = frontier.pop()
-        for b in vectors:
-            w = tuple((x + y) % m for x, y in zip(v, b))
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    return reached
-
-
 def is_subgroup(m, n, members):
     inside = set(members)
     return (0,) * n in inside and all(
@@ -366,33 +373,6 @@ def annihilator(m, n, vectors):
         for v in itertools.product(range(m), repeat=n)
         if all(sum(x * y for x, y in zip(v, b)) % m == 0 for b in vectors)
     }
-
-
-@st.composite
-def member_lists(draw):
-    """Non-empty vector lists over Z_m^n, m in 2..9 and n <= 3: either a
-    random subset or, as often, the whole span of a few random rows."""
-    m = draw(st.integers(2, 9))
-    n = draw(st.integers(1, 3))
-    vector = st.tuples(*[st.integers(0, m - 1)] * n)
-    rows = draw(st.lists(vector, min_size=1, max_size=4, unique=True))
-    if draw(st.booleans()):
-        members = sorted(additive_closure(m, n, rows))
-        random.Random(draw(st.integers(0, 2 ** 32 - 1))).shuffle(members)
-    else:
-        members = rows
-    return m, n, members
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(member_lists())
-def test_generated_matches_brute_force(case):
-    m, n, members = case
-    gens, span = _generated(members, m)
-    assert span == additive_closure(m, n, members)
-    assert set(gens) <= set(members) <= span
-    assert annihilator(m, n, gens) == annihilator(m, n, members)
-    assert is_subgroup(m, n, members) == (span == set(members))
 
 
 @st.composite
@@ -433,10 +413,11 @@ def test_census_matches_a_vector_by_vector_scan(space):
 def reference_full_count_checks(space, lister, complement):
     """Per-ideal reference for the submodule and duality outcomes.
 
-    Each full-count ball comes from `lister`; it is a submodule iff it lies
-    in Z_m^n and is closed under addition, and its annihilator (over all
-    members, not generators) must be the dual order's ball of the ideal's
-    `complement`, as `balls.iter_I_ball_coords` lists it.
+    Each full-count ball comes from `lister`; it is a submodule iff it has
+    the right size, lies in Z_m^n, equals the product of its coordinate
+    projections and each projection is a subgroup of Z_m.  The annihilator
+    of that product (over all its members) must be the dual order's ball of
+    the ideal's `complement`, as `balls.iter_I_ball_coords` lists it.
     """
     m, n = space.m, space.n
     whole = set(itertools.product(range(m), repeat=n))
@@ -447,18 +428,24 @@ def reference_full_count_checks(space, lister, complement):
         if not i.is_full_count:
             continue
         members = set(lister(space, i))
+        projections = [set(p) for p in zip(*members)]
+        product = set(itertools.product(*projections))
         if i.cardinality and closure is None:
             expected = m ** sum(k for k, c in zip(space.labeling, i.counts) if c)
             if len(members) != expected:
                 closure = f"ideal {i}: size"
-            elif not (members <= whole and is_subgroup(m, n, members)):
+            elif not (
+                members <= whole
+                and members == product
+                and all(is_subgroup(m, 1, {(x,) for x in p}) for p in projections)
+            ):
                 closure = f"ideal {i}: closure"
         if len(members) * space.size > DEFAULT_PAIR_BUDGET:
             skipped += 1
         elif duality is None:
             comp = complement(space.pomset, i)
             dual_ball = set(balls.iter_I_ball_coords(dual_space, comp))
-            if dual_ball != annihilator(m, n, members):
+            if dual_ball != annihilator(m, n, product):
                 duality = f"mismatch at ideal {i}"
     return (
         ("fail", closure) if closure else ("pass", "all full-count ideals"),
@@ -472,13 +459,13 @@ def reference_full_count_checks(space, lister, complement):
 def tampered_spaces(draw):
     """A small space, and at most one change for one full-count ideal: a
     complement taken from another ideal, one listed member replaced by a
-    tuple whose coordinates may be m (out of range) or repeat a member, or
-    the ball listed in reverse, which spans it from generators that cross
-    blocks, so inner products sum to multiples of m across blocks."""
+    tuple whose coordinates may be m (out of range) or repeat a member, the
+    ball listed in reverse, or the ball sheared into a same-size subgroup
+    that is not a product, such as {0, (1, 1)} for {0, (1, 0)} over Z_2."""
     space = draw(small_spaces(150))
     full = [i for i in all_ideals(space.pomset) if i.is_full_count]
     target = draw(st.sampled_from(full))
-    fault = draw(st.sampled_from([None, "complement", "member", "reversed"]))
+    fault = draw(st.sampled_from([None, "complement", "member", "reversed", "diagonal"]))
     other = draw(st.sampled_from(full))
     where = draw(st.integers(0, space.size - 1))
     stray = draw(st.tuples(*[st.integers(0, space.m)] * space.n))
@@ -498,6 +485,14 @@ def test_full_count_checks_match_a_per_ideal_reference(case):
                 members[where % len(members)] = stray
             elif fault == "reversed":
                 members.reverse()
+            elif fault == "diagonal":
+                # v -> v + v_r (1, ..., 1) off coordinate r, the first one
+                # the ball moves, is injective and additive.
+                r = next((t for t in range(sp.n) if any(v[t] for v in members)), 0)
+                members = [
+                    tuple(x if t == r else (x + v[r]) % sp.m for t, x in enumerate(v))
+                    for v in members
+                ]
         return iter(members)
 
     def complement(p, ideal):
