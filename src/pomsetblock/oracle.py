@@ -12,7 +12,10 @@ over blocks walks the space in lexicographic order.  The census tallies the
 block-weight tuples of that walk.  The full-count balls are checked one
 coordinate at a time: each listing's projections decide whether it is a
 product of subgroups of Z_m, and that product's annihilator is compared,
-block by block, with the dual order's ball of the complement.
+block by block, with the dual order's ball of the complement.  The tiling
+check is per coordinate too: centers listed as a product tile with a
+product ball exactly when each coordinate's projection and residue list
+tile Z_m, so it lists no translate.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from . import balls
 from .balls import BudgetExceededError, PartitionImpossibleError
 from .pomset import all_ideals, ideal_complement
-from .space import Space, block_weight, translate_census
+from .space import Space, block_weight
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
 DEFAULT_PAIR_BUDGET = 10 ** 6
@@ -115,9 +118,10 @@ def _metric_kernel(space: Space):
 
     `lee[x][y]` is the Lee weight of x - y, so one table lookup per
     coordinate gives the difference's Lee weights without building the
-    difference.  A block weighs as the maximum over its slice of those, and
-    the weight is the size of the ideal the block weights generate, remembered
-    per block-weight tuple for the first `METRIC_MEMO_LIMIT` tuples met.
+    difference.  The weight is remembered per tuple of those Lee weights,
+    for the first `METRIC_MEMO_LIMIT` tuples met; only a tuple not
+    remembered is split into blocks, each weighing the maximum over its
+    slice, and weighed as the size of the ideal the block weights generate.
     """
     m = space.m
     lee = [[min((x - y) % m, (y - x) % m) for y in range(m)] for x in range(m)]
@@ -128,13 +132,12 @@ def _metric_kernel(space: Space):
     memo: dict[tuple[int, ...], int] = {}
 
     def distance(a, b):
-        d = list(map(at, map(row, a), b))
-        bw = tuple(map(max, map(d.__getitem__, blocks)))
-        w = memo.get(bw)
+        d = tuple(map(at, map(row, a), b))
+        w = memo.get(d)
         if w is None:
-            w = sum(closure(bw))
+            w = sum(closure(tuple(map(max, map(d.__getitem__, blocks)))))
             if len(memo) < METRIC_MEMO_LIMIT:
-                memo[bw] = w
+                memo[d] = w
         return w
 
     return distance
@@ -257,7 +260,7 @@ def verify_formula_suite(
     """Certify every closed-form quantity of the space against enumeration.
 
     Over-budget sub-checks are reported as skipped, never silently dropped;
-    the union and duality checks skip beyond `DEFAULT_PAIR_BUDGET`.  The
+    the union check skips radii beyond `DEFAULT_PAIR_BUDGET`.  The
     suite is deterministic: `seed` is accepted for callers that pass one
     but draws nothing.
     """
@@ -326,9 +329,8 @@ def _check_full_count_balls(space, ideals):
     the a with g_t * a = 0 mod m, the multiples of m / g_t.  The dual order's
     ball of the complement, an ideal of that order, holds block by block the
     tuples weighing at most the complement's count, so the two products are
-    compared per block and nothing scans the space.  An ideal is skipped
-    where |ball| * m^n exceeds the pair budget, a rule from when each ideal
-    rescanned the space, kept so the output stays as it was.
+    compared per block and nothing scans the space, so every full-count
+    ideal's duality is checked.
     """
     m = space.m
     blocks = [
@@ -336,7 +338,6 @@ def _check_full_count_balls(space, ideals):
         for (lo, hi), weights in zip(space.block_bounds, _block_weights(space))
     ]
     closure = duality = None
-    skipped = 0
     for i in ideals:
         if not i.is_full_count:
             continue
@@ -351,9 +352,7 @@ def _check_full_count_balls(space, ideals):
                 p != set(range(0, m, g)) for p, g in zip(projections, gcds)
             ):
                 closure = f"ideal {i}: closure"
-        if len(members) * space.size > DEFAULT_PAIR_BUDGET:
-            skipped += 1
-        elif not duality:
+        if not duality:
             annihilator = [range(0, m, m // g) for g in gcds]
             comp = ideal_complement(space.pomset, i).counts
             # Both sides of a block are listed in lexicographic order.
@@ -365,7 +364,30 @@ def _check_full_count_balls(space, ideals):
                 duality = f"mismatch at ideal {i}"
     return (
         _outcome("full-ball-submodule", closure, "all full-count ideals"),
-        _outcome("ball-duality", duality, "all full-count ideals", skipped, "ideals"),
+        _outcome("ball-duality", duality, "all full-count ideals"),
+    )
+
+
+def _tiles(m, centers, box):
+    """Whether the translates c + B of the product ball B tile Z_m^n.
+
+    B is the product of the per-coordinate residue lists in `box`.  A center
+    listing without repeats, as large as the product of its projections P_t,
+    is that product, and then (c, b) -> c + b is a bijection onto Z_m^n
+    exactly when each (a, b) -> a + b mod m is one from P_t x B_t onto Z_m
+    (Szabo & Sands, Factoring Groups into Subsets, 2009).  A listing that
+    tiles without being a product is rejected: `partition_centers` lists a
+    product, so nothing else needs certifying.  Centers must be reduced.
+    """
+    residues = range(m)
+    projections = [set(p) for p in zip(*centers)]
+    return (
+        len(set(centers)) == len(centers) == math.prod(map(len, projections))
+        and all(
+            p.issubset(residues)
+            and sorted((a + b) % m for a in p for b in rs) == list(residues)
+            for p, rs in zip(projections, box)
+        )
     )
 
 
@@ -400,8 +422,7 @@ def _check_partition_tiling(space, ideals, budget):
         if len(centers) != expected:
             bad = f"ideal {i}: center count {len(centers)} != {expected}"
             break
-        box = balls._ball_box(space, i, budget)
-        if translate_census(space, centers, [box], cover=True):
+        if not _tiles(m, centers, balls._ball_box(space, i, budget)):
             bad = f"ideal {i}: translates do not tile"
             break
     return _outcome("partition-tiling", bad, "all ideals")

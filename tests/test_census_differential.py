@@ -1,6 +1,5 @@
 """Differential tests of `space.translate_census`, the integer-keyed census
-behind every perfectness check and the oracle's tiling check, against a
-tuple-per-membership loop.
+behind every perfectness check, against a tuple-per-membership loop.
 
 The ball is given as boxes, each n per-coordinate residue lists whose
 product it holds; boxes may repeat and overlap, and the ball is their

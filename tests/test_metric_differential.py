@@ -7,6 +7,7 @@ bounded number of examples, so the suite stays deterministic and quick.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
@@ -61,6 +62,26 @@ def test_kernel_past_its_memo_limit_still_weighs(monkeypatch):
     kernel = _metric_kernel(space)
     for a, b in random_pairs(space, 11, 300) * 2:
         assert kernel(a, b) == distance(space.vector(a), space.vector(b))
+
+
+@pytest.mark.parametrize("limit", [2, oracle.METRIC_MEMO_LIMIT])
+def test_kernel_weighs_lee_tuples_by_their_block_maxima(monkeypatch, limit):
+    # Blocks of 3, 2, 3 and 1 coordinates over Z_7: the memo is keyed on the
+    # Lee-weight tuple, and many of those share their block maxima.  Each
+    # must weigh as its maxima do, with room for two tuples or the default.
+    monkeypatch.setattr(oracle, "METRIC_MEMO_LIMIT", limit)
+    space = Space(7, random_pomset(random.Random(5), 4, 3, 0.5), (3, 2, 3, 1))
+    kernel = _metric_kernel(space)
+    weights, lee_tuples = {}, {}
+    for a, b in random_pairs(space, 13, 400) * 2:
+        w = kernel(a, b)
+        assert w == distance(space.vector(a), space.vector(b))
+        lee = tuple(min((x - y) % 7, (y - x) % 7) for x, y in zip(a, b))
+        maxima = tuple(max(lee[lo:hi]) for lo, hi in space.block_bounds)
+        weights.setdefault(maxima, set()).add(w)
+        lee_tuples.setdefault(maxima, set()).add(lee)
+    assert all(len(ws) == 1 for ws in weights.values())
+    assert max(map(len, lee_tuples.values())) > 1
 
 
 @bounded(40)

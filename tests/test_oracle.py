@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 from pomsetblock import balls
 from pomsetblock.balls import BudgetExceededError
 from pomsetblock.oracle import (
-    DEFAULT_PAIR_BUDGET,
     _check_full_count_balls,
+    _tiles,
     verify_formula_suite,
     verify_metric,
     weight_census,
 )
 from pomsetblock.pomset import Ideal, Pomset, all_ideals, dual_pomset, ideal_complement
-from pomsetblock.space import Space
+from pomsetblock.space import Space, translate_census
 
 
 def make_space(m, relations, labeling):
@@ -267,6 +267,25 @@ def test_ball_duality_names_the_one_ideal_with_a_wrong_complement(monkeypatch):
         assert failed == {"ball-duality": f"mismatch at ideal {target}"}
 
 
+def test_ball_duality_is_checked_past_the_pair_budget(monkeypatch):
+    # 5^6 vectors: the top ball paired with the space is 5^12 pairs, far
+    # past DEFAULT_PAIR_BUDGET, yet its duality is certified, and a wrong
+    # complement for it alone is found.
+    sp = make_space(5, [(1, 2)], (3, 3))
+    top = all_ideals(sp.pomset)[-1]
+    outcomes = {c.name: (c.status, c.detail) for c in verify_formula_suite(sp).checks}
+    assert outcomes["ball-duality"] == ("pass", "all full-count ideals")
+
+    def tampered(p, ideal):
+        if ideal != top:
+            return ideal_complement(p, ideal)
+        return Ideal(dual_pomset(p), (p.height,) * p.ground_size)
+
+    monkeypatch.setattr("pomsetblock.oracle.ideal_complement", tampered)
+    failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
+    assert failed == {"ball-duality": f"mismatch at ideal {top}"}
+
+
 def test_ball_duality_reduces_inner_products_summed_over_blocks(monkeypatch):
     # The top ball listed as the line through (4, 1): its annihilator is the
     # line through (1, 1), where the blocks' products 4 and 1 sum to 5.  The
@@ -346,6 +365,36 @@ def test_formula_suite_detects_a_center_replacing_another(monkeypatch):
     assert_tiling_fails(make_space(6, [(1, 2)], (1, 2)))
 
 
+def test_formula_suite_detects_centers_left_unreduced(monkeypatch):
+    # Residue 0 written as m: reduced, the list would tile.
+    def unreduce(space, ideal, centers):
+        centers[:] = [tuple(a or space.m for a in c) for c in centers]
+
+    tamper_centers(monkeypatch, unreduce)
+    assert_tiling_fails(make_space(6, [], (1, 1)))
+
+
+def test_a_tiling_listing_that_is_not_a_product_fails(monkeypatch):
+    # Over Z_6 with unit blocks, the ball of (1, 0) is {5, 0, 1} x {0}.
+    # Centers {0, 3} in even rows and {1, 4} in odd rows tile the space, but
+    # their projections {0, 1, 3, 4} x Z_6 hold twice as many vectors.  The
+    # check certifies tilings only as products, as `partition_centers` lists
+    # them, so this listing fails although the translate census accepts it.
+    space = make_space(6, [], (1, 1))
+    target = next(i for i in all_ideals(space.pomset) if i.counts == (1, 0))
+    shifted = [(a + r % 2, r) for r in range(6) for a in (0, 3)]
+
+    def stagger(sp, ideal, centers):
+        if ideal == target:
+            centers[:] = shifted
+
+    box = balls._ball_box(space, target, space.size)
+    assert translate_census(space, shifted, [box], cover=True) is None
+    tamper_centers(monkeypatch, stagger)
+    failed = {c.name: c.detail for c in verify_formula_suite(space).failures}
+    assert failed == {"partition-tiling": f"ideal {target}: translates do not tile"}
+
+
 def test_formula_suite_fails_when_a_divisible_ideal_refuses_to_tile(monkeypatch):
     # A divisibility error raised for an ideal that has a tiling, such as
     # the full-count ideal (2, 0), fails the check instead of escaping.
@@ -356,6 +405,53 @@ def test_formula_suite_fails_when_a_divisible_ideal_refuses_to_tile(monkeypatch)
     report = verify_formula_suite(make_space(5, [(1, 2)], (1, 1)))
     failed = {c.name: c.detail for c in report.failures}
     assert failed["partition-tiling"].endswith(": divisibility error raised")
+
+
+@st.composite
+def center_listings(draw):
+    """A space of at most 300 vectors, an I-ball's residue lists, and centers.
+
+    Per coordinate the centers project onto a coset of the ball's step
+    lattice, where the ball's size divides m, or onto any nonempty residue
+    set; either every coordinate that can takes a coset, or each tosses a
+    coin.  The centers are the product of the projections in a shuffled
+    order, with at most one center moved, repeated or dropped.
+    """
+    space = draw(small_spaces(300))
+    m = space.m
+    ideal = draw(st.sampled_from(all_ideals(space.pomset)))
+    box = balls._ball_box(space, ideal, space.size)
+    lattice = draw(st.booleans())
+    projections = []
+    for rs in box:
+        if m % len(rs) == 0 and (lattice or draw(st.booleans())):
+            shift = draw(st.integers(0, m - 1))
+            projections.append([(shift + a) % m for a in range(0, m, len(rs))])
+        else:
+            projections.append(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))))
+    centers = draw(st.permutations(list(itertools.product(*projections))))
+    fault = draw(st.sampled_from([None, "moved", "repeated", "dropped"]))
+    j, k = (draw(st.integers(0, len(centers) - 1)) for _ in range(2))
+    if fault == "moved":
+        centers[j] = draw(st.tuples(*[st.integers(0, m - 1)] * space.n))
+    elif fault == "repeated":
+        centers[j] = centers[k]
+    elif fault == "dropped":
+        del centers[j]
+    return space, box, centers
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(center_listings())
+def test_per_coordinate_tiling_agrees_with_the_translate_census(case):
+    space, box, centers = case
+    tiles = _tiles(space.m, centers, box)
+    census_tiles = translate_census(space, centers, [box], cover=True) is None
+    product = set(itertools.product(*map(set, zip(*centers))))
+    if len(set(centers)) == len(centers) and set(centers) == product:
+        assert tiles == census_tiles
+    else:
+        assert not tiles
 
 
 def is_subgroup(m, n, members):
@@ -423,7 +519,6 @@ def reference_full_count_checks(space, lister, complement):
     whole = set(itertools.product(range(m), repeat=n))
     dual_space = Space(m, dual_pomset(space.pomset), space.labeling)
     closure = duality = None
-    skipped = 0
     for i in all_ideals(space.pomset):
         if not i.is_full_count:
             continue
@@ -440,18 +535,14 @@ def reference_full_count_checks(space, lister, complement):
                 and all(is_subgroup(m, 1, {(x,) for x in p}) for p in projections)
             ):
                 closure = f"ideal {i}: closure"
-        if len(members) * space.size > DEFAULT_PAIR_BUDGET:
-            skipped += 1
-        elif duality is None:
+        if duality is None:
             comp = complement(space.pomset, i)
             dual_ball = set(balls.iter_I_ball_coords(dual_space, comp))
             if dual_ball != annihilator(m, n, product):
                 duality = f"mismatch at ideal {i}"
     return (
         ("fail", closure) if closure else ("pass", "all full-count ideals"),
-        ("fail", duality) if duality
-        else ("skip", f"{skipped} ideals over budget") if skipped
-        else ("pass", "all full-count ideals"),
+        ("fail", duality) if duality else ("pass", "all full-count ideals"),
     )
 
 
