@@ -6,12 +6,14 @@ forms being certified (ball and sphere cardinalities, tiling centers) are
 only ever invoked on the comparison side of a check, so agreement between
 the two routes is meaningful evidence rather than a tautology.
 
-The whole-space scans still reach every vector, block by block: per block,
-each residue tuple is weighed once, in lexicographic order, and the product
-over blocks walks the space in lexicographic order.  The census tallies the
-block-weight tuples of that walk.  The full-count balls are checked one
-coordinate at a time: each listing's projections decide whether it is a
-product of subgroups of Z_m, and that product's annihilator is compared,
+The census visits no vector: per block, each residue tuple is weighed once,
+in lexicographic order, and since block weights are independent from block
+to block, the vectors of each block-weight tuple number the product of the
+per-block tallies of its weights.  Each I-ball is listed at most once per
+suite: radius by radius, the listings of the I-balls of that cardinality
+form the union checked against the census's r-ball, and a full-count ball's
+listing also gives its coordinate projections.  Those decide whether it is
+a product of subgroups of Z_m, and that product's annihilator is compared,
 block by block, with the dual order's ball of the complement.  The tiling
 check is per coordinate too: centers listed as a product tile with a
 product ball exactly when each coordinate's projection and residue list
@@ -25,11 +27,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import balls
 from .balls import BudgetExceededError, PartitionImpossibleError
 from .pomset import all_ideals, ideal_complement
-from .space import Space, block_weight
+from .space import Space
 
 DEFAULT_SCAN_BUDGET = 10 ** 7
 DEFAULT_PAIR_BUDGET = 10 ** 6
@@ -61,39 +64,53 @@ class CensusReport:
         return full == self.total and by_ideal == self.total
 
 
-def _block_weights(space: Space) -> list[list[int]]:
-    """Per block, the weights of its residue tuples in lexicographic order.
+def _block_tables(space: Space) -> list[tuple[list, list[int]]]:
+    """Per block, its residue tuples in lexicographic order and their weights.
 
     A block of k coordinates lists `itertools.product(range(m), repeat=k)`.
     The product over blocks of those listings is every vector of the space
-    in lexicographic order (Knuth, TAOCP 4A 7.2.1.1), so the product of the
-    weight lists gives each vector's block weights in that order, and a
-    whole-space scan weighs each block tuple once rather than each vector.
+    in lexicographic order (Knuth, TAOCP 4A 7.2.1.1), so each block tuple is
+    weighed once rather than once per vector it appears in.  A tuple weighs
+    the largest Lee weight min(x, m - x) of its residues.
     """
     m = space.m
-    return [
-        [block_weight(x, m) for x in itertools.product(range(m), repeat=k)]
-        for k in space.labeling
-    ]
+    lee = [min(x, m - x) for x in range(m)].__getitem__
+    tables = []
+    for k in space.labeling:
+        tuples = list(itertools.product(range(m), repeat=k))
+        tables.append((tuples, [max(map(lee, x)) for x in tuples]))
+    return tables
 
 
-def weight_census(space: Space, budget: int = DEFAULT_SCAN_BUDGET) -> CensusReport:
-    """Scan every vector, recording its weight and its generated ideal.
+def weight_census(
+    space: Space, budget: int = DEFAULT_SCAN_BUDGET, tables=None
+) -> CensusReport:
+    """Count every vector by its weight and its generated ideal.
 
-    The product of the per-block weight lists gives every vector's block
-    weights; they are tallied per distinct tuple, and each tuple's
-    generated ideal is taken once.  The tuples are met in the order of
-    their first vector, so both dicts are filled in the order a
-    vector-by-vector scan would fill them.
+    A vector's block weights are independent from block to block, so the
+    vectors with block-weight tuple (w_1, ..., w_s) number the product of
+    how many tuples of each block weigh w_t.  Those per-block tallies come
+    from `tables` (`_block_tables`, built here when not given), and each
+    block-weight tuple's generated ideal is taken once, so no vector is
+    visited.  Per block the weights are tallied in the order first met, and
+    their product meets the block-weight tuples in the order of their first
+    vector, so both dicts are filled in the order a vector-by-vector scan
+    would fill them.
     """
     if space.size > budget:
         raise BudgetExceededError(
             f"space of size {space.size} exceeds budget {budget}"
         )
-    weights = _block_weights(space)
+    if tables is None:
+        tables = _block_tables(space)
+    tallies = [Counter(weights) for _, weights in tables]
     sphere_counts: dict[int, int] = {}
     ideal_counts: dict[tuple[int, ...], int] = {}
-    for bw, count in Counter(itertools.product(*weights)).items():
+    for bw, counts in zip(
+        itertools.product(*tallies),
+        itertools.product(*(t.values() for t in tallies)),
+    ):
+        count = math.prod(counts)
         key = space.pomset.closure_counts(bw)
         w = sum(key)
         if w:
@@ -118,10 +135,12 @@ def _metric_kernel(space: Space):
 
     `lee[x][y]` is the Lee weight of x - y, so one table lookup per
     coordinate gives the difference's Lee weights without building the
-    difference.  The weight is remembered per tuple of those Lee weights,
-    for the first `METRIC_MEMO_LIMIT` tuples met; only a tuple not
-    remembered is split into blocks, each weighing the maximum over its
-    slice, and weighed as the size of the ideal the block weights generate.
+    difference.  The weight is remembered per tuple of those Lee weights;
+    a tuple not remembered is split into blocks, each weighing the maximum
+    over its slice, and its weight is remembered per tuple of those block
+    weights too; only a block-weight tuple not remembered is weighed, as
+    the size of the ideal it generates.  Each memo keeps the first
+    `METRIC_MEMO_LIMIT` tuples met.
     """
     m = space.m
     lee = [[min((x - y) % m, (y - x) % m) for y in range(m)] for x in range(m)]
@@ -130,12 +149,18 @@ def _metric_kernel(space: Space):
     blocks = [slice(lo, hi) for lo, hi in space.block_bounds]
     closure = space.pomset.closure_counts
     memo: dict[tuple[int, ...], int] = {}
+    by_blocks: dict[tuple[int, ...], int] = {}
 
     def distance(a, b):
         d = tuple(map(at, map(row, a), b))
         w = memo.get(d)
         if w is None:
-            w = sum(closure(tuple(map(max, map(d.__getitem__, blocks)))))
+            bw = tuple(map(max, map(d.__getitem__, blocks)))
+            w = by_blocks.get(bw)
+            if w is None:
+                w = sum(closure(bw))
+                if len(by_blocks) < METRIC_MEMO_LIMIT:
+                    by_blocks[bw] = w
             if len(memo) < METRIC_MEMO_LIMIT:
                 memo[d] = w
         return w
@@ -153,9 +178,10 @@ def verify_metric(
     """Check identity, symmetry and the triangle inequality.
 
     Exhaustive over all triples when (m^n)^3 fits the budget, otherwise a
-    seeded uniform sample of `samples` triples, each sliced into u, v and w
-    from one draw of 3n residues.  A sampled triple checks d(u, u) = 0,
-    d(u, v) = 0 iff u = v, d(u, v) = d(v, u) and d(u, v) <= d(u, w) + d(w, v).
+    seeded uniform sample of `samples` triples, each drawn in one call as n
+    residue triples (u_t, v_t, w_t) and unzipped into u, v and w.  A sampled
+    triple checks d(u, u) = 0, d(u, v) = 0 iff u = v, d(u, v) = d(v, u) and
+    d(u, v) <= d(u, w) + d(w, v).
     The default distance is `_metric_kernel`, built from definitions alone;
     another one, taking two coordinate tuples, can be injected to confirm
     the check has teeth.  A sample count below 1 is a ValueError.
@@ -188,11 +214,10 @@ def verify_metric(
         return MetricReport(True, True, size ** 3)
 
     choices = random.Random(seed).choices
-    residues = range(space.m)
+    residue_triples = list(itertools.product(range(space.m), repeat=3))
     n = space.n
     for i in range(samples):
-        draw = tuple(choices(residues, k=3 * n))
-        u, v, w = draw[:n], draw[n:2 * n], draw[2 * n:]
+        u, v, w = zip(*choices(residue_triples, k=n))
         duv = distance_fn(u, v)
         if (duv == 0) != (u == v) or distance_fn(u, u) != 0:
             return MetricReport(False, False, i + 1, ("identity", u, v, None))
@@ -260,11 +285,15 @@ def verify_formula_suite(
     """Certify every closed-form quantity of the space against enumeration.
 
     Over-budget sub-checks are reported as skipped, never silently dropped;
-    the union check skips radii beyond `DEFAULT_PAIR_BUDGET`.  The
-    suite is deterministic: `seed` is accepted for callers that pass one
-    but draws nothing.
+    the union check skips radii beyond `DEFAULT_PAIR_BUDGET`.  The per-block
+    tables are built once for the census and the duality check, and each
+    I-ball is listed at most once, for the union and the full-count checks
+    together.  The suite is deterministic: `seed` is accepted for callers
+    that pass one but draws nothing.
     """
-    census = weight_census(space, budget)
+    # The tables are built only for a space the census will not refuse.
+    tables = _block_tables(space) if space.size <= budget else None
+    census = weight_census(space, budget, tables)
     ideals = all_ideals(space.pomset)
     by_ideal = census.ideal_sphere_counts
 
@@ -294,77 +323,98 @@ def verify_formula_suite(
             "all radii",
         ),
         _outcome("sphere-partition", None if census.telescopes() else total, total),
-        _check_rball_union(space, census, ideals),
-        *_check_full_count_balls(space, ideals),
+        *_check_ball_listings(space, census, ideals, tables),
         _check_partition_tiling(space, ideals, budget),
     ])
 
 
-def _check_rball_union(space, census, ideals):
-    layers = [[] for _ in range(space.max_weight + 1)]
-    for i in ideals:
-        layers[i.cardinality].append(i)
-    skipped = 0
-    for r, layer in enumerate(layers):
-        size = sum(balls.I_ball_cardinality(space, i) for i in layer)
-        if size > DEFAULT_PAIR_BUDGET:
-            skipped += 1
-            continue
-        union = set()
-        for i in layer:
-            union.update(balls.iter_I_ball_coords(space, i))
-        if len(union) != census.ball_size(r):
-            return _outcome("rball-union", f"mismatch at r={r}", "")
-    return _outcome("rball-union", None, "all radii", skipped, "radii")
+def _listed(space, i):
+    """An I-ball's members and its coordinate projections, from one listing."""
+    listing = list(balls.iter_I_ball_coords(space, i))
+    # As zip(*listing) would: no projections of an empty listing.
+    width = min(map(len, listing), default=0)
+    return set(listing), [set(map(itemgetter(t), listing)) for t in range(width)]
 
 
-def _check_full_count_balls(space, ideals):
-    """The submodule and duality outcomes, from each full-count ball's projections.
+def _check_ball_listings(space, census, ideals, tables):
+    """The rball-union, submodule and duality outcomes, listing each I-ball once.
 
-    A full-count I-ball is every vector supported on the root blocks of I.
-    Its listing, with projections P_t and g_t = gcd(m, P_t), is that
-    submodule iff it has m^(root dims) members, as many as the product of
-    the P_t, and each P_t is the subgroup of multiples of g_t; it then is
-    the product.  The product's annihilator holds, coordinate by coordinate,
-    the a with g_t * a = 0 mod m, the multiples of m / g_t.  The dual order's
-    ball of the complement, an ideal of that order, holds block by block the
-    tuples weighing at most the complement's count, so the two products are
-    compared per block and nothing scans the space, so every full-count
-    ideal's duality is checked.
+    Radius by radius, the I-balls of the ideals of that cardinality are
+    listed into one union, which must be as large as the census's r-ball.
+    A radius whose balls sum past `DEFAULT_PAIR_BUDGET` is skipped, and no
+    radius past the first mismatch is listed into a union.
+
+    A full-count I-ball is listed even then: it is every vector supported on
+    the root blocks of I.  Its listing, with projections P_t and
+    g_t = gcd(m, P_t), is that submodule iff it has m^(root dims) members,
+    as many as the product of the P_t, and each P_t is the subgroup of
+    multiples of g_t; it then is the product.  The product's annihilator
+    holds, coordinate by coordinate, the a with g_t * a = 0 mod m, the
+    multiples of m / g_t.  The dual order's ball of the complement, an ideal
+    of that order, holds block by block the tuples of `tables` weighing at
+    most the complement's count, so the two products are compared per block
+    and nothing scans the space.  A full-count listing's member set joins
+    its radius's union rather than being listed again.  Each check reports
+    its first failure in `ideals` order.
     """
     m = space.m
-    blocks = [
-        (lo, hi, list(itertools.product(range(m), repeat=hi - lo)), weights)
-        for (lo, hi), weights in zip(space.block_bounds, _block_weights(space))
-    ]
-    closure = duality = None
-    for i in ideals:
-        if not i.is_full_count:
-            continue
-        members = set(balls.iter_I_ball_coords(space, i))
-        projections = [set(p) for p in zip(*members)]
-        gcds = [math.gcd(m, *p) for p in projections]
-        if i.cardinality and not closure:
-            expected = m ** sum(space.labeling[t - 1] for t in i.root_set)
-            if len(members) != expected:
-                closure = f"ideal {i}: size"
-            elif len(members) != math.prod(map(len, projections)) or any(
-                p != set(range(0, m, g)) for p, g in zip(projections, gcds)
-            ):
-                closure = f"ideal {i}: closure"
-        if not duality:
-            annihilator = [range(0, m, m // g) for g in gcds]
-            comp = ideal_complement(space.pomset, i).counts
-            # Both sides of a block are listed in lexicographic order.
-            if any(
-                list(itertools.product(*annihilator[lo:hi]))
-                != [x for x, w in zip(tuples, weights) if w <= c]
-                for (lo, hi, tuples, weights), c in zip(blocks, comp)
-            ):
-                duality = f"mismatch at ideal {i}"
+    layers = [[] for _ in range(space.max_weight + 1)]
+    for index, i in enumerate(ideals):
+        layers[i.cardinality].append((index, i))
+    mismatch = None
+    skipped = 0
+    # (index in `ideals`, detail) of each check's first failure so far.
+    closure = duality = (len(ideals), None)
+    for r, layer in enumerate(layers):
+        listed = mismatch is None
+        if listed and sum(
+            balls.I_ball_cardinality(space, i) for _, i in layer
+        ) > DEFAULT_PAIR_BUDGET:
+            skipped += 1
+            listed = False
+        union = set()
+        for index, i in layer:
+            if not i.is_full_count:
+                if listed:
+                    union.update(balls.iter_I_ball_coords(space, i))
+                continue
+            members, projections = _listed(space, i)
+            gcds = [math.gcd(m, *p) for p in projections]
+            if i.cardinality and index < closure[0]:
+                expected = m ** sum(space.labeling[t - 1] for t in i.root_set)
+                if len(members) != expected:
+                    closure = index, f"ideal {i}: size"
+                elif len(members) != math.prod(map(len, projections)) or any(
+                    p != set(range(0, m, g)) for p, g in zip(projections, gcds)
+                ):
+                    closure = index, f"ideal {i}: closure"
+            if index < duality[0]:
+                annihilator = [range(0, m, m // g) for g in gcds]
+                comp = ideal_complement(space.pomset, i).counts
+                # Both sides of a block are listed in lexicographic order.
+                if any(
+                    list(itertools.product(*annihilator[lo:hi]))
+                    != [x for x, w in zip(tuples, weights) if w <= c]
+                    for (lo, hi), (tuples, weights), c in zip(
+                        space.block_bounds, tables, comp
+                    )
+                ):
+                    duality = index, f"mismatch at ideal {i}"
+            if listed:
+                # The first set is adopted, not copied, so the whole space
+                # is never held twice.
+                if union:
+                    union |= members
+                else:
+                    union = members
+            # A set adopted as the union must go with its radius.
+            del members
+        if listed and len(union) != census.ball_size(r):
+            mismatch = f"mismatch at r={r}"
     return (
-        _outcome("full-ball-submodule", closure, "all full-count ideals"),
-        _outcome("ball-duality", duality, "all full-count ideals"),
+        _outcome("rball-union", mismatch, "all radii", skipped, "radii"),
+        _outcome("full-ball-submodule", closure[1], "all full-count ideals"),
+        _outcome("ball-duality", duality[1], "all full-count ideals"),
     )
 
 

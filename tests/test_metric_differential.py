@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_pomset
 from pomsetblock import oracle
 from pomsetblock.oracle import _metric_kernel, verify_metric
+from pomsetblock.pomset import Pomset
 from pomsetblock.space import Space, distance
 
 
@@ -64,24 +65,41 @@ def test_kernel_past_its_memo_limit_still_weighs(monkeypatch):
         assert kernel(a, b) == distance(space.vector(a), space.vector(b))
 
 
-@pytest.mark.parametrize("limit", [2, oracle.METRIC_MEMO_LIMIT])
-def test_kernel_weighs_lee_tuples_by_their_block_maxima(monkeypatch, limit):
-    # Blocks of 3, 2, 3 and 1 coordinates over Z_7: the memo is keyed on the
+@pytest.mark.parametrize("limit, labeling", [
+    pytest.param(2, (3, 2, 3, 1), id="2"),
+    pytest.param(oracle.METRIC_MEMO_LIMIT, (3, 2, 3, 1), id=str(oracle.METRIC_MEMO_LIMIT)),
+    pytest.param(2, (3, 3, 3, 3), id="2-four-blocks-of-3"),
+])
+def test_kernel_weighs_lee_tuples_by_their_block_maxima(monkeypatch, limit, labeling):
+    # Blocks of up to 3 coordinates over Z_7: the memo is keyed on the
     # Lee-weight tuple, and many of those share their block maxima.  Each
     # must weigh as its maxima do, with room for two tuples or the default.
+    # The ideal is generated once per block-maxima tuple the memo keeps.
     monkeypatch.setattr(oracle, "METRIC_MEMO_LIMIT", limit)
-    space = Space(7, random_pomset(random.Random(5), 4, 3, 0.5), (3, 2, 3, 1))
+    space = Space(7, random_pomset(random.Random(5), 4, 3, 0.5), labeling)
+    pairs = random_pairs(space, 13, 400) * 2
+    expected = [distance(space.vector(a), space.vector(b)) for a, b in pairs]
+    generated = []
+    closure = Pomset.closure_counts
+
+    def counted(pomset, bw):
+        generated.append(bw)
+        return closure(pomset, bw)
+
+    monkeypatch.setattr(Pomset, "closure_counts", counted)
     kernel = _metric_kernel(space)
     weights, lee_tuples = {}, {}
-    for a, b in random_pairs(space, 13, 400) * 2:
+    for (a, b), d in zip(pairs, expected):
         w = kernel(a, b)
-        assert w == distance(space.vector(a), space.vector(b))
+        assert w == d
         lee = tuple(min((x - y) % 7, (y - x) % 7) for x, y in zip(a, b))
         maxima = tuple(max(lee[lo:hi]) for lo, hi in space.block_bounds)
         weights.setdefault(maxima, set()).add(w)
         lee_tuples.setdefault(maxima, set()).add(lee)
     assert all(len(ws) == 1 for ws in weights.values())
     assert max(map(len, lee_tuples.values())) > 1
+    if limit >= len(weights):
+        assert sorted(generated) == sorted(weights)
 
 
 @bounded(40)

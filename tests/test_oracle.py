@@ -1,12 +1,15 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pomsetblock import balls
 from pomsetblock.balls import BudgetExceededError
+from pomsetblock import oracle
 from pomsetblock.oracle import (
-    _check_full_count_balls,
+    _block_tables,
+    _check_ball_listings,
     _tiles,
     verify_formula_suite,
     verify_metric,
@@ -265,6 +268,61 @@ def test_ball_duality_names_the_one_ideal_with_a_wrong_complement(monkeypatch):
             patch.setattr("pomsetblock.oracle.ideal_complement", tampered)
             failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
         assert failed == {"ball-duality": f"mismatch at ideal {target}"}
+
+
+@pytest.mark.parametrize("check", ["full-ball-submodule", "ball-duality"])
+def test_full_count_failures_are_named_in_ideal_order(monkeypatch, check):
+    # Over three unit blocks {0, 2, 2} comes before {2, 0, 0} in count order
+    # but weighs more, so it is listed a radius later; with both balls wrong,
+    # the first in count order is the one named.
+    sp = make_space(5, [], (1, 1, 1))
+    first, second = (
+        next(i for i in all_ideals(sp.pomset) if i.counts == c)
+        for c in ((0, 2, 2), (2, 0, 0))
+    )
+    original = balls.iter_I_ball_coords
+
+    def repeated(space, ideal, *args, **kwargs):
+        members = list(original(space, ideal, *args, **kwargs))
+        if ideal in (first, second):
+            members[-1] = members[0]
+        return iter(members)
+
+    def complement(p, ideal):
+        if ideal in (first, second):
+            return Ideal(dual_pomset(p), (p.height,) * p.ground_size)
+        return ideal_complement(p, ideal)
+
+    if check == "full-ball-submodule":
+        monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", repeated)
+        expected = f"ideal {first}: size"
+    else:
+        monkeypatch.setattr("pomsetblock.oracle.ideal_complement", complement)
+        expected = f"mismatch at ideal {first}"
+    failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
+    assert failed[check] == expected
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_an_empty_full_count_listing_fails(monkeypatch, which):
+    # An empty listing has no coordinate projections, so the product they
+    # span is the empty tuple alone, which matches no block of the dual ball.
+    sp = make_space(5, [(1, 2)], (1, 1))
+    target = all_ideals(sp.pomset)[which]
+    original = balls.iter_I_ball_coords
+
+    def emptied(space, ideal, *args, **kwargs):
+        return iter(()) if ideal == target else original(space, ideal, *args, **kwargs)
+
+    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", emptied)
+    failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
+    expected = {
+        "rball-union": f"mismatch at r={target.cardinality}",
+        "ball-duality": f"mismatch at ideal {target}",
+    }
+    if target.cardinality:
+        expected["full-ball-submodule"] = f"ideal {target}: size"
+    assert failed == expected
 
 
 def test_ball_duality_is_checked_past_the_pair_budget(monkeypatch):
@@ -592,7 +650,122 @@ def test_full_count_checks_match_a_per_ideal_reference(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
         patch.setattr("pomsetblock.oracle.ideal_complement", complement)
-        outcomes = _check_full_count_balls(space, all_ideals(space.pomset))
+        tables = _block_tables(space)
+        census = weight_census(space, tables=tables)
+        outcomes = _check_ball_listings(space, census, all_ideals(space.pomset), tables)[1:]
     expected = reference_full_count_checks(space, lister, complement)
     assert [c.name for c in outcomes] == ["full-ball-submodule", "ball-duality"]
     assert [(c.status, c.detail) for c in outcomes] == list(expected)
+
+
+def reference_rball_union(space, census, ideals):
+    """Per-radius reference for the rball-union outcome: each radius's union
+    of I-ball listings against the census, skipping a radius whose closed-form
+    ball sizes sum past the pair budget, up to the first mismatch."""
+    layers = [[] for _ in range(space.max_weight + 1)]
+    for i in ideals:
+        layers[i.cardinality].append(i)
+    skipped = 0
+    for r, layer in enumerate(layers):
+        if sum(balls.I_ball_cardinality(space, i) for i in layer) > oracle.DEFAULT_PAIR_BUDGET:
+            skipped += 1
+            continue
+        union = set()
+        for i in layer:
+            union.update(balls.iter_I_ball_coords(space, i))
+        if len(union) != census.ball_size(r):
+            return "fail", f"mismatch at r={r}"
+    if skipped:
+        return "skip", f"{skipped} radii over budget"
+    return "pass", "all radii"
+
+
+@st.composite
+def tampered_listings(draw):
+    """A small space, a pair budget from 1 to past the space, and at most one
+    change to one ideal's listing: a member dropped, a member duplicated, the
+    listing reversed, or a member replaced by a tuple whose coordinates may
+    be m (out of range)."""
+    space = draw(small_spaces(150))
+    target = draw(st.sampled_from(all_ideals(space.pomset)))
+    fault = draw(st.sampled_from([None, "dropped", "duplicated", "reversed", "stray"]))
+    where = draw(st.integers(0, space.size - 1))
+    stray = draw(st.tuples(*[st.integers(0, space.m)] * space.n))
+    budget = draw(st.one_of(st.integers(1, 2 * space.size), st.just(oracle.DEFAULT_PAIR_BUDGET)))
+    return space, target, fault, where, stray, budget
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(tampered_listings())
+def test_rball_union_matches_a_per_radius_reference(case):
+    space, target, fault, where, stray, budget = case
+    original_lister = balls.iter_I_ball_coords
+
+    def lister(sp, ideal, *args, **kwargs):
+        members = list(original_lister(sp, ideal, *args, **kwargs))
+        if ideal == target:
+            j = where % len(members)
+            if fault == "dropped":
+                del members[j]
+            elif fault == "duplicated":
+                members.insert(j, members[j])
+            elif fault == "reversed":
+                members.reverse()
+            elif fault == "stray":
+                members[j] = stray
+        return iter(members)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
+        patch.setattr(oracle, "DEFAULT_PAIR_BUDGET", budget)
+        ideals = all_ideals(space.pomset)
+        tables = _block_tables(space)
+        census = weight_census(space, tables=tables)
+        union = _check_ball_listings(space, census, ideals, tables)[0]
+        expected = reference_rball_union(space, census, ideals)
+    assert union.name == "rball-union"
+    assert (union.status, union.detail) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(small_spaces(300), st.sampled_from([1, 20, oracle.DEFAULT_PAIR_BUDGET]))
+def test_one_suite_lists_each_ideal_at_most_once(space, budget):
+    # Radii over the pair budget list only their full-count ideals, so a low
+    # budget must not make a full-count ball be listed a second time.
+    listed = []
+    original_lister = balls.iter_I_ball_coords
+
+    def lister(sp, ideal, *args, **kwargs):
+        listed.append(ideal)
+        return original_lister(sp, ideal, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
+        patch.setattr(oracle, "DEFAULT_PAIR_BUDGET", budget)
+        assert verify_formula_suite(space).ok
+    assert len(listed) == len(set(listed))
+    assert {i for i in all_ideals(space.pomset) if i.is_full_count} <= set(listed)
+
+
+def test_census_tallies_blocks_without_visiting_vectors(monkeypatch):
+    # 3^20 vectors in two blocks of ten coordinates: only the 3^10 tuples of
+    # each block are listed, and the counts are products of their tallies.
+    # Any product the census walks is cut off past 10^5 tuples.
+    def capped_product(*lists, **kwargs):
+        for count, item in enumerate(itertools.product(*lists, **kwargs)):
+            assert count < 10 ** 5, "the census walked past 10^5 tuples"
+            yield item
+
+    monkeypatch.setattr(oracle, "itertools", SimpleNamespace(product=capped_product))
+    space = make_space(3, [(1, 2)], (10, 10))
+    report = weight_census(space, budget=space.size)
+    assert report.total == 3 ** 20
+    assert report.ideal_sphere_counts == {
+        i.counts: balls.I_sphere_cardinality(space, i) for i in all_ideals(space.pomset)
+    }
+    # The second vector, (0, ..., 0, 1), is the first of weight 2, as the
+    # order 1 < 2 raises block 1 under block 2; weight 1 comes later.
+    assert list(report.sphere_counts.items()) == [
+        (2, 3 ** 10 * (3 ** 10 - 1)),
+        (1, 3 ** 10 - 1),
+    ]
