@@ -14,10 +14,11 @@ suite: radius by radius, the listings of the I-balls of that cardinality
 form the union checked against the census's r-ball, and a full-count ball's
 listing also gives its coordinate projections.  Those decide whether it is
 a product of subgroups of Z_m, and that product's annihilator is compared,
-block by block, with the dual order's ball of the complement.  The tiling
-check is per coordinate too: centers listed as a product tile with a
+coordinate by coordinate, with the dual order's ball of the complement.  The
+tiling check is per coordinate too: centers listed as a product tile with a
 product ball exactly when each coordinate's projection and residue list
-tile Z_m, so it lists no translate.
+tile Z_m, so it lists no translate.  The suite has one budget: what it
+lists lies in the space, which the census refuses past that budget.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .balls import BudgetExceededError, PartitionImpossibleError
 from .pomset import all_ideals, ideal_complement
 from .space import Space
 
-DEFAULT_SCAN_BUDGET = 10 ** 7
-DEFAULT_PAIR_BUDGET = 10 ** 6
 DEFAULT_TRIPLE_BUDGET = 10 ** 5
 DEFAULT_SAMPLES = 10 ** 5
 # Block-weight tuples the metric kernel remembers; beyond them it recomputes,
@@ -64,46 +63,32 @@ class CensusReport:
         return full == self.total and by_ideal == self.total
 
 
-def _block_tables(space: Space) -> list[tuple[list, list[int]]]:
-    """Per block, its residue tuples in lexicographic order and their weights.
-
-    A block of k coordinates lists `itertools.product(range(m), repeat=k)`.
-    The product over blocks of those listings is every vector of the space
-    in lexicographic order (Knuth, TAOCP 4A 7.2.1.1), so each block tuple is
-    weighed once rather than once per vector it appears in.  A tuple weighs
-    the largest Lee weight min(x, m - x) of its residues.
-    """
-    m = space.m
-    lee = [min(x, m - x) for x in range(m)].__getitem__
-    tables = []
-    for k in space.labeling:
-        tuples = list(itertools.product(range(m), repeat=k))
-        tables.append((tuples, [max(map(lee, x)) for x in tuples]))
-    return tables
-
-
 def weight_census(
-    space: Space, budget: int = DEFAULT_SCAN_BUDGET, tables=None
+    space: Space, budget: int = balls.DEFAULT_BUDGET
 ) -> CensusReport:
     """Count every vector by its weight and its generated ideal.
 
     A vector's block weights are independent from block to block, so the
     vectors with block-weight tuple (w_1, ..., w_s) number the product of
-    how many tuples of each block weigh w_t.  Those per-block tallies come
-    from `tables` (`_block_tables`, built here when not given), and each
-    block-weight tuple's generated ideal is taken once, so no vector is
-    visited.  Per block the weights are tallied in the order first met, and
-    their product meets the block-weight tuples in the order of their first
-    vector, so both dicts are filled in the order a vector-by-vector scan
-    would fill them.
+    how many tuples of each block weigh w_t, its largest Lee weight
+    min(x, m - x).  Each block-weight tuple's generated ideal is taken once,
+    so no vector is visited.  Per block the tuples are listed in
+    lexicographic order and their weights tallied in the order first met;
+    the product over blocks meets the block-weight tuples in the order of
+    their first vector (Knuth, TAOCP 4A 7.2.1.1), so both dicts are filled
+    in the order a vector-by-vector scan would fill them.  A space of more
+    than `budget` vectors is refused.
     """
     if space.size > budget:
         raise BudgetExceededError(
             f"space of size {space.size} exceeds budget {budget}"
         )
-    if tables is None:
-        tables = _block_tables(space)
-    tallies = [Counter(weights) for _, weights in tables]
+    m = space.m
+    lee = [min(x, m - x) for x in range(m)].__getitem__
+    tallies = [
+        Counter(max(map(lee, x)) for x in itertools.product(range(m), repeat=k))
+        for k in space.labeling
+    ]
     sphere_counts: dict[int, int] = {}
     ideal_counts: dict[tuple[int, ...], int] = {}
     for bw, counts in zip(
@@ -279,21 +264,19 @@ def _first_mismatch(space, label, items, closed_form, enumerated):
 
 def verify_formula_suite(
     space: Space,
-    budget: int = DEFAULT_SCAN_BUDGET,
+    budget: int = balls.DEFAULT_BUDGET,
     seed: int = 0,
 ) -> SuiteReport:
     """Certify every closed-form quantity of the space against enumeration.
 
-    Over-budget sub-checks are reported as skipped, never silently dropped;
-    the union check skips radii beyond `DEFAULT_PAIR_BUDGET`.  The per-block
-    tables are built once for the census and the duality check, and each
-    I-ball is listed at most once, for the union and the full-count checks
-    together.  The suite is deterministic: `seed` is accepted for callers
-    that pass one but draws nothing.
+    The census refuses a space of more than `budget` vectors; every later
+    listing lies in the space and is made under the same budget.  The union
+    check skips, and reports, a radius whose I-balls sum past `budget`.
+    Each I-ball is listed at most once, for the union and the full-count
+    checks together.  The suite is deterministic: `seed` is accepted for
+    callers that pass one but draws nothing.
     """
-    # The tables are built only for a space the census will not refuse.
-    tables = _block_tables(space) if space.size <= budget else None
-    census = weight_census(space, budget, tables)
+    census = weight_census(space, budget)
     ideals = all_ideals(space.pomset)
     by_ideal = census.ideal_sphere_counts
 
@@ -323,26 +306,44 @@ def verify_formula_suite(
             "all radii",
         ),
         _outcome("sphere-partition", None if census.telescopes() else total, total),
-        *_check_ball_listings(space, census, ideals, tables),
+        *_check_ball_listings(space, census, ideals, budget),
         _check_partition_tiling(space, ideals, budget),
     ])
 
 
-def _listed(space, i):
-    """An I-ball's members and its coordinate projections, from one listing."""
-    listing = list(balls.iter_I_ball_coords(space, i))
-    # As zip(*listing) would: no projections of an empty listing.
+def _projections(listing):
+    """Per coordinate, a listing's residues: none for an empty listing, as
+    `zip(*listing)` gives, but without a tuple as long as the listing."""
     width = min(map(len, listing), default=0)
-    return set(listing), [set(map(itemgetter(t), listing)) for t in range(width)]
+    return [set(map(itemgetter(t), listing)) for t in range(width)]
 
 
-def _check_ball_listings(space, census, ideals, tables):
+def _dual_ball_matches(space, gcds, counts):
+    """Whether the annihilator of the product over coordinates of the
+    multiples of g, g in `gcds`, is the dual order's ball with `counts`.
+
+    Per coordinate, the annihilator holds the multiples of m / g and the
+    ball the residues of Lee weight at most its block's count.  Both sides
+    are products of nonempty sets, so comparing the lists is exact; fewer
+    than n gcds, as from an empty listing, never match.
+    """
+    m = space.m
+    dual_ball = [
+        {x for x in range(m) if min(x, m - x) <= c}
+        for c, k in zip(counts, space.labeling)
+        for _ in range(k)
+    ]
+    return [set(range(0, m, m // g)) for g in gcds] == dual_ball
+
+
+def _check_ball_listings(space, census, ideals, budget):
     """The rball-union, submodule and duality outcomes, listing each I-ball once.
 
     Radius by radius, the I-balls of the ideals of that cardinality are
     listed into one union, which must be as large as the census's r-ball.
-    A radius whose balls sum past `DEFAULT_PAIR_BUDGET` is skipped, and no
-    radius past the first mismatch is listed into a union.
+    A radius whose balls sum past `budget` is skipped, and no radius past
+    the first mismatch is listed into a union.  Each listing is made under
+    `budget`, which no I-ball of a space the census accepted exceeds.
 
     A full-count I-ball is listed even then: it is every vector supported on
     the root blocks of I.  Its listing, with projections P_t and
@@ -350,12 +351,11 @@ def _check_ball_listings(space, census, ideals, tables):
     as many as the product of the P_t, and each P_t is the subgroup of
     multiples of g_t; it then is the product.  The product's annihilator
     holds, coordinate by coordinate, the a with g_t * a = 0 mod m, the
-    multiples of m / g_t.  The dual order's ball of the complement, an ideal
-    of that order, holds block by block the tuples of `tables` weighing at
-    most the complement's count, so the two products are compared per block
-    and nothing scans the space.  A full-count listing's member set joins
-    its radius's union rather than being listed again.  Each check reports
-    its first failure in `ideals` order.
+    multiples of m / g_t; `_dual_ball_matches` compares it per coordinate
+    with the dual order's ball of the complement, so nothing scans the
+    space.  A full-count listing's member set joins its radius's union
+    rather than being listed again.  Each check reports its first failure
+    in `ideals` order.
     """
     m = space.m
     layers = [[] for _ in range(space.max_weight + 1)]
@@ -369,16 +369,19 @@ def _check_ball_listings(space, census, ideals, tables):
         listed = mismatch is None
         if listed and sum(
             balls.I_ball_cardinality(space, i) for _, i in layer
-        ) > DEFAULT_PAIR_BUDGET:
+        ) > budget:
             skipped += 1
             listed = False
         union = set()
         for index, i in layer:
             if not i.is_full_count:
                 if listed:
-                    union.update(balls.iter_I_ball_coords(space, i))
+                    union.update(balls.iter_I_ball_coords(space, i, budget))
                 continue
-            members, projections = _listed(space, i)
+            listing = list(balls.iter_I_ball_coords(space, i, budget))
+            members, projections = set(listing), _projections(listing)
+            # Only the set may outlive this step, as the radius's union.
+            del listing
             gcds = [math.gcd(m, *p) for p in projections]
             if i.cardinality and index < closure[0]:
                 expected = m ** sum(space.labeling[t - 1] for t in i.root_set)
@@ -388,18 +391,10 @@ def _check_ball_listings(space, census, ideals, tables):
                     p != set(range(0, m, g)) for p, g in zip(projections, gcds)
                 ):
                     closure = index, f"ideal {i}: closure"
-            if index < duality[0]:
-                annihilator = [range(0, m, m // g) for g in gcds]
-                comp = ideal_complement(space.pomset, i).counts
-                # Both sides of a block are listed in lexicographic order.
-                if any(
-                    list(itertools.product(*annihilator[lo:hi]))
-                    != [x for x, w in zip(tuples, weights) if w <= c]
-                    for (lo, hi), (tuples, weights), c in zip(
-                        space.block_bounds, tables, comp
-                    )
-                ):
-                    duality = index, f"mismatch at ideal {i}"
+            if index < duality[0] and not _dual_ball_matches(
+                space, gcds, ideal_complement(space.pomset, i).counts
+            ):
+                duality = index, f"mismatch at ideal {i}"
             if listed:
                 # The first set is adopted, not copied, so the whole space
                 # is never held twice.
@@ -430,7 +425,7 @@ def _tiles(m, centers, box):
     product, so nothing else needs certifying.  Centers must be reduced.
     """
     residues = range(m)
-    projections = [set(p) for p in zip(*centers)]
+    projections = _projections(centers)
     return (
         len(set(centers)) == len(centers) == math.prod(map(len, projections))
         and all(

@@ -8,8 +8,8 @@ from pomsetblock import balls
 from pomsetblock.balls import BudgetExceededError
 from pomsetblock import oracle
 from pomsetblock.oracle import (
-    _block_tables,
     _check_ball_listings,
+    _dual_ball_matches,
     _tiles,
     verify_formula_suite,
     verify_metric,
@@ -326,8 +326,8 @@ def test_an_empty_full_count_listing_fails(monkeypatch, which):
 
 
 def test_ball_duality_is_checked_past_the_pair_budget(monkeypatch):
-    # 5^6 vectors: the top ball paired with the space is 5^12 pairs, far
-    # past DEFAULT_PAIR_BUDGET, yet its duality is certified, and a wrong
+    # 5^6 vectors: the top ball paired with the space is 5^12 pairs, which
+    # the suite never forms, yet its duality is certified, and a wrong
     # complement for it alone is found.
     sp = make_space(5, [(1, 2)], (3, 3))
     top = all_ideals(sp.pomset)[-1]
@@ -650,24 +650,29 @@ def test_full_count_checks_match_a_per_ideal_reference(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
         patch.setattr("pomsetblock.oracle.ideal_complement", complement)
-        tables = _block_tables(space)
-        census = weight_census(space, tables=tables)
-        outcomes = _check_ball_listings(space, census, all_ideals(space.pomset), tables)[1:]
+        census = weight_census(space)
+        outcomes = _check_ball_listings(
+            space, census, all_ideals(space.pomset), balls.DEFAULT_BUDGET
+        )[1:]
     expected = reference_full_count_checks(space, lister, complement)
     assert [c.name for c in outcomes] == ["full-ball-submodule", "ball-duality"]
     assert [(c.status, c.detail) for c in outcomes] == list(expected)
 
 
-def reference_rball_union(space, census, ideals):
-    """Per-radius reference for the rball-union outcome: each radius's union
-    of I-ball listings against the census, skipping a radius whose closed-form
-    ball sizes sum past the pair budget, up to the first mismatch."""
+def radius_layers(space, ideals):
     layers = [[] for _ in range(space.max_weight + 1)]
     for i in ideals:
         layers[i.cardinality].append(i)
+    return layers
+
+
+def reference_rball_union(space, census, ideals, budget):
+    """Per-radius reference for the rball-union outcome: each radius's union
+    of I-ball listings against the census, skipping a radius whose closed-form
+    ball sizes sum past `budget`, up to the first mismatch."""
     skipped = 0
-    for r, layer in enumerate(layers):
-        if sum(balls.I_ball_cardinality(space, i) for i in layer) > oracle.DEFAULT_PAIR_BUDGET:
+    for r, layer in enumerate(radius_layers(space, ideals)):
+        if sum(balls.I_ball_cardinality(space, i) for i in layer) > budget:
             skipped += 1
             continue
         union = set()
@@ -682,16 +687,29 @@ def reference_rball_union(space, census, ideals):
 
 @st.composite
 def tampered_listings(draw):
-    """A small space, a pair budget from 1 to past the space, and at most one
-    change to one ideal's listing: a member dropped, a member duplicated, the
-    listing reversed, or a member replaced by a tuple whose coordinates may
-    be m (out of range)."""
-    space = draw(small_spaces(150))
-    target = draw(st.sampled_from(all_ideals(space.pomset)))
+    """A small space, a budget from the space's size to its largest radius
+    sum of I-ball sizes, or the default, and at most one change to one
+    ideal's listing: a member dropped, a member duplicated, the listing
+    reversed, or a member replaced by a tuple whose coordinates may be m
+    (out of range).  The census refuses budgets below the size, and the
+    largest radius sum is the least budget that skips no radius.  Half the
+    spaces are unit antichains over Z_4 to Z_9, whose middle radii sum past
+    the space, so that budgets in the range skip some."""
+    if draw(st.booleans()):
+        m = draw(st.integers(4, 9))
+        space = make_space(m, [], (1,) * draw(st.integers(2, 3 if m <= 5 else 2)))
+    else:
+        space = draw(small_spaces(150))
+    ideals = all_ideals(space.pomset)
+    target = draw(st.sampled_from(ideals))
     fault = draw(st.sampled_from([None, "dropped", "duplicated", "reversed", "stray"]))
     where = draw(st.integers(0, space.size - 1))
     stray = draw(st.tuples(*[st.integers(0, space.m)] * space.n))
-    budget = draw(st.one_of(st.integers(1, 2 * space.size), st.just(oracle.DEFAULT_PAIR_BUDGET)))
+    widest = max(
+        sum(balls.I_ball_cardinality(space, i) for i in layer)
+        for layer in radius_layers(space, ideals)
+    )
+    budget = draw(st.one_of(st.integers(space.size, widest), st.just(balls.DEFAULT_BUDGET)))
     return space, target, fault, where, stray, budget
 
 
@@ -717,21 +735,21 @@ def test_rball_union_matches_a_per_radius_reference(case):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
-        patch.setattr(oracle, "DEFAULT_PAIR_BUDGET", budget)
         ideals = all_ideals(space.pomset)
-        tables = _block_tables(space)
-        census = weight_census(space, tables=tables)
-        union = _check_ball_listings(space, census, ideals, tables)[0]
-        expected = reference_rball_union(space, census, ideals)
+        census = weight_census(space, budget)
+        union = _check_ball_listings(space, census, ideals, budget)[0]
+        expected = reference_rball_union(space, census, ideals, budget)
     assert union.name == "rball-union"
     assert (union.status, union.detail) == expected
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(small_spaces(300), st.sampled_from([1, 20, oracle.DEFAULT_PAIR_BUDGET]))
-def test_one_suite_lists_each_ideal_at_most_once(space, budget):
-    # Radii over the pair budget list only their full-count ideals, so a low
-    # budget must not make a full-count ball be listed a second time.
+@given(small_spaces(300), st.sampled_from([0, 20, None]))
+def test_one_suite_lists_each_ideal_at_most_once(space, extra):
+    # Radii over the budget list only their full-count ideals, so a low
+    # budget, down to the space's size, must not make a full-count ball be
+    # listed a second time.
+    budget = balls.DEFAULT_BUDGET if extra is None else space.size + extra
     listed = []
     original_lister = balls.iter_I_ball_coords
 
@@ -741,8 +759,7 @@ def test_one_suite_lists_each_ideal_at_most_once(space, budget):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
-        patch.setattr(oracle, "DEFAULT_PAIR_BUDGET", budget)
-        assert verify_formula_suite(space).ok
+        assert verify_formula_suite(space, budget).ok
     assert len(listed) == len(set(listed))
     assert {i for i in all_ideals(space.pomset) if i.is_full_count} <= set(listed)
 
@@ -769,3 +786,65 @@ def test_census_tallies_blocks_without_visiting_vectors(monkeypatch):
         (2, 3 ** 10 * (3 ** 10 - 1)),
         (1, 3 ** 10 - 1),
     ]
+
+
+@pytest.mark.parametrize("factor", [1, 3])
+def test_every_ball_listing_receives_the_suite_budget(monkeypatch, factor):
+    # One budget: each I-ball is listed under the budget the suite was given,
+    # not under a default the caller never chose.
+    space = make_space(5, [(1, 2)], (2, 2))
+    budget = factor * space.size
+    received = []
+    original = balls.iter_I_ball_coords
+
+    def lister(sp, ideal, budget=balls.DEFAULT_BUDGET):
+        received.append(budget)
+        return original(sp, ideal, budget)
+
+    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
+    assert verify_formula_suite(space, budget).ok
+    assert received and set(received) == {budget}
+
+
+def reference_block_duality(space, gcds, counts):
+    """Block-by-block reference for the duality comparison: per block, the
+    product of the annihilator's residue ranges against the block's tuples
+    of block weight at most its count, both listed in lexicographic order."""
+    m = space.m
+    annihilator = [range(0, m, m // g) for g in gcds]
+    for (lo, hi), c, k in zip(space.block_bounds, counts, space.labeling):
+        tuples = list(itertools.product(range(m), repeat=k))
+        light = [x for x in tuples if max(min(a, m - a) for a in x) <= c]
+        if list(itertools.product(*annihilator[lo:hi])) != light:
+            return False
+    return True
+
+
+@st.composite
+def duality_cases(draw):
+    """A space with a block of more than one coordinate, an ideal of the dual
+    order, and up to n divisors of m as projection gcds: those whose
+    annihilator is the dual ball where one is (1 on count 0, m on a full
+    count), or any divisors, including none at all."""
+    space = draw(small_spaces(300).filter(lambda sp: max(sp.labeling) > 1))
+    m = space.m
+    counts = draw(st.sampled_from(all_ideals(dual_pomset(space.pomset)))).counts
+    divisors = st.sampled_from([g for g in range(1, m + 1) if m % g == 0])
+    fitting = [
+        {0: 1, space.height: m}.get(c) or draw(divisors)
+        for c, k in zip(counts, space.labeling)
+        for _ in range(k)
+    ]
+    gcds = draw(st.one_of(
+        st.just(fitting), st.just([]), st.lists(divisors, max_size=space.n)
+    ))
+    return space, gcds, counts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(duality_cases())
+def test_per_coordinate_duality_agrees_with_a_block_reference(case):
+    space, gcds, counts = case
+    assert _dual_ball_matches(space, gcds, counts) == reference_block_duality(
+        space, gcds, counts
+    )
