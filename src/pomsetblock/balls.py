@@ -74,11 +74,18 @@ def _require_ideal(space: Space, i: Ideal) -> Ideal:
 
 
 def I_ball_cardinality(space: Space, i: Ideal) -> int:
-    """Closed-form size of an I-ball: min(2c+1, m)^k per block of count c."""
+    """Closed-form size of an I-ball: (2c+1)^k on partial blocks, m^k on full."""
     _require_ideal(space, i)
-    return math.prod(
-        lee_ball_size(space.m, c) ** k for c, k in zip(i.counts, space.labeling)
-    )
+    size = 1
+    for t, c in enumerate(i.counts, start=1):
+        if c == 0:
+            continue
+        k = space.labeling[t - 1]
+        if c == space.height:
+            size *= space.m ** k
+        else:
+            size *= (2 * c + 1) ** k
+    return size
 
 
 def I_sphere_cardinality(space: Space, i: Ideal) -> int:

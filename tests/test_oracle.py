@@ -2,7 +2,7 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pomsetblock import balls
 from pomsetblock.balls import BudgetExceededError
@@ -686,30 +686,37 @@ def reference_rball_union(space, census, ideals, budget):
 
 
 @st.composite
-def tampered_listings(draw):
-    """A small space, a budget from the space's size to its largest radius
-    sum of I-ball sizes, or the default, and at most one change to one
-    ideal's listing: a member dropped, a member duplicated, the listing
-    reversed, or a member replaced by a tuple whose coordinates may be m
-    (out of range).  The census refuses budgets below the size, and the
-    largest radius sum is the least budget that skips no radius.  Half the
-    spaces are unit antichains over Z_4 to Z_9, whose middle radii sum past
-    the space, so that budgets in the range skip some."""
+def budgeted_spaces(draw):
+    """A small space and a suite budget from the space's size to its largest
+    radius sum of I-ball sizes, or the default.  The census refuses budgets
+    below the size, and the largest radius sum is the least budget that
+    skips no radius.  Half the spaces are unit antichains, over Z_4 or Z_5
+    with 3 blocks or over Z_4 to Z_9 with 2, whose middle radii sum past the
+    space, so that budgets in the range skip some; on 3 blocks a skipped
+    radius holds full-count ideals such as (2, 2, 0)."""
     if draw(st.booleans()):
-        m = draw(st.integers(4, 9))
-        space = make_space(m, [], (1,) * draw(st.integers(2, 3 if m <= 5 else 2)))
+        blocks = draw(st.integers(2, 3))
+        space = make_space(draw(st.integers(4, 5 if blocks == 3 else 9)), [], (1,) * blocks)
     else:
         space = draw(small_spaces(150))
-    ideals = all_ideals(space.pomset)
-    target = draw(st.sampled_from(ideals))
+    widest = max(
+        sum(balls.I_ball_cardinality(space, i) for i in layer)
+        for layer in radius_layers(space, all_ideals(space.pomset))
+    )
+    budget = draw(st.one_of(st.integers(space.size, widest), st.just(balls.DEFAULT_BUDGET)))
+    return space, budget
+
+
+@st.composite
+def tampered_listings(draw):
+    """A budgeted space and at most one change to one ideal's listing: a
+    member dropped, a member duplicated, the listing reversed, or a member
+    replaced by a tuple whose coordinates may be m (out of range)."""
+    space, budget = draw(budgeted_spaces())
+    target = draw(st.sampled_from(all_ideals(space.pomset)))
     fault = draw(st.sampled_from([None, "dropped", "duplicated", "reversed", "stray"]))
     where = draw(st.integers(0, space.size - 1))
     stray = draw(st.tuples(*[st.integers(0, space.m)] * space.n))
-    widest = max(
-        sum(balls.I_ball_cardinality(space, i) for i in layer)
-        for layer in radius_layers(space, ideals)
-    )
-    budget = draw(st.one_of(st.integers(space.size, widest), st.just(balls.DEFAULT_BUDGET)))
     return space, target, fault, where, stray, budget
 
 
@@ -743,13 +750,14 @@ def test_rball_union_matches_a_per_radius_reference(case):
     assert (union.status, union.detail) == expected
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(small_spaces(300), st.sampled_from([0, 20, None]))
-def test_one_suite_lists_each_ideal_at_most_once(space, extra):
-    # Radii over the budget list only their full-count ideals, so a low
-    # budget, down to the space's size, must not make a full-count ball be
-    # listed a second time.
-    budget = balls.DEFAULT_BUDGET if extra is None else space.size + extra
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(budgeted_spaces())
+@example((make_space(4, [], (1, 1, 1)), 64))
+def test_one_suite_lists_each_ideal_at_most_once(case):
+    # Radii over the budget list only their full-count ideals, so a budget
+    # that skips a radius, as 64 skips r = 4 with (2, 2, 0) in Z_4^3, must
+    # not make a full-count ball be listed a second time.
+    space, budget = case
     listed = []
     original_lister = balls.iter_I_ball_coords
 
