@@ -68,7 +68,7 @@ def in_I_ball(v: Vector, u: Vector, i) -> bool:
 def _require_ideal(space: Space, i: Ideal) -> Ideal:
     if not isinstance(i, Ideal):
         raise TypeError(f"expected Ideal, got {type(i).__name__}")
-    if i.pomset != space.pomset:
+    if i.pomset is not space.pomset and i.pomset != space.pomset:
         raise ShapeError("ideal does not belong to the space's order")
     return i
 

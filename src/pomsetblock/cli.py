@@ -106,11 +106,17 @@ def problem_from_dict(doc: dict) -> Problem:
         if len(pair) != 2:
             raise ValueError(f"pomset.relations[{j}] must be a pair, got {pair}")
     s = _integer(_required(pd, "pomset.s"), "pomset.s")
+    labeling = tuple(_integers(_required(doc, "labeling"), "labeling"))
+    if s >= 1 and len(labeling) != s:
+        # Named before the order, whose closure grows with s, is built.
+        raise ShapeError(f"labeling has {len(labeling)} blocks but order has {s} elements")
     pomset = Pomset.from_relations(s, m // 2, relations)
-    space = Space(m, pomset, tuple(_integers(_required(doc, "labeling"), "labeling")))
+    space = Space(m, pomset, labeling)
     code = None
     if "code" in doc:
         cd = _object(doc["code"], "code")
+        if "generator" in cd and "codewords" in cd:
+            raise ValueError("code must supply 'codewords' or 'generator', not both")
         if "generator" in cd:
             code = codes.span_generator(
                 space, _integer_rows(cd["generator"], "code.generator")

@@ -4,12 +4,12 @@ weight distributions.
 
 Spans, duals, linearity and parity-block dependence all come from one
 diagonal form over Z_m, so they cost what they output rather than what the
-space holds.  Perfectness and error-correction checks are an exact census
-of the ball translates at the codewords, `space.translate_census`, which
-takes the ball as boxes of per-coordinate residue lists and keys every
-vector by an integer; it is budget-guarded rather than approximate.  An
-I-ball is one box, and a radius ball splits into disjoint boxes sphere by
-sphere, so no ball is listed member by member or found by filtering the
+space holds.  Perfectness and error-correction checks are one exact census
+of the ball translates at the codewords, `_ball_census`, which takes the
+ball as boxes of per-coordinate residue lists and keys every vector by an
+integer; it is budget-guarded rather than approximate.  An I-ball is one
+box, and `_r_ball_coords` splits a radius ball into disjoint boxes sphere
+by sphere, so no ball is listed member by member or found by filtering the
 space.  `ball_code_intersection` walks whichever of the ball and the code
 is smaller.
 """
@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .balls import (
     DEFAULT_BUDGET,
@@ -33,14 +33,7 @@ from .balls import (
     lee_ball_size,
 )
 from .pomset import Ideal, enumerate_ideals, enumerate_root_downsets
-from .space import (
-    Space,
-    Vector,
-    _check_radius,
-    _check_space,
-    _check_words,
-    translate_census,
-)
+from .space import Space, Vector, _check_radius, _check_space, _check_words
 
 
 class UndefinedDistanceError(ValueError):
@@ -266,24 +259,69 @@ class CheckResult:
 def _ball_census(c: Code, boxes, budget: int, require_cover: bool) -> CheckResult:
     """Tally ball translates at every codeword; exact and deterministic.
 
-    The ball about zero is the union of a list of residue-list boxes, and
-    the budget counts their members: the ball's size, as every caller's
-    boxes are disjoint.  |C| x |B| memberships also bound the cover check,
-    whose first gap lies among the first |C| x |B| + 1 keys.
+    The ball B about zero is the union of the `boxes`, each n per-coordinate
+    residue lists whose product it holds; boxes may overlap, and the budget
+    counts their members: the ball's size, as every caller's boxes are
+    disjoint.  The census fails at the first codeword whose translate meets
+    an earlier one; the witness is that codeword plus the lexicographically
+    least offset of B already reached.  With `require_cover`, disjoint
+    translates must also reach every vector, and the witness is the
+    lexicographically first vector none reaches, among the first
+    |C| x |B| + 1.
+
+    A vector's key is its big-endian base-m value, so numeric order is
+    lexicographic order (Knuth, TAOCP 4A 7.2.1.1).  The key of w + b is the
+    key of w plus the deltas ((w_t + b_t) mod m - w_t)*m^(n-1-t) at the
+    coordinates t where the box is not 0, tabled once per coordinate,
+    residue list and w_t: about one integer addition per member.
     """
     sp = c.space
+    m, n = sp.m, sp.n
+    place = [m ** (n - 1 - t) for t in range(n)]
     size = sum(math.prod(map(len, box)) for box in boxes)
     if c.size * size > budget:
         raise BudgetExceededError(
             f"census of {c.size} x {size} memberships over a space of "
             f"{sp.size} vectors exceeds budget {budget}"
         )
-    hit = translate_census(sp, c.codewords, boxes, require_cover)
-    if hit is None:
+
+    @cache
+    def deltas(t: int, rs: tuple[int, ...]) -> list[list[int]]:
+        """Per w_t, the key deltas of the residues rs at coordinate t."""
+        return [[((a + r) % m - a) * place[t] for r in rs] for a in range(m)]
+
+    # Per box, (t, deltas) for each coordinate t where the box is not 0.
+    tables = [
+        [(t, deltas(t, tuple(rs))) for t, rs in enumerate(box) if any(rs)]
+        for box in boxes
+    ]
+
+    def keys(w) -> list[int]:
+        """Keys of w + b, b in each box in turn; a key repeats where boxes overlap."""
+        found, base = [], sum(map(operator.mul, w, place))
+        for steps in tables:
+            part = [base]
+            for t, row in steps:
+                part = [x + d for d in row[w[t]] for x in part]
+            found += part
+        return found
+
+    def coords(key: int) -> tuple[int, ...]:
+        return tuple(key // p % m for p in place)
+
+    seen: set[int] = set()
+    for w in c.codewords:
+        own = keys(w)
+        if seen.isdisjoint(own):
+            seen.update(own)
+            continue
+        # The keys about zero are the offsets' own, listed in the same order.
+        _, first = min((o, k) for k, o in zip(own, keys((0,) * n)) if k in seen)
+        return CheckResult(False, coords(first), "vector covered by two balls")
+    if not require_cover or len(seen) == sp.size:
         return CheckResult(True)
-    x, shared = hit
-    reason = "vector covered by two balls" if shared else "vector covered by no ball"
-    return CheckResult(False, x, reason)
+    gap = next(k for k in itertools.count() if k not in seen)
+    return CheckResult(False, coords(gap), "vector covered by no ball")
 
 
 def check_I_perfect(c: Code, i: Ideal, budget: int = DEFAULT_BUDGET) -> CheckResult:
@@ -294,50 +332,43 @@ def is_I_perfect(c: Code, i: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     return check_I_perfect(c, i, budget).ok
 
 
-def _r_ball_coords(sp: Space, r: int, budget: int):
-    """The radius-r ball about zero, as disjoint boxes for `translate_census`.
+def _r_ball_coords(c: Code, r: int, budget: int):
+    """The radius-r ball about zero, as disjoint boxes for `_ball_census`.
 
     The ball is the disjoint union of the I-spheres of the ideals with at
     most r elements, listed one cardinality at a time.  The lister adds up
-    the size of every box it builds and stops once the total passes the
-    budget, so a ball past the budget costs only the ideals of its first
-    few cardinalities.  In an I-sphere each coordinate of a block with
-    count c has Lee weight at most c, and a maximal block has weight
-    exactly c: it splits into one box per choice of its first coordinate of
-    weight c, the ones before it weighing less.
+    the size of every box it builds and stops once the census could not
+    take |C| copies of the total, so a ball past the budget costs only the
+    ideals of its first few cardinalities.  In an I-sphere each coordinate
+    of a block with count w has Lee weight at most w, and a maximal block
+    has weight exactly w: it splits into one box per choice of its first
+    coordinate of weight w, the ones before it weighing less.
     """
+    sp = c.space
     _check_radius(sp, r)
-    m = sp.m
-    at_most = [lee_ball_residues(m, c) for c in range(m // 2 + 1)]
+    m, room = sp.m, budget // c.size
+    at_most = [lee_ball_residues(m, w) for w in range(m // 2 + 1)]
     boxes, size = [], 0
     for card in range(r + 1):
         for i in enumerate_ideals(sp.pomset, card):
-            ball = [at_most[c] for c, k in zip(i.counts, sp.labeling) for _ in range(k)]
+            ball = [at_most[w] for w, k in zip(i.counts, sp.labeling) for _ in range(k)]
             top = [(i.counts[t - 1], *sp.block_bounds[t - 1]) for t in i.maximal_elements]
             for firsts in itertools.product(*(range(lo, hi) for _, lo, hi in top)):
                 box = ball.copy()
-                for (c, lo, _), j in zip(top, firsts):
-                    box[lo : j + 1] = [at_most[c - 1]] * (j - lo) + [sorted({c, m - c})]
+                for (w, lo, _), j in zip(top, firsts):
+                    box[lo : j + 1] = [at_most[w - 1]] * (j - lo) + [sorted({w, m - w})]
                 boxes.append(box)
                 size += math.prod(map(len, box))
-            if size > budget:
-                raise BudgetExceededError(f"radius-{r} ball exceeds {budget} vectors")
+            if size > room:
+                raise BudgetExceededError(
+                    f"census of {c.size} codewords x a radius-{r} ball of more "
+                    f"than {room} vectors exceeds budget {budget}"
+                )
     return boxes
 
 
-def _census_ball(c: Code, r: int, budget: int):
-    """The radius-r ball, listed only while the census can take |C| copies."""
-    try:
-        return _r_ball_coords(c.space, r, budget // c.size)
-    except BudgetExceededError:
-        raise BudgetExceededError(
-            f"census of {c.size} codewords x a radius-{r} ball of more than "
-            f"{budget // c.size} vectors exceeds budget {budget}"
-        ) from None
-
-
 def check_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> CheckResult:
-    return _ball_census(c, _census_ball(c, r, budget), budget, True)
+    return _ball_census(c, _r_ball_coords(c, r, budget), budget, True)
 
 
 def is_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> bool:
@@ -347,7 +378,7 @@ def is_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> bool:
 def check_r_error_correcting(
     c: Code, r: int, budget: int = DEFAULT_BUDGET
 ) -> CheckResult:
-    return _ball_census(c, _census_ball(c, r, budget), budget, False)
+    return _ball_census(c, _r_ball_coords(c, r, budget), budget, False)
 
 
 def is_r_error_correcting(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> bool:

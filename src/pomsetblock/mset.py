@@ -54,9 +54,6 @@ class Mset:
             counts[a - 1] = c
         return cls(ground_size, height, tuple(counts))
 
-    def count(self, a: int) -> int:
-        return self.counts[a - 1]
-
     @property
     def cardinality(self) -> int:
         return sum(self.counts)
@@ -64,10 +61,6 @@ class Mset:
     @property
     def root_set(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.counts, start=1) if c)
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.counts)
 
     def __str__(self) -> str:
         inner = ", ".join(

@@ -321,7 +321,7 @@ def dual_pomset(p: Pomset) -> Pomset:
 
 def ideal_complement(p: Pomset, ideal: Ideal) -> Ideal:
     """Count-wise complement, returned as an ideal of the dual pomset."""
-    if ideal.pomset != p:
+    if ideal.pomset is not p and ideal.pomset != p:
         raise ShapeError("ideal does not belong to the given pomset")
     return Ideal(dual_pomset(p), mset_complement(ideal).counts)
 

@@ -6,13 +6,10 @@ of a vector is the cardinality of the order ideal generated by its block
 support.  All values are immutable but for one lazy cache per space,
 `Space._rball_levels`: the radius-ball sizes `balls.r_ball_cardinality` has
 worked out so far, which never enter equality, hashing or repr.
-`translate_census` decides whether the translates of a ball, given as a
-union of residue-list boxes, overlap or tile the space.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -162,69 +159,6 @@ class Vector:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
-
-
-def translate_census(space: Space, centers, boxes, cover: bool):
-    """First vector where the translates c + B of a ball B fail to tile.
-
-    B is the union of the `boxes`, each n per-coordinate residue lists whose
-    product it holds; boxes may overlap.  Walking the centers (reduced
-    coordinate tuples) in order, the answer is `(x, True)` for the first
-    whose translate meets an earlier one, x being that center plus the
-    lexicographically least offset of B already reached.  With `cover`,
-    disjoint translates must also reach every vector, and the answer is
-    `(x, False)` for the lexicographically first vector none reaches.
-    `None` means the translates are disjoint (with `cover`, a tiling).
-
-    A vector's key is its big-endian base-m value, so numeric order is
-    lexicographic order (Knuth, TAOCP 4A 7.2.1.1).  The key of c + b is the
-    key of c plus the deltas ((c_t + b_t) mod m - c_t)*m^(n-1-t) at the
-    coordinates t where the box is not 0, tabled once per coordinate,
-    residue list and c_t: about one integer addition per member.
-    """
-    m, n = space.m, space.n
-
-    @functools.cache
-    def deltas(t: int, rs: tuple[int, ...]) -> list[list[int]]:
-        """Per c_t, the key deltas of the residues rs at coordinate t."""
-        return [[((a + r) % m - a) * m ** (n - 1 - t) for r in rs] for a in range(m)]
-
-    # Per box, (t, deltas) for each coordinate t where the box is not 0.
-    tables = [
-        [(t, deltas(t, tuple(rs))) for t, rs in enumerate(box) if any(rs)]
-        for box in boxes
-    ]
-
-    def keys(c) -> list[int]:
-        """Keys of c + b, b in each box in turn; a key repeats where boxes overlap."""
-        found, base = [], sum(a * m ** (n - 1 - t) for t, a in enumerate(c))
-        for steps in tables:
-            part = [base]
-            for t, row in steps:
-                part = [x + d for d in row[c[t]] for x in part]
-            found += part
-        return found
-
-    seen: set[int] = set()
-    for c in centers:
-        own = keys(c)
-        if seen.isdisjoint(own):
-            seen.update(own)
-            continue
-        # The keys about zero are the offsets' own, listed in the same order.
-        _, first = min((o, k) for k, o in zip(own, keys((0,) * n)) if k in seen)
-        return _decode(first, m, n), True
-    if not cover or len(seen) == m ** n:
-        return None
-    return _decode(next(k for k in itertools.count() if k not in seen), m, n), False
-
-
-def _decode(key: int, m: int, n: int) -> tuple[int, ...]:
-    """The coordinate tuple whose big-endian base-m value is `key`."""
-    coords = [0] * n
-    for t in range(n - 1, -1, -1):
-        key, coords[t] = divmod(key, m)
-    return tuple(coords)
 
 
 def _check_words(space: Space, words) -> list[tuple[int, ...]]:

@@ -353,6 +353,9 @@ def test_malformed_numbers_rejected_naming_the_field(tmp_path):
         ({"pomset": {"s": 2, "relations": [[1, 2, 3]]}},
          "pomset.relations[0] must be a pair, got [1, 2, 3]"),
         ({"code": {}}, "code must supply 'codewords' or 'generator'"),
+        ({"code": {"generator": [[1, 1, 1]], "codewords": [[0, 0, 0], [1, 2, 0]]}},
+         "code must supply 'codewords' or 'generator', not both"),
+        ({"labeling": [2, 1, 1]}, "labeling has 3 blocks but order has 2 elements"),
         ({"radius": 99}, "radius 99 outside 0..4"),
     ]
     path = tmp_path / "bad.json"
@@ -385,6 +388,22 @@ def test_non_object_sections_rejected_naming_the_section(tmp_path):
     path.write_text(json.dumps({"m": 5, "pomset": [1], "labeling": [1]}))
     status, out = invoke("weight", str(path), "--vector", "1", "--machine")
     assert (status, out) == (2, "error=input\n")
+
+
+def test_labeling_length_is_checked_before_the_order_is_built(tmp_path, monkeypatch):
+    # A million-element order would take seconds and hundreds of MiB to close.
+    def no_closure(s, pairs):
+        raise AssertionError("the order was built")
+
+    monkeypatch.setattr("pomsetblock.pomset._transitive_closure", no_closure)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"m": 5, "pomset": {"s": 1000000, "relations": []}, "labeling": [1]}
+    ))
+    assert invoke("weight", str(path), "--vector", "0") == (
+        2, "# input error: labeling has 1 blocks but order has 1000000 elements\n"
+        "error=input\n"
+    )
 
 
 def test_missing_required_fields_are_named(tmp_path):

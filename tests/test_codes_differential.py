@@ -147,7 +147,7 @@ def test_r_ball_lists_the_weight_filter_in_its_order(space):
     # member is listed exactly once.
     for r in range(space.max_weight + 1):
         expected = [co for co in space.iter_coords() if space.coords_weight(co) <= r]
-        boxes = _r_ball_coords(space, r, space.size)
+        boxes = _r_ball_coords(Code(space, [(0,) * space.n]), r, space.size)
         listed = sorted(co for box in boxes for co in itertools.product(*box))
         assert listed == expected
         assert len(listed) == r_ball_cardinality(space, r)
@@ -209,9 +209,10 @@ def test_census_budget_counts_memberships_not_the_space(space, seed):
 
 
 def test_r_ball_walk_stops_at_the_budget(monkeypatch):
-    # 5^24 vectors and a radius-12 ball of about 3e8 members; the spheres
-    # of cardinality 0 and 1 already hold 49 > 10, so the lister must stop
-    # at downset level 1, weighing no vector and building no later level.
+    # 5^24 vectors and a radius-12 ball of about 3e8 members; a census of
+    # two codewords under a budget of 21 takes at most 10 members, and the
+    # spheres of cardinality 0 and 1 already hold 49, so the lister must
+    # stop at downset level 1, weighing no vector and building no later level.
     space = Space(5, Pomset.from_relations(24, 2, []), (1,) * 24)
     levels = []
     level = Pomset.downsets_of_size
@@ -226,8 +227,10 @@ def test_r_ball_walk_stops_at_the_budget(monkeypatch):
 
     monkeypatch.setattr(Pomset, "downsets_of_size", guarded_level)
     monkeypatch.setattr(Pomset, "closure_counts", no_closure)
-    with pytest.raises(BudgetExceededError):
-        _r_ball_coords(space, 12, 10)
+    code = Code(space, [(0,) * 24, (1,) * 24])
+    message = "census of 2 codewords x a radius-12 ball of more than 10 vectors exceeds budget 21"
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        _r_ball_coords(code, 12, 21)
     assert sorted(set(levels)) == [0, 1]
 
 
@@ -249,7 +252,7 @@ def test_r_ball_lister_builds_each_ideal_once(monkeypatch):
     for module in (codes, balls):
         monkeypatch.setattr(module, "enumerate_ideals", counted)
     monkeypatch.setattr(balls, "I_sphere_cardinality", no_sphere)
-    boxes = _r_ball_coords(space, 6, space.size)
+    boxes = _r_ball_coords(Code(space, [(0,) * space.n]), 6, space.size)
     expected = [i for i in all_ideals(space.pomset) if i.cardinality <= 6]
     assert sorted(built, key=lambda i: i.counts) == sorted(expected, key=lambda i: i.counts)
     assert len(built) == 2010

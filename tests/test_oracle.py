@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pomsetblock import balls
 from pomsetblock.balls import BudgetExceededError
+from pomsetblock.codes import Code, _ball_census
 from pomsetblock import oracle
 from pomsetblock.oracle import (
     _check_ball_listings,
@@ -16,7 +17,7 @@ from pomsetblock.oracle import (
     weight_census,
 )
 from pomsetblock.pomset import Ideal, Pomset, all_ideals, dual_pomset, ideal_complement
-from pomsetblock.space import Space, translate_census
+from pomsetblock.space import Space
 
 
 def make_space(m, relations, labeling):
@@ -437,7 +438,7 @@ def test_a_tiling_listing_that_is_not_a_product_fails(monkeypatch):
     # Centers {0, 3} in even rows and {1, 4} in odd rows tile the space, but
     # their projections {0, 1, 3, 4} x Z_6 hold twice as many vectors.  The
     # check certifies tilings only as products, as `partition_centers` lists
-    # them, so this listing fails although the translate census accepts it.
+    # them, so this listing fails although the ball census accepts it.
     space = make_space(6, [], (1, 1))
     target = next(i for i in all_ideals(space.pomset) if i.counts == (1, 0))
     shifted = [(a + r % 2, r) for r in range(6) for a in (0, 3)]
@@ -447,7 +448,7 @@ def test_a_tiling_listing_that_is_not_a_product_fails(monkeypatch):
             centers[:] = shifted
 
     box = balls._ball_box(space, target, space.size)
-    assert translate_census(space, shifted, [box], cover=True) is None
+    assert _ball_census(Code.from_codewords(space, shifted), [box], space.size, True)
     tamper_centers(monkeypatch, stagger)
     failed = {c.name: c.detail for c in verify_formula_suite(space).failures}
     assert failed == {"partition-tiling": f"ideal {target}: translates do not tile"}
@@ -501,13 +502,13 @@ def center_listings(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(center_listings())
-def test_per_coordinate_tiling_agrees_with_the_translate_census(case):
+def test_per_coordinate_tiling_agrees_with_the_ball_census(case):
     space, box, centers = case
     tiles = _tiles(space.m, centers, box)
-    census_tiles = translate_census(space, centers, [box], cover=True) is None
     product = set(itertools.product(*map(set, zip(*centers))))
     if len(set(centers)) == len(centers) and set(centers) == product:
-        assert tiles == census_tiles
+        code = Code.from_codewords(space, centers)
+        assert tiles == _ball_census(code, [box], code.size * space.size, True).ok
     else:
         assert not tiles
 
@@ -571,7 +572,9 @@ def reference_full_count_checks(space, lister, complement):
     the right size, lies in Z_m^n, equals the product of its coordinate
     projections and each projection is a subgroup of Z_m.  The annihilator
     of that product (over all its members) must be the dual order's ball of
-    the ideal's `complement`, as `balls.iter_I_ball_coords` lists it.
+    the ideal's `complement`, as `balls.iter_I_ball_coords` lists it.  An
+    empty listing has n empty projections, so its product is empty: it
+    annihilates everything vacuously and proves nothing, so it fails.
     """
     m, n = space.m, space.n
     whole = set(itertools.product(range(m), repeat=n))
@@ -581,7 +584,7 @@ def reference_full_count_checks(space, lister, complement):
         if not i.is_full_count:
             continue
         members = set(lister(space, i))
-        projections = [set(p) for p in zip(*members)]
+        projections = [{v[t] for v in members} for t in range(n)]
         product = set(itertools.product(*projections))
         if i.cardinality and closure is None:
             expected = m ** sum(k for k, c in zip(space.labeling, i.counts) if c)
@@ -596,7 +599,7 @@ def reference_full_count_checks(space, lister, complement):
         if duality is None:
             comp = complement(space.pomset, i)
             dual_ball = set(balls.iter_I_ball_coords(dual_space, comp))
-            if dual_ball != annihilator(m, n, product):
+            if not product or dual_ball != annihilator(m, n, product):
                 duality = f"mismatch at ideal {i}"
     return (
         ("fail", closure) if closure else ("pass", "all full-count ideals"),
@@ -609,12 +612,15 @@ def tampered_spaces(draw):
     """A small space, and at most one change for one full-count ideal: a
     complement taken from another ideal, one listed member replaced by a
     tuple whose coordinates may be m (out of range) or repeat a member, the
-    ball listed in reverse, or the ball sheared into a same-size subgroup
-    that is not a product, such as {0, (1, 1)} for {0, (1, 0)} over Z_2."""
+    ball listed in reverse or not at all, or the ball sheared into a
+    same-size subgroup that is not a product, such as {0, (1, 1)} for
+    {0, (1, 0)} over Z_2."""
     space = draw(small_spaces(150))
     full = [i for i in all_ideals(space.pomset) if i.is_full_count]
     target = draw(st.sampled_from(full))
-    fault = draw(st.sampled_from([None, "complement", "member", "reversed", "diagonal"]))
+    fault = draw(
+        st.sampled_from([None, "complement", "member", "reversed", "empty", "diagonal"])
+    )
     other = draw(st.sampled_from(full))
     where = draw(st.integers(0, space.size - 1))
     stray = draw(st.tuples(*[st.integers(0, space.m)] * space.n))
@@ -634,6 +640,8 @@ def test_full_count_checks_match_a_per_ideal_reference(case):
                 members[where % len(members)] = stray
             elif fault == "reversed":
                 members.reverse()
+            elif fault == "empty":
+                members = []
             elif fault == "diagonal":
                 # v -> v + v_r (1, ..., 1) off coordinate r, the first one
                 # the ball moves, is injective and additive.
@@ -736,6 +744,8 @@ def test_rball_union_matches_a_per_radius_reference(case):
                 members.insert(j, members[j])
             elif fault == "reversed":
                 members.reverse()
+            elif fault == "empty":
+                members = []
             elif fault == "stray":
                 members[j] = stray
         return iter(members)
