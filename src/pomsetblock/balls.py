@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .mset import Mset, ShapeError, check_shape
 from .pomset import Ideal, enumerate_ideals
@@ -74,41 +75,38 @@ def _require_ideal(space: Space, i: Ideal) -> Ideal:
 
 
 def I_ball_cardinality(space: Space, i: Ideal) -> int:
-    """Closed-form size of an I-ball: (2c+1)^k on partial blocks, m^k on full."""
+    """Closed-form size of an I-ball: the product of min(2c+1, m)^k over blocks.
+
+    Each factor is a lookup in `space._ball_table`, whose row for a block of
+    dimension k holds min(2c+1, m)^k at column c: 1 outside the root set,
+    (2c+1)^k on a partial block and m^k on a full one.
+    """
     _require_ideal(space, i)
-    size = 1
-    for t, c in enumerate(i.counts, start=1):
-        if c == 0:
-            continue
-        k = space.labeling[t - 1]
-        if c == space.height:
-            size *= space.m ** k
-        else:
-            size *= (2 * c + 1) ** k
-    return size
+    return math.prod(map(operator.getitem, space._ball_table, i.counts))
 
 
 def I_sphere_cardinality(space: Space, i: Ideal) -> int:
     """Number of vectors whose support generates exactly this ideal.
 
-    Maximal blocks must weigh exactly their count c, giving
-    min(2c+1, m)^k - min(2c-1, m)^k choices; a root block with a present
-    block above it is free (m^k).  The empty ideal's sphere is the zero
-    vector alone (size 1).
+    Maximal blocks must weigh exactly their count c, giving the shell
+    row[c] - row[c-1] = min(2c+1, m)^k - min(2c-1, m)^k choices, with `row`
+    the block's row of `space._ball_table`; every other block contributes
+    row[c]: m^k on a root block with a present block above it, 1 outside
+    the root set.  The empty ideal's sphere is the zero vector alone (size 1).
     """
     _require_ideal(space, i)
-    m = space.m
     counts = i.counts
     above = space.pomset.strictly_above
+    table = space._ball_table
     root = {t for t, c in enumerate(counts, start=1) if c}
     size = 1
     for t in root:
+        row = table[t - 1]
         c = counts[t - 1]
-        k = space.labeling[t - 1]
         if above[t].isdisjoint(root):
-            size *= lee_ball_size(m, c) ** k - lee_ball_size(m, c - 1) ** k
+            size *= row[c] - row[c - 1]
         else:
-            size *= m ** k
+            size *= row[c]
     return size
 
 

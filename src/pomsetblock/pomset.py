@@ -241,60 +241,73 @@ def enumerate_root_downsets(p: Pomset, size: int) -> list[frozenset[int]]:
     return list(p.downsets_of_size(size))
 
 
-def _compositions(total: int, parts: int, cap: int):
-    """Tuples of `parts` counts in 1..cap summing to `total`, lexicographic.
+def _compositions(lo: int, hi: int, parts: int, cap: int) -> list[tuple[int, ...]]:
+    """Tuples of `parts` counts in 1..cap whose sum lies in lo..hi, lexicographic.
 
-    The caller ensures parts <= total <= parts * cap; each first count is
-    then bounded so the rest stays feasible, and every branch ends in an
-    output.
+    Prefixes grow one count at a time, each count bounded so that the sum
+    can still land in lo..hi; given parts <= hi and lo <= parts * cap, every
+    prefix completes.
     """
-    if parts <= 1:
-        yield (total,) if parts else ()
-        return
-    lo = max(1, total - cap * (parts - 1))
-    hi = min(cap, total - parts + 1)
-    for first in range(lo, hi + 1):
-        for rest in _compositions(total - first, parts - 1, cap):
-            yield (first,) + rest
+    # Bounds by comparison rather than max/min calls: on sparse orders a
+    # list is built for almost every downset, so call overhead dominates.
+    heads = [()]
+    for left in range(parts - 1, -1, -1):
+        grown = []
+        for head in heads:
+            total = sum(head)
+            least, most = lo - total - cap * left, hi - total - left
+            for c in range(least if least > 1 else 1, (most if most < cap else cap) + 1):
+                grown.append(head + (c,))
+        heads = grown
+    return heads
 
 
-def _ideals_on(
-    p: Pomset, down: frozenset[int], cardinality: int | None = None
-) -> list[Ideal]:
-    """The ideals whose root set is exactly the given downset.
+def _ideals_weighing(p: Pomset, downsets, lo: int, hi: int) -> list[Ideal]:
+    """The ideals on the given root sets with cardinality in lo..hi, by count vector.
 
-    Elements below another element of the downset carry the full height;
-    the maximal ones carry any count in 1..height.  With a cardinality,
-    only the maximal counts that reach it are generated.
+    Elements below another element of their downset carry the full height;
+    the k maximal ones carry counts in 1..height whose sum, first..last,
+    brings the total into lo..hi.  Each list of such counts is built once
+    per call, keyed by (first, last, k), and shared by every downset with
+    that key.  Plain count tuples are sorted first and wrapped as ideals last.
     """
     l = p.height
     above = p.strictly_above
-    maximal = [i for i in down if above[i].isdisjoint(down)]
-    if cardinality is None:
-        choices = itertools.product(range(1, l + 1), repeat=len(maximal))
-    else:
-        rest = cardinality - l * (len(down) - len(maximal))
-        if not len(maximal) <= rest <= l * len(maximal):
-            return []
-        choices = _compositions(rest, len(maximal), l)
-    counts = [0] * p.ground_size
-    for i in down:
-        counts[i - 1] = l
+    table = {}
     out = []
-    for choice in choices:
-        for i, c in zip(maximal, choice):
-            counts[i - 1] = c
-        out.append(Ideal._trusted(p, tuple(counts)))
-    return out
+    # Plain loops and comparisons keep the per-downset work, paid for every
+    # downset in the size window, free of comprehension and builtin calls.
+    for down in downsets:
+        maximal = []
+        for i in down:
+            if above[i].isdisjoint(down):
+                maximal.append(i - 1)
+        k = len(maximal)
+        full = l * (len(down) - k)
+        first, last = lo - full, hi - full
+        if first < k:
+            first = k
+        if last > l * k:
+            last = l * k
+        if first > last:
+            continue
+        key = first, last, k
+        if key not in table:
+            table[key] = _compositions(first, last, k, l)
+        counts = [0] * p.ground_size
+        for i in down:
+            counts[i - 1] = l
+        for choice in table[key]:
+            for i, c in zip(maximal, choice):
+                counts[i] = c
+            out.append(tuple(counts))
+    out.sort()
+    return [Ideal._trusted(p, counts) for counts in out]
 
 
 def all_ideals(p: Pomset) -> list[Ideal]:
     """Every order ideal of the pomset, sorted by count vector."""
-    out = []
-    for down in p.downsets:
-        out += _ideals_on(p, down)
-    out.sort(key=lambda i: i.counts)
-    return out
+    return _ideals_weighing(p, p.downsets, 0, p.ground_size * p.height)
 
 
 def enumerate_ideals(p: Pomset, r: int) -> list[Ideal]:
@@ -306,12 +319,9 @@ def enumerate_ideals(p: Pomset, r: int) -> list[Ideal]:
     """
     if not 0 <= r <= p.ground_size * p.height:
         raise ValueError(f"cardinality {r} outside 0..{p.ground_size * p.height}")
-    out = []
-    for size in range(-(-r // p.height), min(r, p.ground_size) + 1):
-        for down in p.downsets_of_size(size):
-            out += _ideals_on(p, down, r)
-    out.sort(key=lambda i: i.counts)
-    return out
+    sizes = range(-(-r // p.height), min(r, p.ground_size) + 1)
+    downsets = itertools.chain.from_iterable(map(p.downsets_of_size, sizes))
+    return _ideals_weighing(p, downsets, r, r)
 
 
 def dual_pomset(p: Pomset) -> Pomset:

@@ -3,9 +3,11 @@
 Coordinates are grouped into one block per ordered ground-set element; a
 block weighs as the maximum Lee weight of its coordinates, and the weight
 of a vector is the cardinality of the order ideal generated by its block
-support.  All values are immutable but for one lazy cache per space,
-`Space._rball_levels`: the radius-ball sizes `balls.r_ball_cardinality` has
-worked out so far, which never enter equality, hashing or repr.
+support.  All values are immutable but for two lazy caches per space,
+neither of which enters equality, hashing or repr: `Space._ball_table`, the
+per-block I-ball factors the closed forms of `balls` multiply, and
+`Space._rball_levels`, the radius-ball sizes `balls.r_ball_cardinality` has
+worked out so far.
 """
 
 from __future__ import annotations
@@ -82,6 +84,12 @@ class Space:
             bounds.append((start, start + k))
             start += k
         return tuple(bounds)
+
+    @cached_property
+    def _ball_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row t, column c: min(2c+1, m)^k_t, block t's I-ball factor at count c."""
+        sizes = [min(2 * c + 1, self.m) for c in range(self.height + 1)]
+        return tuple(tuple(b ** k for b in sizes) for k in self.labeling)
 
     @cached_property
     def _rball_levels(self) -> list[int]:

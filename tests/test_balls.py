@@ -130,13 +130,43 @@ def test_radius_one_ball_of_a_wide_antichain_builds_only_small_downsets(monkeypa
 def test_radius_ball_cache_is_per_space_and_leaves_equality_hash_and_repr_alone():
     p = Pomset.from_relations(3, 2, [(1, 2)])
     queried, fresh, wider = Space(5, p, (2, 1, 1)), Space(5, p, (2, 1, 1)), Space(5, p, (2, 2, 1))
+    z4 = Space(4, p, (2, 1, 1))  # another modulus of the same height
     assert r_ball_cardinality(queried, queried.max_weight) == queried.size
+    # Both lazy caches, the radius-ball levels and the I-ball table, are built.
+    partial, top = Ideal(p, (2, 1, 1)), Ideal(p, (2, 2, 2))
+    assert I_ball_cardinality(queried, partial) == 25 * 3 * 3
     assert queried == fresh and fresh == queried
     assert hash(queried) == hash(fresh)
     assert repr(queried) == repr(fresh)
     assert len({queried, fresh}) == 1
-    # Same order, other labeling: its sizes are its own.
+    # Same order, other labeling or modulus: its sizes are its own.  Block 1
+    # lies below block 2, so it is free in both spheres; blocks 2 and 3 are
+    # maximal and weigh exactly their counts.
     assert r_ball_cardinality(wider, wider.max_weight) == wider.size
+    for sp, ball, sphere in (
+        (queried, (25 * 3 * 3, 25 * 5 * 5), (25 * 2 * 2, 25 * 2 * 2)),
+        (wider, (25 * 9 * 3, 25 * 25 * 5), (25 * 8 * 2, 25 * 16 * 2)),
+        (z4, (16 * 3 * 3, 16 * 4 * 4), (16 * 2 * 2, 16 * 1 * 1)),
+    ):
+        assert (I_ball_cardinality(sp, partial), I_ball_cardinality(sp, top)) == ball
+        assert (I_sphere_cardinality(sp, partial), I_sphere_cardinality(sp, top)) == sphere
+
+
+def test_radius_sweep_of_a_ten_block_antichain_matches_the_generating_polynomial():
+    # 5^10 vectors.  A unit block over Z_5 has 1, 2, 2 residues of Lee weight
+    # 0, 1, 2, so the vectors of weight w number the x^w coefficient of
+    # (1 + 2x + 2x^2)^10 and the radius-r ball holds their prefix sum.
+    space = make_space(5, [], (1,) * 10)
+    coefficients = [1]
+    for _ in range(10):
+        grown = [0] * (len(coefficients) + 2)
+        for w, a in enumerate(coefficients):
+            for d, b in enumerate((1, 2, 2)):
+                grown[w + d] += a * b
+        coefficients = grown
+    prefix = list(itertools.accumulate(coefficients))
+    assert prefix[-1] == 5 ** 10 and len(prefix) == space.max_weight + 1
+    assert [r_ball_cardinality(space, r) for r in range(space.max_weight + 1)] == prefix
 
 
 def test_enumerate_I_ball_matches_formula_and_membership():

@@ -1,6 +1,6 @@
-"""Differential tests of the downset and ideal enumerators and the sphere
-and radius-ball closed forms, each against a brute-force reference on
-random small orders and spaces.
+"""Differential tests of the downset and ideal enumerators and the I-ball,
+sphere and radius-ball closed forms, each against a brute-force reference
+on random small orders and spaces.
 
 Hypothesis runs derandomized, without an example database and with a
 bounded number of examples, so the suite stays deterministic and quick.
@@ -13,7 +13,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
-from pomsetblock.balls import I_sphere_cardinality, r_ball_cardinality
+from pomsetblock.balls import I_ball_cardinality, I_sphere_cardinality, r_ball_cardinality
 from pomsetblock.oracle import weight_census
 from pomsetblock.pomset import Ideal, Pomset, all_ideals, enumerate_ideals
 from pomsetblock.space import Space
@@ -108,6 +108,18 @@ def test_sphere_and_radius_ball_sizes_match_census(space):
         assert I_sphere_cardinality(space, i) == census.ideal_sphere_counts.get(i.counts, 0)
     for r in range(space.max_weight + 1):
         assert r_ball_cardinality(space, r) == census.ball_size(r)
+
+
+@bounded(30)
+@given(spaces())
+def test_ideal_ball_sizes_match_census(space):
+    # A vector lies in the I-ball iff the ideal its support generates fits
+    # inside I, so the ball holds the census spheres of every nested key.
+    by_ideal = weight_census(space).ideal_sphere_counts
+    for i in all_ideals(space.pomset):
+        nested = sum(n for key, n in by_ideal.items()
+                     if all(a <= b for a, b in zip(key, i.counts)))
+        assert I_ball_cardinality(space, i) == nested
 
 
 @bounded(30)
