@@ -92,21 +92,29 @@ def I_sphere_cardinality(space: Space, i: Ideal) -> int:
     row[c] - row[c-1] = min(2c+1, m)^k - min(2c-1, m)^k choices, with `row`
     the block's row of `space._ball_table`; every other block contributes
     row[c]: m^k on a root block with a present block above it, 1 outside
-    the root set.  The empty ideal's sphere is the zero vector alone (size 1).
+    the root set.  A block with 0 < c < height has nothing present above
+    it, since everything below a present block is full, so it is maximal;
+    only full blocks look above them.  The empty ideal's sphere is the zero
+    vector alone (size 1).
     """
     _require_ideal(space, i)
     counts = i.counts
+    l = i.height
     above = space.pomset.strictly_above
     table = space._ball_table
-    root = {t for t, c in enumerate(counts, start=1) if c}
     size = 1
-    for t in root:
-        row = table[t - 1]
-        c = counts[t - 1]
-        if above[t].isdisjoint(root):
-            size *= row[c] - row[c - 1]
-        else:
-            size *= row[c]
+    for t, c in enumerate(counts, start=1):
+        if c:
+            row = table[t - 1]
+            if c == l:
+                for u in above[t]:
+                    if counts[u - 1]:
+                        size *= row[c]
+                        break
+                else:
+                    size *= row[c] - row[c - 1]
+            else:
+                size *= row[c] - row[c - 1]
     return size
 
 

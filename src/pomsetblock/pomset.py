@@ -5,6 +5,12 @@ The ordered ground set together with the height models a regular multiset
 ground-set elements are.  An order ideal is then a capped multiset whose
 counts are forced to the full height strictly below any present element,
 so the whole ideal lattice is driven by the poset alone.
+
+An ideal is a downset whose maximal elements carry counts 1..height and
+whose other elements carry the full height.  Each order keeps, grown level
+by level only as far as asked, its downsets by size and a root table that
+groups each level's downsets by their number of maximal elements, found
+once; both ideal enumerators walk that table.
 """
 
 from __future__ import annotations
@@ -110,6 +116,11 @@ class Pomset:
         """Downsets by size, grown by `downsets_of_size` as far as asked."""
         return [(frozenset(),)]
 
+    @cached_property
+    def _root_levels(self) -> dict[int, tuple]:
+        """The root table by downset size, filled by `_root_groups` as asked."""
+        return {}
+
     def downsets_of_size(self, size: int) -> tuple[frozenset[int], ...]:
         """The downward-closed subsets with `size` elements, by sorted elements.
 
@@ -128,6 +139,27 @@ class Pomset:
                 if i not in d and below[i] <= d
             }
             levels.append(tuple(sorted(grown, key=sorted)))
+        return levels[size]
+
+    def _root_groups(self, size: int) -> tuple:
+        """Level `size` of the root table: its downsets grouped by maximal elements.
+
+        Each group is a pair (k, entries), one entry per downset with k
+        maximal elements: its counts with every element at full height, and
+        the 0-based indices of its maximal elements in ascending order.  The
+        level is read from `downsets_of_size` once and cached on the order.
+        """
+        levels = self._root_levels
+        if size not in levels:
+            l, above = self.height, self.strictly_above
+            groups = {}
+            for down in self.downsets_of_size(size):
+                full = [0] * self.ground_size
+                for i in down:
+                    full[i - 1] = l
+                maximal = tuple(i - 1 for i in sorted(down) if above[i].isdisjoint(down))
+                groups.setdefault(len(maximal), []).append((tuple(full), maximal))
+            levels[size] = tuple((k, tuple(entries)) for k, entries in groups.items())
         return levels[size]
 
     @property
@@ -189,14 +221,24 @@ class Ideal(Mset):
             raise NotAnIdealError(f"element {i} present but {j} < {i} lacks full count")
 
     @classmethod
-    def _trusted(cls, pomset: Pomset, counts: tuple[int, ...]) -> "Ideal":
-        """An ideal from counts the caller built downward closed; unchecked."""
-        ideal = object.__new__(cls)
-        ideal.__dict__.update(
-            ground_size=pomset.ground_size, height=pomset.height,
-            counts=counts, pomset=pomset,
-        )
-        return ideal
+    def _trusted(cls, pomset: Pomset, counts_list) -> list["Ideal"]:
+        """Ideals from count tuples the caller built downward closed; unchecked.
+
+        Every instance dict is filled from one template holding the fields,
+        in order, that validation would set, so a trusted ideal equals,
+        hashes and reprs like a validated one.
+        """
+        template = {"pomset": pomset, "ground_size": pomset.ground_size,
+                    "height": pomset.height, "counts": None}
+        new = object.__new__
+        out = []
+        for counts in counts_list:
+            ideal = new(cls)
+            fields = ideal.__dict__
+            fields.update(template)
+            fields["counts"] = counts
+            out.append(ideal)
+        return out
 
     @property
     def full_elements(self) -> frozenset[int]:
@@ -233,7 +275,7 @@ def is_ideal(p: Pomset, a: Mset) -> bool:
 def ideal_generated(p: Pomset, s: Mset) -> Ideal:
     """Smallest ideal containing the given multiset."""
     check_shape(p, s)
-    return Ideal._trusted(p, p.closure_counts(s.counts))
+    return Ideal._trusted(p, [p.closure_counts(s.counts)])[0]
 
 
 def enumerate_root_downsets(p: Pomset, size: int) -> list[frozenset[int]]:
@@ -262,66 +304,64 @@ def _compositions(lo: int, hi: int, parts: int, cap: int) -> list[tuple[int, ...
     return heads
 
 
-def _ideals_weighing(p: Pomset, downsets, lo: int, hi: int) -> list[Ideal]:
-    """The ideals on the given root sets with cardinality in lo..hi, by count vector.
+def _ideals_weighing(p: Pomset, sizes, lo: int, hi: int) -> list[Ideal]:
+    """The ideals on downsets of the given sizes weighing lo..hi, by count vector.
 
     Elements below another element of their downset carry the full height;
-    the k maximal ones carry counts in 1..height whose sum, first..last,
-    brings the total into lo..hi.  Each list of such counts is built once
-    per call, keyed by (first, last, k), and shared by every downset with
-    that key.  Plain count tuples are sorted first and wrapped as ideals last.
+    the k maximal ones carry counts in 1..height.  The root table groups a
+    level's downsets by k, so a group's full-height weight, and with it the
+    window first..last of its maximal counts' sum, is worked out once: a
+    group outside lo..hi is skipped without touching its downsets.  Each
+    list of maximal counts is built once per call, keyed by (first, last, k).
+    The cost is O(table groups in the window + output).  Plain count tuples
+    are sorted first and wrapped as ideals last.
     """
     l = p.height
-    above = p.strictly_above
-    table = {}
+    count_lists = {}
     out = []
-    # Plain loops and comparisons keep the per-downset work, paid for every
-    # downset in the size window, free of comprehension and builtin calls.
-    for down in downsets:
-        maximal = []
-        for i in down:
-            if above[i].isdisjoint(down):
-                maximal.append(i - 1)
-        k = len(maximal)
-        full = l * (len(down) - k)
-        first, last = lo - full, hi - full
-        if first < k:
-            first = k
-        if last > l * k:
-            last = l * k
-        if first > last:
-            continue
-        key = first, last, k
-        if key not in table:
-            table[key] = _compositions(first, last, k, l)
-        counts = [0] * p.ground_size
-        for i in down:
-            counts[i - 1] = l
-        for choice in table[key]:
-            for i, c in zip(maximal, choice):
-                counts[i] = c
-            out.append(tuple(counts))
+    counts = [0] * p.ground_size
+    for j in sizes:
+        for k, entries in p._root_groups(j):
+            full = l * (j - k)
+            first, last = lo - full, hi - full
+            if first < k:
+                first = k
+            if last > l * k:
+                last = l * k
+            if first > last:
+                continue
+            key = first, last, k
+            choices = count_lists.get(key)
+            if choices is None:
+                choices = count_lists[key] = _compositions(first, last, k, l)
+            # One count vector serves the call; each downset resets it.
+            for full_counts, maximal in entries:
+                counts[:] = full_counts
+                for choice in choices:
+                    for i, c in zip(maximal, choice):
+                        counts[i] = c
+                    out.append(tuple(counts))
     out.sort()
-    return [Ideal._trusted(p, counts) for counts in out]
+    return Ideal._trusted(p, out)
 
 
 def all_ideals(p: Pomset) -> list[Ideal]:
     """Every order ideal of the pomset, sorted by count vector."""
-    return _ideals_weighing(p, p.downsets, 0, p.ground_size * p.height)
+    return _ideals_weighing(p, range(p.ground_size + 1), 0, p.ground_size * p.height)
 
 
 def enumerate_ideals(p: Pomset, r: int) -> list[Ideal]:
     """All ideals of cardinality r, sorted lexicographically by count vector.
 
     Only downsets of ceil(r/height)..r elements can weigh r, and each
-    generates only the ideals of cardinality r, so the cost is
-    O(downsets of at most r elements + output).
+    generates only the ideals of cardinality r, so the cost is O(table
+    groups of those sizes in the window + output), plus building the table
+    levels of those sizes on the order's first call.
     """
     if not 0 <= r <= p.ground_size * p.height:
         raise ValueError(f"cardinality {r} outside 0..{p.ground_size * p.height}")
     sizes = range(-(-r // p.height), min(r, p.ground_size) + 1)
-    downsets = itertools.chain.from_iterable(map(p.downsets_of_size, sizes))
-    return _ideals_weighing(p, downsets, r, r)
+    return _ideals_weighing(p, sizes, r, r)
 
 
 def dual_pomset(p: Pomset) -> Pomset:

@@ -9,10 +9,13 @@ bounded number of examples, so the suite stays deterministic and quick.
 import itertools
 import math
 import random
+from functools import partial
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
+from pomsetblock import pomset
 from pomsetblock.balls import I_ball_cardinality, I_sphere_cardinality, r_ball_cardinality
 from pomsetblock.oracle import weight_census
 from pomsetblock.pomset import Ideal, Pomset, all_ideals, enumerate_ideals
@@ -88,16 +91,59 @@ def test_all_ideals_are_the_closures_of_all_count_vectors(p):
     vectors = itertools.product(range(p.height + 1), repeat=p.ground_size)
     closures = sorted({closure_of(p, v) for v in vectors})
     assert [i.counts for i in all_ideals(p)] == closures
-    assert all(Ideal(p, i.counts) == i for i in all_ideals(p))
+    # The enumerators wrap their ideals unchecked; each must be
+    # indistinguishable from the ideal validated from the same counts.
+    layers = (enumerate_ideals(p, r) for r in range(p.ground_size * p.height + 1))
+    for i in itertools.chain(all_ideals(p), *layers):
+        checked = Ideal(p, i.counts)
+        assert i == checked and checked == i
+        assert hash(i) == hash(checked)
+        assert repr(i) == repr(checked)
+        assert vars(i) == vars(checked)
+
+
+@bounded(60)
+@given(orders(), SEEDS)
+def test_enumerate_ideals_is_a_cardinality_layer_of_all_ideals(p, seed):
+    # A frozenset's repr follows its insertion history, so an equal order
+    # built anew may list its pairs otherwise; repr is compared with p's own.
+    shown = repr(p)
+    # Shuffled cardinalities make the root table grow out of order.
+    cardinalities = list(range(p.ground_size * p.height + 1))
+    random.Random(seed).shuffle(cardinalities)
+    layers = {r: [i.counts for i in enumerate_ideals(p, r)] for r in cardinalities}
+    everything = [i.counts for i in all_ideals(p)]
+    for r, layer in layers.items():
+        assert layer == [c for c in everything if sum(c) == r]
+    # The table is a cache on the order, outside equality, hashing and repr.
+    fresh = Pomset(p.ground_size, p.height, p.order)
+    assert p == fresh and fresh == p
+    assert hash(p) == hash(fresh)
+    assert len({p, fresh}) == 1
+    assert repr(p) == shown
 
 
 @bounded(60)
 @given(orders())
-def test_enumerate_ideals_is_a_cardinality_layer_of_all_ideals(p):
-    everything = [i.counts for i in all_ideals(p)]
-    for r in range(p.ground_size * p.height + 1):
-        layer = [i.counts for i in enumerate_ideals(p, r)]
-        assert layer == [c for c in everything if sum(c) == r]
+def test_ideal_enumerators_build_count_lists_only_for_groups_in_the_window(p):
+    # A root-table group whose maximal counts cannot bring the cardinality
+    # into the call's window is skipped before a count list is built for
+    # it, and a call builds each (first, last, k) list once.
+    compositions = pomset._compositions
+    built = []
+
+    def recorded(lo, hi, parts, cap):
+        out = compositions(lo, hi, parts, cap)
+        assert out, f"empty count list built for sums {lo}..{hi} of {parts} counts"
+        built.append((lo, hi, parts))
+        return out
+
+    calls = [partial(enumerate_ideals, p, r) for r in range(p.ground_size * p.height + 1)]
+    with mock.patch.object(pomset, "_compositions", recorded):
+        for call in [*calls, partial(all_ideals, p)]:
+            built.clear()
+            call()
+            assert len(built) == len(set(built))
 
 
 @bounded(30)
