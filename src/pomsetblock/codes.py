@@ -6,8 +6,9 @@ Spans, duals, linearity and parity-block dependence all come from one
 diagonal form over Z_m, so they cost what they output rather than what the
 space holds.  Perfectness and error-correction checks are one exact census
 of the ball translates at the codewords, `_ball_census`, which takes the
-ball as boxes of per-coordinate residue lists and keys every vector by an
-integer; it is budget-guarded rather than approximate.  An I-ball is one
+ball as boxes of per-coordinate residue lists; it keys a linear code's ball
+members by their cosets, and otherwise every vector by an integer, and is
+budget-guarded rather than approximate.  An I-ball is one
 box, and `_r_ball_coords` splits a radius ball into disjoint boxes sphere
 by sphere, so no ball is listed member by member or found by filtering the
 space.  `ball_code_intersection` walks whichever of the ball and the code
@@ -20,7 +21,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 from .balls import (
     DEFAULT_BUDGET,
@@ -78,17 +79,26 @@ class Code:
         return frozenset(self.codewords)
 
     @cached_property
+    def _form(self):
+        """`_diagonal` of the generator rows, or of the codewords if none."""
+        rows = self.codewords if self.generator is None else self.generator
+        return _diagonal(rows, self.space.n, self.space.m)
+
+    @cached_property
     def is_linear(self) -> bool:
         """True iff the code is a submodule (closed under + and -).
 
         A finite set is a submodule exactly when its span is no larger than
-        itself, and the diagonal form gives the span's size directly.
+        itself, and the diagonal form gives the span's size directly.  A
+        submodule holds zero and its size divides m^n, which settles most
+        other sets before any diagonal form.
         """
         if self.generator is not None:
             return True
+        if self.codewords[0] != (0,) * self.space.n or self.space.size % self.size:
+            return False
         m = self.space.m
-        d, _, _ = _diagonal(self.codewords, self.space.n, m)
-        return math.prod(m // math.gcd(x, m) for x in d) == self.size
+        return math.prod(m // math.gcd(x, m) for x in self._form[0]) == self.size
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -170,14 +180,16 @@ def _direct_sum(gens, n: int, m: int) -> list[tuple[int, ...]]:
     The generators must form a direct sum, as those read off `_diagonal`
     do, so the sums are pairwise distinct and cost O(output * n).
     """
+    add = [[(x + y) % m for y in range(m)] for x in range(m)]
     words = [(0,) * n]
     for b in gens:
         if any(b):
-            words = [
-                tuple((x + c * y) % m for x, y in zip(w, b))
-                for c in range(_order(b, m))
-                for w in words
-            ]
+            out = []
+            for c in range(_order(b, m)):
+                # Coordinate t of w + c*b is row c*b_t of the table at w_t.
+                rows = [add[c * y % m] for y in b]
+                out += [tuple(map(list.__getitem__, rows, w)) for w in words]
+            words = out
     return words
 
 
@@ -197,9 +209,13 @@ def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
     """
     m = space.m
     norm = tuple(_check_words(space, [[operator.index(x) % m for x in row] for row in rows]))
-    d, _, vinv = _diagonal(norm, space.n, m)
+    form = _diagonal(norm, space.n, m)
+    d, _, vinv = form
     gens = [tuple(dt * x % m for x in row) for dt, row in zip(d, vinv)]
-    return _budgeted_code(space, gens, budget, "span", generator=norm)
+    code = _budgeted_code(space, gens, budget, "span", generator=norm)
+    # The code's own diagonal form is the one just taken of its generator.
+    object.__setattr__(code, "_form", form)
+    return code
 
 
 def min_distance(c: Code) -> int:
@@ -223,11 +239,9 @@ def _dual_generators(c: Code) -> list[tuple[int, ...]]:
     """
     if not c.is_linear:
         raise ValueError("dual code requires a linear (submodule) code")
-    sp = c.space
-    m, n = sp.m, sp.n
+    m, n = c.space.m, c.space.n
     # Annihilating a spanning set annihilates every combination of it.
-    rows = c.generator if c.generator is not None else c.codewords
-    d, v, _ = _diagonal(rows, n, m)
+    d, v, _ = c._form
     return [
         tuple(m // math.gcd(dt, m) * v[i][t] % m for i in range(n))
         for t, dt in enumerate(d)
@@ -256,6 +270,104 @@ class CheckResult:
         return self.ok
 
 
+def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | None:
+    """`_ball_census` of a linear code from the cosets its ball members hit.
+
+    `steps` lists each box as indices into `kinds`, the pairs (t, residues)
+    at the coordinates t where a box is not 0.  Z_m is a Frobenius ring, so
+    C is the annihilator of its dual, and two vectors lie in one coset of C
+    exactly when their syndromes under the dual's generators agree.
+    Translates c + b and c' + b' meet only if b - b' is a nonzero codeword,
+    so the translates are disjoint iff no two listed members share a coset;
+    their union is then the hit cosets, and it covers the space iff
+    |C| x #hit = m^n.  Otherwise the gap is the first vector, walked as an
+    odometer with its syndrome kept up to date, whose coset no member hit.
+    Returns None once a coset is keyed twice, by an overlap or by a member
+    two boxes list, and leaves that to the translate census.
+
+    A syndrome packs one byte per nonzero dual row into an integer, so a
+    member's key is built like the census's, one table addition per box
+    coordinate that is not 0.  One `bytes.translate` per few thousand keys
+    reduces every lane mod m, and a memoryview cast reads them back as whole
+    64-bit words.  A byte takes 255 // (m-1) additions, so a longer box is
+    reduced part-way.  Past m = 128 a byte takes no two, and lanes wide
+    enough for n additions are reduced one by one into a tuple.
+    """
+    sp = c.space
+    m, n = sp.m, sp.n
+    # A zero row keeps one lane when C is the whole space.
+    rows = [h for h in _dual_generators(c) if any(h)] or [(0,) * n]
+    k = len(rows)
+    cols = [[h[t] for h in rows] for t in range(n)]
+    if m <= 128:
+        width, room, size = 8, 255 // (m - 1), -(-k // 8) * 8
+        table = bytes(x % m for x in range(256))
+
+        def reduced(part: list[int]) -> list:
+            blob = b"".join(
+                map(int.to_bytes, part, itertools.repeat(size), itertools.repeat("big"))
+            )
+            words = memoryview(blob.translate(table)).cast("Q").tolist()
+            return words if size == 8 else list(zip(*[iter(words)] * (size // 8)))
+    else:
+        width, room = (n * (m - 1)).bit_length(), n
+        mask = (1 << width) - 1
+
+        def reduced(part: list[int]) -> list:
+            return [
+                tuple((x >> width * (k - 1 - j) & mask) % m for j in range(k))
+                for x in part
+            ]
+
+    def pack(lanes) -> int:
+        return sum(a << width * (k - 1 - j) for j, a in enumerate(lanes))
+
+    def syndromes(t: int, rs) -> list[int]:
+        """The packed syndromes of the residues rs at coordinate t."""
+        return [pack(r * h % m for h in cols[t]) for r in rs]
+
+    deltas = [syndromes(t, rs) for t, rs in kinds]
+    hit, listed, members = set(), 0, []
+    for done, box in enumerate(steps, 1):
+        part, used = [0], 0
+        for kind in box:
+            if used == room:
+                # Only bytes fill up: wide lanes take all n additions.
+                part = [
+                    int.from_bytes(x.to_bytes(size, "big").translate(table), "big")
+                    for x in part
+                ]
+                used = 1
+            part = [x + d for d in deltas[kind] for x in part]
+            used += 1
+        members += part
+        # Keys go in a few thousand at a time, so an overlap ends the pass early.
+        if len(members) >= 4096 or done == len(steps):
+            hit.update(reduced(members))
+            listed += len(members)
+            if len(hit) < listed:
+                return None
+            members = []
+    if not require_cover or c.size * len(hit) == sp.size:
+        return CheckResult(True)
+    # The last coordinate's m syndromes are keyed at once per prefix; a
+    # reduced lane plus one delta stays within its byte or its width.
+    last = syndromes(n - 1, range(m))
+    prefix, lanes = [0] * (n - 1), [0] * k
+    for _ in range(m ** (n - 1)):
+        base = pack(lanes)
+        for a, key in enumerate(reduced([base + d for d in last])):
+            if key not in hit:
+                return CheckResult(False, (*prefix, a), "vector covered by no ball")
+        # Stepping or wrapping coordinate t adds column t to the syndrome.
+        for t in reversed(range(n - 1)):
+            lanes = [(x + h) % m for x, h in zip(lanes, cols[t])]
+            prefix[t] = (prefix[t] + 1) % m
+            if prefix[t]:
+                break
+    raise InternalInconsistencyError("every coset hit, yet |C| x #hit < m^n")
+
+
 def _ball_census(c: Code, boxes, budget: int, require_cover: bool) -> CheckResult:
     """Tally ball translates at every codeword; exact and deterministic.
 
@@ -269,11 +381,18 @@ def _ball_census(c: Code, boxes, budget: int, require_cover: bool) -> CheckResul
     lexicographically first vector none reaches, among the first
     |C| x |B| + 1.
 
+    A linear code is first handed to `_coset_census`, which keys each
+    listed member once by its coset, |B| keys where the translates take
+    |C| x |B|, and settles disjointness, cover and the gap.  Only a coset
+    keyed twice brings it on to the translate census below, which also
+    serves every non-linear code and finds the overlap's witness.
+
     A vector's key is its big-endian base-m value, so numeric order is
     lexicographic order (Knuth, TAOCP 4A 7.2.1.1).  The key of w + b is the
     key of w plus the deltas ((w_t + b_t) mod m - w_t)*m^(n-1-t) at the
     coordinates t where the box is not 0, tabled once per coordinate,
-    residue list and w_t: about one integer addition per member.
+    residue list and w_t: about one integer addition per member.  Both
+    passes read the boxes' coordinates from one interned list of pairs.
     """
     sp = c.space
     m, n = sp.m, sp.n
@@ -284,24 +403,30 @@ def _ball_census(c: Code, boxes, budget: int, require_cover: bool) -> CheckResul
             f"census of {c.size} x {size} memberships over a space of "
             f"{sp.size} vectors exceeds budget {budget}"
         )
-
-    @cache
-    def deltas(t: int, rs: tuple[int, ...]) -> list[list[int]]:
-        """Per w_t, the key deltas of the residues rs at coordinate t."""
-        return [[((a + r) % m - a) * place[t] for r in rs] for a in range(m)]
-
-    # Per box, (t, deltas) for each coordinate t where the box is not 0.
-    tables = [
-        [(t, deltas(t, tuple(rs))) for t, rs in enumerate(box) if any(rs)]
+    # Each box as indices into the distinct pairs (t, residues) at the
+    # coordinates t where a box is not 0, so each pass tables a pair once.
+    kinds: dict[tuple[int, tuple[int, ...]], int] = {}
+    steps = [
+        [kinds.setdefault((t, tuple(rs)), len(kinds)) for t, rs in enumerate(box) if any(rs)]
         for box in boxes
+    ]
+    if c.is_linear:
+        result = _coset_census(c, list(kinds), steps, require_cover)
+        if result is not None:
+            return result
+    # Per pair, its coordinate and, per w_t, the key deltas of its residues.
+    deltas = [
+        (t, [[((a + r) % m - a) * place[t] for r in rs] for a in range(m)])
+        for t, rs in kinds
     ]
 
     def keys(w) -> list[int]:
         """Keys of w + b, b in each box in turn; a key repeats where boxes overlap."""
         found, base = [], sum(map(operator.mul, w, place))
-        for steps in tables:
+        for box in steps:
             part = [base]
-            for t, row in steps:
+            for kind in box:
+                t, row = deltas[kind]
                 part = [x + d for d in row[w[t]] for x in part]
             found += part
         return found
@@ -346,17 +471,26 @@ def _r_ball_coords(c: Code, r: int, budget: int):
     """
     sp = c.space
     _check_radius(sp, r)
-    m, room = sp.m, budget // c.size
+    m, h, room = sp.m, sp.height, budget // c.size
+    labeling, bounds, above = sp.labeling, sp.block_bounds, sp.pomset.strictly_above
     at_most = [lee_ball_residues(m, w) for w in range(m // 2 + 1)]
+    exactly = [sorted({w, m - w}) for w in range(m // 2 + 1)]
     boxes, size = [], 0
     for card in range(r + 1):
         for i in enumerate_ideals(sp.pomset, card):
-            ball = [at_most[w] for w, k in zip(i.counts, sp.labeling) for _ in range(k)]
-            top = [(i.counts[t - 1], *sp.block_bounds[t - 1]) for t in i.maximal_elements]
+            counts = i.counts
+            ball = [at_most[w] for w, k in zip(counts, labeling) for _ in range(k)]
+            # By the ideal property a partial block is maximal, and a full one
+            # is when no block above it is present.
+            top = [
+                (w, *bounds[t - 1])
+                for t, w in enumerate(counts, start=1)
+                if w and (w < h or not any(counts[u - 1] for u in above[t]))
+            ]
             for firsts in itertools.product(*(range(lo, hi) for _, lo, hi in top)):
                 box = ball.copy()
                 for (w, lo, _), j in zip(top, firsts):
-                    box[lo : j + 1] = [at_most[w - 1]] * (j - lo) + [sorted({w, m - w})]
+                    box[lo : j + 1] = [at_most[w - 1]] * (j - lo) + [exactly[w]]
                 boxes.append(box)
                 size += math.prod(map(len, box))
             if size > room:

@@ -82,6 +82,15 @@ class Pomset:
         if _transitive_closure(self.ground_size, self.order) != self.order:
             raise ValueError("order is not transitively closed; use from_relations")
 
+    def __repr__(self) -> str:
+        # Sorted pairs: a frozenset's own repr follows its insertion history.
+        pairs = ", ".join(map(repr, sorted(self.order)))
+        order = f"frozenset({{{pairs}}})" if pairs else "frozenset()"
+        return (
+            f"{type(self).__name__}(ground_size={self.ground_size!r}, "
+            f"height={self.height!r}, order={order})"
+        )
+
     @classmethod
     def from_relations(cls, ground_size: int, height: int, pairs) -> "Pomset":
         """Build from covering (Hasse) or arbitrary strict pairs a < b."""

@@ -105,8 +105,7 @@ def test_all_ideals_are_the_closures_of_all_count_vectors(p):
 @bounded(60)
 @given(orders(), SEEDS)
 def test_enumerate_ideals_is_a_cardinality_layer_of_all_ideals(p, seed):
-    # A frozenset's repr follows its insertion history, so an equal order
-    # built anew may list its pairs otherwise; repr is compared with p's own.
+    # The repr taken before the table grows must survive its growth.
     shown = repr(p)
     # Shuffled cardinalities make the root table grow out of order.
     cardinalities = list(range(p.ground_size * p.height + 1))

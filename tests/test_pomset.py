@@ -206,3 +206,15 @@ def test_chain_antichain_predicates():
     assert not Pomset.chain(3, 2).is_antichain
     assert Pomset.antichain(3, 2).is_antichain
     assert not VSHAPE.is_chain
+
+
+def test_repr_lists_the_order_sorted():
+    # Equal orders repr alike, whatever order their pairs were inserted in.
+    p = Pomset(4, 1, {(1, 3), (4, 1), (4, 3)})
+    rebuilt = Pomset(p.ground_size, p.height, p.order)
+    assert repr(p) == repr(rebuilt) == (
+        "Pomset(ground_size=4, height=1, order=frozenset({(1, 3), (4, 1), (4, 3)}))"
+    )
+    assert eval(repr(p)) == p
+    assert repr(Pomset.antichain(2, 3)) == "Pomset(ground_size=2, height=3, order=frozenset())"
+    assert repr(Ideal(p, (0, 0, 0, 1))) == repr(Ideal(rebuilt, (0, 0, 0, 1)))
