@@ -209,13 +209,9 @@ def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
     """
     m = space.m
     norm = tuple(_check_words(space, [[operator.index(x) % m for x in row] for row in rows]))
-    form = _diagonal(norm, space.n, m)
-    d, _, vinv = form
+    d, _, vinv = _diagonal(norm, space.n, m)
     gens = [tuple(dt * x % m for x in row) for dt, row in zip(d, vinv)]
-    code = _budgeted_code(space, gens, budget, "span", generator=norm)
-    # The code's own diagonal form is the one just taken of its generator.
-    object.__setattr__(code, "_form", form)
-    return code
+    return _budgeted_code(space, gens, budget, "span", generator=norm)
 
 
 def min_distance(c: Code) -> int:
@@ -285,42 +281,30 @@ def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | N
     Returns None once a coset is keyed twice, by an overlap or by a member
     two boxes list, and leaves that to the translate census.
 
-    A syndrome packs one byte per nonzero dual row into an integer, so a
+    A syndrome packs one byte per nonzero dual row into a 64-bit word, so a
     member's key is built like the census's, one table addition per box
     coordinate that is not 0.  One `bytes.translate` per few thousand keys
-    reduces every lane mod m, and a memoryview cast reads them back as whole
-    64-bit words.  A byte takes 255 // (m-1) additions, so a longer box is
-    reduced part-way.  Past m = 128 a byte takes no two, and lanes wide
-    enough for n additions are reduced one by one into a tuple.
+    reduces every byte mod m, and a memoryview cast reads them back as
+    whole words.  A byte takes 255 // (m-1) additions, so a longer box is
+    reduced part-way.  Past m = 128 or 8 nonzero dual rows a syndrome fits
+    no such word, and the pass returns None at once.
     """
     sp = c.space
     m, n = sp.m, sp.n
     # A zero row keeps one lane when C is the whole space.
     rows = [h for h in _dual_generators(c) if any(h)] or [(0,) * n]
-    k = len(rows)
+    if m > 128 or len(rows) > 8:
+        return None
     cols = [[h[t] for h in rows] for t in range(n)]
-    if m <= 128:
-        width, room, size = 8, 255 // (m - 1), -(-k // 8) * 8
-        table = bytes(x % m for x in range(256))
+    room = 255 // (m - 1)
+    table = bytes(x % m for x in range(256))
 
-        def reduced(part: list[int]) -> list:
-            blob = b"".join(
-                map(int.to_bytes, part, itertools.repeat(size), itertools.repeat("big"))
-            )
-            words = memoryview(blob.translate(table)).cast("Q").tolist()
-            return words if size == 8 else list(zip(*[iter(words)] * (size // 8)))
-    else:
-        width, room = (n * (m - 1)).bit_length(), n
-        mask = (1 << width) - 1
-
-        def reduced(part: list[int]) -> list:
-            return [
-                tuple((x >> width * (k - 1 - j) & mask) % m for j in range(k))
-                for x in part
-            ]
+    def reduced(part: list[int]) -> list[int]:
+        blob = b"".join(map(int.to_bytes, part, itertools.repeat(8), itertools.repeat("big")))
+        return memoryview(blob.translate(table)).cast("Q").tolist()
 
     def pack(lanes) -> int:
-        return sum(a << width * (k - 1 - j) for j, a in enumerate(lanes))
+        return int.from_bytes(bytes(lanes), "big")
 
     def syndromes(t: int, rs) -> list[int]:
         """The packed syndromes of the residues rs at coordinate t."""
@@ -332,9 +316,8 @@ def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | N
         part, used = [0], 0
         for kind in box:
             if used == room:
-                # Only bytes fill up: wide lanes take all n additions.
                 part = [
-                    int.from_bytes(x.to_bytes(size, "big").translate(table), "big")
+                    int.from_bytes(x.to_bytes(8, "big").translate(table), "big")
                     for x in part
                 ]
                 used = 1
@@ -351,9 +334,9 @@ def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | N
     if not require_cover or c.size * len(hit) == sp.size:
         return CheckResult(True)
     # The last coordinate's m syndromes are keyed at once per prefix; a
-    # reduced lane plus one delta stays within its byte or its width.
+    # reduced lane plus one delta stays within its byte.
     last = syndromes(n - 1, range(m))
-    prefix, lanes = [0] * (n - 1), [0] * k
+    prefix, lanes = [0] * (n - 1), [0] * len(rows)
     for _ in range(m ** (n - 1)):
         base = pack(lanes)
         for a, key in enumerate(reduced([base + d for d in last])):
@@ -471,26 +454,17 @@ def _r_ball_coords(c: Code, r: int, budget: int):
     """
     sp = c.space
     _check_radius(sp, r)
-    m, h, room = sp.m, sp.height, budget // c.size
-    labeling, bounds, above = sp.labeling, sp.block_bounds, sp.pomset.strictly_above
+    m, room = sp.m, budget // c.size
     at_most = [lee_ball_residues(m, w) for w in range(m // 2 + 1)]
-    exactly = [sorted({w, m - w}) for w in range(m // 2 + 1)]
     boxes, size = [], 0
     for card in range(r + 1):
         for i in enumerate_ideals(sp.pomset, card):
-            counts = i.counts
-            ball = [at_most[w] for w, k in zip(counts, labeling) for _ in range(k)]
-            # By the ideal property a partial block is maximal, and a full one
-            # is when no block above it is present.
-            top = [
-                (w, *bounds[t - 1])
-                for t, w in enumerate(counts, start=1)
-                if w and (w < h or not any(counts[u - 1] for u in above[t]))
-            ]
+            ball = [at_most[w] for w, k in zip(i.counts, sp.labeling) for _ in range(k)]
+            top = [(i.counts[t - 1], *sp.block_bounds[t - 1]) for t in i.maximal_elements]
             for firsts in itertools.product(*(range(lo, hi) for _, lo, hi in top)):
                 box = ball.copy()
                 for (w, lo, _), j in zip(top, firsts):
-                    box[lo : j + 1] = [at_most[w - 1]] * (j - lo) + [exactly[w]]
+                    box[lo : j + 1] = [at_most[w - 1]] * (j - lo) + [sorted({w, m - w})]
                 boxes.append(box)
                 size += math.prod(map(len, box))
             if size > room:

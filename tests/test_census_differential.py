@@ -5,11 +5,13 @@ The ball is given as boxes, each n per-coordinate residue lists whose
 product it holds; boxes may repeat and overlap, and the ball is their
 union.  The centers are a code's codewords, so they come sorted and
 distinct.  A linear code is decided by the coset pass, `_coset_census`,
-unless a coset is hit twice; the span-code tests below watch that pass and
-check that it answers whenever the translates are disjoint, on the boxes
-the perfectness checks really build, I-balls and radius balls, and at the
-edges of its byte keys.  The tiling and random-box cases above them reach
-the translate census: non-linear centers, repeated boxes and overlaps.
+unless a coset is hit twice or its syndromes do not fit a 64-bit word
+(m > 128 or more than 8 nonzero dual rows); the span-code tests below
+watch that pass and check that it answers whenever the translates are
+disjoint and the syndromes fit, on the boxes the perfectness checks really
+build, I-balls and radius balls, and at the edges of its byte keys.  The
+tiling and random-box cases above them reach the translate census:
+non-linear centers, repeated boxes and overlaps.
 Hypothesis runs derandomized, without an example database and with a
 bounded number of examples, so the suite stays deterministic and quick.
 """
@@ -170,6 +172,12 @@ def watched_census(code, boxes, cover):
     return result, passes[0]
 
 
+def keyed_by_cosets(code):
+    """True iff a syndrome fits the coset pass's word: m <= 128, <= 8 dual rows."""
+    rows = [h for h in codes._dual_generators(code) if any(h)]
+    return code.space.m <= 128 and len(rows) <= 8
+
+
 def assert_census_matches(code, boxes, cover):
     """The census and its coset pass against the tuple loop, on disjoint boxes."""
     space = code.space
@@ -178,9 +186,10 @@ def assert_census_matches(code, boxes, cover):
     assert result.ok == (expected is None)
     if expected is not None:
         assert (result.witness, result.reason) == expected
-    # The boxes list every member once, so only an overlap reaches the
-    # translate census; otherwise the coset pass gives the answer itself.
-    if expected is not None and expected[1] == OVERLAP:
+    # The boxes list every member once, so only an overlap, or a syndrome
+    # too wide for a word, reaches the translate census; otherwise the coset
+    # pass gives the answer itself.
+    if not keyed_by_cosets(code) or (expected is not None and expected[1] == OVERLAP):
         assert coset is None
     else:
         assert coset == result
@@ -261,15 +270,16 @@ def test_gap_witness_of_disjoint_translates(m, kind, rows, ball, witness):
     assert assert_census_matches(code, boxes, False).ok
 
 
-def test_byte_keys_reduced_part_way():
-    # 40 unit blocks over Z_9: a byte lane takes 255 // 8 = 31 additions,
-    # fewer than a box with 40 nonzero coordinates adds, so the coset pass
-    # reduces its keys part-way.  The first ball's 14 members lie in
+def test_forty_dual_rows_go_to_the_translate_census():
+    # 40 unit blocks over Z_9 with a one-row span: the dual has 39 nonzero
+    # rows, too many bytes for a word, so the coset pass declines and the
+    # translate census answers.  The first ball's 14 members lie in
     # distinct cosets; the second adds one of them shifted by 4 times the
-    # all-ones codeword, which must key in that member's coset.
+    # all-ones codeword, which must be found as an overlap.
     m, n = 9, 40
     space = Space(m, Pomset.antichain(n, m // 2), (1,) * n)
     code = span_generator(space, [[1] * n])
+    assert not keyed_by_cosets(code)
     rng = random.Random(9)
     words = [[rng.randrange(1, m) for _ in range(n)] for _ in range(7)]
     boxes = [[[x] for x in w] for w in words[:6]]
@@ -282,11 +292,14 @@ def test_byte_keys_reduced_part_way():
         assert result.reason == OVERLAP
 
 
-def test_keys_past_a_byte_on_z257():
-    # Z_257 leaves no room for two additions in a byte, so keys are tuples.
-    m = 257
+@pytest.mark.parametrize("m", [200, 257])
+def test_moduli_past_128_go_to_the_translate_census(m):
+    # From m = 129 on, a reduced byte plus one more addition can overflow,
+    # and Z_257 leaves no room for a residue in a byte, so the coset pass
+    # declines and the translate census answers.
     space = Space(m, Pomset.chain(2, m // 2), (1, 1))
-    code = span_generator(space, [[1, 5]])
+    code = span_generator(space, [[1, 3]])
+    assert not keyed_by_cosets(code)
     full = Ideal(space.pomset, (m // 2, 0))
     assert check_I_perfect(code, full).ok
     for counts in ((m // 2, 0), (3, 0), (m // 2, 2)):
@@ -306,7 +319,7 @@ def test_byte_lane_that_overflows_without_reduction():
     m = 100
     space = Space(m, Pomset.antichain(3, m // 2), (1, 1, 1))
     code = span_generator(space, [[1, m - 1, 0], [0, 1, m - 1]])
-    assert code.size == m * m
+    assert code.size == m * m and keyed_by_cosets(code)
     boxes = [[[99], [98], [97]], [[94], [0], [0]]]
     for cover in (False, True):
         result = assert_census_matches(code, boxes, cover)
