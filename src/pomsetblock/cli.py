@@ -83,6 +83,8 @@ def _integers(values, field: str) -> list[int]:
     """A JSON list of integers, each checked by `_integer`."""
     if not isinstance(values, list):
         raise ValueError(f"{field} must be a list, got {json.dumps(values)}")
+    if not set(map(type, values)).difference((int,)):
+        return list(values)
     return [_integer(x, f"{field}[{j}]") for j, x in enumerate(values)]
 
 
@@ -150,7 +152,7 @@ class Report:
         self.machine_only = machine_only
         self.out = out if out is not None else sys.stdout
         self._human: list[str] = []
-        self._kv: list[tuple[str, str]] = []
+        self._kv: list[str] = []
 
     def say(self, text: str) -> None:
         self._human.append(text)
@@ -159,15 +161,19 @@ class Report:
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, (tuple, list)):
-            value = ",".join(str(x) for x in value)
-        self._kv.append((key, str(value)))
+            value = ",".join(map(str, value))
+        self._kv.append(f"{key}={value}")
+
+    def put_rows(self, key: str, rows) -> None:
+        """Puts each row of integers under key.0, key.1, ... in turn."""
+        self._kv += [f"{key}.{j}={','.join(map(str, row))}" for j, row in enumerate(rows)]
 
     def emit(self) -> None:
+        """Writes the human lines, unless machine-only, then the key lines at once."""
         if not self.machine_only:
-            for line in self._human:
-                print(f"# {line}", file=self.out)
-        for key, value in self._kv:
-            print(f"{key}={value}", file=self.out)
+            self.out.write("".join(f"# {line}\n" for line in self._human))
+        if self._kv:
+            self.out.write("\n".join(self._kv) + "\n")
 
 
 def _parse_ints(args, name: str) -> tuple[int, ...]:
@@ -252,8 +258,7 @@ def cmd_ideals(problem, args, rep) -> int:
     for i in found:
         rep.say(_ideal_str(i))
     rep.put("count", len(found))
-    for j, i in enumerate(found):
-        rep.put(f"ideal.{j}", i.counts)
+    rep.put_rows("ideal", (i.counts for i in found))
     return EXIT_OK
 
 
@@ -261,8 +266,7 @@ def cmd_downsets(problem, args, rep) -> int:
     found = enumerate_root_downsets(problem.space.pomset, args.size)
     rep.say(f"{len(found)} downset(s) of size {args.size}")
     rep.put("count", len(found))
-    for j, down in enumerate(found):
-        rep.put(f"downset.{j}", sorted(down))
+    rep.put_rows("downset", map(sorted, found))
     return EXIT_OK
 
 
@@ -298,8 +302,7 @@ def cmd_partition(problem, args, rep) -> int:
     rep.say(f"{len(centers)} centers tile the space for {_ideal_str(ideal)}")
     rep.put("partition", True)
     rep.put("count", len(centers))
-    for j, center in enumerate(centers):
-        rep.put(f"center.{j}", center)
+    rep.put_rows("center", centers)
     return EXIT_OK
 
 
@@ -368,8 +371,7 @@ def cmd_dual(problem, args, rep) -> int:
     dual = codes.dual_code(code, args.budget)
     rep.say(f"dual code has {dual.size} codewords")
     rep.put("size", dual.size)
-    for j, w in enumerate(dual.codewords):
-        rep.put(f"codeword.{j}", w)
+    rep.put_rows("codeword", dual.codewords)
     return EXIT_OK
 
 
@@ -421,8 +423,7 @@ def cmd_block_threshold(problem, args, rep) -> int:
     )
     rep.put("threshold", threshold)
     rep.put("min_root", direct)
-    for j, down in enumerate(witnesses):
-        rep.put(f"witness.{j}", sorted(down))
+    rep.put_rows("witness", map(sorted, witnesses))
     return EXIT_OK
 
 

@@ -13,13 +13,20 @@ box, and `_r_ball_coords` splits a radius ball into disjoint boxes sphere
 by sphere, so no ball is listed member by member or found by filtering the
 space.  `ball_code_intersection` walks whichever of the ball and the code
 is smaller.
+
+Codewords are sorted coordinate tuples, made and read by columns: the
+direct sum builds n column lists and zips them into words at the end, and
+minimum distance, weight distribution and root-set sizes all weigh the
+words through one column kernel, `Space.words_weight_counts`.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,7 +41,7 @@ from .balls import (
     lee_ball_size,
 )
 from .pomset import Ideal, enumerate_ideals, enumerate_root_downsets
-from .space import Space, Vector, _check_radius, _check_space, _check_words
+from .space import Space, Vector, _check_radius, _check_space, _check_words, _inexact
 
 
 class UndefinedDistanceError(ValueError):
@@ -68,7 +75,11 @@ class Code:
     def from_codewords(cls, space: Space, coord_lists) -> "Code":
         """The code of the given words, reducing signed integers mod m."""
         m = space.m
-        return cls(space, [tuple(operator.index(x) % m for x in c) for c in coord_lists])
+        words = list(map(tuple, coord_lists))
+        # Words of residues as exact ints are already what the checks want.
+        if _inexact(words) or set(itertools.chain.from_iterable(words)) - set(range(m)):
+            words = [tuple(operator.index(x) % m for x in w) for w in words]
+        return cls(space, words)
 
     @property
     def size(self) -> int:
@@ -178,19 +189,23 @@ def _direct_sum(gens, n: int, m: int) -> list[tuple[int, ...]]:
     """Every sum of c*b over the generators b, 0 <= c < order(b), once each.
 
     The generators must form a direct sum, as those read off `_diagonal`
-    do, so the sums are pairwise distinct and cost O(output * n).
+    do, so the sums are pairwise distinct and cost O(output * n).  The sums
+    are built a column at a time and zipped into words at the end.
     """
     add = [[(x + y) % m for y in range(m)] for x in range(m)]
-    words = [(0,) * n]
+    cols = [[0] for _ in range(n)]
     for b in gens:
         if any(b):
-            out = []
-            for c in range(_order(b, m)):
-                # Coordinate t of w + c*b is row c*b_t of the table at w_t.
-                rows = [add[c * y % m] for y in b]
-                out += [tuple(map(list.__getitem__, rows, w)) for w in words]
-            words = out
-    return words
+            order = range(_order(b, m))
+            # Column t of the words w + c*b, c in order, is row c*b_t of
+            # the table read at each w_t.
+            cols = [
+                list(itertools.chain.from_iterable(
+                    [map(add[c * y % m].__getitem__, col) for c in order]
+                ))
+                for col, y in zip(cols, b)
+            ]
+    return list(zip(*cols))
 
 
 def _budgeted_code(space: Space, gens, budget: int, what: str, **kwargs) -> Code:
@@ -220,11 +235,14 @@ def min_distance(c: Code) -> int:
         raise UndefinedDistanceError("minimum distance needs at least two codewords")
     sp, m = c.space, c.space.m
     if c.is_linear:
-        return min(sp.coords_weight(w) for w in c.codewords if any(w))
-    return min(
-        sp.coords_weight(tuple((x - y) % m for x, y in zip(u, v)))
-        for u, v in itertools.combinations(c.codewords, 2)
-    )
+        words = c.codewords
+    else:
+        words = [
+            tuple((x - y) % m for x, y in zip(u, v))
+            for u, v in itertools.combinations(c.codewords, 2)
+        ]
+    # Only the zero word weighs 0.
+    return min(filter(None, map(sum, sp.words_weight_counts(words))))
 
 
 def _dual_generators(c: Code) -> list[tuple[int, ...]]:
@@ -266,6 +284,17 @@ class CheckResult:
         return self.ok
 
 
+def _reduce_lanes(words: list[int], table: bytes) -> list[int]:
+    """Each 64-bit word with every byte mapped through `table`.
+
+    The words are laid out in native byte order and read back in the same
+    order, so a byte keeps its place and a key keeps its low bits, which
+    are what a set hashes on.
+    """
+    blob = array.array("Q", words).tobytes().translate(table)
+    return memoryview(blob).cast("Q").tolist()
+
+
 def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | None:
     """`_ball_census` of a linear code from the cosets its ball members hit.
 
@@ -283,11 +312,10 @@ def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | N
 
     A syndrome packs one byte per nonzero dual row into a 64-bit word, so a
     member's key is built like the census's, one table addition per box
-    coordinate that is not 0.  One `bytes.translate` per few thousand keys
-    reduces every byte mod m, and a memoryview cast reads them back as
-    whole words.  A byte takes 255 // (m-1) additions, so a longer box is
-    reduced part-way.  Past m = 128 or 8 nonzero dual rows a syndrome fits
-    no such word, and the pass returns None at once.
+    coordinate that is not 0.  One `_reduce_lanes` per few thousand keys
+    reduces every byte mod m.  A byte takes 255 // (m-1) additions, so a
+    longer box is reduced part-way.  Past m = 128 or 8 nonzero dual rows a
+    syndrome fits no such word, and the pass returns None at once.
     """
     sp = c.space
     m, n = sp.m, sp.n
@@ -298,10 +326,6 @@ def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | N
     cols = [[h[t] for h in rows] for t in range(n)]
     room = 255 // (m - 1)
     table = bytes(x % m for x in range(256))
-
-    def reduced(part: list[int]) -> list[int]:
-        blob = b"".join(map(int.to_bytes, part, itertools.repeat(8), itertools.repeat("big")))
-        return memoryview(blob.translate(table)).cast("Q").tolist()
 
     def pack(lanes) -> int:
         return int.from_bytes(bytes(lanes), "big")
@@ -316,17 +340,14 @@ def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | N
         part, used = [0], 0
         for kind in box:
             if used == room:
-                part = [
-                    int.from_bytes(x.to_bytes(8, "big").translate(table), "big")
-                    for x in part
-                ]
+                part = _reduce_lanes(part, table)
                 used = 1
             part = [x + d for d in deltas[kind] for x in part]
             used += 1
         members += part
         # Keys go in a few thousand at a time, so an overlap ends the pass early.
         if len(members) >= 4096 or done == len(steps):
-            hit.update(reduced(members))
+            hit.update(_reduce_lanes(members, table))
             listed += len(members)
             if len(hit) < listed:
                 return None
@@ -339,7 +360,7 @@ def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | N
     prefix, lanes = [0] * (n - 1), [0] * len(rows)
     for _ in range(m ** (n - 1)):
         base = pack(lanes)
-        for a, key in enumerate(reduced([base + d for d in last])):
+        for a, key in enumerate(_reduce_lanes([base + d for d in last], table)):
             if key not in hit:
                 return CheckResult(False, (*prefix, a), "vector covered by no ball")
         # Stepping or wrapping coordinate t adds column t to the syndrome.
@@ -638,12 +659,9 @@ def min_ideal_root_size(c: Code) -> int:
     """
     if c.size < 2:
         raise ValueError("needs a nonzero codeword")
-    sp = c.space
-    return min(
-        sum(1 for x in sp.weight_counts(w) if x)
-        for w in c.codewords
-        if any(w)
-    )
+    # Only the zero word generates the empty ideal.
+    closures = set(c.space.words_weight_counts(c.codewords))
+    return min(filter(None, (len(k) - k.count(0) for k in closures)))
 
 
 def ball_code_intersection(c: Code, i, x: Vector) -> int:
@@ -684,10 +702,9 @@ class WeightDistribution:
 
 def weight_distribution(c: Code) -> WeightDistribution:
     """Exact weight census over the codewords."""
-    sp = c.space
-    counts = [0] * (sp.max_weight + 1)
-    for w in c.codewords:
-        counts[sp.coords_weight(w)] += 1
+    counts = [0] * (c.space.max_weight + 1)
+    for closure, k in Counter(c.space.words_weight_counts(c.codewords)).items():
+        counts[sum(closure)] += k
     return WeightDistribution(tuple(counts))
 
 

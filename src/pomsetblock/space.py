@@ -138,6 +138,28 @@ class Space:
         """Weight of a raw coordinate tuple (scan-friendly form)."""
         return sum(self.weight_counts(coords))
 
+    def words_weight_counts(self, words) -> list[tuple[int, ...]]:
+        """`weight_counts` of each of a list of coordinate tuples, by columns.
+
+        Each block's Lee maxima are taken over whole columns, one C-level
+        `map` per coordinate, and the closure is worked out once per
+        distinct block-weight tuple, so no Python call is made per word.
+        """
+        m = self.m
+        lee = [min(x, m - x) for x in range(m)]
+        cols = list(zip(*words)) or [()] * self.n
+        blocks = []
+        for lo, hi in self.block_bounds:
+            bw = map(lee.__getitem__, cols[lo])
+            for t in range(lo + 1, hi):
+                bw = map(max, bw, map(lee.__getitem__, cols[t]))
+            blocks.append(bw)
+        keys = list(zip(*blocks))
+        closures = dict.fromkeys(keys)
+        for bw in closures:
+            closures[bw] = self.pomset.closure_counts(bw)
+        return list(map(closures.__getitem__, keys))
+
 
 @dataclass(frozen=True)
 class Vector:
@@ -173,9 +195,13 @@ def _check_words(space: Space, words) -> list[tuple[int, ...]]:
     """Integer tuples of the words, each n residues reduced mod m.
 
     The first word of the wrong length is reported before any coordinate
-    outside 0..m-1; both are ShapeErrors.
+    outside 0..m-1; both are ShapeErrors.  Words are rebuilt through
+    `operator.index` only when one is not a tuple or holds anything but an
+    exact int, so tuples of ints come back as they are.
     """
-    words = [tuple(map(operator.index, w)) for w in words]
+    words = list(words)
+    if set(map(type, words)).difference((tuple,)) or _inexact(words):
+        words = [tuple(map(operator.index, w)) for w in words]
     if set(map(len, words)).difference((space.n,)):
         w = next(w for w in words if len(w) != space.n)
         raise ShapeError(f"expected {space.n} coordinates, got {len(w)}")
@@ -184,6 +210,11 @@ def _check_words(space: Space, words) -> list[tuple[int, ...]]:
         x = next(x for w in words for x in w if x in stray)
         raise ShapeError(f"coordinate {x} not reduced mod {space.m}")
     return words
+
+
+def _inexact(words) -> bool:
+    """True iff some coordinate of the words is not an exact int."""
+    return bool(set(map(type, itertools.chain.from_iterable(words))).difference((int,)))
 
 
 def _check_space(u, v) -> None:

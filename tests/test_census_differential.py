@@ -327,3 +327,15 @@ def test_byte_lane_that_overflows_without_reduction():
     boxes = [[[99], [98], [97]], [[95], [0], [0]]]
     assert assert_census_matches(code, boxes, False).ok
     assert assert_census_matches(code, [[list(range(m)), [0], [0]]], True).ok
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(2, 128), st.lists(st.lists(st.integers(0, 255), min_size=1, max_size=8),
+                                     min_size=1, max_size=20))
+def test_reduced_key_is_the_key_of_the_reduced_lanes(m, lanes):
+    # A key packs lane 0 into its highest byte; reducing it must reduce each
+    # lane in place, so keys read back in another byte order fail.
+    table = bytes(x % m for x in range(256))
+    keys = [int.from_bytes(bytes(word), "big") for word in lanes]
+    expected = [int.from_bytes(bytes(x % m for x in word), "big") for word in lanes]
+    assert codes._reduce_lanes(keys, table) == expected

@@ -330,6 +330,13 @@ def test_negative_budget_is_an_input_error():
     assert out == "error=input\n"
 
 
+def test_integer_lists_come_back_as_exact_ints():
+    # Integral floats count as integers, so a list holding one is rebuilt.
+    for values in ([], [0, 4, 2], [0, 5.0, 3], [-1.0]):
+        found = cli._integers(values, "labeling")
+        assert found == values and {type(x) for x in found} <= {int}
+
+
 def test_malformed_numbers_rejected_naming_the_field(tmp_path):
     base = {"m": 5, "pomset": {"s": 2, "relations": [[2, 1]]}, "labeling": [2, 1]}
     cases = [

@@ -1,7 +1,9 @@
 """Differential tests of the diagonal-form module algebra, parity-block
 dependence, the radius-ball lister and the ball-code intersection count in
 `codes`, each against a brute-force reference over Z_m for m in 2..12,
-composite moduli included.
+composite moduli included; and of the columnar builders and checks behind
+them (`_direct_sum`, `Space.words_weight_counts`, `_check_words`) against
+row-wise references.
 
 Hypothesis runs derandomized, without an example database and with a
 bounded number of examples, so the suite stays deterministic and quick.
@@ -9,6 +11,7 @@ bounded number of examples, so the suite stays deterministic and quick.
 
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -25,6 +28,9 @@ from pomsetblock.balls import (
 )
 from pomsetblock.codes import (
     Code,
+    _diagonal,
+    _direct_sum,
+    _order,
     _r_ball_coords,
     ball_code_intersection,
     block_dependency_threshold,
@@ -33,12 +39,14 @@ from pomsetblock.codes import (
     check_r_error_correcting,
     check_r_perfect,
     dual_code,
+    min_distance,
     min_ideal_root_size,
     span_generator,
+    weight_distribution,
 )
 from pomsetblock.mset import Mset, ShapeError
 from pomsetblock.pomset import Ideal, Pomset, all_ideals, enumerate_ideals
-from pomsetblock.space import Space
+from pomsetblock.space import Space, _check_words
 
 
 def bounded(max_examples):
@@ -291,3 +299,136 @@ def test_ball_code_intersection_rejects_what_in_I_ball_rejects():
         ball_code_intersection(code, Mset(3, 2, (0, 0, 0)), space.zero())
     with pytest.raises(TypeError, match="Ideal or Mset"):
         ball_code_intersection(code, (2, 1), space.zero())
+
+
+def row_wise_direct_sum(gens, n, m):
+    """Reference builder: the words w + c*b, c outermost, one tuple at a time."""
+    words = [(0,) * n]
+    for b in gens:
+        if any(b):
+            words = [
+                tuple((x + c * y) % m for x, y in zip(w, b))
+                for c in range(_order(b, m))
+                for w in words
+            ]
+    return words
+
+
+@bounded(200)
+@given(generated(max_vectors=4000), st.booleans())
+def test_direct_sum_matches_the_row_wise_builder(case, diagonal):
+    # The generators of a span's diagonal form, or the raw rows: the
+    # builder lists the same words in the same order either way.
+    space, rows = case
+    n, m = space.n, space.m
+    gens = [tuple(row) for row in rows]
+    if diagonal:
+        d, _, vinv = _diagonal(rows, n, m)
+        gens = [tuple(dt * x % m for x in row) for dt, row in zip(d, vinv)]
+    words = _direct_sum(gens, n, m)
+    expected = row_wise_direct_sum(gens, n, m)
+    assert words == expected
+    assert all(type(w) is tuple for w in words)
+    assert {type(x) for w in words for x in w} <= {int}
+
+
+@st.composite
+def blocked_words(draw):
+    """A space of 1-3-coordinate blocks over a random order, and random words."""
+    m = draw(st.sampled_from((2, 3, 4, 5, 6, 8, 9, 10, 12)))
+    s = draw(st.integers(1, 4))
+    labeling = tuple(draw(st.lists(st.integers(1, 3), min_size=s, max_size=s)))
+    rng = random.Random(draw(SEEDS))
+    density = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    space = Space(m, random_pomset(rng, s, m // 2, density), labeling)
+    n = space.n
+    words = [tuple(rng.randrange(m) for _ in range(n)) for _ in range(rng.randint(0, 40))]
+    # The zero word and repeats, which the kernel keys once.
+    words += [(0,) * n] + words[: rng.randint(0, len(words))]
+    rng.shuffle(words)
+    return space, words
+
+
+@bounded(200)
+@given(blocked_words())
+def test_column_kernel_matches_coords_weight(case):
+    space, words = case
+    counts = space.words_weight_counts(words)
+    assert counts == [space.weight_counts(w) for w in words]
+    assert list(map(sum, counts)) == [space.coords_weight(w) for w in words]
+    # Its three callers against their per-word definitions.
+    code = Code(space, words)
+    weights = [space.coords_weight(w) for w in code.codewords]
+    assert weight_distribution(code).counts == tuple(
+        weights.count(r) for r in range(space.max_weight + 1)
+    )
+    if code.size > 1:
+        m = space.m
+        assert min_distance(code) == min(
+            space.coords_weight(tuple((x - y) % m for x, y in zip(u, v)))
+            for u, v in itertools.combinations(code.codewords, 2)
+        )
+        assert min_ideal_root_size(code) == min(
+            sum(1 for x in space.weight_counts(w) if x) for w in code.codewords if any(w)
+        )
+
+
+def test_column_kernel_of_no_words():
+    space = Space(5, Pomset.from_relations(2, 2, [(1, 2)]), (2, 1))
+    assert space.words_weight_counts([]) == []
+
+
+def reference_check_words(space, words):
+    """Every word rebuilt through `operator.index`, then the same checks."""
+    words = [tuple(map(operator.index, w)) for w in words]
+    for w in words:
+        if len(w) != space.n:
+            raise ShapeError(f"expected {space.n} coordinates, got {len(w)}")
+    for w in words:
+        for x in w:
+            if not 0 <= x < space.m:
+                raise ShapeError(f"coordinate {x} not reduced mod {space.m}")
+    return words
+
+
+def outcome(check, space, words):
+    """The words and their coordinate types, or the exception's type and message."""
+    try:
+        found = check(space, words)
+    except (TypeError, ShapeError) as exc:
+        return type(exc), str(exc)
+    return found, [tuple(map(type, w)) for w in found]
+
+
+@st.composite
+def raw_words(draw):
+    """Tuples or lists of ints, bools, floats or strings, some short or unreduced."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 4))
+    space = Space(m, Pomset.from_relations(n, m // 2, []), (1,) * n)
+    coordinate = st.one_of(
+        st.integers(0, m - 1),
+        st.integers(0, m - 1),
+        st.integers(-2, m + 2),
+        st.booleans(),
+        st.sampled_from((0.0, 1.0, 1.5)),
+        st.just("1"),
+    )
+    coords = st.lists(coordinate, min_size=n - 1, max_size=n + 1)
+    word = st.tuples(st.sampled_from((tuple, list)), coords)
+    words = draw(st.lists(word, max_size=6))
+    return space, [kind(coords) for kind, coords in words]
+
+
+@bounded(400)
+@given(raw_words())
+def test_check_words_matches_the_rebuilding_reference(case):
+    space, words = case
+    expected = outcome(reference_check_words, space, words)
+    assert outcome(_check_words, space, words) == expected
+
+
+def test_check_words_returns_tuples_of_ints_as_they_are():
+    space = Space(5, Pomset.from_relations(2, 2, []), (1, 1))
+    word = (1, 2)
+    assert _check_words(space, [word])[0] is word
