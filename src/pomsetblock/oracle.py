@@ -17,8 +17,16 @@ a product of subgroups of Z_m, and that product's annihilator is compared,
 coordinate by coordinate, with the dual order's ball of the complement.  The
 tiling check is per coordinate too: centers listed as a product tile with a
 product ball exactly when each coordinate's projection and residue list
-tile Z_m, so it lists no translate.  The suite has one budget: what it
-lists lies in the space, which the census refuses past that budget.
+tile Z_m, so it lists no translate.  I-ball sizes are the census's ideal
+counts summed over nested ideal keys, by prefix sums over the grid of
+counts.  The suite has one budget: what it lists lies in the space, which
+the census refuses past that budget.
+
+The sampled metric check works by columns: a chunk of triples is one draw
+of indices into the m^3 residue triples, coordinate t is every n-th index,
+and Lee weights and equality are read per index from tables.  Each
+difference's block maxima pack into one integer key, and the weight is
+looked up once per key in one memo.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import add, eq, itemgetter, mul
 
 from . import balls
 from .balls import BudgetExceededError, PartitionImpossibleError
@@ -37,9 +45,15 @@ from .space import Space
 
 DEFAULT_TRIPLE_BUDGET = 10 ** 5
 DEFAULT_SAMPLES = 10 ** 5
-# Block-weight tuples the metric kernel remembers; beyond them it recomputes,
+# Block-weight keys the metric kernel remembers; beyond them it recomputes,
 # so a wide space's memo stays a few MB.
 METRIC_MEMO_LIMIT = 1 << 13
+# Sampled triples drawn, weighed and checked together, so a chunk's columns
+# hold at most n times this many entries.
+_METRIC_CHUNK = 1 << 10
+# The five distances a sampled triple (u, v, w) checks, as positions in it:
+# d(u, v), d(u, u), d(v, u), d(u, w) and d(w, v).
+_PAIRS = ((0, 1), (0, 0), (1, 0), (0, 2), (2, 1))
 
 
 @dataclass
@@ -115,42 +129,62 @@ class MetricReport:
         return self.passed
 
 
-def _metric_kernel(space: Space):
-    """The pomset block distance d(a, b) = w(a - b), tabled once per space.
+class _Weights(dict):
+    """Pomset block weights by packed block-weight key, weighed on a miss.
 
-    `lee[x][y]` is the Lee weight of x - y, so one table lookup per
-    coordinate gives the difference's Lee weights without building the
-    difference.  The weight is remembered per tuple of those Lee weights;
-    a tuple not remembered is split into blocks, each weighing the maximum
-    over its slice, and its weight is remembered per tuple of those block
-    weights too; only a block-weight tuple not remembered is weighed, as
-    the size of the ideal it generates.  Each memo keeps the first
-    `METRIC_MEMO_LIMIT` tuples met.
+    A key packs the block weights (w_1, ..., w_s) as the sum of
+    w_b (h+1)^(b-1); a key not held is unpacked and weighed as the size of
+    the ideal its block weights generate.  The first `METRIC_MEMO_LIMIT`
+    keys met are kept.
     """
-    m = space.m
-    lee = [[min((x - y) % m, (y - x) % m) for y in range(m)] for x in range(m)]
-    row = lee.__getitem__
-    at = list.__getitem__
-    blocks = [slice(lo, hi) for lo, hi in space.block_bounds]
-    closure = space.pomset.closure_counts
-    memo: dict[tuple[int, ...], int] = {}
-    by_blocks: dict[tuple[int, ...], int] = {}
 
-    def distance(a, b):
-        d = tuple(map(at, map(row, a), b))
-        w = memo.get(d)
-        if w is None:
-            bw = tuple(map(max, map(d.__getitem__, blocks)))
-            w = by_blocks.get(bw)
-            if w is None:
-                w = sum(closure(bw))
-                if len(by_blocks) < METRIC_MEMO_LIMIT:
-                    by_blocks[bw] = w
-            if len(memo) < METRIC_MEMO_LIMIT:
-                memo[d] = w
-        return w
+    def __init__(self, space: Space):
+        super().__init__()
+        self.base = space.height + 1
+        self.s = space.s
+        self.closure = space.pomset.closure_counts
 
-    return distance
+    def __missing__(self, key):
+        bw = []
+        rest = key
+        for _ in range(self.s):
+            rest, w = divmod(rest, self.base)
+            bw.append(w)
+        weight = sum(self.closure(tuple(bw)))
+        if len(self) < METRIC_MEMO_LIMIT:
+            self[key] = weight
+        return weight
+
+
+def _fold(f, columns):
+    """`f` across the columns, position by position; one column is itself."""
+    return columns[0] if len(columns) == 1 else map(f, *columns)
+
+
+def _metric_kernel(space: Space):
+    """The pomset block weight of differences given by columns.
+
+    The returned function takes n columns, column t holding the Lee weights
+    of coordinate t of the differences, and maps them to the differences'
+    weights.  Each block takes the maximum over its columns, the block
+    maxima pack into one integer key per difference, and each key is
+    weighed through one `_Weights` memo for the whole space.
+    """
+    weigh = _Weights(space).__getitem__
+    base = space.height + 1
+    blocks = [(lo, hi, base ** b) for b, (lo, hi) in enumerate(space.block_bounds)]
+
+    def weights(columns):
+        keys = None
+        for lo, hi, scale in blocks:
+            top = _fold(max, columns[lo:hi])
+            if keys is None:
+                keys = top
+            else:
+                keys = map(add, keys, map(mul, top, itertools.repeat(scale)))
+        return map(weigh, keys)
+
+    return weights
 
 
 def verify_metric(
@@ -163,26 +197,36 @@ def verify_metric(
     """Check identity, symmetry and the triangle inequality.
 
     Exhaustive over all triples when (m^n)^3 fits the budget, otherwise a
-    seeded uniform sample of `samples` triples, each drawn in one call as n
-    residue triples (u_t, v_t, w_t) and unzipped into u, v and w.  A sampled
+    seeded uniform sample of `samples` triples.  A triple is n draws from
+    the m^3 residue triples (u_t, v_t, w_t), unzipped into u, v and w; the
+    draws of up to `_METRIC_CHUNK` triples are made in one call, as indices
+    into those residue triples, and stream exactly as one call per triple
+    would.  Coordinate t of a chunk is the column of every n-th index, and
+    the Lee weight of each coordinate of u - v, u - u, v - u, u - w and
+    w - v, and whether u_t = v_t, are read per index from tables.  A sampled
     triple checks d(u, u) = 0, d(u, v) = 0 iff u = v, d(u, v) = d(v, u) and
-    d(u, v) <= d(u, w) + d(w, v).
+    d(u, v) <= d(u, w) + d(w, v), in that order, and the first failure is
+    reported.
     The default distance is `_metric_kernel`, built from definitions alone;
     another one, taking two coordinate tuples, can be injected to confirm
     the check has teeth.  A sample count below 1 is a ValueError.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if distance_fn is None:
-        distance_fn = _metric_kernel(space)
 
+    m, n = space.m, space.n
+    lee = [[min((x - y) % m, (y - x) % m) for y in range(m)] for x in range(m)]
     size = space.size
     if size ** 3 <= triple_budget:
         points = list(space.iter_coords())
-        dist = {}
-        for u in points:
-            for v in points:
-                dist[u, v] = distance_fn(u, v)
+        pairs = list(itertools.product(points, repeat=2))
+        if distance_fn is None:
+            found = _metric_kernel(space)(
+                [[lee[u[t]][v[t]] for u, v in pairs] for t in range(n)]
+            )
+        else:
+            found = itertools.starmap(distance_fn, pairs)
+        dist = dict(zip(pairs, found))
         for u in points:
             for v in points:
                 duv = dist[u, v]
@@ -198,18 +242,47 @@ def verify_metric(
                         return MetricReport(False, True, size ** 3, ("triangle", u, v, w))
         return MetricReport(True, True, size ** 3)
 
+    triples = list(itertools.product(range(m), repeat=3))
+    parts = [list(map(itemgetter(k), triples)) for k in range(3)]
+    equal = list(map(eq, parts[0], parts[1])).__getitem__
+    if distance_fn is None:
+        weights = _metric_kernel(space)
+        lookups = [
+            list(map(list.__getitem__, map(lee.__getitem__, parts[a]), parts[b])).__getitem__
+            for a, b in _PAIRS
+        ]
+
+        def distances(columns):
+            return [weights([map(at, c) for c in columns]) for at in lookups]
+    else:
+        residues = [part.__getitem__ for part in parts]
+
+        def distances(columns):
+            words = [list(zip(*[map(at, c) for c in columns])) for at in residues]
+            return [map(distance_fn, words[a], words[b]) for a, b in _PAIRS]
+
+    cells = range(m ** 3)
     choices = random.Random(seed).choices
-    residue_triples = list(itertools.product(range(space.m), repeat=3))
-    n = space.n
-    for i in range(samples):
-        u, v, w = zip(*choices(residue_triples, k=n))
-        duv = distance_fn(u, v)
-        if (duv == 0) != (u == v) or distance_fn(u, u) != 0:
-            return MetricReport(False, False, i + 1, ("identity", u, v, None))
-        if duv != distance_fn(v, u):
-            return MetricReport(False, False, i + 1, ("symmetry", u, v, None))
-        if duv > distance_fn(u, w) + distance_fn(w, v):
-            return MetricReport(False, False, i + 1, ("triangle", u, v, w))
+    for start in range(0, samples, _METRIC_CHUNK):
+        draws = choices(cells, k=n * min(_METRIC_CHUNK, samples - start))
+        columns = [draws[t::n] for t in range(n)]
+        equal_words = _fold(min, [map(equal, c) for c in columns])
+        for i, duv, duu, dvu, duw, dwv, same in zip(
+            itertools.count(start), *distances(columns), equal_words
+        ):
+            if (duv == 0) != same or duu != 0:
+                failed = "identity"
+            elif duv != dvu:
+                failed = "symmetry"
+            elif duv > duw + dwv:
+                failed = "triangle"
+            else:
+                continue
+            at = (i - start) * n
+            u, v, w = zip(*map(triples.__getitem__, draws[at:at + n]))
+            if failed != "triangle":
+                w = None
+            return MetricReport(False, False, i + 1, (failed, u, v, w))
     return MetricReport(True, False, samples)
 
 
@@ -237,8 +310,30 @@ class SuiteReport:
         return self.ok
 
 
-def _submset(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _ball_sizes(census: CensusReport):
+    """I-ball sizes from the census, as a function of the ideal's counts.
+
+    A vector lies in the I-ball iff its generated ideal fits inside I, so
+    the I-ball's size is the census's count summed over the ideal keys
+    below I's counts.  The counts are laid on the grid [0..h]^s, cell
+    sum_b c_b (h+1)^(b-1), and summed along one block at a time (the zeta
+    transform of the product order), so each size is one lookup.  The grid
+    has (h+1)^s <= m^n cells, within the budget the census accepted.
+    """
+    base = census.space.height + 1
+    scales = [base ** b for b in range(census.space.s)]
+    grid = [0] * base ** len(scales)
+
+    def cell(counts):
+        return sum(map(mul, counts, scales))
+
+    for counts, n in census.ideal_sphere_counts.items():
+        grid[cell(counts)] += n
+    for stride in scales:
+        for lo in range(stride, len(grid), stride):
+            if lo // stride % base:
+                grid[lo:lo + stride] = map(add, grid[lo:lo + stride], grid[lo - stride:lo])
+    return lambda counts: grid[cell(counts)]
 
 
 def _outcome(name, failure, passed, skipped=0, what=""):
@@ -279,11 +374,7 @@ def verify_formula_suite(
     census = weight_census(space, budget)
     ideals = all_ideals(space.pomset)
     by_ideal = census.ideal_sphere_counts
-
-    def ball_size(i):
-        # A vector lies in the I-ball iff its generated ideal fits inside I,
-        # so ball sizes follow from the census by summing nested ideal keys.
-        return sum(n for key, n in by_ideal.items() if _submset(key, i.counts))
+    ball_size = _ball_sizes(census)
 
     total = f"total {census.total}"
     return SuiteReport(space, [
@@ -296,7 +387,7 @@ def verify_formula_suite(
         _outcome(
             "ball-formula",
             _first_mismatch(space, "ideal ", ideals, balls.I_ball_cardinality,
-                            ball_size),
+                            lambda i: ball_size(i.counts)),
             f"{len(ideals)} ideals",
         ),
         _outcome(

@@ -1,18 +1,21 @@
-"""Differential tests of the oracle's tabled metric kernel against the
-vector distance of `space`, on random orders and block dimensions.
+"""Differential tests of the oracle's metric kernel against the vector
+distance of `space`, and of the columnar sampled metric check against the
+per-triple loop it replaced, on random orders and block dimensions.
 
 Hypothesis runs derandomized, without an example database and with a
 bounded number of examples, so the suite stays deterministic and quick.
 """
 
+import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
 from pomsetblock import oracle
-from pomsetblock.oracle import _metric_kernel, verify_metric
+from pomsetblock.oracle import MetricReport, _metric_kernel, verify_metric
 from pomsetblock.pomset import Pomset
 from pomsetblock.space import Space, distance
 
@@ -23,6 +26,7 @@ def bounded(max_examples):
 
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
+CHUNK = oracle._METRIC_CHUNK
 
 
 @st.composite
@@ -44,25 +48,38 @@ def random_pairs(space, seed, count):
     return [(draw(), draw()) for _ in range(count)]
 
 
+def lee_columns(space, pairs):
+    """Per coordinate, the Lee weights of that coordinate of each a - b."""
+    m = space.m
+    return [
+        [min((a[t] - b[t]) % m, (b[t] - a[t]) % m) for a, b in pairs]
+        for t in range(space.n)
+    ]
+
+
+def vector_distances(space, pairs):
+    return [distance(space.vector(a), space.vector(b)) for a, b in pairs]
+
+
 @bounded(80)
 @given(spaces(), SEEDS)
 def test_kernel_matches_the_vector_distance(space, seed):
     kernel = _metric_kernel(space)
-    for a, b in random_pairs(space, seed, 40):
-        expected = distance(space.vector(a), space.vector(b))
-        assert kernel(a, b) == expected
-        # Asked again, the answer comes from the memo.
-        assert kernel(a, b) == expected
+    pairs = random_pairs(space, seed, 40)
+    expected = vector_distances(space, pairs)
+    assert list(kernel(lee_columns(space, pairs))) == expected
+    # Asked again, the answers come from the memo.
+    assert list(kernel(lee_columns(space, pairs))) == expected
 
 
 def test_kernel_past_its_memo_limit_still_weighs(monkeypatch):
-    # 24 unit blocks over Z_5 have 3^24 block-weight tuples; with room for
+    # 24 unit blocks over Z_5 have 3^24 block-weight keys; with room for
     # two, nearly every pair is weighed afresh.
     monkeypatch.setattr(oracle, "METRIC_MEMO_LIMIT", 2)
     space = Space(5, random_pomset(random.Random(7), 24, 2, 0.1), (1,) * 24)
     kernel = _metric_kernel(space)
-    for a, b in random_pairs(space, 11, 300) * 2:
-        assert kernel(a, b) == distance(space.vector(a), space.vector(b))
+    pairs = random_pairs(space, 11, 300) * 2
+    assert list(kernel(lee_columns(space, pairs))) == vector_distances(space, pairs)
 
 
 @pytest.mark.parametrize("limit, labeling", [
@@ -71,14 +88,15 @@ def test_kernel_past_its_memo_limit_still_weighs(monkeypatch):
     pytest.param(2, (3, 3, 3, 3), id="2-four-blocks-of-3"),
 ])
 def test_kernel_weighs_lee_tuples_by_their_block_maxima(monkeypatch, limit, labeling):
-    # Blocks of up to 3 coordinates over Z_7: the memo is keyed on the
-    # Lee-weight tuple, and many of those share their block maxima.  Each
-    # must weigh as its maxima do, with room for two tuples or the default.
-    # The ideal is generated once per block-maxima tuple the memo keeps.
+    # Blocks of up to 3 coordinates over Z_7: many Lee-weight tuples share
+    # their block maxima, and each must weigh as its maxima do, with room
+    # for two keys or the default.  The ideal is generated once for each
+    # block-maxima key the memo keeps, which are the first `limit` met.
     monkeypatch.setattr(oracle, "METRIC_MEMO_LIMIT", limit)
     space = Space(7, random_pomset(random.Random(5), 4, 3, 0.5), labeling)
     pairs = random_pairs(space, 13, 400) * 2
-    expected = [distance(space.vector(a), space.vector(b)) for a, b in pairs]
+    expected = vector_distances(space, pairs)
+    columns = lee_columns(space, pairs)
     generated = []
     closure = Pomset.closure_counts
 
@@ -87,19 +105,22 @@ def test_kernel_weighs_lee_tuples_by_their_block_maxima(monkeypatch, limit, labe
         return closure(pomset, bw)
 
     monkeypatch.setattr(Pomset, "closure_counts", counted)
-    kernel = _metric_kernel(space)
-    weights, lee_tuples = {}, {}
-    for (a, b), d in zip(pairs, expected):
-        w = kernel(a, b)
-        assert w == d
-        lee = tuple(min((x - y) % 7, (y - x) % 7) for x, y in zip(a, b))
+    found = list(_metric_kernel(space)(columns))
+    assert found == expected
+    weights, lee_tuples, met = {}, {}, []
+    for lee, w in zip(zip(*columns), found):
         maxima = tuple(max(lee[lo:hi]) for lo, hi in space.block_bounds)
         weights.setdefault(maxima, set()).add(w)
         lee_tuples.setdefault(maxima, set()).add(lee)
+        met.append(maxima)
     assert all(len(ws) == 1 for ws in weights.values())
     assert max(map(len, lee_tuples.values())) > 1
-    if limit >= len(weights):
-        assert sorted(generated) == sorted(weights)
+    # Kept keys are weighed once; any other key each time it is met.
+    kept = list(weights)[:limit]
+    assert all(generated.count(maxima) == 1 for maxima in kept)
+    assert sorted(generated) == sorted(
+        [*kept, *(maxima for maxima in met if maxima not in kept)]
+    )
 
 
 @bounded(40)
@@ -115,3 +136,89 @@ def test_metric_report_is_that_of_the_coordinate_weight(space, seed, triple_budg
                              distance_fn=coords_distance)
     assert default == injected
     assert default.passed
+
+
+def reference_sampled_metric(space, seed, samples, distance_fn):
+    """The per-triple sampled check: one draw of n residue triples per
+    triple, unzipped into u, v and w, and up to five distances, checked in
+    order and reported at the first failure."""
+    choices = random.Random(seed).choices
+    residue_triples = list(itertools.product(range(space.m), repeat=3))
+    n = space.n
+    for i in range(samples):
+        u, v, w = zip(*choices(residue_triples, k=n))
+        duv = distance_fn(u, v)
+        if (duv == 0) != (u == v) or distance_fn(u, u) != 0:
+            return MetricReport(False, False, i + 1, ("identity", u, v, None))
+        if duv != distance_fn(v, u):
+            return MetricReport(False, False, i + 1, ("symmetry", u, v, None))
+        if duv > distance_fn(u, w) + distance_fn(w, v):
+            return MetricReport(False, False, i + 1, ("triangle", u, v, w))
+    return MetricReport(True, False, samples)
+
+
+def distances(space):
+    """The pomset block distance and four broken ones, by name."""
+    m = space.m
+
+    def weight(a, b):
+        return space.coords_weight(tuple((x - y) % m for x, y in zip(a, b)))
+
+    def skewed(a, b):
+        w = weight(a, b)
+        return w + (w > 0 and a > b)
+
+    def squared(a, b):
+        return weight(a, b) ** 2
+
+    def raw_residue(a, b):
+        return sum((x - y) % m for x, y in zip(a, b))
+
+    def rarely_zero(a, b):
+        # Zero for a = b + e_1 as well, which a sample meets about once in
+        # m^n triples, so failures land on both sides of a chunk's edge.
+        if a[1:] == b[1:] and (a[0] - b[0]) % m == 1:
+            return 0
+        return weight(a, b)
+
+    return {"weight": weight, "skewed": skewed, "squared": squared,
+            "raw-residue": raw_residue, "rarely-zero": rarely_zero}
+
+
+@pytest.mark.parametrize("name", ["default", "weight", "skewed", "squared",
+                                  "raw-residue", "rarely-zero"])
+@bounded(20)
+@given(
+    spaces(),
+    SEEDS,
+    st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)),
+    st.sampled_from((2, oracle.METRIC_MEMO_LIMIT)),
+)
+def test_columnar_sample_matches_the_per_triple_reference(name, space, seed,
+                                                          samples, limit):
+    table = distances(space)
+    reference = reference_sampled_metric(space, seed, samples,
+                                         table["weight" if name == "default" else name])
+    with mock.patch.object(oracle, "METRIC_MEMO_LIMIT", limit):
+        report = verify_metric(space, 0, seed=seed, samples=samples,
+                               distance_fn=None if name == "default" else table[name])
+    assert report == reference
+
+
+@pytest.mark.parametrize("k", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2 * CHUNK + 3])
+def test_a_failure_is_reported_at_its_own_triple_across_chunks(k):
+    # d(u, u) = 1 for the u of the k-th sampled triple only; among 7^6
+    # words it is not drawn as u before, so the first failure is there.
+    space = Space(7, random_pomset(random.Random(3), 3, 3, 0.5), (2, 3, 1))
+    choices = random.Random(17).choices
+    residue_triples = list(itertools.product(range(7), repeat=3))
+    for _ in range(k):
+        u, v, w = zip(*choices(residue_triples, k=space.n))
+    weight = distances(space)["weight"]
+
+    def broken(a, b):
+        return weight(a, b) + (a == b == u)
+
+    report = verify_metric(space, 0, seed=17, samples=2 * CHUNK + 3, distance_fn=broken)
+    assert report == MetricReport(False, False, k, ("identity", u, v, None))
+    assert report == reference_sampled_metric(space, 17, 2 * CHUNK + 3, broken)

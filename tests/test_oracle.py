@@ -2,13 +2,14 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pomsetblock import balls
 from pomsetblock.balls import BudgetExceededError
 from pomsetblock.codes import Code, _ball_census
 from pomsetblock import oracle
 from pomsetblock.oracle import (
+    _ball_sizes,
     _check_ball_listings,
     _dual_ball_matches,
     _tiles,
@@ -866,3 +867,46 @@ def test_per_coordinate_duality_agrees_with_a_block_reference(case):
     assert _dual_ball_matches(space, gcds, counts) == reference_block_duality(
         space, gcds, counts
     )
+
+
+def nested_ball_size(census, counts):
+    """Vectors whose generated ideal fits inside `counts`: the census's ideal
+    counts summed over every key below `counts`, coordinate by coordinate."""
+    return sum(
+        n for key, n in census.ideal_sphere_counts.items()
+        if all(x <= y for x, y in zip(key, counts))
+    )
+
+
+@st.composite
+def wide_small_spaces(draw):
+    """A space over Z_m, m in 2..7, of 1..6 blocks of one or two coordinates
+    and at most 3000 vectors, under a random order."""
+    m = draw(st.integers(2, 7))
+    s = draw(st.integers(1, 6))
+    labeling = tuple(draw(st.lists(st.integers(1, 2), min_size=s, max_size=s)))
+    assume(m ** sum(labeling) <= 3000)
+    pairs = [
+        (a, b)
+        for a in range(1, s + 1)
+        for b in range(a + 1, s + 1)
+        if draw(st.booleans())
+    ]
+    return Space(m, Pomset.from_relations(s, m // 2, pairs), labeling)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(wide_small_spaces())
+def test_ball_sizes_by_prefix_sums_match_the_nested_sum(space):
+    census = weight_census(space)
+    ball_size = _ball_sizes(census)
+    # Every cell of the grid, ideal or not, sums the keys below it.
+    for counts in itertools.product(range(space.height + 1), repeat=space.s):
+        assert ball_size(counts) == nested_ball_size(census, counts)
+
+
+def test_ball_formula_passes_on_the_seven_block_antichain_over_z5():
+    report = verify_formula_suite(make_space(5, [], (1,) * 7))
+    outcome = {c.name: c for c in report.checks}["ball-formula"]
+    assert outcome.status == "pass", outcome.detail
+    assert report.ok, [(c.name, c.detail) for c in report.failures]
