@@ -7,6 +7,7 @@ Closed forms here are certified against exhaustive enumeration by the
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -42,8 +43,9 @@ def lee_ball_size(m: int, a: int) -> int:
     return min(2 * a + 1, m)
 
 
+@functools.cache
 def lee_ball_residues(m: int, a: int) -> tuple[int, ...]:
-    """Residues mod m with Lee weight at most a, ascending."""
+    """Residues mod m with Lee weight at most a, ascending; one tuple per (m, a)."""
     return tuple(x for x in range(m) if min(x, m - x) <= a)
 
 

@@ -440,8 +440,7 @@ def cmd_oracle(problem, args, rep) -> int:
             rep.put(f"ideal_sphere.{name}", report.ideal_sphere_counts[key])
         return EXIT_OK
     if args.mode == "metric":
-        cube = sp.size ** 3
-        triples = cube if cube <= oracle.DEFAULT_TRIPLE_BUDGET else oracle.DEFAULT_SAMPLES
+        _, triples = oracle.metric_triples(sp)
         if triples > args.budget:
             raise BudgetExceededError(
                 f"metric check of {triples} triples exceeds budget {args.budget}"
@@ -463,7 +462,7 @@ def cmd_oracle(problem, args, rep) -> int:
             if w is not None:
                 rep.put("w", w)
         return EXIT_OK if report.passed else EXIT_FALSE
-    report = oracle.verify_formula_suite(sp, budget=args.budget, seed=args.seed)
+    report = oracle.verify_formula_suite(sp, budget=args.budget)
     for check in report.checks:
         rep.say(f"{check.name}: {check.status} ({check.detail})")
         rep.put(f"check.{check.name}", check.status)
@@ -501,9 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="enumeration budget (vectors / memberships)")
-    flags.add_argument("--seed", type=int, default=0,
-                       help="seed for the sampled triples of 'oracle metric'; "
-                       "no other command draws at random")
     flags.add_argument("--machine", action="store_true",
                        help="suppress the human section, print key=value only")
     # Commands without --ideal or --radius read these as absent.
@@ -553,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal")
     p.add_argument("--center", required=True)
     add("block-threshold")
-    add("oracle", mode_choices=("census", "metric", "suite"))
+    p = add("oracle", mode_choices=("census", "metric", "suite"))
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the sampled triples of 'oracle metric'")
     return parser
 
 

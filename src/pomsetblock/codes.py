@@ -389,7 +389,8 @@ def _ball_census(c: Code, boxes, budget: int, require_cover: bool) -> CheckResul
     listed member once by its coset, |B| keys where the translates take
     |C| x |B|, and settles disjointness, cover and the gap.  Only a coset
     keyed twice brings it on to the translate census below, which also
-    serves every non-linear code and finds the overlap's witness.
+    serves every non-linear code and finds the overlap's witness.  It is
+    skipped past |C| x |B| > m^n, where two members of B share a coset.
 
     A vector's key is its big-endian base-m value, so numeric order is
     lexicographic order (Knuth, TAOCP 4A 7.2.1.1).  The key of w + b is the
@@ -414,7 +415,7 @@ def _ball_census(c: Code, boxes, budget: int, require_cover: bool) -> CheckResul
         [kinds.setdefault((t, tuple(rs)), len(kinds)) for t, rs in enumerate(box) if any(rs)]
         for box in boxes
     ]
-    if c.is_linear:
+    if c.size * size <= sp.size and c.is_linear:
         result = _coset_census(c, list(kinds), steps, require_cover)
         if result is not None:
             return result
@@ -476,16 +477,16 @@ def _r_ball_coords(c: Code, r: int, budget: int):
     sp = c.space
     _check_radius(sp, r)
     m, room = sp.m, budget // c.size
-    at_most = [lee_ball_residues(m, w) for w in range(m // 2 + 1)]
     boxes, size = [], 0
     for card in range(r + 1):
         for i in enumerate_ideals(sp.pomset, card):
-            ball = [at_most[w] for w, k in zip(i.counts, sp.labeling) for _ in range(k)]
+            ball = _ball_block_choices(sp, i.counts)
             top = [(i.counts[t - 1], *sp.block_bounds[t - 1]) for t in i.maximal_elements]
             for firsts in itertools.product(*(range(lo, hi) for _, lo, hi in top)):
                 box = ball.copy()
                 for (w, lo, _), j in zip(top, firsts):
-                    box[lo : j + 1] = [at_most[w - 1]] * (j - lo) + [sorted({w, m - w})]
+                    box[lo:j] = [lee_ball_residues(m, w - 1)] * (j - lo)
+                    box[j] = sorted({w, m - w})
                 boxes.append(box)
                 size += math.prod(map(len, box))
             if size > room:

@@ -187,6 +187,14 @@ def _metric_kernel(space: Space):
     return weights
 
 
+def metric_triples(space: Space, triple_budget: int = DEFAULT_TRIPLE_BUDGET,
+                   samples: int = DEFAULT_SAMPLES) -> tuple[bool, int]:
+    """Whether `verify_metric` checks all (m^n)^3 triples, as it does when they
+    fit `triple_budget`, and how many a passing check visits."""
+    cube = space.size ** 3
+    return (True, cube) if cube <= triple_budget else (False, samples)
+
+
 def verify_metric(
     space: Space,
     triple_budget: int = DEFAULT_TRIPLE_BUDGET,
@@ -196,8 +204,8 @@ def verify_metric(
 ) -> MetricReport:
     """Check identity, symmetry and the triangle inequality.
 
-    Exhaustive over all triples when (m^n)^3 fits the budget, otherwise a
-    seeded uniform sample of `samples` triples.  A triple is n draws from
+    Exhaustive over all triples when `metric_triples` says they fit the
+    budget, otherwise a seeded uniform sample.  A triple is n draws from
     the m^3 residue triples (u_t, v_t, w_t), unzipped into u, v and w; the
     draws of up to `_METRIC_CHUNK` triples are made in one call, as indices
     into those residue triples, and stream exactly as one call per triple
@@ -216,8 +224,8 @@ def verify_metric(
 
     m, n = space.m, space.n
     lee = [[min((x - y) % m, (y - x) % m) for y in range(m)] for x in range(m)]
-    size = space.size
-    if size ** 3 <= triple_budget:
+    exhaustive, count = metric_triples(space, triple_budget, samples)
+    if exhaustive:
         points = list(space.iter_coords())
         pairs = list(itertools.product(points, repeat=2))
         if distance_fn is None:
@@ -231,16 +239,16 @@ def verify_metric(
             for v in points:
                 duv = dist[u, v]
                 if (duv == 0) != (u == v):
-                    return MetricReport(False, True, size ** 3, ("identity", u, v, None))
+                    return MetricReport(False, True, count, ("identity", u, v, None))
                 if duv != dist[v, u]:
-                    return MetricReport(False, True, size ** 3, ("symmetry", u, v, None))
+                    return MetricReport(False, True, count, ("symmetry", u, v, None))
         for u in points:
             for v in points:
                 duv = dist[u, v]
                 for w in points:
                     if duv > dist[u, w] + dist[w, v]:
-                        return MetricReport(False, True, size ** 3, ("triangle", u, v, w))
-        return MetricReport(True, True, size ** 3)
+                        return MetricReport(False, True, count, ("triangle", u, v, w))
+        return MetricReport(True, True, count)
 
     triples = list(itertools.product(range(m), repeat=3))
     parts = [list(map(itemgetter(k), triples)) for k in range(3)]
@@ -368,8 +376,8 @@ def verify_formula_suite(
     listing lies in the space and is made under the same budget.  The union
     check skips, and reports, a radius whose I-balls sum past `budget`.
     Each I-ball is listed at most once, for the union and the full-count
-    checks together.  The suite is deterministic: `seed` is accepted for
-    callers that pass one but draws nothing.
+    checks together.  The suite draws nothing; the CLI passes no seed, and
+    `seed` stays for callers, such as the benchmark's jobs, that pass one.
     """
     census = weight_census(space, budget)
     ideals = all_ideals(space.pomset)
@@ -446,7 +454,7 @@ def _check_ball_listings(space, census, ideals, budget):
     with the dual order's ball of the complement, so nothing scans the
     space.  A full-count listing's member set joins its radius's union
     rather than being listed again.  Each check reports its first failure
-    in `ideals` order.
+    at the least index in `ideals`.
     """
     m = space.m
     layers = [[] for _ in range(space.max_weight + 1)]
@@ -454,8 +462,8 @@ def _check_ball_listings(space, census, ideals, budget):
         layers[i.cardinality].append((index, i))
     mismatch = None
     skipped = 0
-    # (index in `ideals`, detail) of each check's first failure so far.
-    closure = duality = (len(ideals), None)
+    # Each check's failure details by index in `ideals`.
+    closure, duality = {}, {}
     for r, layer in enumerate(layers):
         listed = mismatch is None
         if listed and sum(
@@ -474,18 +482,18 @@ def _check_ball_listings(space, census, ideals, budget):
             # Only the set may outlive this step, as the radius's union.
             del listing
             gcds = [math.gcd(m, *p) for p in projections]
-            if i.cardinality and index < closure[0]:
+            if i.cardinality:
                 expected = m ** sum(space.labeling[t - 1] for t in i.root_set)
                 if len(members) != expected:
-                    closure = index, f"ideal {i}: size"
+                    closure[index] = f"ideal {i}: size"
                 elif len(members) != math.prod(map(len, projections)) or any(
                     p != set(range(0, m, g)) for p, g in zip(projections, gcds)
                 ):
-                    closure = index, f"ideal {i}: closure"
-            if index < duality[0] and not _dual_ball_matches(
+                    closure[index] = f"ideal {i}: closure"
+            if not _dual_ball_matches(
                 space, gcds, ideal_complement(space.pomset, i).counts
             ):
-                duality = index, f"mismatch at ideal {i}"
+                duality[index] = f"mismatch at ideal {i}"
             if listed:
                 # The first set is adopted, not copied, so the whole space
                 # is never held twice.
@@ -499,8 +507,10 @@ def _check_ball_listings(space, census, ideals, budget):
             mismatch = f"mismatch at r={r}"
     return (
         _outcome("rball-union", mismatch, "all radii", skipped, "radii"),
-        _outcome("full-ball-submodule", closure[1], "all full-count ideals"),
-        _outcome("ball-duality", duality[1], "all full-count ideals"),
+        _outcome("full-ball-submodule", closure.get(min(closure, default=None)),
+                 "all full-count ideals"),
+        _outcome("ball-duality", duality.get(min(duality, default=None)),
+                 "all full-count ideals"),
     )
 
 
@@ -548,13 +558,12 @@ def _check_partition_tiling(space, ideals, budget):
         if not divisible:
             bad = f"ideal {i}: divisibility error not raised"
             break
-        expected = 1
-        for t, c in enumerate(i.counts, start=1):
-            k = space.labeling[t - 1]
-            if c == 0:
-                expected *= m ** k
-            elif c < space.height:
-                expected *= (m // (2 * c + 1)) ** k
+        # A free block takes every residue, a partial one every (2c+1)-th
+        # and a full one only 0.
+        expected = math.prod(
+            (m if c == 0 else m // (2 * c + 1) if c < space.height else 1) ** k
+            for c, k in zip(i.counts, space.labeling)
+        )
         if len(centers) != expected:
             bad = f"ideal {i}: center count {len(centers)} != {expected}"
             break

@@ -40,16 +40,12 @@ def _transitive_closure(s: int, pairs) -> frozenset[tuple[int, int]]:
         if a == b:
             raise CycleError(f"reflexive pair ({a},{b}) not allowed in a strict order")
         below[b].add(a)
-    changed = True
-    while changed:
-        changed = False
+    # Warshall: once pivot k is done, below[b] holds every a reaching b by
+    # a path whose inner elements are all at most k.
+    for k in range(1, s + 1):
         for b in range(1, s + 1):
-            extra = set()
-            for a in below[b]:
-                extra |= below[a] - below[b]
-            if extra:
-                below[b] |= extra
-                changed = True
+            if k in below[b]:
+                below[b] |= below[k]
     for b in range(1, s + 1):
         if b in below[b]:
             raise CycleError(f"element {b} lies on a cycle")

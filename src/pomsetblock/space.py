@@ -135,7 +135,7 @@ class Space:
         return self.pomset.closure_counts(self.block_weights(coords))
 
     def coords_weight(self, coords: tuple[int, ...]) -> int:
-        """Weight of a raw coordinate tuple (scan-friendly form)."""
+        """Weight of a raw coordinate tuple."""
         return sum(self.weight_counts(coords))
 
     def words_weight_counts(self, words) -> list[tuple[int, ...]]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pomsetblock import cli
+from pomsetblock import cli, oracle
 from pomsetblock.cli import load_problem, run
 from pomsetblock.fixtures import NAMES, fixture_path
 
@@ -242,6 +242,76 @@ def test_oracle_metric_honours_the_budget():
     assert status == 0 and kv(out)["triples"] == "15625"
 
 
+# The flags of a valid request of every command on `mds_z5_len6`.
+REQUESTS = {
+    "weight": ["--vector", "0,0,0,0,0,0"],
+    "distance": ["--vector", "0,0,0,0,0,0", "--other", "1,0,0,0,0,0"],
+    "ideals": ["--cardinality", "1"],
+    "downsets": ["--size", "1"],
+    "ball-size": ["--radius", "1"],
+    "sphere-size": ["--ideal", "2,2,2,0"],
+    "partition": ["--ideal", "2,2,2,0"],
+    "check-perfect": ["--ideal", "2,2,2,0"],
+    "check-error-correcting": ["--radius", "3"],
+    "check-mds": [],
+    "singleton": [],
+    "dual": [],
+    "weight-dist": [],
+    "intersect": ["--ideal", "2,2,2,0", "--center", "1,1,1,1,1,1"],
+    "block-threshold": [],
+    "oracle": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_only_oracle_takes_a_seed(command, capsys):
+    assert REQUESTS.keys() == cli.COMMANDS.keys()
+    mode = ["census"] if command == "oracle" else []
+    argv = [command, *mode, fixture_path("mds_z5_len6"), *REQUESTS[command], "--machine"]
+    status, out = invoke(*argv)
+    assert status in (0, 1)
+    if command == "oracle":
+        assert invoke(*argv, "--seed", "7") == (status, out)
+        return
+    with pytest.raises(SystemExit) as exc:
+        invoke(*argv, "--seed", "7")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, budget", [("mds_z5_len6", []),
+                                          ("perfect_r1_z5", ["--budget", "15625"])])
+def test_oracle_metric_reports_the_seeded_check(name, budget):
+    path = fixture_path(name)
+    report = oracle.verify_metric(load_problem(path).space, seed=7)
+    status, out = invoke("oracle", "metric", path, "--seed", "7", *budget)
+    kind = "exhaustive" if report.exhaustive else "sampled"
+    assert (status, out) == (0, (
+        f"# {kind} metric check over {report.triples_checked} triples\n"
+        f"passed=true\nexhaustive={str(report.exhaustive).lower()}\n"
+        f"triples={report.triples_checked}\n"
+    ))
+
+
+@pytest.mark.parametrize("axiom", ["identity", "symmetry", "triangle"])
+def test_oracle_metric_reports_a_counterexample(monkeypatch, axiom):
+    u, v = (0, 0), (0, 1)
+    w = (1, 1) if axiom == "triangle" else None
+    seeds = []
+
+    def failing(space, seed):
+        seeds.append(seed)
+        return oracle.MetricReport(False, True, 625, (axiom, u, v, w))
+
+    monkeypatch.setattr(oracle, "verify_metric", failing)
+    status, out = invoke("oracle", "metric", fixture_path("perfect_r1_z5"),
+                         "--seed", "5", "--machine")
+    expected = f"passed=false\nexhaustive=true\ntriples=625\naxiom={axiom}\nu=0,0\nv=0,1\n"
+    if w is not None:
+        expected += "w=1,1\n"
+    assert (status, out, seeds) == (1, expected, [5])
+
+
 def test_input_errors():
     status, out = invoke("weight", "/nonexistent.json", "--vector", "0")
     assert status == 2
@@ -274,6 +344,7 @@ def test_input_errors():
         # A malformed integer list names its flag and echoes the text.
         (["ball-size", path, "--ideal", "a"],
          "--ideal must be comma-separated integers, got 'a'"),
+        (["sphere-size", path, "--ideal", ""], "expected 4 counts, got 0"),
         (["weight", path, "--vector", "1,x"],
          "--vector must be comma-separated integers, got '1,x'"),
         (["distance", path, "--vector", "0,0,0,0,0,0", "--other", "1,,2"],

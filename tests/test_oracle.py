@@ -13,6 +13,7 @@ from pomsetblock.oracle import (
     _check_ball_listings,
     _dual_ball_matches,
     _tiles,
+    metric_triples,
     verify_formula_suite,
     verify_metric,
     weight_census,
@@ -121,6 +122,47 @@ def test_sampled_negative_control_breaks_the_triangle_inequality():
     axiom, u, v, w = report.counterexample
     assert axiom == "triangle"
     assert squared(u, v) > squared(u, w) + squared(w, v)
+
+
+# 25 vectors: 25^3 = 15625 triples, so every triple is checked by default.
+EXHAUSTIVE = make_space(5, [], (1, 1))
+
+
+def test_exhaustive_negative_control_breaks_identity():
+    # Half the Lee distance, rounded down, puts residues 0 and 1 at distance 0.
+    def halved(a, b):
+        return lee_sum(a, b) // 2
+
+    report = verify_metric(EXHAUSTIVE, distance_fn=halved)
+    assert not report.passed and report.exhaustive
+    assert report.triples_checked == 25 ** 3
+    assert report.counterexample == ("identity", (0, 0), (0, 1), None)
+
+
+def test_exhaustive_negative_control_breaks_the_triangle_inequality():
+    # Squaring keeps identity and symmetry; the first triple in order to
+    # break the triangle is 0-1-2 in the last coordinate: 4 > 1 + 1.
+    def squared(a, b):
+        return lee_sum(a, b) ** 2
+
+    report = verify_metric(EXHAUSTIVE, distance_fn=squared)
+    assert not report.passed and report.exhaustive
+    assert report.triples_checked == 25 ** 3
+    assert report.counterexample == ("triangle", (0, 0), (0, 2), (0, 1))
+
+
+@pytest.mark.parametrize("space, triple_budget, samples", [
+    (EXHAUSTIVE, 25 ** 3, 7),
+    (EXHAUSTIVE, 25 ** 3 - 1, 7),
+    (SAMPLED, oracle.DEFAULT_TRIPLE_BUDGET, 300),
+])
+def test_metric_triples_states_what_a_passing_check_visits(space, triple_budget, samples):
+    report = verify_metric(space, triple_budget=triple_budget, samples=samples)
+    assert report.passed
+    assert metric_triples(space, triple_budget, samples) == (
+        report.exhaustive, report.triples_checked
+    )
+    assert report.exhaustive == (space.size ** 3 <= triple_budget)
 
 
 def test_metric_deterministic_sampling():
@@ -465,6 +507,26 @@ def test_formula_suite_fails_when_a_divisible_ideal_refuses_to_tile(monkeypatch)
     report = verify_formula_suite(make_space(5, [(1, 2)], (1, 1)))
     failed = {c.name: c.detail for c in report.failures}
     assert failed["partition-tiling"].endswith(": divisibility error raised")
+
+
+def test_formula_suite_fails_when_a_tiling_ignores_divisibility(monkeypatch):
+    # Over Z_5, 2*1 + 1 = 3 does not divide 5, so the ideal {1/1} has no
+    # tiling; centers returned for it fail the check.
+    monkeypatch.setattr("pomsetblock.balls.partition_centers",
+                        lambda space, ideal, *args: [(0,) * space.n])
+    report = verify_formula_suite(make_space(5, [(1, 2)], (1, 1)))
+    failed = {c.name: c.detail for c in report.failures}
+    assert failed == {"partition-tiling": "ideal {1/1}: divisibility error not raised"}
+
+
+def test_formula_suite_counts_the_tiling_centers(monkeypatch):
+    # Over Z_9 the ideal {1/1} tiles with 9 / 3 = 3 centers; one dropped fails.
+    original = balls.partition_centers
+    monkeypatch.setattr("pomsetblock.balls.partition_centers",
+                        lambda *args: original(*args)[:-1])
+    report = verify_formula_suite(make_space(9, [], (1,)))
+    failed = {c.name: c.detail for c in report.failures}
+    assert failed == {"partition-tiling": "ideal {1/1}: center count 2 != 3"}
 
 
 @st.composite

@@ -1,13 +1,16 @@
 import itertools
 import math
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
 from pomsetblock.mset import Mset, ShapeError
 from pomsetblock.pomset import (
     CycleError,
+    _transitive_closure,
     Ideal,
     NotAnIdealError,
     Pomset,
@@ -117,6 +120,9 @@ def test_ideal_complement():
     assert comp.pomset == dual_pomset(chain)
     full = Ideal(VSHAPE, (2, 2, 2))
     assert ideal_complement(VSHAPE, full).counts == (0, 0, 0)
+    # An ideal of another order of the same shape is refused, not complemented.
+    with pytest.raises(ShapeError, match="ideal does not belong to the given pomset"):
+        ideal_complement(Pomset.antichain(3, 2), full)
 
 
 def test_complements_are_exactly_dual_ideals():
@@ -218,3 +224,63 @@ def test_repr_lists_the_order_sorted():
     assert eval(repr(p)) == p
     assert repr(Pomset.antichain(2, 3)) == "Pomset(ground_size=2, height=3, order=frozenset())"
     assert repr(Ideal(p, (0, 0, 0, 1))) == repr(Ideal(rebuilt, (0, 0, 0, 1)))
+
+
+def reachability_closure(s, pairs):
+    """The strict order as breadth-first reachability: (a, b) when b is
+    reached from a along one or more pairs.  Pairs are checked, and the
+    least element on a cycle named, as `_transitive_closure` documents."""
+    above = {a: set() for a in range(1, s + 1)}
+    for a, b in pairs:
+        if not (1 <= a <= s and 1 <= b <= s):
+            raise ValueError(f"relation ({a},{b}) outside ground set 1..{s}")
+        if a == b:
+            raise CycleError(f"reflexive pair ({a},{b}) not allowed in a strict order")
+        above[a].add(b)
+    order = set()
+    for a in range(1, s + 1):
+        reached, queue = set(), deque(above[a])
+        while queue:
+            b = queue.popleft()
+            if b not in reached:
+                reached.add(b)
+                queue.extend(above[b])
+        order.update((a, b) for b in reached)
+    for b in range(1, s + 1):
+        if (b, b) in order:
+            raise CycleError(f"element {b} lies on a cycle")
+    return frozenset(order)
+
+
+@st.composite
+def relations(draw):
+    """A ground size and relation pairs: acyclic, cyclic, or with a reflexive
+    or out-of-range pair slipped in."""
+    s = draw(st.integers(1, 7))
+    element = st.integers(1, s)
+    pairs = draw(st.lists(st.tuples(element, element).filter(lambda p: p[0] != p[1]),
+                          max_size=3 * s))
+    if draw(st.booleans()):
+        # Oriented along a random permutation, so acyclic.
+        rank = {x: r for r, x in enumerate(draw(st.permutations(range(1, s + 1))))}
+        pairs = [(a, b) if rank[a] < rank[b] else (b, a) for a, b in pairs]
+    stray = draw(st.sampled_from(["none", "reflexive", "outside"]))
+    if stray != "none":
+        a = draw(element)
+        b = a if stray == "reflexive" else draw(st.sampled_from([0, s + 1]))
+        pairs.insert(draw(st.integers(0, len(pairs))), (a, b))
+    return s, pairs
+
+
+def outcome(closure, s, pairs):
+    try:
+        return closure(s, pairs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(relations())
+def test_transitive_closure_matches_breadth_first_reachability(case):
+    s, pairs = case
+    assert outcome(_transitive_closure, s, pairs) == outcome(reachability_closure, s, pairs)
