@@ -145,6 +145,15 @@ def load_problem(path: str) -> Problem:
         return problem_from_dict(json.load(fh))
 
 
+@functools.cache
+def _row_format(key: str, width: int) -> str:
+    """The %-format of row j of `width` integers under `key`, built once.
+
+    Keys are the report's few row names, so the memo stays small.
+    """
+    return key.replace("%", "%%") + ".%d=" + ",".join(["%d"] * width)
+
+
 class Report:
     """Accumulates a '#'-prefixed human section and key=value lines."""
 
@@ -166,7 +175,7 @@ class Report:
 
     def put_rows(self, key: str, rows) -> None:
         """Puts each row of integers under key.0, key.1, ... in turn."""
-        self._kv += [f"{key}.{j}={','.join(map(str, row))}" for j, row in enumerate(rows)]
+        self._kv += [_row_format(key, len(row)) % (j, *row) for j, row in enumerate(rows)]
 
     def emit(self) -> None:
         """Writes the human lines, unless machine-only, then the key lines at once."""
@@ -490,6 +499,14 @@ COMMANDS = {
 }
 
 
+class _NoSeed(argparse.Action):
+    """`--seed` on a command that draws nothing: exit 2 naming it and its value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"unrecognized arguments: {option_string} {values} "
+                     "(only 'oracle' takes --seed)")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument tree, built on first use and shared by every later `run`.
@@ -516,6 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[flags])
         if mode_choices:
             p.add_argument("mode", choices=mode_choices)
+        else:
+            # Holds on to the value, so it is never taken as the problem path.
+            p.add_argument("--seed", action=_NoSeed, default=argparse.SUPPRESS,
+                           help=argparse.SUPPRESS)
         p.add_argument("problem", help="path to a problem JSON file")
         return p
 

@@ -18,6 +18,13 @@ Codewords are sorted coordinate tuples, made and read by columns: the
 direct sum builds n column lists and zips them into words at the end, and
 minimum distance, weight distribution and root-set sizes all weigh the
 words through one column kernel, `Space.words_weight_counts`.
+
+Each code is built once, from one diagonal form, kept as its `_form`: a
+span keeps the form it was spanned from, and a code given by its words
+grows a generating set until it spans them (see `Code._form`).  Words the
+library built itself, a direct sum or words `Code.from_codewords` has just
+checked, go into `Code._trusted` as they are; `Code(space, words)` checks
+what a caller gives it.
 """
 
 from __future__ import annotations
@@ -41,7 +48,15 @@ from .balls import (
     lee_ball_size,
 )
 from .pomset import Ideal, enumerate_ideals, enumerate_root_downsets
-from .space import Space, Vector, _check_radius, _check_space, _check_words, _inexact
+from .space import (
+    Space,
+    Vector,
+    _check_lengths,
+    _check_radius,
+    _check_space,
+    _check_words,
+    _inexact,
+)
 
 
 class UndefinedDistanceError(ValueError):
@@ -59,6 +74,8 @@ class Code:
     Every codeword is a tuple of n integer residues reduced mod m.
     `generator` records the rows the code was spanned from, when it was,
     and so marks the code as a submodule; equality and hashing ignore it.
+    `Code(space, words)` checks and de-duplicates the words it is given;
+    the codes the library builds itself skip that, see `_trusted`.
     """
 
     space: Space
@@ -72,6 +89,20 @@ class Code:
         object.__setattr__(self, "codewords", tuple(sorted(set(words))))
 
     @classmethod
+    def _trusted(cls, space: Space, codewords, generator=None, form=None) -> "Code":
+        """The code of words the caller built sorted, distinct and reduced; unchecked.
+
+        The instance dict gets the fields validation would set, so a trusted
+        code equals, hashes and reprs like a checked one.  A diagonal form
+        already at hand becomes the code's `_form`.
+        """
+        code = object.__new__(cls)
+        code.__dict__.update(space=space, codewords=codewords, generator=generator)
+        if form is not None:
+            code.__dict__["_form"] = form
+        return code
+
+    @classmethod
     def from_codewords(cls, space: Space, coord_lists) -> "Code":
         """The code of the given words, reducing signed integers mod m."""
         m = space.m
@@ -79,7 +110,10 @@ class Code:
         # Words of residues as exact ints are already what the checks want.
         if _inexact(words) or set(itertools.chain.from_iterable(words)) - set(range(m)):
             words = [tuple(operator.index(x) % m for x in w) for w in words]
-        return cls(space, words)
+        _check_lengths(space, words)
+        if not words:
+            raise ValueError("a code must contain at least one codeword")
+        return cls._trusted(space, tuple(sorted(set(words))))
 
     @property
     def size(self) -> int:
@@ -91,25 +125,46 @@ class Code:
 
     @cached_property
     def _form(self):
-        """`_diagonal` of the generator rows, or of the codewords if none."""
-        rows = self.codewords if self.generator is None else self.generator
-        return _diagonal(rows, self.space.n, self.space.m)
+        """`_diagonal` of a generating set of the code, or None if it is no submodule.
+
+        A spanned code is given its form when it is built, and a dual is
+        diagonalised from its generator rows.  For listed codewords the
+        form grows with a generating set: walking the sorted words, each
+        word outside the current span joins the set and the span is rebuilt
+        from its diagonal form.  The span holds zero and every word walked,
+        so once it outgrows the code the code is no submodule; a walk that
+        ends within |C| words has spanned exactly the code.  Each new
+        generator at least doubles the span, so at most log2|C| + 1 forms
+        are taken, each over at most that many rows.
+        """
+        sp = self.space
+        n, m = sp.n, sp.m
+        if self.generator is not None:
+            return _diagonal(self.generator, n, m)
+        gens: list[tuple[int, ...]] = []
+        span = {(0,) * n}
+        for w in self.codewords:
+            if w not in span:
+                gens.append(w)
+                form = _diagonal(gens, n, m)
+                if math.prod(m // math.gcd(x, m) for x in form[0]) > self.size:
+                    return None
+                span = set(_direct_sum(_form_generators(form, m), n, m))
+        return form if gens else _diagonal(gens, n, m)
 
     @cached_property
     def is_linear(self) -> bool:
         """True iff the code is a submodule (closed under + and -).
 
-        A finite set is a submodule exactly when its span is no larger than
-        itself, and the diagonal form gives the span's size directly.  A
-        submodule holds zero and its size divides m^n, which settles most
-        other sets before any diagonal form.
+        A submodule holds zero and its size divides m^n, which settles most
+        other sets at once; the rest are decided by `_form`, whose growing
+        generating set spans the code exactly when it is a submodule.
         """
         if self.generator is not None:
             return True
         if self.codewords[0] != (0,) * self.space.n or self.space.size % self.size:
             return False
-        m = self.space.m
-        return math.prod(m // math.gcd(x, m) for x in self._form[0]) == self.size
+        return self._form is not None
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -208,25 +263,38 @@ def _direct_sum(gens, n: int, m: int) -> list[tuple[int, ...]]:
     return list(zip(*cols))
 
 
+def _form_generators(form, m: int) -> list[tuple[int, ...]]:
+    """The rows d[t]*Vinv[t] of a diagonal form, a direct sum of its span."""
+    d, _, vinv = form
+    return [tuple(dt * x % m for x in row) for dt, row in zip(d, vinv)]
+
+
 def _budgeted_code(space: Space, gens, budget: int, what: str, **kwargs) -> Code:
-    """The code a direct sum spans, once its size is known to fit the budget."""
+    """The code a direct sum spans, once its size is known to fit the budget.
+
+    The sums are reduced words of length n and pairwise distinct, so the
+    code takes them as they are, sorted once.
+    """
     size = math.prod(_order(b, space.m) for b in gens)
     if size > budget:
         raise BudgetExceededError(f"{what} of {size} codewords exceeds budget {budget}")
-    return Code(space, _direct_sum(gens, space.n, space.m), **kwargs)
+    words = _direct_sum(gens, space.n, space.m)
+    words.sort()
+    return Code._trusted(space, tuple(words), **kwargs)
 
 
 def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
     """All linear combinations over Z_m of the given rows.
 
     The span is the direct sum of the cyclic modules of d[t]*Vinv[t] from
-    the diagonal form, so the budget counts its codewords.
+    the diagonal form, so the budget counts its codewords; the form is kept
+    as the code's own.
     """
     m = space.m
     norm = tuple(_check_words(space, [[operator.index(x) % m for x in row] for row in rows]))
-    d, _, vinv = _diagonal(norm, space.n, m)
-    gens = [tuple(dt * x % m for x in row) for dt, row in zip(d, vinv)]
-    return _budgeted_code(space, gens, budget, "span", generator=norm)
+    form = _diagonal(norm, space.n, m)
+    return _budgeted_code(space, _form_generators(form, m), budget, "span",
+                          generator=norm, form=form)
 
 
 def min_distance(c: Code) -> int:

@@ -52,6 +52,13 @@ def _transitive_closure(s: int, pairs) -> frozenset[tuple[int, int]]:
     return frozenset((a, b) for b in range(1, s + 1) for a in below[b])
 
 
+def _check_sizes(ground_size: int, height: int) -> None:
+    if ground_size < 1:
+        raise ValueError("ground_size must be positive")
+    if height < 1:
+        raise ValueError("height must be positive")
+
+
 @dataclass(frozen=True)
 class Pomset:
     """Strict partial order on {1..s} with a common multiplicity cap.
@@ -65,10 +72,7 @@ class Pomset:
     order: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.ground_size < 1:
-            raise ValueError("ground_size must be positive")
-        if self.height < 1:
-            raise ValueError("height must be positive")
+        _check_sizes(self.ground_size, self.height)
         object.__setattr__(
             self, "order",
             frozenset((operator.index(a), operator.index(b)) for a, b in self.order),
@@ -89,8 +93,17 @@ class Pomset:
 
     @classmethod
     def from_relations(cls, ground_size: int, height: int, pairs) -> "Pomset":
-        """Build from covering (Hasse) or arbitrary strict pairs a < b."""
-        return cls(ground_size, height, _transitive_closure(ground_size, pairs))
+        """Build from covering (Hasse) or arbitrary strict pairs a < b.
+
+        The order is closed here once, so the check that a given order is
+        already closed is skipped; the instance dict gets the fields that
+        validation would set.
+        """
+        order = _transitive_closure(ground_size, pairs)
+        _check_sizes(ground_size, height)
+        pomset = object.__new__(cls)
+        pomset.__dict__.update(ground_size=ground_size, height=height, order=order)
+        return pomset
 
     @classmethod
     def chain(cls, ground_size: int, height: int) -> "Pomset":

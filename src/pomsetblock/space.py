@@ -202,14 +202,19 @@ def _check_words(space: Space, words) -> list[tuple[int, ...]]:
     words = list(words)
     if set(map(type, words)).difference((tuple,)) or _inexact(words):
         words = [tuple(map(operator.index, w)) for w in words]
-    if set(map(len, words)).difference((space.n,)):
-        w = next(w for w in words if len(w) != space.n)
-        raise ShapeError(f"expected {space.n} coordinates, got {len(w)}")
+    _check_lengths(space, words)
     stray = set(itertools.chain.from_iterable(words)).difference(range(space.m))
     if stray:
         x = next(x for w in words for x in w if x in stray)
         raise ShapeError(f"coordinate {x} not reduced mod {space.m}")
     return words
+
+
+def _check_lengths(space: Space, words) -> None:
+    """The first word not of n coordinates is a ShapeError."""
+    if set(map(len, words)).difference((space.n,)):
+        w = next(w for w in words if len(w) != space.n)
+        raise ShapeError(f"expected {space.n} coordinates, got {len(w)}")
 
 
 def _inexact(words) -> bool:

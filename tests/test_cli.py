@@ -279,6 +279,19 @@ def test_only_oracle_takes_a_seed(command, capsys):
     assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(set(cli.COMMANDS) - {"oracle"}))
+def test_a_seed_before_the_problem_path_is_named_with_its_value(command, capsys):
+    # The value is held by the flag, so it is never read as the problem path.
+    argv = [command, "--seed", "1", *REQUESTS[command], "--machine",
+            fixture_path("mds_z5_len6")]
+    with pytest.raises(SystemExit) as exc:
+        invoke(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 1 (only 'oracle' takes --seed)" in err
+    assert "mds_z5_len6" not in err
+
+
 @pytest.mark.parametrize("name, budget", [("mds_z5_len6", []),
                                           ("perfect_r1_z5", ["--budget", "15625"])])
 def test_oracle_metric_reports_the_seeded_check(name, budget):

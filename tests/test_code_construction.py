@@ -1,0 +1,287 @@
+"""Differential tests of how codes are built: the unchecked path the library
+takes for words it built itself, one diagonal form per code, linearity of
+listed words from a growing generating set, `Code.from_codewords`' single
+validating pass, and the row printer of the CLI report.
+
+Each is checked against the checked constructor or a brute-force reference
+over Z_m, prime and composite m, with zero and redundant generator rows.
+Hypothesis runs derandomized, without an example database and with a
+bounded number of examples, so the suite stays deterministic and quick.
+"""
+
+import io
+import itertools
+import math
+import operator
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import load_fixture
+from pomsetblock import codes
+from pomsetblock.cli import Report
+from pomsetblock.codes import (
+    Code,
+    _budgeted_code,
+    _diagonal,
+    _direct_sum,
+    _form_generators,
+    block_dependency_witnesses,
+    check_I_perfect,
+    dual_code,
+    span_generator,
+)
+from pomsetblock.mset import ShapeError
+from pomsetblock.pomset import Ideal, Pomset
+from pomsetblock.space import Space
+
+
+def bounded(max_examples):
+    return settings(derandomize=True, database=None, deadline=None,
+                    max_examples=max_examples)
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def spans(draw, max_vectors=3000):
+    """An antichain space over Z_m and generator rows, some zero or redundant."""
+    m = draw(st.sampled_from((2, 3, 4, 5, 6, 7, 8, 9, 10, 12)))
+    n = draw(st.integers(1, max(1, int(math.log(max_vectors, m)))))
+    space = Space(m, Pomset.from_relations(n, m // 2, []), (1,) * n)
+    rng = random.Random(draw(SEEDS))
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        # Multiples of a divisor of m give spans that are not free.
+        unit = rng.choice([g for g in range(1, m + 1) if m % g == 0])
+        rows.append([unit * rng.randrange(m) % m for _ in range(n)])
+    if draw(st.booleans()):
+        rows.insert(rng.randint(0, len(rows)), [0] * n)
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = rng.randrange(m), rng.randrange(m)
+        rows.append([(a * x + b * y) % m for x, y in zip(rows[0], rows[-1])])
+    return space, rows
+
+
+def closed(words, m):
+    """Reference submodule test: zero, negatives and pairwise sums."""
+    if tuple(0 for _ in next(iter(words))) not in words:
+        return False
+    return all(tuple(-x % m for x in a) in words for a in words) and all(
+        tuple((x + y) % m for x, y in zip(a, b)) in words for a in words for b in words
+    )
+
+
+def assert_same_code(built, words):
+    """`built` equals, hashes and reprs like the checked code of `words`."""
+    checked = Code(built.space, list(words), built.generator)
+    assert built == checked
+    assert hash(built) == hash(checked)
+    assert repr(built) == repr(checked)
+    assert built.codewords == checked.codewords
+    assert built.size == checked.size
+    assert type(built.codewords) is tuple
+    assert all(type(w) is tuple for w in built.codewords)
+
+
+@bounded(200)
+@given(spans())
+def test_trusted_codes_equal_checked_ones(case):
+    space, rows = case
+    n, m = space.n, space.m
+    gens = _form_generators(_diagonal(rows, n, m), m)
+    words = _direct_sum(gens, n, m)
+    assert len(set(words)) == len(words)
+    built = _budgeted_code(space, gens, space.size, "span")
+    assert_same_code(built, words)
+    code = span_generator(space, rows)
+    assert_same_code(code, words)
+    dual = dual_code(code)
+    assert_same_code(dual, _direct_sum(dual.generator, n, m))
+    assert len(set(dual.codewords)) == dual.size
+
+
+@bounded(150)
+@given(spans(max_vectors=400), SEEDS)
+def test_is_linear_by_generating_set_matches_closure(case, seed):
+    space, rows = case
+    rng = random.Random(seed)
+    span_words = sorted(span_generator(space, rows).coord_set)
+    # Subsets of a span, with or without zero, and sets drawn from the space.
+    if rng.random() < 0.5:
+        subset = rng.sample(span_words, rng.randint(1, len(span_words)))
+    else:
+        every = list(space.iter_coords())
+        subset = rng.sample(every, rng.randint(1, min(len(every), 30)))
+    if rng.random() < 0.5:
+        subset.append((0,) * space.n)
+    code = Code.from_codewords(space, subset)
+    assert code.is_linear == closed(set(subset), space.m)
+    listed = Code.from_codewords(space, span_words)
+    assert listed.is_linear
+    # The walk's last form spans the code itself.
+    assert set(_direct_sum(_form_generators(listed._form, space.m), space.n, space.m)) \
+        == listed.coord_set
+
+
+def counting_diagonal(monkeypatch):
+    """Replaces `codes._diagonal` by a wrapper that books each call's row count."""
+    calls = []
+    inner = codes._diagonal
+
+    def counted(rows, n, m):
+        calls.append(len(rows))
+        return inner(rows, n, m)
+
+    monkeypatch.setattr(codes, "_diagonal", counted)
+    return calls
+
+
+def test_a_span_outgrowing_the_code_part_way_ends_the_walk(monkeypatch):
+    # Over Z_2^4 the first four nonzero words span 16 vectors, twice the
+    # code's 8, so the walk stops with three words left unread.
+    space = Space(2, Pomset.from_relations(4, 1, []), (1, 1, 1, 1))
+    words = ["0000", "0001", "0010", "0100", "1000", "1001", "1010", "1100"]
+    code = Code.from_codewords(space, [tuple(map(int, w)) for w in words])
+    assert space.size % code.size == 0
+    calls = counting_diagonal(monkeypatch)
+    assert not code.is_linear
+    assert calls == [1, 2, 3, 4]
+    assert not closed(set(code.codewords), 2)
+
+
+def test_a_linear_walk_takes_at_most_log_size_forms(monkeypatch):
+    space = Space(6, Pomset.from_relations(3, 3, []), (1, 1, 1))
+    code = span_generator(space, [[1, 2, 3], [0, 2, 4], [3, 3, 0]])
+    listed = Code.from_codewords(space, list(code.codewords))
+    calls = counting_diagonal(monkeypatch)
+    assert listed.is_linear
+    assert 1 <= len(calls) <= math.log2(listed.size) + 1
+    assert calls == list(range(1, len(calls) + 1))
+    walked = len(calls)
+    # Both duals read a form already taken: the walk's and the span's.
+    assert dual_code(listed) == dual_code(code)
+    assert len(calls) == walked
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (5, 2), (6, 2), (9, 1)])
+def test_the_one_word_zero_code_is_linear_with_the_whole_space_as_dual(m, n):
+    space = Space(m, Pomset.from_relations(n, m // 2, []), (1,) * n)
+    code = Code.from_codewords(space, [(0,) * n])
+    assert code.is_linear
+    assert code._form[0] == [0] * n
+    dual = dual_code(code)
+    assert dual.codewords == tuple(space.iter_coords())
+
+
+@bounded(120)
+@given(spans(max_vectors=2000))
+def test_the_dual_of_listed_words_is_the_dual_of_their_generator(case):
+    space, rows = case
+    code = span_generator(space, rows)
+    listed = Code.from_codewords(space, list(reversed(code.codewords)))
+    assert listed.is_linear
+    assert dual_code(listed) == dual_code(code)
+    assert dual_code(listed).codewords == dual_code(code).codewords
+    if code.size > 1:
+        assert block_dependency_witnesses(listed) == block_dependency_witnesses(code)
+
+
+def test_a_spanned_code_is_diagonalised_once(monkeypatch):
+    # span_generator, then the dual and an I-perfectness check that the
+    # coset pass answers, all read the one form the span was built from.
+    problem = load_fixture("mds_z5_len6")
+    space, rows = problem.space, problem.code.generator
+    calls = counting_diagonal(monkeypatch)
+    answers = []
+    inner = codes._coset_census
+
+    def watched(*args):
+        answers.append(inner(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(codes, "_coset_census", watched)
+    code = span_generator(space, rows)
+    dual = dual_code(code)
+    result = check_I_perfect(code, Ideal(space.pomset, (2, 2, 2, 0)))
+    assert (dual.size, result.ok) == (625, True)
+    assert answers and answers[0] is not None
+    assert calls == [2]
+
+
+@st.composite
+def raw_codewords(draw):
+    """Tuples or lists of ints, bools, floats or strings, signed or short."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 4))
+    space = Space(m, Pomset.from_relations(n, m // 2, []), (1,) * n)
+    coordinate = st.one_of(
+        st.integers(0, m - 1),
+        st.integers(0, m - 1),
+        st.integers(-2 * m, 2 * m),
+        st.booleans(),
+        st.sampled_from((0.0, 1.0, 1.5)),
+        st.just("1"),
+    )
+    coords = st.lists(coordinate, min_size=n - 1, max_size=n + 1)
+    word = st.tuples(st.sampled_from((tuple, list)), coords)
+    words = draw(st.lists(word, max_size=6))
+    return space, [kind(coords) for kind, coords in words]
+
+
+def reference_from_codewords(space, coord_lists):
+    """Reduce every word through `operator.index`, then the checked constructor."""
+    m = space.m
+    words = [tuple(operator.index(x) % m for x in w) for w in map(tuple, coord_lists)]
+    return Code(space, words)
+
+
+def outcome(build, space, words):
+    try:
+        code = build(space, words)
+    except (TypeError, ShapeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return code, code.codewords, code.generator
+
+
+@bounded(400)
+@given(raw_codewords())
+def test_from_codewords_matches_reducing_then_checking(case):
+    space, words = case
+    assert outcome(Code.from_codewords, space, words) == outcome(
+        reference_from_codewords, space, words)
+
+
+def reference_rows(key, rows):
+    return [f"{key}.{j}={','.join(map(str, row))}" for j, row in enumerate(rows)]
+
+
+def printed(key, rows):
+    out = io.StringIO()
+    rep = Report(True, out)
+    rep.put_rows(key, rows)
+    rep.emit()
+    return out.getvalue()
+
+
+@bounded(200)
+@given(st.lists(st.lists(st.integers(-3, 400), min_size=1, max_size=8), max_size=12),
+       st.sampled_from(("codeword", "witness", "ideal", "100%")))
+def test_put_rows_prints_what_joining_printed(rows, key):
+    expected = reference_rows(key, rows)
+    assert printed(key, rows) == "".join(line + "\n" for line in expected)
+    assert printed(key, map(tuple, rows)) == printed(key, rows)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_put_rows_of_one_width(width):
+    rows = list(itertools.islice(itertools.product(range(12), repeat=width), 40))
+    assert printed("codeword", rows) == "".join(
+        line + "\n" for line in reference_rows("codeword", rows))
+
+
+def test_put_rows_of_no_rows_and_empty_rows():
+    assert printed("downset", []) == ""
+    assert printed("downset", [[]]) == "downset.0=\n"

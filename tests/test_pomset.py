@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
+from pomsetblock import pomset as pomset_module
 from pomsetblock.mset import Mset, ShapeError
 from pomsetblock.pomset import (
     CycleError,
@@ -284,3 +285,33 @@ def outcome(closure, s, pairs):
 def test_transitive_closure_matches_breadth_first_reachability(case):
     s, pairs = case
     assert outcome(_transitive_closure, s, pairs) == outcome(reachability_closure, s, pairs)
+
+
+def test_from_relations_closes_the_order_once(monkeypatch):
+    calls = []
+    inner = pomset_module._transitive_closure
+
+    def counted(s, pairs):
+        calls.append(s)
+        return inner(s, pairs)
+
+    monkeypatch.setattr(pomset_module, "_transitive_closure", counted)
+    p = Pomset.from_relations(4, 2, [(1, 2), (2, 3)])
+    assert calls == [4]
+    # It equals, hashes and reprs like the order given closed.
+    q = Pomset(4, 2, frozenset({(2, 3), (1, 3), (1, 2)}))
+    assert calls == [4, 4]
+    assert (p, hash(p), repr(p)) == (q, hash(q), repr(q))
+    assert Pomset.chain(3, 1) == Pomset(3, 1, frozenset({(1, 2), (1, 3), (2, 3)}))
+    # A directly given order is still checked.
+    with pytest.raises(ValueError, match="not transitively closed"):
+        Pomset(3, 2, frozenset({(1, 2), (2, 3)}))
+    with pytest.raises(CycleError, match="lies on a cycle"):
+        Pomset(2, 2, frozenset({(1, 2), (2, 1)}))
+    with pytest.raises(CycleError, match="reflexive"):
+        Pomset(2, 2, frozenset({(1, 1)}))
+    for bad, message in (((0, 2, []), "ground_size"), ((2, 0, []), "height")):
+        with pytest.raises(ValueError, match=message):
+            Pomset.from_relations(*bad)
+        with pytest.raises(ValueError, match=message):
+            Pomset(bad[0], bad[1], frozenset())
