@@ -166,6 +166,22 @@ def iter_I_ball_coords(space: Space, i: Ideal, budget: int = DEFAULT_BUDGET):
     return itertools.product(*_ball_box(space, i, budget))
 
 
+def I_ball_bits(space: Space, i: Ideal, budget: int = DEFAULT_BUDGET) -> int:
+    """The origin-centered I-ball as one int: bit j is set iff the vector of
+    big-endian base-m value j, the key `codes._ball_census` uses, is in it.
+
+    Coordinates fold from last to first.  With `bits` the ball's part on the
+    coordinates after t, each residue x of coordinate t places a copy of it
+    x*m^(n-1-t) bits up; the copies never overlap, as that part lies below
+    bit m^(n-1-t).
+    """
+    bits, place = 1, 1
+    for residues in reversed(_ball_box(space, i, budget)):
+        bits = functools.reduce(operator.or_, [bits << x * place for x in residues])
+        place *= space.m
+    return bits
+
+
 def enumerate_I_ball(
     u: Vector, i: Ideal, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:

@@ -9,10 +9,12 @@ the two routes is meaningful evidence rather than a tautology.
 The census visits no vector: per block, each residue tuple is weighed once,
 in lexicographic order, and since block weights are independent from block
 to block, the vectors of each block-weight tuple number the product of the
-per-block tallies of its weights.  Each I-ball is listed at most once per
-suite: radius by radius, the listings of the I-balls of that cardinality
-form the union checked against the census's r-ball, and a full-count ball's
-listing also gives its coordinate projections.  Those decide whether it is
+per-block tallies of its weights.  Each I-ball is built at most once per
+suite, as one bitset whose bit j stands for the vector of big-endian base-m
+value j: radius by radius, the bitsets of the I-balls of that cardinality
+are ORed into the union whose bit count is checked against the census's
+r-ball, and a full-count ball's bitset also gives its coordinate
+projections, by folding it onto each coordinate.  Those decide whether it is
 a product of subgroups of Z_m, and that product's annihilator is compared,
 coordinate by coordinate, with the dual order's ball of the complement.  The
 tiling check is per coordinate too: centers listed as a product tile with a
@@ -20,7 +22,7 @@ product ball exactly when each coordinate's projection and residue list
 tile Z_m, so it lists no translate.  I-ball sizes are the census's ideal
 counts summed over nested ideal keys, by prefix sums over the grid of
 counts.  The suite has one budget: what it lists lies in the space, which
-the census refuses past that budget.
+the census refuses past that budget, so no bitset exceeds it in bits.
 
 The sampled metric check works by columns: a chunk of triples is one draw
 of indices into the m^3 residue triples, coordinate t is every n-th index,
@@ -375,9 +377,10 @@ def verify_formula_suite(
     The census refuses a space of more than `budget` vectors; every later
     listing lies in the space and is made under the same budget.  The union
     check skips, and reports, a radius whose I-balls sum past `budget`.
-    Each I-ball is listed at most once, for the union and the full-count
-    checks together.  The suite draws nothing; the CLI passes no seed, and
-    `seed` stays for callers, such as the benchmark's jobs, that pass one.
+    Each I-ball is built at most once, as one bitset, for the union and the
+    full-count checks together.  The suite draws nothing; the CLI passes no
+    seed, and `seed` stays for callers, such as the benchmark's jobs, that
+    pass one.
     """
     census = weight_census(space, budget)
     ideals = all_ideals(space.pomset)
@@ -435,26 +438,57 @@ def _dual_ball_matches(space, gcds, counts):
     return [set(range(0, m, m // g)) for g in gcds] == dual_ball
 
 
+def _bit_projections(space, bits):
+    """Per coordinate, the residues of the vectors of the space that a ball
+    bitset holds: none when it holds none, as `_projections` gives for an
+    empty listing.  Bits at or above m^n, outside the space, enter none.
+
+    Level t holds bit x*w + j, with w = m^(n-1-t), iff some member has
+    coordinate t equal to x and its coordinates after t of base-m value j.
+    P_t holds each x whose w-bit chunk is not zero, and halving folds OR
+    the m chunks into level t + 1: the top half of the chunks is shifted
+    onto the bottom half until one chunk is left.
+    """
+    m = space.m
+    level = bits & ((1 << space.size) - 1)
+    if not level:
+        return []
+    projections = []
+    width = space.size
+    for _ in range(space.n):
+        width //= m
+        mask = (1 << width) - 1
+        projections.append({x for x in range(m) if level >> x * width & mask})
+        chunks = m
+        while chunks > 1:
+            low = chunks - chunks // 2
+            level = level & ((1 << low * width) - 1) | level >> low * width
+            chunks = low
+    return projections
+
+
 def _check_ball_listings(space, census, ideals, budget):
-    """The rball-union, submodule and duality outcomes, listing each I-ball once.
+    """The rball-union, submodule and duality outcomes, building each I-ball once.
 
-    Radius by radius, the I-balls of the ideals of that cardinality are
-    listed into one union, which must be as large as the census's r-ball.
-    A radius whose balls sum past `budget` is skipped, and no radius past
-    the first mismatch is listed into a union.  Each listing is made under
-    `budget`, which no I-ball of a space the census accepted exceeds.
+    Each I-ball is one bitset from `balls.I_ball_bits`, bit j for the vector
+    of big-endian base-m value j.  Radius by radius, the bitsets of the
+    ideals of that cardinality are ORed into one union, whose bit count must
+    be the census's r-ball size.  A radius whose balls sum past `budget` is
+    skipped, and no radius past the first mismatch is built into a union.
+    Each bitset is built under `budget`, which no I-ball of a space the
+    census accepted exceeds, and holds at most m^n <= `budget` bits.
 
-    A full-count I-ball is listed even then: it is every vector supported on
-    the root blocks of I.  Its listing, with projections P_t and
-    g_t = gcd(m, P_t), is that submodule iff it has m^(root dims) members,
-    as many as the product of the P_t, and each P_t is the subgroup of
-    multiples of g_t; it then is the product.  The product's annihilator
-    holds, coordinate by coordinate, the a with g_t * a = 0 mod m, the
-    multiples of m / g_t; `_dual_ball_matches` compares it per coordinate
-    with the dual order's ball of the complement, so nothing scans the
-    space.  A full-count listing's member set joins its radius's union
-    rather than being listed again.  Each check reports its first failure
-    at the least index in `ideals`.
+    A full-count I-ball is built even then: it is every vector supported on
+    the root blocks of I.  Its bitset, with projections P_t from
+    `_bit_projections` and g_t = gcd(m, P_t), is that submodule iff it has
+    m^(root dims) members, none at or above bit m^n, as many as the product
+    of the P_t, and each P_t is the subgroup of multiples of g_t; it then is
+    the product.  The product's annihilator holds, coordinate by coordinate,
+    the a with g_t * a = 0 mod m, the multiples of m / g_t;
+    `_dual_ball_matches` compares it per coordinate with the dual order's
+    ball of the complement, so nothing scans the space.  A full-count
+    bitset joins its radius's union rather than being built again.  Each
+    check reports its first failure at the least index in `ideals`.
     """
     m = space.m
     layers = [[] for _ in range(space.max_weight + 1)]
@@ -471,23 +505,24 @@ def _check_ball_listings(space, census, ideals, budget):
         ) > budget:
             skipped += 1
             listed = False
-        union = set()
+        union = 0
         for index, i in layer:
             if not i.is_full_count:
                 if listed:
-                    union.update(balls.iter_I_ball_coords(space, i, budget))
+                    union |= balls.I_ball_bits(space, i, budget)
                 continue
-            listing = list(balls.iter_I_ball_coords(space, i, budget))
-            members, projections = set(listing), _projections(listing)
-            # Only the set may outlive this step, as the radius's union.
-            del listing
+            bits = balls.I_ball_bits(space, i, budget)
+            projections = _bit_projections(space, bits)
             gcds = [math.gcd(m, *p) for p in projections]
             if i.cardinality:
                 expected = m ** sum(space.labeling[t - 1] for t in i.root_set)
-                if len(members) != expected:
+                size = bits.bit_count()
+                if size != expected:
                     closure[index] = f"ideal {i}: size"
-                elif len(members) != math.prod(map(len, projections)) or any(
-                    p != set(range(0, m, g)) for p, g in zip(projections, gcds)
+                elif (
+                    bits >> space.size
+                    or size != math.prod(map(len, projections))
+                    or any(p != set(range(0, m, g)) for p, g in zip(projections, gcds))
                 ):
                     closure[index] = f"ideal {i}: closure"
             if not _dual_ball_matches(
@@ -495,15 +530,8 @@ def _check_ball_listings(space, census, ideals, budget):
             ):
                 duality[index] = f"mismatch at ideal {i}"
             if listed:
-                # The first set is adopted, not copied, so the whole space
-                # is never held twice.
-                if union:
-                    union |= members
-                else:
-                    union = members
-            # A set adopted as the union must go with its radius.
-            del members
-        if listed and len(union) != census.ball_size(r):
+                union |= bits
+        if listed and union.bit_count() != census.ball_size(r):
             mismatch = f"mismatch at r={r}"
     return (
         _outcome("rball-union", mismatch, "all radii", skipped, "radii"),

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -26,3 +27,31 @@ def random_pomset(rng: random.Random, s: int, height: int, density: float = 0.4)
         if rng.random() < density
     ]
     return Pomset.from_relations(s, height, pairs)
+
+
+def to_bits(space, members) -> int:
+    """A listing as an I-ball bitset, the form `balls.I_ball_bits` returns.
+
+    A vector of the space sets the bit of its big-endian base-m value.  A
+    tuple with a coordinate equal to m, outside the space, sets bit
+    m^n + its base-(m + 1) value, so each distinct one has its own bit at or
+    above m^n.  A repeated member sets its bit once.
+    """
+    m, bits = space.m, 0
+    for v in members:
+        assert len(v) == space.n and all(0 <= x <= m for x in v), v
+        base, offset = (m, 0) if m not in v else (m + 1, space.size)
+        bits |= 1 << offset + functools.reduce(lambda a, x: a * base + x, v, 0)
+    return bits
+
+
+def from_bits(space, bits: int) -> list[tuple[int, ...]]:
+    """The tuples whose bits `to_bits` sets, by increasing bit: the vectors
+    of the space in lexicographic order, then those outside it."""
+    m, n = space.m, space.n
+    members = []
+    for j, bit in enumerate(reversed(bin(bits)[2:])):
+        if bit == "1":
+            base, j = (m, j) if j < space.size else (m + 1, j - space.size)
+            members.append(tuple(j // base ** (n - 1 - t) % base for t in range(n)))
+    return members

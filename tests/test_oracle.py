@@ -1,17 +1,22 @@
 import itertools
+import math
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import from_bits, to_bits
 from pomsetblock import balls
 from pomsetblock.balls import BudgetExceededError
 from pomsetblock.codes import Code, _ball_census
 from pomsetblock import oracle
 from pomsetblock.oracle import (
     _ball_sizes,
+    _bit_projections,
     _check_ball_listings,
     _dual_ball_matches,
+    _outcome,
+    _projections,
     _tiles,
     metric_triples,
     verify_formula_suite,
@@ -24,6 +29,18 @@ from pomsetblock.space import Space
 
 def make_space(m, relations, labeling):
     return Space(m, Pomset.from_relations(len(labeling), m // 2, relations), labeling)
+
+
+def tampered_bits(tamper):
+    """`balls.I_ball_bits` with each ball's listing, as `from_bits` reads
+    it, replaced by `tamper(space, ideal, members)` and packed by `to_bits`."""
+    original = balls.I_ball_bits
+
+    def bits(space, ideal, *args, **kwargs):
+        members = from_bits(space, original(space, ideal, *args, **kwargs))
+        return to_bits(space, tamper(space, ideal, members))
+
+    return bits
 
 
 def test_census_small_antichain():
@@ -250,16 +267,13 @@ def test_formula_suite_detects_ball_mutation(monkeypatch):
 def test_formula_suite_detects_a_ball_that_is_not_closed(monkeypatch):
     # Swap one member of each proper full-count ball for a non-member: the
     # size still matches, so only the closure test can notice.
-    original = balls.iter_I_ball_coords
-
-    def swapped(space, ideal, *args, **kwargs):
-        members = list(original(space, ideal, *args, **kwargs))
+    def swapped(space, ideal, members):
         if ideal.is_full_count and 0 < len(members) < space.size:
             inside = set(members)
             members[-1] = next(c for c in space.iter_coords() if c not in inside)
-        return iter(members)
+        return members
 
-    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", swapped)
+    monkeypatch.setattr("pomsetblock.balls.I_ball_bits", tampered_bits(swapped))
     report = verify_formula_suite(make_space(5, [], (1, 1)))
     failed = {c.name: c.detail for c in report.failures}
     assert failed["full-ball-submodule"].endswith(": closure")
@@ -277,16 +291,14 @@ def test_formula_suite_detects_a_wrong_dual_ball(monkeypatch):
 @pytest.mark.parametrize("tamper", ["duplicate", "out of range"])
 def test_a_tampered_whole_space_listing_fails_the_submodule_check(monkeypatch, tamper):
     # A listing as large as the space is spanned unless it equals the space,
-    # so neither a repeated member nor a stray tuple passes as the space.
-    original = balls.iter_I_ball_coords
-
-    def tampered(space, ideal, *args, **kwargs):
-        members = list(original(space, ideal, *args, **kwargs))
+    # so neither a repeated member nor a stray tuple passes as the space: the
+    # repeat leaves a bit missing, and the stray tuple sets one past m^n.
+    def tampered(space, ideal, members):
         if len(members) == space.size:
             members[-1] = members[0] if tamper == "duplicate" else (space.m,) * space.n
-        return iter(members)
+        return members
 
-    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", tampered)
+    monkeypatch.setattr("pomsetblock.balls.I_ball_bits", tampered_bits(tampered))
     sp = make_space(5, [(1, 2)], (1, 1))
     top = all_ideals(sp.pomset)[-1]
     failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
@@ -324,13 +336,11 @@ def test_full_count_failures_are_named_in_ideal_order(monkeypatch, check):
         next(i for i in all_ideals(sp.pomset) if i.counts == c)
         for c in ((0, 2, 2), (2, 0, 0))
     )
-    original = balls.iter_I_ball_coords
 
-    def repeated(space, ideal, *args, **kwargs):
-        members = list(original(space, ideal, *args, **kwargs))
+    def repeated(space, ideal, members):
         if ideal in (first, second):
             members[-1] = members[0]
-        return iter(members)
+        return members
 
     def complement(p, ideal):
         if ideal in (first, second):
@@ -338,7 +348,7 @@ def test_full_count_failures_are_named_in_ideal_order(monkeypatch, check):
         return ideal_complement(p, ideal)
 
     if check == "full-ball-submodule":
-        monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", repeated)
+        monkeypatch.setattr("pomsetblock.balls.I_ball_bits", tampered_bits(repeated))
         expected = f"ideal {first}: size"
     else:
         monkeypatch.setattr("pomsetblock.oracle.ideal_complement", complement)
@@ -349,16 +359,15 @@ def test_full_count_failures_are_named_in_ideal_order(monkeypatch, check):
 
 @pytest.mark.parametrize("which", [0, -1])
 def test_an_empty_full_count_listing_fails(monkeypatch, which):
-    # An empty listing has no coordinate projections, so the product they
+    # An empty bitset has no coordinate projections, so the product they
     # span is the empty tuple alone, which matches no block of the dual ball.
     sp = make_space(5, [(1, 2)], (1, 1))
     target = all_ideals(sp.pomset)[which]
-    original = balls.iter_I_ball_coords
 
-    def emptied(space, ideal, *args, **kwargs):
-        return iter(()) if ideal == target else original(space, ideal, *args, **kwargs)
+    def emptied(space, ideal, members):
+        return [] if ideal == target else members
 
-    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", emptied)
+    monkeypatch.setattr("pomsetblock.balls.I_ball_bits", tampered_bits(emptied))
     failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
     expected = {
         "rball-union": f"mismatch at r={target.cardinality}",
@@ -394,14 +403,12 @@ def test_ball_duality_reduces_inner_products_summed_over_blocks(monkeypatch):
     # line is too small for the ball, and both projections are all of Z_5,
     # whose product annihilates only {0}, the dual ball; so the size fails
     # and duality, taken over the product, passes.
-    original = balls.iter_I_ball_coords
+    def line(space, ideal, members):
+        if len(members) == space.size:
+            return [(4 * a % 5, a) for a in range(5)]
+        return members
 
-    def line(space, ideal, *args, **kwargs):
-        if len(list(original(space, ideal))) == space.size:
-            return iter([(4 * a % 5, a) for a in range(5)])
-        return original(space, ideal, *args, **kwargs)
-
-    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", line)
+    monkeypatch.setattr("pomsetblock.balls.I_ball_bits", tampered_bits(line))
     sp = make_space(5, [], (1, 1))
     top = all_ideals(sp.pomset)[-1]
     outcomes = {c.name: (c.status, c.detail) for c in verify_formula_suite(sp).checks}
@@ -414,14 +421,12 @@ def test_a_product_of_subgroups_of_the_right_size_fails_only_duality(monkeypatch
     # has the right size and is a product of subgroups, so only its
     # annihilator {0, 2} x {0, 2}, not the dual ball {0} x Z_4, gives it away.
     # The radius-2 union, which holds that listing, loses its size too.
-    original = balls.iter_I_ball_coords
-
-    def halves(space, ideal, *args, **kwargs):
+    def halves(space, ideal, members):
         if ideal.counts == (2, 0):
-            return iter(itertools.product((0, 2), repeat=2))
-        return original(space, ideal, *args, **kwargs)
+            return list(itertools.product((0, 2), repeat=2))
+        return members
 
-    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", halves)
+    monkeypatch.setattr("pomsetblock.balls.I_ball_bits", tampered_bits(halves))
     sp = make_space(4, [], (1, 1))
     failed = {c.name: c.detail for c in verify_formula_suite(sp).failures}
     assert failed == {
@@ -631,13 +636,15 @@ def test_census_matches_a_vector_by_vector_scan(space):
 def reference_full_count_checks(space, lister, complement):
     """Per-ideal reference for the submodule and duality outcomes.
 
-    Each full-count ball comes from `lister`; it is a submodule iff it has
-    the right size, lies in Z_m^n, equals the product of its coordinate
-    projections and each projection is a subgroup of Z_m.  The annihilator
-    of that product (over all its members) must be the dual order's ball of
-    the ideal's `complement`, as `balls.iter_I_ball_coords` lists it.  An
-    empty listing has n empty projections, so its product is empty: it
-    annihilates everything vacuously and proves nothing, so it fails.
+    Each full-count ball is the bitset `lister` returns, read by
+    `from_bits`; it is a submodule iff it has the right size, lies in
+    Z_m^n, equals the product of its coordinate projections and each
+    projection is a subgroup of Z_m.  Only members in Z_m^n enter the
+    projections.  The annihilator of that product (over all its members)
+    must be the dual order's ball of the ideal's `complement`, as
+    `balls.iter_I_ball_coords` lists it.  A ball with no member in Z_m^n has
+    n empty projections, so its product is empty: it annihilates everything
+    vacuously and proves nothing, so it fails.
     """
     m, n = space.m, space.n
     whole = set(itertools.product(range(m), repeat=n))
@@ -646,8 +653,8 @@ def reference_full_count_checks(space, lister, complement):
     for i in all_ideals(space.pomset):
         if not i.is_full_count:
             continue
-        members = set(lister(space, i))
-        projections = [{v[t] for v in members} for t in range(n)]
+        members = set(from_bits(space, lister(space, i)))
+        projections = [{v[t] for v in members & whole} for t in range(n)]
         product = set(itertools.product(*projections))
         if i.cardinality and closure is None:
             expected = m ** sum(k for k, c in zip(space.labeling, i.counts) if c)
@@ -694,10 +701,8 @@ def tampered_spaces(draw):
 @given(tampered_spaces())
 def test_full_count_checks_match_a_per_ideal_reference(case):
     space, target, fault, other, where, stray = case
-    original_lister, original_complement = balls.iter_I_ball_coords, ideal_complement
 
-    def lister(sp, ideal, *args, **kwargs):
-        members = list(original_lister(sp, ideal, *args, **kwargs))
+    def tamper(sp, ideal, members):
         if sp == space and ideal == target:
             if fault == "member":
                 members[where % len(members)] = stray
@@ -713,13 +718,14 @@ def test_full_count_checks_match_a_per_ideal_reference(case):
                     tuple(x if t == r else (x + v[r]) % sp.m for t, x in enumerate(v))
                     for v in members
                 ]
-        return iter(members)
+        return members
 
     def complement(p, ideal):
-        return original_complement(p, other if fault == "complement" and ideal == target else ideal)
+        return ideal_complement(p, other if fault == "complement" and ideal == target else ideal)
 
+    lister = tampered_bits(tamper)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
+        patch.setattr("pomsetblock.balls.I_ball_bits", lister)
         patch.setattr("pomsetblock.oracle.ideal_complement", complement)
         census = weight_census(space)
         outcomes = _check_ball_listings(
@@ -739,8 +745,9 @@ def radius_layers(space, ideals):
 
 def reference_rball_union(space, census, ideals, budget):
     """Per-radius reference for the rball-union outcome: each radius's union
-    of I-ball listings against the census, skipping a radius whose closed-form
-    ball sizes sum past `budget`, up to the first mismatch."""
+    of I-ball listings, as `from_bits` reads the I-ball bitsets, against the
+    census, skipping a radius whose closed-form ball sizes sum past `budget`,
+    up to the first mismatch."""
     skipped = 0
     for r, layer in enumerate(radius_layers(space, ideals)):
         if sum(balls.I_ball_cardinality(space, i) for i in layer) > budget:
@@ -748,7 +755,7 @@ def reference_rball_union(space, census, ideals, budget):
             continue
         union = set()
         for i in layer:
-            union.update(balls.iter_I_ball_coords(space, i))
+            union.update(from_bits(space, balls.I_ball_bits(space, i)))
         if len(union) != census.ball_size(r):
             return "fail", f"mismatch at r={r}"
     if skipped:
@@ -795,10 +802,8 @@ def tampered_listings(draw):
 @given(tampered_listings())
 def test_rball_union_matches_a_per_radius_reference(case):
     space, target, fault, where, stray, budget = case
-    original_lister = balls.iter_I_ball_coords
 
-    def lister(sp, ideal, *args, **kwargs):
-        members = list(original_lister(sp, ideal, *args, **kwargs))
+    def tamper(sp, ideal, members):
         if ideal == target:
             j = where % len(members)
             if fault == "dropped":
@@ -811,10 +816,10 @@ def test_rball_union_matches_a_per_radius_reference(case):
                 members = []
             elif fault == "stray":
                 members[j] = stray
-        return iter(members)
+        return members
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
+        patch.setattr("pomsetblock.balls.I_ball_bits", tampered_bits(tamper))
         ideals = all_ideals(space.pomset)
         census = weight_census(space, budget)
         union = _check_ball_listings(space, census, ideals, budget)[0]
@@ -832,14 +837,14 @@ def test_one_suite_lists_each_ideal_at_most_once(case):
     # not make a full-count ball be listed a second time.
     space, budget = case
     listed = []
-    original_lister = balls.iter_I_ball_coords
+    original_lister = balls.I_ball_bits
 
     def lister(sp, ideal, *args, **kwargs):
         listed.append(ideal)
         return original_lister(sp, ideal, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
+        patch.setattr("pomsetblock.balls.I_ball_bits", lister)
         assert verify_formula_suite(space, budget).ok
     assert len(listed) == len(set(listed))
     assert {i for i in all_ideals(space.pomset) if i.is_full_count} <= set(listed)
@@ -876,13 +881,13 @@ def test_every_ball_listing_receives_the_suite_budget(monkeypatch, factor):
     space = make_space(5, [(1, 2)], (2, 2))
     budget = factor * space.size
     received = []
-    original = balls.iter_I_ball_coords
+    original = balls.I_ball_bits
 
     def lister(sp, ideal, budget=balls.DEFAULT_BUDGET):
         received.append(budget)
         return original(sp, ideal, budget)
 
-    monkeypatch.setattr("pomsetblock.balls.iter_I_ball_coords", lister)
+    monkeypatch.setattr("pomsetblock.balls.I_ball_bits", lister)
     assert verify_formula_suite(space, budget).ok
     assert received and set(received) == {budget}
 
@@ -972,3 +977,125 @@ def test_ball_formula_passes_on_the_seven_block_antichain_over_z5():
     outcome = {c.name: c for c in report.checks}["ball-formula"]
     assert outcome.status == "pass", outcome.detail
     assert report.ok, [(c.name, c.detail) for c in report.failures]
+
+
+@st.composite
+def spaces_under_budgets(draw):
+    """A small space and a budget up to its size, so some I-balls exceed it."""
+    space = draw(small_spaces(3000))
+    return space, draw(st.integers(0, space.size))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(spaces_under_budgets())
+def test_ball_bits_hold_the_listed_ball(case):
+    space, budget = case
+    for i in all_ideals(space.pomset):
+        try:
+            listed = list(balls.iter_I_ball_coords(space, i, budget))
+        except BudgetExceededError as err:
+            with pytest.raises(BudgetExceededError) as caught:
+                balls.I_ball_bits(space, i, budget)
+            assert str(caught.value) == str(err)
+            continue
+        # Increasing bits are lexicographic order, the order of the listing.
+        assert from_bits(space, balls.I_ball_bits(space, i, budget)) == listed
+
+
+@st.composite
+def member_sets(draw):
+    """A small space and a set of tuples whose coordinates may be m, so
+    outside the space; empty at times."""
+    space = draw(small_spaces(300))
+    members = draw(st.sets(st.tuples(*[st.integers(0, space.m)] * space.n), max_size=20))
+    return space, members
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(member_sets())
+@example((make_space(5, [], (1, 1)), set()))
+@example((make_space(5, [], (1, 1)), {(5, 5), (0, 5)}))
+@example((make_space(4, [(1, 2)], (1, 2)), {(0, 1, 2), (3, 0, 4)}))
+def test_bit_projections_match_the_tuple_projections(case):
+    # Tuples outside the space enter no projection, so the bitset's
+    # projections are the tuple projections of its members in the space.
+    space, members = case
+    inside = sorted(v for v in members if space.m not in v)
+    assert _bit_projections(space, to_bits(space, members)) == _projections(inside)
+
+
+def reference_ball_listings(space, census, ideals, budget):
+    """The rball-union, submodule and duality outcomes from tuple listings.
+
+    Each I-ball is listed by `balls.iter_I_ball_coords`, at most once.  Radius
+    by radius, the listings of the ideals of that cardinality form one
+    union of tuples, as large as the census's r-ball, skipping a radius whose
+    balls sum past `budget` and stopping at the first mismatch.  A
+    full-count listing, even on a skipped radius, gives its member set and
+    its projections P_t; it is the submodule iff it has m^(root dims)
+    members, as many as the product of the P_t, and each P_t is the
+    subgroup of multiples of gcd(m, P_t), and the annihilator of that
+    product must be the dual order's ball of the complement.
+    """
+    m = space.m
+    layers = [[] for _ in range(space.max_weight + 1)]
+    for index, i in enumerate(ideals):
+        layers[i.cardinality].append((index, i))
+    mismatch = None
+    skipped = 0
+    closure, duality = {}, {}
+    for r, layer in enumerate(layers):
+        listed = mismatch is None
+        if listed and sum(balls.I_ball_cardinality(space, i) for _, i in layer) > budget:
+            skipped += 1
+            listed = False
+        union = set()
+        for index, i in layer:
+            if not i.is_full_count:
+                if listed:
+                    union.update(balls.iter_I_ball_coords(space, i, budget))
+                continue
+            listing = list(balls.iter_I_ball_coords(space, i, budget))
+            members, projections = set(listing), _projections(listing)
+            gcds = [math.gcd(m, *p) for p in projections]
+            if i.cardinality:
+                expected = m ** sum(space.labeling[t - 1] for t in i.root_set)
+                if len(members) != expected:
+                    closure[index] = f"ideal {i}: size"
+                elif len(members) != math.prod(map(len, projections)) or any(
+                    p != set(range(0, m, g)) for p, g in zip(projections, gcds)
+                ):
+                    closure[index] = f"ideal {i}: closure"
+            if not _dual_ball_matches(space, gcds, ideal_complement(space.pomset, i).counts):
+                duality[index] = f"mismatch at ideal {i}"
+            if listed:
+                union |= members
+        if listed and len(union) != census.ball_size(r):
+            mismatch = f"mismatch at r={r}"
+    return (
+        _outcome("rball-union", mismatch, "all radii", skipped, "radii"),
+        _outcome("full-ball-submodule", closure.get(min(closure, default=None)),
+                 "all full-count ideals"),
+        _outcome("ball-duality", duality.get(min(duality, default=None)),
+                 "all full-count ideals"),
+    )
+
+
+def assert_listings_match_the_reference(space, budget):
+    census = weight_census(space, budget)
+    ideals = all_ideals(space.pomset)
+    assert _check_ball_listings(space, census, ideals, budget) == reference_ball_listings(
+        space, census, ideals, budget
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(budgeted_spaces())
+@example((make_space(4, [], (1, 1, 1)), 64))
+def test_ball_bitsets_match_the_tuple_listings(case):
+    assert_listings_match_the_reference(*case)
+
+
+def test_ball_bitsets_match_the_tuple_listings_on_the_seven_block_antichain():
+    space = make_space(5, [], (1,) * 7)
+    assert_listings_match_the_reference(space, balls.DEFAULT_BUDGET)
