@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import codes, oracle
 from .balls import (
@@ -27,14 +28,7 @@ from .balls import (
     r_ball_cardinality,
 )
 from .mset import ShapeError
-from .pomset import (
-    CycleError,
-    Ideal,
-    NotAnIdealError,
-    Pomset,
-    enumerate_ideals,
-    enumerate_root_downsets,
-)
+from .pomset import Ideal, Pomset, enumerate_ideals, enumerate_root_downsets
 from .space import Space, Vector, _check_radius, distance, pomset_weight, support
 
 EXIT_OK = 0
@@ -479,23 +473,46 @@ def cmd_oracle(problem, args, rep) -> int:
     return EXIT_OK if report.ok else EXIT_FALSE
 
 
+def _flag(*names, **spec):
+    """An argument as `add_argument` takes it, declared once for all its commands."""
+    return names, spec
+
+
+IDEAL = _flag("--ideal", help="comma-separated ideal counts")
+RADIUS = _flag("--radius", type=int)
+VECTOR = _flag("--vector", required=True, help="comma-separated coordinates")
+SEED = _flag("--seed", type=int, default=0,
+             help="seed for the sampled triples of 'oracle metric'")
+
+
+class Command(NamedTuple):
+    """A row of `COMMANDS`: the handler, the flags it reads beyond --budget
+    and --machine, and the choices of a mode given before the problem path."""
+
+    run: Callable[[Problem, argparse.Namespace, Report], int]
+    flags: tuple = ()
+    modes: tuple[str, ...] = ()
+
+
+# The one registry of commands: `build_parser` builds a subparser from each
+# row and `run` dispatches through it, so a new command is one row.
 COMMANDS = {
-    "weight": cmd_weight,
-    "distance": cmd_distance,
-    "ideals": cmd_ideals,
-    "downsets": cmd_downsets,
-    "ball-size": cmd_ball_size,
-    "sphere-size": cmd_sphere_size,
-    "partition": cmd_partition,
-    "check-perfect": cmd_check_perfect,
-    "check-error-correcting": cmd_check_error_correcting,
-    "check-mds": cmd_check_mds,
-    "singleton": cmd_singleton,
-    "dual": cmd_dual,
-    "weight-dist": cmd_weight_dist,
-    "intersect": cmd_intersect,
-    "block-threshold": cmd_block_threshold,
-    "oracle": cmd_oracle,
+    "weight": Command(cmd_weight, (VECTOR,)),
+    "distance": Command(cmd_distance, (VECTOR, _flag("--other", required=True))),
+    "ideals": Command(cmd_ideals, (_flag("--cardinality", type=int, required=True),)),
+    "downsets": Command(cmd_downsets, (_flag("--size", type=int, required=True),)),
+    "ball-size": Command(cmd_ball_size, (IDEAL, RADIUS)),
+    "sphere-size": Command(cmd_sphere_size, (IDEAL,)),
+    "partition": Command(cmd_partition, (IDEAL,)),
+    "check-perfect": Command(cmd_check_perfect, (IDEAL, RADIUS)),
+    "check-error-correcting": Command(cmd_check_error_correcting, (RADIUS,)),
+    "check-mds": Command(cmd_check_mds),
+    "singleton": Command(cmd_singleton),
+    "dual": Command(cmd_dual),
+    "weight-dist": Command(cmd_weight_dist, (_flag("--closed-form", action="store_true"),)),
+    "intersect": Command(cmd_intersect, (IDEAL, _flag("--center", required=True))),
+    "block-threshold": Command(cmd_block_threshold),
+    "oracle": Command(cmd_oracle, (SEED,), modes=("census", "metric", "suite")),
 }
 
 
@@ -509,96 +526,52 @@ class _NoSeed(argparse.Action):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built on first use and shared by every later `run`.
+    """The argument tree, one subparser per row of `COMMANDS`, built on first
+    use and shared by every later `run`.
 
     Parsing leaves the tree unchanged, so a process serving many requests
     builds it once; callers must not modify the returned parser.
     """
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="enumeration budget (vectors / memberships)")
-    flags.add_argument("--machine", action="store_true",
-                       help="suppress the human section, print key=value only")
-    # Commands without --ideal or --radius read these as absent.
-    flags.set_defaults(ideal=None, radius=None)
-
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="enumeration budget (vectors / memberships)")
+    common.add_argument("--machine", action="store_true",
+                        help="suppress the human section, print key=value only")
     parser = argparse.ArgumentParser(
         prog="pomsetblock",
         description="Block codes under the pomset metric: weights, balls, "
                     "perfectness, Singleton/MDS checks and brute-force oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *, mode_choices=None):
-        p = sub.add_parser(name, parents=[flags])
-        if mode_choices:
-            p.add_argument("mode", choices=mode_choices)
-        else:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common])
+        if command.modes:
+            p.add_argument("mode", choices=command.modes)
+        if SEED not in command.flags:
             # Holds on to the value, so it is never taken as the problem path.
             p.add_argument("--seed", action=_NoSeed, default=argparse.SUPPRESS,
                            help=argparse.SUPPRESS)
         p.add_argument("problem", help="path to a problem JSON file")
-        return p
-
-    p = add("weight")
-    p.add_argument("--vector", required=True, help="comma-separated coordinates")
-    p = add("distance")
-    p.add_argument("--vector", required=True)
-    p.add_argument("--other", required=True)
-    p = add("ideals")
-    p.add_argument("--cardinality", type=int, required=True)
-    p = add("downsets")
-    p.add_argument("--size", type=int, required=True)
-    p = add("ball-size")
-    p.add_argument("--ideal", help="comma-separated ideal counts")
-    p.add_argument("--radius", type=int)
-    p = add("sphere-size")
-    p.add_argument("--ideal")
-    p = add("partition")
-    p.add_argument("--ideal")
-    p = add("check-perfect")
-    p.add_argument("--ideal")
-    p.add_argument("--radius", type=int)
-    p = add("check-error-correcting")
-    p.add_argument("--radius", type=int)
-    add("check-mds")
-    add("singleton")
-    add("dual")
-    p = add("weight-dist")
-    p.add_argument("--closed-form", action="store_true")
-    p = add("intersect")
-    p.add_argument("--ideal")
-    p.add_argument("--center", required=True)
-    add("block-threshold")
-    p = add("oracle", mode_choices=("census", "metric", "suite"))
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the sampled triples of 'oracle metric'")
+        for names, spec in command.flags:
+            p.add_argument(*names, **spec)
     return parser
 
 
 def run(argv=None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     rep = Report(args.machine, out)
     try:
         if args.budget < 0:
             raise ValueError(f"--budget must be non-negative, got {args.budget}")
         problem = load_problem(args.problem)
-        status = COMMANDS[args.command](problem, args, rep)
+        status = COMMANDS[args.command].run(problem, args, rep)
     except BudgetExceededError as exc:
         rep.say(f"budget exceeded: {exc}")
         rep.put("error", "budget")
         rep.emit()
         return EXIT_BUDGET
-    except (
-        ShapeError,
-        NotAnIdealError,
-        CycleError,
-        codes.UndefinedDistanceError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    # Shape, order, ideal, distance and JSON errors are all ValueErrors.
+    except (ValueError, OSError) as exc:
         rep.say(f"input error: {exc}")
         rep.put("error", "input")
         rep.emit()

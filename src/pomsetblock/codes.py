@@ -245,21 +245,27 @@ def _direct_sum(gens, n: int, m: int) -> list[tuple[int, ...]]:
 
     The generators must form a direct sum, as those read off `_diagonal`
     do, so the sums are pairwise distinct and cost O(output * n).  The sums
-    are built a column at a time and zipped into words at the end.
+    are built a column at a time and zipped into words at the end.  Each
+    shift is tabled only over the residues its column holds, so no table
+    outgrows the output, whatever the modulus.
     """
-    add = [[(x + y) % m for y in range(m)] for x in range(m)]
     cols = [[0] for _ in range(n)]
     for b in gens:
         if any(b):
             order = range(_order(b, m))
-            # Column t of the words w + c*b, c in order, is row c*b_t of
-            # the table read at each w_t.
-            cols = [
-                list(itertools.chain.from_iterable(
-                    [map(add[c * y % m].__getitem__, col) for c in order]
-                ))
-                for col, y in zip(cols, b)
-            ]
+            grown = []
+            for col, y in zip(cols, b):
+                if not y:
+                    grown.append(col * len(order))
+                    continue
+                # Column t of the words w + c*b, c in order: each w_t
+                # shifted by c*b_t.
+                held = set(col)
+                grown.append(list(itertools.chain.from_iterable([
+                    map({x: (x + c * y) % m for x in held}.__getitem__, col)
+                    for c in order
+                ])))
+            cols = grown
     return list(zip(*cols))
 
 
@@ -464,8 +470,9 @@ def _ball_census(c: Code, boxes, budget: int, require_cover: bool) -> CheckResul
     lexicographic order (Knuth, TAOCP 4A 7.2.1.1).  The key of w + b is the
     key of w plus the deltas ((w_t + b_t) mod m - w_t)*m^(n-1-t) at the
     coordinates t where the box is not 0, tabled once per coordinate,
-    residue list and w_t: about one integer addition per member.  Both
-    passes read the boxes' coordinates from one interned list of pairs.
+    residue list and w_t that a codeword holds: about one integer addition
+    per member.  Both passes read the boxes' coordinates from one interned
+    list of pairs.
     """
     sp = c.space
     m, n = sp.m, sp.n
@@ -487,9 +494,11 @@ def _ball_census(c: Code, boxes, budget: int, require_cover: bool) -> CheckResul
         result = _coset_census(c, list(kinds), steps, require_cover)
         if result is not None:
             return result
-    # Per pair, its coordinate and, per w_t, the key deltas of its residues.
+    # Per pair, its coordinate and, per w_t held by a codeword or by the
+    # zero offset, the key deltas of its residues.
+    held = [{0, *col} for col in zip(*c.codewords)]
     deltas = [
-        (t, [[((a + r) % m - a) * place[t] for r in rs] for a in range(m)])
+        (t, {a: [((a + r) % m - a) * place[t] for r in rs] for a in held[t]})
         for t, rs in kinds
     ]
 

@@ -130,6 +130,19 @@ class Pomset:
         return {i: frozenset(v) for i, v in out.items()}
 
     @cached_property
+    def _dual(self) -> "Pomset":
+        """The reversed order, built once and kept, like the tables above,
+        outside equality, hashing and repr.
+
+        The reverse of a closed, acyclic strict order is closed and acyclic,
+        so it is not closed again; the dual's own dual is this order.
+        """
+        dual = object.__new__(type(self))
+        dual.__dict__.update(ground_size=self.ground_size, height=self.height,
+                             order=frozenset((b, a) for a, b in self.order), _dual=self)
+        return dual
+
+    @cached_property
     def _downset_levels(self) -> list[tuple[frozenset[int], ...]]:
         """Downsets by size, grown by `downsets_of_size` as far as asked."""
         return [(frozenset(),)]
@@ -383,8 +396,8 @@ def enumerate_ideals(p: Pomset, r: int) -> list[Ideal]:
 
 
 def dual_pomset(p: Pomset) -> Pomset:
-    """Same ground set and height with the order reversed."""
-    return Pomset(p.ground_size, p.height, frozenset((b, a) for a, b in p.order))
+    """Same ground set and height with the order reversed, built once per order."""
+    return p._dual
 
 
 def ideal_complement(p: Pomset, ideal: Ideal) -> Ideal:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -263,6 +264,42 @@ REQUESTS = {
 }
 
 
+# What each command accepted, in order, before the registry built the parser:
+# option strings and positionals after -h/--help, --budget and --machine.
+# Every command but oracle has the hidden --seed that exits 2.
+ACCEPTED = {
+    "weight": ["--seed", "problem", "--vector"],
+    "distance": ["--seed", "problem", "--vector", "--other"],
+    "ideals": ["--seed", "problem", "--cardinality"],
+    "downsets": ["--seed", "problem", "--size"],
+    "ball-size": ["--seed", "problem", "--ideal", "--radius"],
+    "sphere-size": ["--seed", "problem", "--ideal"],
+    "partition": ["--seed", "problem", "--ideal"],
+    "check-perfect": ["--seed", "problem", "--ideal", "--radius"],
+    "check-error-correcting": ["--seed", "problem", "--radius"],
+    "check-mds": ["--seed", "problem"],
+    "singleton": ["--seed", "problem"],
+    "dual": ["--seed", "problem"],
+    "weight-dist": ["--seed", "problem", "--closed-form"],
+    "intersect": ["--seed", "problem", "--ideal", "--center"],
+    "block-threshold": ["--seed", "problem"],
+    "oracle": ["mode", "problem", "--seed"],
+}
+REQUIRED = {"mode", "problem", "--vector", "--other", "--cardinality", "--size", "--center"}
+
+
+def test_each_command_accepts_exactly_its_flags():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(ACCEPTED) == list(cli.COMMANDS)
+    for name, tail in ACCEPTED.items():
+        actions = sub.choices[name]._actions
+        accepted = [s for a in actions for s in a.option_strings or [a.dest]]
+        assert accepted == ["-h", "--help", "--budget", "--machine", *tail], name
+        required = {(a.option_strings or [a.dest])[0] for a in actions if a.required}
+        assert required == REQUIRED.intersection(tail), name
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_only_oracle_takes_a_seed(command, capsys):
     assert REQUESTS.keys() == cli.COMMANDS.keys()
@@ -520,7 +557,7 @@ def test_programming_errors_are_not_input_errors(monkeypatch):
     def broken(problem, args, rep):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setitem(cli.COMMANDS, "weight", broken)
+    monkeypatch.setitem(cli.COMMANDS, "weight", cli.COMMANDS["weight"]._replace(run=broken))
     with pytest.raises(TypeError, match="unsupported operand"):
         invoke("weight", fixture_path("perfect_r1_z5"), "--vector", "0,0")
 

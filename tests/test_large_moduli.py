@@ -1,0 +1,134 @@
+"""Memory on the code path stays independent of m^2 for large moduli.
+
+Loading a spanned code (`codes._direct_sum`) and the translate census
+(`codes._ball_census`) table shifts only over the residues that actually
+occur, so a large modulus costs memory in the code's size and the ball's,
+not m x m.  The differential tests compare both against the full-table
+versions they replaced, on random small spaces.
+"""
+
+import itertools
+import math
+import operator
+import random
+import tracemalloc
+
+from hypothesis import given, settings, strategies as st
+
+from pomsetblock import codes
+from pomsetblock.cli import problem_from_dict
+from pomsetblock.codes import Code, CheckResult, _ball_census, _direct_sum, _order
+from pomsetblock.pomset import Ideal, Pomset
+from pomsetblock.space import Space
+
+M = 4001
+PEAK_LIMIT = 8 * 2 ** 20  # A full m x m table at M holds 128 MiB of pointers alone.
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_spanned_code_over_a_large_modulus_loads_in_little_memory():
+    doc = {"m": M, "pomset": {"s": 1, "relations": []}, "labeling": [1],
+           "code": {"generator": [[1]]}}
+    problem, peak = traced_peak(lambda: problem_from_dict(doc))
+    assert problem.code.size == M
+    assert problem.code.codewords == tuple((x,) for x in range(M))
+    assert codes.singleton_facts(problem.code) == (1, 0, 0, 0)
+    assert peak < PEAK_LIMIT
+
+
+def test_a_census_over_a_large_modulus_tables_only_held_residues():
+    doc = {"m": M, "pomset": {"s": 2, "relations": [[1, 2]]}, "labeling": [1, 1],
+           "code": {"codewords": [[0, 0], [0, 1]]}}
+    problem = problem_from_dict(doc)
+    ideal = Ideal(problem.space.pomset, (M // 2, 0))
+    result, peak = traced_peak(lambda: codes.check_I_perfect(problem.code, ideal))
+    assert result == CheckResult(False, (0, 2), "vector covered by no ball")
+    assert peak < PEAK_LIMIT
+
+
+def reference_direct_sum(gens, n, m):
+    """The full-table version: row c*b_t of the m x m addition table per shift."""
+    add = [[(x + y) % m for y in range(m)] for x in range(m)]
+    cols = [[0] for _ in range(n)]
+    for b in gens:
+        if any(b):
+            order = range(_order(b, m))
+            cols = [
+                list(itertools.chain.from_iterable(
+                    [map(add[c * y % m].__getitem__, col) for c in order]
+                ))
+                for col, y in zip(cols, b)
+            ]
+    return list(zip(*cols))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(2, 40), st.integers(1, 5), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_direct_sum_matches_the_full_table(m, n, k, seed):
+    rng = random.Random(seed)
+    # Sparse rows leave many zero columns; the rest are random residues.
+    rows = [[rng.choice((0, rng.randrange(m))) for _ in range(n)] for _ in range(k)]
+    gens = codes._form_generators(codes._diagonal(rows, n, m), m)
+    if math.prod(_order(b, m) for b in gens) > 5000:
+        return
+    assert _direct_sum(gens, n, m) == reference_direct_sum(gens, n, m)
+
+
+def reference_translate_census(c, boxes, require_cover):
+    """The translate census with key deltas tabled for every w_t in 0..m-1."""
+    m, n = c.space.m, c.space.n
+    place = [m ** (n - 1 - t) for t in range(n)]
+    tables = [
+        [(t, [[((a + r) % m - a) * place[t] for r in rs] for a in range(m)])
+         for t, rs in enumerate(box) if any(rs)]
+        for box in boxes
+    ]
+
+    def keys(w):
+        found, base = [], sum(map(operator.mul, w, place))
+        for box in tables:
+            part = [base]
+            for t, row in box:
+                part = [x + d for d in row[w[t]] for x in part]
+            found += part
+        return found
+
+    def coords(key):
+        return tuple(key // p % m for p in place)
+
+    seen = set()
+    for w in c.codewords:
+        own = keys(w)
+        if seen.isdisjoint(own):
+            seen.update(own)
+            continue
+        _, first = min((o, k) for k, o in zip(own, keys((0,) * n)) if k in seen)
+        return CheckResult(False, coords(first), "vector covered by two balls")
+    if not require_cover or len(seen) == c.space.size:
+        return CheckResult(True)
+    gap = next(k for k in itertools.count() if k not in seen)
+    return CheckResult(False, coords(gap), "vector covered by no ball")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(2, 30), st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_translate_census_matches_the_full_table(m, n, cover, seed):
+    rng = random.Random(seed)
+    space = Space(m, Pomset.from_relations(n, m // 2, []), (1,) * n)
+    # Centers drawn from a few residues per coordinate, so most are not held.
+    held = [rng.sample(range(m), rng.randint(1, min(m, 4))) for _ in range(n)]
+    centers = {tuple(rng.choice(h) for h in held) for _ in range(rng.randint(1, 12))}
+    code = Code.from_codewords(space, sorted(centers))
+    boxes = [[rng.sample(range(m), rng.randint(1, m)) for _ in range(n)]
+             for _ in range(rng.randint(1, 2))]
+    size = sum(math.prod(map(len, box)) for box in boxes)
+    assert (_ball_census(code, boxes, code.size * size, cover)
+            == reference_translate_census(code, boxes, cover))

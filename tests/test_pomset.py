@@ -114,6 +114,25 @@ def test_dual_pomset():
         assert dual_pomset(dual_pomset(p)) == p
 
 
+def test_dual_is_built_once_and_leaves_the_order_alone():
+    rng = random.Random(29)
+    for p in [VSHAPE, Pomset.chain(4, 1), Pomset.antichain(3, 2)] + [
+        random_pomset(rng, s, 2) for s in range(1, 7) for _ in range(3)
+    ]:
+        before = (hash(p), repr(p), Pomset(p.ground_size, p.height, p.order))
+        dual = dual_pomset(p)
+        reversed_order = frozenset((b, a) for a, b in p.order)
+        # The checked constructor accepts the reversed order as closed.
+        assert dual == Pomset(p.ground_size, p.height, reversed_order)
+        assert hash(dual) == hash(Pomset(p.ground_size, p.height, reversed_order))
+        assert dual_pomset(p) is dual
+        assert dual_pomset(dual) == p
+        assert dual_pomset(dual) is p
+        assert (hash(p), repr(p), p) == before
+        assert p == before[2] and before[2] == p
+        assert all_ideals(dual) == all_ideals(Pomset(p.ground_size, p.height, reversed_order))
+
+
 def test_ideal_complement():
     chain = Pomset.chain(2, 2)
     comp = ideal_complement(chain, Ideal(chain, (2, 0)))
