@@ -25,10 +25,13 @@ counts.  The suite has one budget: what it lists lies in the space, which
 the census refuses past that budget, so no bitset exceeds it in bits.
 
 The sampled metric check works by columns: a chunk of triples is one draw
-of indices into the m^3 residue triples, coordinate t is every n-th index,
-and Lee weights and equality are read per index from tables.  Each
-difference's block maxima pack into one integer key, and the weight is
-looked up once per key in one memo.
+of indices into the m^3 residue triples, and coordinate t is every n-th
+index.  Each index reads one word from a table, holding the unary codes
+2^w - 1 of the Lee weights w of the five differences a triple checks and a
+flag for u_t != v_t.  The OR of unary codes is the unary code of their
+maximum, so ORing a triple's words, each block's shifted to its own field,
+gives every difference's block maxima at once, one key per difference, and
+the weight is looked up once per key in one memo.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add, eq, itemgetter, mul
+from itertools import repeat
+from operator import (add, and_, eq, floordiv, itemgetter, lshift, mod, mul,
+                      not_, or_, rshift)
 
 from . import balls
 from .balls import BudgetExceededError, PartitionImpossibleError
@@ -54,7 +59,8 @@ METRIC_MEMO_LIMIT = 1 << 13
 # hold at most n times this many entries.
 _METRIC_CHUNK = 1 << 10
 # The five distances a sampled triple (u, v, w) checks, as positions in it:
-# d(u, v), d(u, u), d(v, u), d(u, w) and d(w, v).
+# d(u, v), d(u, u), d(v, u), d(u, w) and d(w, v).  `_cell_words` lays out
+# their fields in this order.
 _PAIRS = ((0, 1), (0, 0), (1, 0), (0, 2), (2, 1))
 
 
@@ -132,35 +138,53 @@ class MetricReport:
 
 
 class _Weights(dict):
-    """Pomset block weights by packed block-weight key, weighed on a miss.
+    """Pomset block weights by unary block-maxima key, weighed on a miss.
 
-    A key packs the block weights (w_1, ..., w_s) as the sum of
-    w_b (h+1)^(b-1); a key not held is unpacked and weighed as the size of
-    the ideal its block weights generate.  The first `METRIC_MEMO_LIMIT`
-    keys met are kept.
+    A key holds each block's largest Lee weight w_b as the unary code
+    2^w_b - 1 in its own h bits, block b from bit b*h.  A key not held is
+    decoded, each field to its bit count, and weighed as the size of the
+    ideal those block weights generate.  The first `METRIC_MEMO_LIMIT` keys
+    met are kept.
     """
 
     def __init__(self, space: Space):
         super().__init__()
-        self.base = space.height + 1
-        self.s = space.s
+        h = space.height
+        self.shifts = range(0, h * space.s, h)
+        self.field = (1 << h) - 1
         self.closure = space.pomset.closure_counts
 
     def __missing__(self, key):
-        bw = []
-        rest = key
-        for _ in range(self.s):
-            rest, w = divmod(rest, self.base)
-            bw.append(w)
-        weight = sum(self.closure(tuple(bw)))
+        field = self.field
+        bw = tuple((key >> lo & field).bit_count() for lo in self.shifts)
+        weight = sum(self.closure(bw))
         if len(self) < METRIC_MEMO_LIMIT:
             self[key] = weight
         return weight
 
 
-def _fold(f, columns):
-    """`f` across the columns, position by position; one column is itself."""
-    return columns[0] if len(columns) == 1 else map(f, *columns)
+def _block_shifts(space: Space):
+    """Each block's coordinate bounds and the shift, b*h, of its field."""
+    h = space.height
+    return [(lo, hi, b * h) for b, (lo, hi) in enumerate(space.block_bounds)]
+
+
+def _fold_blocks(blocks, columns):
+    """Per position, the OR of the columns within each block, each block's
+    OR shifted up by its field's offset, and those ORed together.
+
+    Columns of unary Lee codes give the unary block-maxima keys `_Weights`
+    reads, since the OR of unary codes is the unary code of their maximum.
+    """
+    words = None
+    for lo, hi, shift in blocks:
+        top = columns[lo]
+        for column in columns[lo + 1:hi]:
+            top = map(or_, top, column)
+        if shift:
+            top = map(lshift, top, repeat(shift))
+        words = top if words is None else map(or_, words, top)
+    return words
 
 
 def _metric_kernel(space: Space):
@@ -168,25 +192,55 @@ def _metric_kernel(space: Space):
 
     The returned function takes n columns, column t holding the Lee weights
     of coordinate t of the differences, and maps them to the differences'
-    weights.  Each block takes the maximum over its columns, the block
-    maxima pack into one integer key per difference, and each key is
-    weighed through one `_Weights` memo for the whole space.
+    weights.  Each Lee weight w becomes its unary code 2^w - 1, each block
+    ORs its columns into the unary code of its maximum, the blocks' codes
+    lie side by side in one key per difference, and each key is weighed
+    through one `_Weights` memo for the whole space.
     """
     weigh = _Weights(space).__getitem__
-    base = space.height + 1
-    blocks = [(lo, hi, base ** b) for b, (lo, hi) in enumerate(space.block_bounds)]
+    unary = [(1 << w) - 1 for w in range(space.height + 1)].__getitem__
+    blocks = _block_shifts(space)
 
     def weights(columns):
-        keys = None
-        for lo, hi, scale in blocks:
-            top = _fold(max, columns[lo:hi])
-            if keys is None:
-                keys = top
-            else:
-                keys = map(add, keys, map(mul, top, itertools.repeat(scale)))
-        return map(weigh, keys)
+        return map(weigh, _fold_blocks(blocks, [map(unary, c) for c in columns]))
 
     return weights
+
+
+def _cell_words(space: Space) -> list[int]:
+    """One word per residue triple (u, v, w), at index u m^2 + v m + w.
+
+    With f = h*s bits to a pair, the word holds the unary Lee code of each
+    difference of `_PAIRS` (u - v, u - u, v - u, u - w and w - v), pair p
+    from bit p*f, and above them, at bit 5f, one flag set when u != v.
+    Shifted by b*h and ORed over a word's coordinates, block by block, the
+    cell words of a triple give, from bit p*f, the unary block-maxima key
+    of its p-th difference, and a nonzero flag region exactly when u != v.
+    """
+    m = space.m
+    f = space.height * space.s
+    # unary[x][y]: the unary code of the Lee weight of x - y.
+    unary = [[(1 << min((x - y) % m, (y - x) % m)) - 1 for y in range(m)]
+             for x in range(m)]
+    # The u - w and w - v fields, each a row over w, by u and by v.
+    uw = [[c << 3 * f for c in unary[u]] for u in range(m)]
+    wv = [[unary[w][v] << 4 * f for w in range(m)] for v in range(m)]
+    words = []
+    for u in range(m):
+        for v in range(m):
+            uv = (unary[u][v] | unary[u][u] << f | unary[v][u] << 2 * f
+                  | (u != v) << 5 * f)
+            words += map(or_, map(or_, uw[u], wv[v]), repeat(uv))
+    return words
+
+
+def _unzip(cells, m: int, n: int):
+    """The u, v and w words of a run of residue-triple indices
+    c = u m^2 + v m + w, n consecutive indices to a triple."""
+    flats = (map(floordiv, cells, repeat(m * m)),
+             map(mod, map(floordiv, cells, repeat(m)), repeat(m)),
+             map(mod, cells, repeat(m)))
+    return [list(zip(*[iter(flat)] * n)) for flat in flats]
 
 
 def metric_triples(space: Space, triple_budget: int = DEFAULT_TRIPLE_BUDGET,
@@ -212,25 +266,30 @@ def verify_metric(
     draws of up to `_METRIC_CHUNK` triples are made in one call, as indices
     into those residue triples, and stream exactly as one call per triple
     would.  Coordinate t of a chunk is the column of every n-th index, and
-    the Lee weight of each coordinate of u - v, u - u, v - u, u - w and
-    w - v, and whether u_t = v_t, are read per index from tables.  A sampled
+    each index reads its `_cell_words` word.  ORed within each block, block
+    b shifted up by b*h, and across blocks, a triple's words hold from bit
+    p*h*s the unary block-maxima key of its p-th difference of u - v,
+    u - u, v - u, u - w and w - v, weighed through one `_Weights` memo, and
+    above those a flag region that is zero exactly when u = v.  A sampled
     triple checks d(u, u) = 0, d(u, v) = 0 iff u = v, d(u, v) = d(v, u) and
     d(u, v) <= d(u, w) + d(w, v), in that order, and the first failure is
     reported.
-    The default distance is `_metric_kernel`, built from definitions alone;
-    another one, taking two coordinate tuples, can be injected to confirm
-    the check has teeth.  A sample count below 1 is a ValueError.
+    The default distance is built from definitions alone: `_metric_kernel`
+    when exhaustive, the words above when sampled.  Another one, taking two
+    coordinate tuples, can be injected to confirm the check has teeth; its
+    triples are decoded from the drawn indices.  A sample count below 1 is
+    a ValueError.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
     m, n = space.m, space.n
-    lee = [[min((x - y) % m, (y - x) % m) for y in range(m)] for x in range(m)]
     exhaustive, count = metric_triples(space, triple_budget, samples)
     if exhaustive:
         points = list(space.iter_coords())
         pairs = list(itertools.product(points, repeat=2))
         if distance_fn is None:
+            lee = [[min((x - y) % m, (y - x) % m) for y in range(m)] for x in range(m)]
             found = _metric_kernel(space)(
                 [[lee[u[t]][v[t]] for u, v in pairs] for t in range(n)]
             )
@@ -252,33 +311,33 @@ def verify_metric(
                         return MetricReport(False, True, count, ("triangle", u, v, w))
         return MetricReport(True, True, count)
 
-    triples = list(itertools.product(range(m), repeat=3))
-    parts = [list(map(itemgetter(k), triples)) for k in range(3)]
-    equal = list(map(eq, parts[0], parts[1])).__getitem__
     if distance_fn is None:
-        weights = _metric_kernel(space)
-        lookups = [
-            list(map(list.__getitem__, map(lee.__getitem__, parts[a]), parts[b])).__getitem__
-            for a, b in _PAIRS
-        ]
+        weigh = _Weights(space).__getitem__
+        cell = _cell_words(space).__getitem__
+        blocks = _block_shifts(space)
+        f = space.height * space.s
+        mask = (1 << f) - 1
 
-        def distances(columns):
-            return [weights([map(at, c) for c in columns]) for at in lookups]
+        # Per triple of a chunk's draws, its five distances and whether u = v.
+        def distances(draws):
+            words = list(_fold_blocks(blocks, [map(cell, draws[t::n]) for t in range(n)]))
+            return [
+                *(map(weigh, map(and_, map(rshift, words, repeat(p * f)), repeat(mask)))
+                  for p in range(len(_PAIRS))),
+                map(not_, map(rshift, words, repeat(len(_PAIRS) * f))),
+            ]
     else:
-        residues = [part.__getitem__ for part in parts]
-
-        def distances(columns):
-            words = [list(zip(*[map(at, c) for c in columns])) for at in residues]
-            return [map(distance_fn, words[a], words[b]) for a, b in _PAIRS]
+        def distances(draws):
+            uvw = _unzip(draws, m, n)
+            return [*(map(distance_fn, uvw[a], uvw[b]) for a, b in _PAIRS),
+                    map(eq, uvw[0], uvw[1])]
 
     cells = range(m ** 3)
     choices = random.Random(seed).choices
     for start in range(0, samples, _METRIC_CHUNK):
         draws = choices(cells, k=n * min(_METRIC_CHUNK, samples - start))
-        columns = [draws[t::n] for t in range(n)]
-        equal_words = _fold(min, [map(equal, c) for c in columns])
         for i, duv, duu, dvu, duw, dwv, same in zip(
-            itertools.count(start), *distances(columns), equal_words
+            itertools.count(start), *distances(draws)
         ):
             if (duv == 0) != same or duu != 0:
                 failed = "identity"
@@ -289,7 +348,7 @@ def verify_metric(
             else:
                 continue
             at = (i - start) * n
-            u, v, w = zip(*map(triples.__getitem__, draws[at:at + n]))
+            u, v, w = (word[0] for word in _unzip(draws[at:at + n], m, n))
             if failed != "triangle":
                 w = None
             return MetricReport(False, False, i + 1, (failed, u, v, w))

@@ -401,10 +401,15 @@ def dual_pomset(p: Pomset) -> Pomset:
 
 
 def ideal_complement(p: Pomset, ideal: Ideal) -> Ideal:
-    """Count-wise complement, returned as an ideal of the dual pomset."""
+    """Count-wise complement, returned as an ideal of the dual pomset.
+
+    Nothing above an element the ideal does not fill lies in the ideal, so
+    the complement is always an ideal of the dual order and is built
+    unchecked.
+    """
     if ideal.pomset is not p and ideal.pomset != p:
         raise ShapeError("ideal does not belong to the given pomset")
-    return Ideal(dual_pomset(p), mset_complement(ideal).counts)
+    return Ideal._trusted(dual_pomset(p), [mset_complement(ideal).counts])[0]
 
 
 def is_finer(p1: Pomset, p2: Pomset) -> bool:

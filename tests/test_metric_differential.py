@@ -222,3 +222,63 @@ def test_a_failure_is_reported_at_its_own_triple_across_chunks(k):
     report = verify_metric(space, 0, seed=17, samples=2 * CHUNK + 3, distance_fn=broken)
     assert report == MetricReport(False, False, k, ("identity", u, v, None))
     assert report == reference_sampled_metric(space, 17, 2 * CHUNK + 3, broken)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_cell_words_hold_each_difference_in_unary(m):
+    # Pair p's field, h*s bits from bit p*h*s, holds the unary Lee code of
+    # its difference, and the bit above the five fields is u != v.
+    for labeling in ((1,), (2, 1, 3)):
+        s = len(labeling)
+        space = Space(m, random_pomset(random.Random(m), s, m // 2, 0.5), labeling)
+        f = space.height * s
+        words = oracle._cell_words(space)
+        assert len(words) == m ** 3
+        for c, triple in enumerate(itertools.product(range(m), repeat=3)):
+            word = words[c]
+            for p, (a, b) in enumerate(oracle._PAIRS):
+                lee = min((triple[a] - triple[b]) % m, (triple[b] - triple[a]) % m)
+                field = word >> p * f & ((1 << f) - 1)
+                assert field.bit_count() == lee
+                assert field == (1 << lee) - 1
+            assert word >> len(oracle._PAIRS) * f == (triple[0] != triple[1])
+
+
+@pytest.mark.parametrize("m, labeling", [
+    (2, (1, 2, 1)), (5, (1, 1, 2, 1)), (7, (2, 1, 3)), (12, (1, 2)), (9, (1,) * 5),
+])
+def test_weights_decode_every_unary_profile(m, labeling):
+    s = len(labeling)
+    space = Space(m, random_pomset(random.Random(m + s), s, m // 2, 0.4), labeling)
+    h = space.height
+    weights = oracle._Weights(space)
+    for profile in itertools.product(range(h + 1), repeat=s):
+        key = sum(((1 << w) - 1) << b * h for b, w in enumerate(profile))
+        expected = sum(space.pomset.closure_counts(profile))
+        assert weights[key] == expected
+        # Asked again, a kept key is answered from the memo.
+        assert weights[key] == expected
+
+
+WIDE_SPACES = {
+    # 24 unit blocks over Z_5: five 48-bit pair fields to a word.
+    "z5-24-unit-blocks": Space(5, random_pomset(random.Random(31), 24, 2, 0.1), (1,) * 24),
+    # Five blocks of 3 over Z_12: five 30-bit pair fields to a word.
+    "z12-five-blocks-of-3": Space(12, random_pomset(random.Random(37), 5, 6, 0.4), (3,) * 5),
+}
+
+
+@pytest.mark.parametrize("limit", [2, oracle.METRIC_MEMO_LIMIT])
+@pytest.mark.parametrize("name", ["default", "rarely-zero"])
+@pytest.mark.parametrize("space_id", list(WIDE_SPACES))
+def test_words_past_64_bits_match_the_per_triple_reference(space_id, name, limit):
+    space = WIDE_SPACES[space_id]
+    table = distances(space)
+    samples = CHUNK + 3
+    reference = reference_sampled_metric(space, 29, samples,
+                                         table["weight" if name == "default" else name])
+    with mock.patch.object(oracle, "METRIC_MEMO_LIMIT", limit):
+        report = verify_metric(space, 0, seed=29, samples=samples,
+                               distance_fn=None if name == "default" else table[name])
+    assert report == reference
+    assert report.passed

@@ -158,6 +158,22 @@ def test_complements_are_exactly_dual_ideals():
             assert comp.cardinality == p.ground_size * p.height - i.cardinality
 
 
+def test_complement_is_the_validated_dual_ideal():
+    # Built unchecked, each complement equals, hashes and reprs like the
+    # ideal of the dual order that validation builds from its counts.
+    rng = random.Random(23)
+    for s in range(1, 7):
+        for density in (0.0, 0.3, 0.6, 1.0):
+            p = random_pomset(rng, s, rng.randint(1, 3), density)
+            dual = dual_pomset(p)
+            for i in all_ideals(p):
+                comp = ideal_complement(p, i)
+                expected = Ideal(dual, tuple(p.height - c for c in i.counts))
+                assert comp == expected
+                assert hash(comp) == hash(expected)
+                assert repr(comp) == repr(expected)
+
+
 def test_nested_ideals_of_every_cardinality_exist():
     rng = random.Random(5)
     for p in [VSHAPE] + [random_pomset(rng, 4, 2) for _ in range(5)]:
