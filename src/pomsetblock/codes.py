@@ -3,7 +3,7 @@ the Singleton bound and MDS verification, parity-block dependence, and
 weight distributions.
 
 Spans, duals, linearity and parity-block dependence all come from one
-diagonal form over Z_m, so they cost what they output rather than what the
+Howell form over Z_m, so they cost what they output rather than what the
 space holds.  Perfectness and error-correction checks are one exact census
 of the ball translates at the codewords, `_ball_census`, which takes the
 ball as boxes of per-coordinate residue lists; it keys a linear code's ball
@@ -14,15 +14,18 @@ by sphere, so no ball is listed member by member or found by filtering the
 space.  `ball_code_intersection` walks whichever of the ball and the code
 is smaller.
 
-Codewords are sorted coordinate tuples, made and read by columns: the
-direct sum builds n column lists and zips them into words at the end, and
-minimum distance, weight distribution and root-set sizes all weigh the
-words through one column kernel, `Space.words_weight_counts`.
+Codewords are sorted coordinate tuples, made and read by columns:
+`_lex_span` lists a span from its Howell rows already in lexicographic
+order, n column lists zipped into words at the end, and minimum distance,
+weight distribution and root-set sizes all weigh the words through one
+column kernel, `Space.words_weight_counts`.
 
-Each code is built once, from one diagonal form, kept as its `_form`: a
-span keeps the form it was spanned from, and a code given by its words
-grows a generating set until it spans them (see `Code._form`).  Words the
-library built itself, a direct sum or words `Code.from_codewords` has just
+Each code is built once, from one Howell form, kept as its `_form`: a span
+keeps the form it was spanned from, and a code given by its words grows a
+generating set until it spans them (see `Code._form`).  The dual's Howell
+rows are taken once per code, as `Code._dual_form`, and the dual, the
+coset census and parity-block dependence all read them.  Words the library
+built itself, a listed span or words `Code.from_codewords` has just
 checked, go into `Code._trusted` as they are; `Code(space, words)` checks
 what a caller gives it.
 """
@@ -93,7 +96,7 @@ class Code:
         """The code of words the caller built sorted, distinct and reduced; unchecked.
 
         The instance dict gets the fields validation would set, so a trusted
-        code equals, hashes and reprs like a checked one.  A diagonal form
+        code equals, hashes and reprs like a checked one.  A Howell form
         already at hand becomes the code's `_form`.
         """
         code = object.__new__(cls)
@@ -125,32 +128,46 @@ class Code:
 
     @cached_property
     def _form(self):
-        """`_diagonal` of a generating set of the code, or None if it is no submodule.
+        """`_howell` rows of the code, or None if it is no submodule.
 
-        A spanned code is given its form when it is built, and a dual is
-        diagonalised from its generator rows.  For listed codewords the
-        form grows with a generating set: walking the sorted words, each
-        word outside the current span joins the set and the span is rebuilt
-        from its diagonal form.  The span holds zero and every word walked,
-        so once it outgrows the code the code is no submodule; a walk that
-        ends within |C| words has spanned exactly the code.  Each new
-        generator at least doubles the span, so at most log2|C| + 1 forms
-        are taken, each over at most that many rows.
+        A spanned code is given its form when it is built, and a dual its
+        Howell rows.  For listed codewords the form grows with a generating
+        set: walking the sorted words, each word outside the current span
+        joins the set and the span is relisted from the set's Howell form.
+        The span holds zero and every word walked, so once it outgrows the
+        code the code is no submodule; a walk that ends within |C| words has
+        spanned exactly the code.  Each new generator at least doubles the
+        span, so at most log2|C| + 1 forms are taken, each over at most that
+        many rows.
         """
         sp = self.space
         n, m = sp.n, sp.m
         if self.generator is not None:
-            return _diagonal(self.generator, n, m)
-        gens: list[tuple[int, ...]] = []
+            return _howell(self.generator, n, m)
+        gens, form = [], []
         span = {(0,) * n}
         for w in self.codewords:
             if w not in span:
                 gens.append(w)
-                form = _diagonal(gens, n, m)
-                if math.prod(m // math.gcd(x, m) for x in form[0]) > self.size:
+                form = _howell(gens, n, m)
+                if _span_size(form, m) > self.size:
                     return None
-                span = set(_direct_sum(_form_generators(form, m), n, m))
-        return form if gens else _diagonal(gens, n, m)
+                span = set(_lex_span(form, n, m))
+        return form
+
+    @cached_property
+    def _dual_form(self):
+        """`_howell` rows of the dual, read off the Howell form of [H^T | I_n].
+
+        For the code's Howell rows H, the rows of [H^T | I_n] span the pairs
+        (H*v, v).  By the Howell property the form's rows zero on the left
+        span the pairs with H*v = 0, and their right parts are the dual's.
+        """
+        n, m = self.space.n, self.space.m
+        h = self._form
+        k = len(h)
+        rows = [[*(row[t] for row in h), *(int(t == u) for u in range(n))] for t in range(n)]
+        return [row[k:] for row in _howell(rows, k + n, m) if not any(row[:k])]
 
     @cached_property
     def is_linear(self) -> bool:
@@ -170,8 +187,8 @@ class Code:
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x*a + y*b = g = gcd(a, b) for a > 0 and b >= 0.
 
-    When a divides b the answer is (a, 1, 0), so an operation whose pivot
-    already divides the entry leaves the pivot's row or column alone.
+    When a divides b the answer is (a, 1, 0), so a step whose pivot already
+    divides the entry leaves the pivot's row alone.
     """
     if b % a == 0:
         return a, 1, 0
@@ -184,123 +201,100 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _diagonal(rows, n: int, m: int):
-    """Diagonal form U*A*V = diag(d) over Z_m of the matrix whose rows are given.
+def _howell(rows, n: int, m: int) -> list[tuple[int, ...]]:
+    """Howell form over Z_m of the submodule the rows span, as its nonzero rows.
 
-    Extended-gcd row and column operations of determinant 1 reach it, so U
-    and V are invertible mod m and the rows d[t]*Vinv[t] span the same
-    submodule as the input, as a direct sum.  Returns (d, V, Vinv) reduced
-    mod m, with d zero-padded to length n.
+    Row operations alone reach it (Howell, Linear Multilinear Algebra 1986;
+    Storjohann and Mulders, ESA 1998).  Per column, extended-gcd steps of
+    determinant 1 fold the rows still zero to its left into one pivot row,
+    which a unit scales so that its pivot a divides m, and each entry above
+    the pivot is reduced mod a.  The row's annihilator multiple (m/a)*row
+    joins the other rows, which then span exactly the words of the span
+    zero up to the pivot: the Howell property.  The form is canonical, and
+    each word of the span is sum c_i*row_i, 0 <= c_i < m/a_i, in one way.
     """
-    a = [[x % m for x in row] for row in rows]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    vinv = [row[:] for row in v]
-    d = [0] * n
-    for k in range(min(len(a), n)):
-        pivot = next(
-            ((i, j) for i in range(k, len(a)) for j in range(k, n) if a[i][j]), None
-        )
-        if pivot is None:
-            break
-        i, j = pivot
-        a[k], a[i] = a[i], a[k]
-        for row in a + v:
-            row[k], row[j] = row[j], row[k]
-        vinv[k], vinv[j] = vinv[j], vinv[k]
-        # Each pass clears the pivot's column or row; a pass that changes the
-        # other one strictly lowers the pivot, so the loop ends.
-        while True:
-            for i in range(k + 1, len(a)):
-                if a[i][k]:
-                    g, x, y = _bezout(a[k][k], a[i][k])
-                    p, q = a[k][k] // g, a[i][k] // g
-                    rk, ri = a[k], a[i]
-                    a[k] = [(x * s + y * t) % m for s, t in zip(rk, ri)]
-                    a[i] = [(p * t - q * s) % m for s, t in zip(rk, ri)]
-            if not any(a[k][k + 1 :]):
-                break
-            for j in range(k + 1, n):
-                if a[k][j]:
-                    g, x, y = _bezout(a[k][k], a[k][j])
-                    p, q = a[k][k] // g, a[k][j] // g
-                    for row in a + v:
-                        s, t = row[k], row[j]
-                        row[k], row[j] = (x * s + y * t) % m, (p * t - q * s) % m
-                    rk, rj = vinv[k], vinv[j]
-                    vinv[k] = [(p * s + q * t) % m for s, t in zip(rk, rj)]
-                    vinv[j] = [(x * t - y * s) % m for s, t in zip(rk, rj)]
-            if not any(a[i][k] for i in range(k + 1, len(a))):
-                break
-        d[k] = a[k][k]
-    return d, v, vinv
+    rest = [[x % m for x in row] for row in rows]
+    form = []
+    for p in range(n):
+        live = [row for row in rest if row[p]]
+        if not live:
+            continue
+        rest = [row for row in rest if not row[p]]
+        pivot = live.pop()
+        for row in live:
+            g, x, y = _bezout(pivot[p], row[p])
+            s, t = pivot[p] // g, row[p] // g
+            pivot, row = ([(x * u + y * v) % m for u, v in zip(pivot, row)],
+                          [(s * v - t * u) % m for u, v in zip(pivot, row)])
+            rest.append(row)
+        g = math.gcd(pivot[p], m)
+        # Units of Z_m reach every unit of Z_(m/g), so one is found below m.
+        inverse = pow(pivot[p] // g, -1, m // g)
+        unit = next(u for u in range(inverse, m, m // g) if math.gcd(u, m) == 1)
+        pivot = [unit * x % m for x in pivot]
+        rest.append([m // g * x % m for x in pivot])
+        for above in form:
+            c = above[p] // g
+            if c:
+                above[:] = [(u - c * v) % m for u, v in zip(above, pivot)]
+        form.append(pivot)
+    return [tuple(row) for row in form]
 
 
-def _order(b, m: int) -> int:
-    """Additive order of a vector of Z_m^n."""
-    return m // math.gcd(m, *b)
+def _span_size(form, m: int) -> int:
+    """Words in the span of Howell rows: m/a per row of pivot a."""
+    return math.prod(m // next(filter(None, row)) for row in form)
 
 
-def _direct_sum(gens, n: int, m: int) -> list[tuple[int, ...]]:
-    """Every sum of c*b over the generators b, 0 <= c < order(b), once each.
+def _lex_span(form, n: int, m: int) -> list[tuple[int, ...]]:
+    """Every word of the span of Howell rows, once each, in lexicographic order.
 
-    The generators must form a direct sum, as those read off `_diagonal`
-    do, so the sums are pairwise distinct and cost O(output * n).  The sums
-    are built a column at a time and zipped into words at the end.  Each
-    shift is tabled only over the residues its column holds, so no table
-    outgrows the output, whatever the modulus.
+    Row by row, each word w listed so far grows in place into the m/a words
+    w + (j - w_p // a)*row, j = 0 .. m/a - 1, for the row's pivot a at p.
+    They hold w_p mod a + j*a at p and w's own entries left of it, where
+    the words listed so far already differ, so the list stays sorted; the
+    Howell property reaches each word of the span once.  Per column, a
+    table maps each residue of the words w - (w_p // a)*row to its m/a
+    shifted values, so no table outgrows the output, whatever the modulus.
     """
     cols = [[0] for _ in range(n)]
-    for b in gens:
-        if any(b):
-            order = range(_order(b, m))
-            grown = []
-            for col, y in zip(cols, b):
-                if not y:
-                    grown.append(col * len(order))
-                    continue
-                # Column t of the words w + c*b, c in order: each w_t
-                # shifted by c*b_t.
-                held = set(col)
-                grown.append(list(itertools.chain.from_iterable([
-                    map({x: (x + c * y) % m for x in held}.__getitem__, col)
-                    for c in order
-                ])))
-            cols = grown
+    for row in form:
+        p = next(t for t, y in enumerate(row) if y)
+        a, k = row[p], m // row[p]
+        q = [x // a for x in cols[p]]
+        grown = []
+        for col, y in zip(cols, row):
+            if y:
+                col = [(x - c * y) % m for x, c in zip(col, q)]
+            shifts = [j * y for j in range(k)]
+            table = {x: [(x + d) % m for d in shifts] for x in set(col)}
+            grown.append(list(itertools.chain.from_iterable(map(table.__getitem__, col))))
+        cols = grown
     return list(zip(*cols))
 
 
-def _form_generators(form, m: int) -> list[tuple[int, ...]]:
-    """The rows d[t]*Vinv[t] of a diagonal form, a direct sum of its span."""
-    d, _, vinv = form
-    return [tuple(dt * x % m for x in row) for dt, row in zip(d, vinv)]
+def _budgeted_code(space: Space, rows, budget: int, what: str, **kwargs) -> Code:
+    """The code Howell rows span, once its size is known to fit the budget.
 
-
-def _budgeted_code(space: Space, gens, budget: int, what: str, **kwargs) -> Code:
-    """The code a direct sum spans, once its size is known to fit the budget.
-
-    The sums are reduced words of length n and pairwise distinct, so the
-    code takes them as they are, sorted once.
+    The span is listed sorted and once each, so the code takes its words as
+    they are.
     """
-    size = math.prod(_order(b, space.m) for b in gens)
+    size = _span_size(rows, space.m)
     if size > budget:
         raise BudgetExceededError(f"{what} of {size} codewords exceeds budget {budget}")
-    words = _direct_sum(gens, space.n, space.m)
-    words.sort()
-    return Code._trusted(space, tuple(words), **kwargs)
+    return Code._trusted(space, tuple(_lex_span(rows, space.n, space.m)), **kwargs)
 
 
 def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
     """All linear combinations over Z_m of the given rows.
 
-    The span is the direct sum of the cyclic modules of d[t]*Vinv[t] from
-    the diagonal form, so the budget counts its codewords; the form is kept
-    as the code's own.
+    The span is listed from the rows' Howell form, so the budget counts its
+    codewords; the form is kept as the code's own.
     """
     m = space.m
     norm = tuple(_check_words(space, [[operator.index(x) % m for x in row] for row in rows]))
-    form = _diagonal(norm, space.n, m)
-    return _budgeted_code(space, _form_generators(form, m), budget, "span",
-                          generator=norm, form=form)
+    form = _howell(norm, space.n, m)
+    return _budgeted_code(space, form, budget, "span", generator=norm, form=form)
 
 
 def min_distance(c: Code) -> int:
@@ -320,30 +314,21 @@ def min_distance(c: Code) -> int:
 
 
 def _dual_generators(c: Code) -> list[tuple[int, ...]]:
-    """Generators (m/g_t)*V[:, t] of the annihilator, g_t = gcd(d_t, m).
-
-    With U*A*V = diag(d), a vector V*y annihilates the rows of A exactly when
-    d_t*y_t = 0 mod m for every t; past the rank d_t = 0 and g_t = m.
-    """
+    """Howell rows of the annihilator of a linear code, taken once per code."""
     if not c.is_linear:
         raise ValueError("dual code requires a linear (submodule) code")
-    m, n = c.space.m, c.space.n
-    # Annihilating a spanning set annihilates every combination of it.
-    d, v, _ = c._form
-    return [
-        tuple(m // math.gcd(dt, m) * v[i][t] % m for i in range(n))
-        for t, dt in enumerate(d)
-    ]
+    return c._dual_form
 
 
 def dual_code(c: Code, budget: int = DEFAULT_BUDGET) -> Code:
-    """Annihilator { v : v . c = 0 mod m for all c }, from the diagonal form.
+    """Annihilator { v : v . c = 0 mod m for all c }, from its Howell rows.
 
     The budget counts the dual's codewords; |C| * |dual| = m^n.  The dual
-    records its generators, so its own dual diagonalises at most n rows.
+    records its Howell rows as generator and as form, so its own dual takes
+    one Howell form of n rows.
     """
-    gens = _dual_generators(c)
-    return _budgeted_code(c.space, gens, budget, "dual", generator=tuple(gens))
+    rows = _dual_generators(c)
+    return _budgeted_code(c.space, rows, budget, "dual", generator=tuple(rows), form=rows)
 
 
 @dataclass(frozen=True)
@@ -388,13 +373,13 @@ def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | N
     member's key is built like the census's, one table addition per box
     coordinate that is not 0.  One `_reduce_lanes` per few thousand keys
     reduces every byte mod m.  A byte takes 255 // (m-1) additions, so a
-    longer box is reduced part-way.  Past m = 128 or 8 nonzero dual rows a
+    longer box is reduced part-way.  Past m = 128 or 8 dual rows a
     syndrome fits no such word, and the pass returns None at once.
     """
     sp = c.space
     m, n = sp.m, sp.n
     # A zero row keeps one lane when C is the whole space.
-    rows = [h for h in _dual_generators(c) if any(h)] or [(0,) * n]
+    rows = _dual_generators(c) or [(0,) * n]
     if m > 128 or len(rows) > 8:
         return None
     cols = [[h[t] for h in rows] for t in range(n)]
@@ -699,24 +684,24 @@ def block_dependency_witnesses(c: Code) -> tuple[int, list[frozenset[int]]]:
     """Smallest downset size whose parity-check blocks are linearly dependent.
 
     Returns the size together with every witnessing downset of that size.
-    The columns H_D of the dual's generators over a downset's blocks are
-    dependent when H_D*x = 0 for some nonzero x, that is when the diagonal
-    form of H_D, zero padding included, has an entry that is not a unit
-    mod m.  Z_m is a Frobenius ring, so the code is the annihilator of its
-    dual and such an x is a codeword; the size found is therefore
-    `min_ideal_root_size` for every m.
+    The columns H_D of the dual's Howell rows over a downset's blocks are
+    dependent when H_D*x = 0 for some nonzero x.  Those x are the annihilator
+    of the rows of H_D in Z_m^|D|, so one exists exactly when the rows span
+    fewer than m^|D| words, a size the Howell form of H_D gives.  Z_m is a
+    Frobenius ring, so the code is the annihilator of its dual and such an x
+    is a codeword; the size found is therefore `min_ideal_root_size` for
+    every m.
     """
     sp = c.space
     if c.size < 2:
         raise ValueError("the zero code has no dependent block set")
     m = sp.m
-    # Zero rows leave every kernel unchanged.
-    h = [b for b in _dual_generators(c) if any(b)]
+    h = _dual_generators(c)
 
     def dependent(down: frozenset[int]) -> bool:
         cols = [t for i in sorted(down) for t in range(*sp.block_bounds[i - 1])]
-        d, _, _ = _diagonal([[row[t] for t in cols] for row in h], len(cols), m)
-        return any(math.gcd(x, m) > 1 for x in d)
+        form = _howell([[row[t] for t in cols] for row in h], len(cols), m)
+        return _span_size(form, m) < m ** len(cols)
 
     for size in range(1, sp.s + 1):
         witnesses = list(filter(dependent, sp.pomset.downsets_of_size(size)))

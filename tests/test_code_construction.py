@@ -1,5 +1,5 @@
 """Differential tests of how codes are built: the unchecked path the library
-takes for words it built itself, one diagonal form per code, linearity of
+takes for words it built itself, one Howell form per code, linearity of
 listed words from a growing generating set, `Code.from_codewords`' single
 validating pass, and the row printer of the CLI report.
 
@@ -24,9 +24,8 @@ from pomsetblock.cli import Report
 from pomsetblock.codes import (
     Code,
     _budgeted_code,
-    _diagonal,
-    _direct_sum,
-    _form_generators,
+    _howell,
+    _lex_span,
     block_dependency_witnesses,
     check_I_perfect,
     dual_code,
@@ -46,9 +45,9 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 @st.composite
-def spans(draw, max_vectors=3000):
+def spans(draw, max_vectors=3000, moduli=(2, 3, 4, 5, 6, 7, 8, 9, 10, 12)):
     """An antichain space over Z_m and generator rows, some zero or redundant."""
-    m = draw(st.sampled_from((2, 3, 4, 5, 6, 7, 8, 9, 10, 12)))
+    m = draw(st.sampled_from(moduli))
     n = draw(st.integers(1, max(1, int(math.log(max_vectors, m)))))
     space = Space(m, Pomset.from_relations(n, m // 2, []), (1,) * n)
     rng = random.Random(draw(SEEDS))
@@ -63,6 +62,69 @@ def spans(draw, max_vectors=3000):
         a, b = rng.randrange(m), rng.randrange(m)
         rows.append([(a * x + b * y) % m for x, y in zip(rows[0], rows[-1])])
     return space, rows
+
+
+def recombined(rng, rows, m):
+    """Other generators of the span of rows.
+
+    They are the rows under random elementary operations of determinant 1
+    or a unit, plus random combinations of them and multiples (m/d)*row for
+    divisors d of m, shuffled.
+    """
+    rows = [list(row) for row in rows]
+    for _ in range(3 * len(rows)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if i != j:
+            c = rng.randrange(m)
+            rows[i] = [(x + c * y) % m for x, y in zip(rows[i], rows[j])]
+        else:
+            unit = rng.choice([u for u in range(1, m) if math.gcd(u, m) == 1])
+            rows[i] = [unit * x % m for x in rows[i]]
+    extra = []
+    for _ in range(rng.randint(0, 2)):
+        cs = [rng.randrange(m) for _ in rows]
+        extra.append([sum(c * row[t] for c, row in zip(cs, rows)) % m
+                      for t in range(len(rows[0]))])
+    for row in rng.sample(rows, min(len(rows), 2)):
+        d = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+        extra.append([m // d * x % m for x in row])
+    rows += extra
+    rng.shuffle(rows)
+    return rows
+
+
+def brute_span(rows, n, m):
+    """Reference span: zero, grown by every multiple of each row in turn."""
+    words = {(0,) * n}
+    for row in rows:
+        words = {tuple((x + c * y) % m for x, y in zip(w, row)) for w in words for c in range(m)}
+    return words
+
+
+@bounded(200)
+@given(spans(max_vectors=3000, moduli=(4, 6, 8, 9, 12, 16)), SEEDS)
+def test_two_generating_sets_of_one_span_give_one_howell_form(case, seed):
+    space, rows = case
+    n, m = space.n, space.m
+    form = _howell(rows, n, m)
+    if rows:
+        assert _howell(recombined(random.Random(seed), rows, m), n, m) == form
+    # The form is echelon with pivots dividing m, reduced above each pivot.
+    pivots = [next((t, x) for t, x in enumerate(row) if x) for row in form]
+    assert [t for t, _ in pivots] == sorted({t for t, _ in pivots})
+    assert all(m % a == 0 for _, a in pivots)
+    assert all(above[t] < a for i, (t, a) in enumerate(pivots) for above in form[:i])
+    assert _howell(form, n, m) == form
+
+
+@bounded(200)
+@given(spans(max_vectors=3000))
+def test_a_span_is_listed_in_lexicographic_order_without_a_sort(case):
+    space, rows = case
+    n, m = space.n, space.m
+    words = _lex_span(_howell(rows, n, m), n, m)
+    assert all(u < v for u, v in zip(words, words[1:]))
+    assert words == sorted(brute_span(rows, n, m))
 
 
 def closed(words, m):
@@ -91,15 +153,15 @@ def assert_same_code(built, words):
 def test_trusted_codes_equal_checked_ones(case):
     space, rows = case
     n, m = space.n, space.m
-    gens = _form_generators(_diagonal(rows, n, m), m)
-    words = _direct_sum(gens, n, m)
+    form = _howell(rows, n, m)
+    words = _lex_span(form, n, m)
     assert len(set(words)) == len(words)
-    built = _budgeted_code(space, gens, space.size, "span")
+    built = _budgeted_code(space, form, space.size, "span")
     assert_same_code(built, words)
     code = span_generator(space, rows)
     assert_same_code(code, words)
     dual = dual_code(code)
-    assert_same_code(dual, _direct_sum(dual.generator, n, m))
+    assert_same_code(dual, _lex_span(dual.generator, n, m))
     assert len(set(dual.codewords)) == dual.size
 
 
@@ -122,20 +184,19 @@ def test_is_linear_by_generating_set_matches_closure(case, seed):
     listed = Code.from_codewords(space, span_words)
     assert listed.is_linear
     # The walk's last form spans the code itself.
-    assert set(_direct_sum(_form_generators(listed._form, space.m), space.n, space.m)) \
-        == listed.coord_set
+    assert _lex_span(listed._form, space.n, space.m) == list(listed.codewords)
 
 
-def counting_diagonal(monkeypatch):
-    """Replaces `codes._diagonal` by a wrapper that books each call's row count."""
+def counting_howell(monkeypatch):
+    """Replaces `codes._howell` by a wrapper that books each call's row count."""
     calls = []
-    inner = codes._diagonal
+    inner = codes._howell
 
     def counted(rows, n, m):
         calls.append(len(rows))
         return inner(rows, n, m)
 
-    monkeypatch.setattr(codes, "_diagonal", counted)
+    monkeypatch.setattr(codes, "_howell", counted)
     return calls
 
 
@@ -146,7 +207,7 @@ def test_a_span_outgrowing_the_code_part_way_ends_the_walk(monkeypatch):
     words = ["0000", "0001", "0010", "0100", "1000", "1001", "1010", "1100"]
     code = Code.from_codewords(space, [tuple(map(int, w)) for w in words])
     assert space.size % code.size == 0
-    calls = counting_diagonal(monkeypatch)
+    calls = counting_howell(monkeypatch)
     assert not code.is_linear
     assert calls == [1, 2, 3, 4]
     assert not closed(set(code.codewords), 2)
@@ -156,14 +217,15 @@ def test_a_linear_walk_takes_at_most_log_size_forms(monkeypatch):
     space = Space(6, Pomset.from_relations(3, 3, []), (1, 1, 1))
     code = span_generator(space, [[1, 2, 3], [0, 2, 4], [3, 3, 0]])
     listed = Code.from_codewords(space, list(code.codewords))
-    calls = counting_diagonal(monkeypatch)
+    calls = counting_howell(monkeypatch)
     assert listed.is_linear
     assert 1 <= len(calls) <= math.log2(listed.size) + 1
     assert calls == list(range(1, len(calls) + 1))
     walked = len(calls)
-    # Both duals read a form already taken: the walk's and the span's.
+    # Each dual reads a form already taken, the walk's or the span's, and
+    # takes one more: that of the n rows of [H^T | I_n].
     assert dual_code(listed) == dual_code(code)
-    assert len(calls) == walked
+    assert calls[walked:] == [space.n, space.n]
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (5, 2), (6, 2), (9, 1)])
@@ -171,7 +233,7 @@ def test_the_one_word_zero_code_is_linear_with_the_whole_space_as_dual(m, n):
     space = Space(m, Pomset.from_relations(n, m // 2, []), (1,) * n)
     code = Code.from_codewords(space, [(0,) * n])
     assert code.is_linear
-    assert code._form[0] == [0] * n
+    assert code._form == []
     dual = dual_code(code)
     assert dual.codewords == tuple(space.iter_coords())
 
@@ -189,12 +251,13 @@ def test_the_dual_of_listed_words_is_the_dual_of_their_generator(case):
         assert block_dependency_witnesses(listed) == block_dependency_witnesses(code)
 
 
-def test_a_spanned_code_is_diagonalised_once(monkeypatch):
-    # span_generator, then the dual and an I-perfectness check that the
-    # coset pass answers, all read the one form the span was built from.
+def test_a_spanned_code_takes_one_howell_form_and_one_dual_form(monkeypatch):
+    # span_generator takes the form of its 2 rows; the dual and an
+    # I-perfectness check that the coset pass answers both read the one
+    # dual form, taken of the 6 rows of [H^T | I_6].
     problem = load_fixture("mds_z5_len6")
     space, rows = problem.space, problem.code.generator
-    calls = counting_diagonal(monkeypatch)
+    calls = counting_howell(monkeypatch)
     answers = []
     inner = codes._coset_census
 
@@ -208,7 +271,8 @@ def test_a_spanned_code_is_diagonalised_once(monkeypatch):
     result = check_I_perfect(code, Ideal(space.pomset, (2, 2, 2, 0)))
     assert (dual.size, result.ok) == (625, True)
     assert answers and answers[0] is not None
-    assert calls == [2]
+    assert calls == [2, 6]
+    assert dual.generator == tuple(codes._dual_generators(code))
 
 
 @st.composite

@@ -1,8 +1,8 @@
-"""Differential tests of the diagonal-form module algebra, parity-block
+"""Differential tests of the Howell-form module algebra, parity-block
 dependence, the radius-ball lister and the ball-code intersection count in
 `codes`, each against a brute-force reference over Z_m for m in 2..12,
 composite moduli included; and of the columnar builders and checks behind
-them (`_direct_sum`, `Space.words_weight_counts`, `_check_words`) against
+them (`_lex_span`, `Space.words_weight_counts`, `_check_words`) against
 row-wise references.
 
 Hypothesis runs derandomized, without an example database and with a
@@ -28,9 +28,8 @@ from pomsetblock.balls import (
 )
 from pomsetblock.codes import (
     Code,
-    _diagonal,
-    _direct_sum,
-    _order,
+    _howell,
+    _lex_span,
     _r_ball_coords,
     ball_code_intersection,
     block_dependency_threshold,
@@ -301,32 +300,36 @@ def test_ball_code_intersection_rejects_what_in_I_ball_rejects():
         ball_code_intersection(code, (2, 1), space.zero())
 
 
-def row_wise_direct_sum(gens, n, m):
-    """Reference builder: the words w + c*b, c outermost, one tuple at a time."""
+def row_wise_lex_span(form, n, m):
+    """Reference builder: each word w grown into w + c*row, one tuple at a time.
+
+    c runs over (j - w_p // a) mod m/a for j = 0, 1, ..., the least residues,
+    where a is the row's pivot at p.
+    """
     words = [(0,) * n]
-    for b in gens:
-        if any(b):
-            words = [
-                tuple((x + c * y) % m for x, y in zip(w, b))
-                for c in range(_order(b, m))
-                for w in words
-            ]
+    for row in form:
+        p = next(t for t, y in enumerate(row) if y)
+        a, k = row[p], m // row[p]
+        words = [
+            tuple((x + (j - w[p] // a) % k * y) % m for x, y in zip(w, row))
+            for w in words
+            for j in range(k)
+        ]
     return words
 
 
 @bounded(200)
 @given(generated(max_vectors=4000), st.booleans())
-def test_direct_sum_matches_the_row_wise_builder(case, diagonal):
-    # The generators of a span's diagonal form, or the raw rows: the
-    # builder lists the same words in the same order either way.
+def test_lex_span_matches_the_row_wise_builder(case, dual):
+    # The Howell rows of a span, or those of its dual: the builder lists
+    # the same words in the same order either way.
     space, rows = case
     n, m = space.n, space.m
-    gens = [tuple(row) for row in rows]
-    if diagonal:
-        d, _, vinv = _diagonal(rows, n, m)
-        gens = [tuple(dt * x % m for x in row) for dt, row in zip(d, vinv)]
-    words = _direct_sum(gens, n, m)
-    expected = row_wise_direct_sum(gens, n, m)
+    form = _howell(rows, n, m)
+    if dual:
+        form = codes._dual_generators(span_generator(space, rows))
+    words = _lex_span(form, n, m)
+    expected = row_wise_lex_span(form, n, m)
     assert words == expected
     assert all(type(w) is tuple for w in words)
     assert {type(x) for w in words for x in w} <= {int}

@@ -1,6 +1,6 @@
 """Memory on the code path stays independent of m^2 for large moduli.
 
-Loading a spanned code (`codes._direct_sum`) and the translate census
+Loading a spanned code (`codes._lex_span`) and the translate census
 (`codes._ball_census`) table shifts only over the residues that actually
 occur, so a large modulus costs memory in the code's size and the ball's,
 not m x m.  The differential tests compare both against the full-table
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from pomsetblock import codes
 from pomsetblock.cli import problem_from_dict
-from pomsetblock.codes import Code, CheckResult, _ball_census, _direct_sum, _order
+from pomsetblock.codes import Code, CheckResult, _ball_census, _howell, _lex_span, _span_size
 from pomsetblock.pomset import Ideal, Pomset
 from pomsetblock.space import Space
 
@@ -54,32 +54,34 @@ def test_a_census_over_a_large_modulus_tables_only_held_residues():
     assert peak < PEAK_LIMIT
 
 
-def reference_direct_sum(gens, n, m):
-    """The full-table version: row c*b_t of the m x m addition table per shift."""
+def reference_lex_span(form, n, m):
+    """The full-table version: row j*row_t of the m x m addition table per shift."""
     add = [[(x + y) % m for y in range(m)] for x in range(m)]
     cols = [[0] for _ in range(n)]
-    for b in gens:
-        if any(b):
-            order = range(_order(b, m))
-            cols = [
-                list(itertools.chain.from_iterable(
-                    [map(add[c * y % m].__getitem__, col) for c in order]
-                ))
-                for col, y in zip(cols, b)
-            ]
+    for row in form:
+        p = next(t for t, y in enumerate(row) if y)
+        k = m // row[p]
+        q = [x // row[p] for x in cols[p]]
+        cols = [
+            list(itertools.chain.from_iterable(
+                [add[(x - c * y) % m][j * y % m] for j in range(k)]
+                for x, c in zip(col, q)
+            ))
+            for col, y in zip(cols, row)
+        ]
     return list(zip(*cols))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(st.integers(2, 40), st.integers(1, 5), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
-def test_direct_sum_matches_the_full_table(m, n, k, seed):
+def test_lex_span_matches_the_full_table(m, n, k, seed):
     rng = random.Random(seed)
     # Sparse rows leave many zero columns; the rest are random residues.
     rows = [[rng.choice((0, rng.randrange(m))) for _ in range(n)] for _ in range(k)]
-    gens = codes._form_generators(codes._diagonal(rows, n, m), m)
-    if math.prod(_order(b, m) for b in gens) > 5000:
+    form = _howell(rows, n, m)
+    if _span_size(form, m) > 5000:
         return
-    assert _direct_sum(gens, n, m) == reference_direct_sum(gens, n, m)
+    assert _lex_span(form, n, m) == reference_lex_span(form, n, m)
 
 
 def reference_translate_census(c, boxes, require_cover):
