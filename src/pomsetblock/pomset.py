@@ -10,7 +10,9 @@ An ideal is a downset whose maximal elements carry counts 1..height and
 whose other elements carry the full height.  Each order keeps, grown level
 by level only as far as asked, its downsets by size and a root table that
 groups each level's downsets by their number of maximal elements, found
-once; both ideal enumerators walk that table.
+once; both ideal enumerators walk that table.  What they build is kept in
+a third table, the order's ideals by cardinality, bounded by
+`IDEAL_TABLE_LIMIT`, so a repeated enumeration on one order is a list copy.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .mset import Mset, ShapeError, check_shape, complement as mset_complement
+
+
+# Ideals one order's ideal table may hold.  A level or `all_ideals` list that
+# would take it past this is built per call and dropped, so a wide order's
+# table stays a few MB.
+IDEAL_TABLE_LIMIT = 1 << 13
 
 
 class CycleError(ValueError):
@@ -150,6 +158,19 @@ class Pomset:
     @cached_property
     def _root_levels(self) -> dict[int, tuple]:
         """The root table by downset size, filled by `_root_groups` as asked."""
+        return {}
+
+    @cached_property
+    def _ideal_levels(self) -> dict:
+        """The ideal table, filled by `enumerate_ideals` and `all_ideals`.
+
+        Key r holds the ideals of cardinality r as `enumerate_ideals` lists
+        them; key None holds `all_ideals`' sorted list of the same objects.
+        A level or list is kept only while the table holds at most
+        `IDEAL_TABLE_LIMIT` ideals.  The enumerators hand out copies, so a
+        caller may change its list; like the tables above, this one stays
+        outside equality, hashing and repr.
+        """
         return {}
 
     def downsets_of_size(self, size: int) -> tuple[frozenset[int], ...]:
@@ -345,7 +366,8 @@ def _ideals_weighing(p: Pomset, sizes, lo: int, hi: int) -> list[Ideal]:
     group outside lo..hi is skipped without touching its downsets.  Each
     list of maximal counts is built once per call, keyed by (first, last, k).
     The cost is O(table groups in the window + output).  Plain count tuples
-    are sorted first and wrapped as ideals last.
+    are sorted first and wrapped as ideals last.  The enumerators below call
+    this only for ideals their order's ideal table does not hold.
     """
     l = p.height
     count_lists = {}
@@ -377,22 +399,52 @@ def _ideals_weighing(p: Pomset, sizes, lo: int, hi: int) -> list[Ideal]:
 
 
 def all_ideals(p: Pomset) -> list[Ideal]:
-    """Every order ideal of the pomset, sorted by count vector."""
-    return _ideals_weighing(p, range(p.ground_size + 1), 0, p.ground_size * p.height)
+    """Every order ideal of the pomset, sorted by count vector, as a new list.
+
+    The first call costs O(table groups + output).  When the order has at
+    most `IDEAL_TABLE_LIMIT` ideals, their list replaces the order's ideal
+    table, split into its cardinality levels, and every later call, and
+    every `enumerate_ideals` call, is a list copy; otherwise each call
+    builds the list again.
+    """
+    table = p._ideal_levels
+    every = table.get(None)
+    if every is None:
+        every = _ideals_weighing(p, range(p.ground_size + 1), 0, p.ground_size * p.height)
+        if len(every) > IDEAL_TABLE_LIMIT:
+            return every
+        table.clear()
+        for i in every:
+            table.setdefault(i.cardinality, []).append(i)
+        table[None] = every
+    return every.copy()
 
 
 def enumerate_ideals(p: Pomset, r: int) -> list[Ideal]:
     """All ideals of cardinality r, sorted lexicographically by count vector.
 
     Only downsets of ceil(r/height)..r elements can weigh r, and each
-    generates only the ideals of cardinality r, so the cost is O(table
-    groups of those sizes in the window + output), plus building the table
-    levels of those sizes on the order's first call.
+    generates only the ideals of cardinality r, so the first call for r
+    costs O(table groups of those sizes in the window + output), plus
+    building the table levels of those sizes on the order's first call.
+    The level is kept in the order's ideal table while that holds at most
+    `IDEAL_TABLE_LIMIT` ideals, and a later call for r copies it; a level
+    that does not fit is built again on every call.  The list returned is
+    always the caller's own.
     """
     if not 0 <= r <= p.ground_size * p.height:
         raise ValueError(f"cardinality {r} outside 0..{p.ground_size * p.height}")
-    sizes = range(-(-r // p.height), min(r, p.ground_size) + 1)
-    return _ideals_weighing(p, sizes, r, r)
+    table = p._ideal_levels
+    level = table.get(r)
+    if level is None:
+        sizes = range(-(-r // p.height), min(r, p.ground_size) + 1)
+        level = _ideals_weighing(p, sizes, r, r)
+        # The None list, when present, holds the levels' own objects.
+        held = sum(len(kept) for key, kept in table.items() if key is not None)
+        if held + len(level) > IDEAL_TABLE_LIMIT:
+            return level
+        table[r] = level
+    return level.copy()
 
 
 def dual_pomset(p: Pomset) -> Pomset:

@@ -2,6 +2,7 @@ import functools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from pomsetblock.cli import Problem, load_problem
 from pomsetblock.fixtures import NAMES, fixture_path
@@ -27,6 +28,15 @@ def random_pomset(rng: random.Random, s: int, height: int, density: float = 0.4)
         if rng.random() < density
     ]
     return Pomset.from_relations(s, height, pairs)
+
+
+@st.composite
+def orders(draw, max_size=6, max_height=3):
+    """A `random_pomset` of 1..max_size elements and height 1..max_height."""
+    s = draw(st.integers(1, max_size))
+    height = draw(st.integers(1, max_height))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_pomset(rng, s, height, draw(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))))
 
 
 def to_bits(space, members) -> int:

@@ -14,7 +14,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pomset
+from conftest import orders, random_pomset
 from pomsetblock import pomset
 from pomsetblock.balls import I_ball_cardinality, I_sphere_cardinality, r_ball_cardinality
 from pomsetblock.oracle import weight_census
@@ -29,14 +29,6 @@ def bounded(max_examples):
 
 DENSITIES = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
 SEEDS = st.integers(0, 2 ** 32 - 1)
-
-
-@st.composite
-def orders(draw, max_size=6, max_height=3):
-    s = draw(st.integers(1, max_size))
-    height = draw(st.integers(1, max_height))
-    rng = random.Random(draw(SEEDS))
-    return random_pomset(rng, s, height, draw(DENSITIES))
 
 
 @st.composite
@@ -107,15 +99,18 @@ def test_all_ideals_are_the_closures_of_all_count_vectors(p):
 def test_enumerate_ideals_is_a_cardinality_layer_of_all_ideals(p, seed):
     # The repr taken before the table grows must survive its growth.
     shown = repr(p)
-    # Shuffled cardinalities make the root table grow out of order.
+    # Shuffled cardinalities make the root and ideal tables grow out of order.
     cardinalities = list(range(p.ground_size * p.height + 1))
     random.Random(seed).shuffle(cardinalities)
     layers = {r: [i.counts for i in enumerate_ideals(p, r)] for r in cardinalities}
-    everything = [i.counts for i in all_ideals(p)]
+    # A fresh order's first call builds its ideals, so the layers are
+    # compared with the builder rather than with the table they came from.
+    fresh = Pomset(p.ground_size, p.height, p.order)
+    everything = [i.counts for i in all_ideals(fresh)]
     for r, layer in layers.items():
         assert layer == [c for c in everything if sum(c) == r]
-    # The table is a cache on the order, outside equality, hashing and repr.
-    fresh = Pomset(p.ground_size, p.height, p.order)
+    assert [i.counts for i in all_ideals(p)] == everything
+    # The tables are caches on the order, outside equality, hashing and repr.
     assert p == fresh and fresh == p
     assert hash(p) == hash(fresh)
     assert len({p, fresh}) == 1
@@ -127,7 +122,8 @@ def test_enumerate_ideals_is_a_cardinality_layer_of_all_ideals(p, seed):
 def test_ideal_enumerators_build_count_lists_only_for_groups_in_the_window(p):
     # A root-table group whose maximal counts cannot bring the cardinality
     # into the call's window is skipped before a count list is built for
-    # it, and a call builds each (first, last, k) list once.
+    # it, and a call builds each (first, last, k) list once.  Each call runs
+    # on a fresh order, whose ideal table holds nothing yet, so each builds.
     compositions = pomset._compositions
     built = []
 
@@ -137,12 +133,53 @@ def test_ideal_enumerators_build_count_lists_only_for_groups_in_the_window(p):
         built.append((lo, hi, parts))
         return out
 
-    calls = [partial(enumerate_ideals, p, r) for r in range(p.ground_size * p.height + 1)]
+    def fresh():
+        return Pomset(p.ground_size, p.height, p.order)
+
+    calls = [partial(enumerate_ideals, fresh(), r) for r in range(p.ground_size * p.height + 1)]
     with mock.patch.object(pomset, "_compositions", recorded):
-        for call in [*calls, partial(all_ideals, p)]:
+        for call in [*calls, partial(all_ideals, fresh())]:
             built.clear()
             call()
+            assert built
             assert len(built) == len(set(built))
+
+
+def same_ideals(got, want):
+    """Equal lists of ideals, each indistinguishable from its counterpart."""
+    assert [i.counts for i in got] == [i.counts for i in want]
+    for a, b in zip(got, want):
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert vars(a) == vars(b)
+
+
+@bounded(60)
+@given(orders(), st.booleans(), st.sampled_from((0, 1, 7, pomset.IDEAL_TABLE_LIMIT)), SEEDS)
+def test_any_interleaving_of_ideal_queries_answers_like_a_fresh_order(p, odd, limit, seed):
+    # Every query is answered again on a fresh order, whose first call
+    # builds; the order under test answers from whatever its ideal table
+    # kept, under a limit that keeps nothing, one level, a few, or all.
+    space = Space(2 * p.height + odd, p, (1,) * p.ground_size)
+
+    def fresh():
+        return Space(space.m, Pomset(p.ground_size, p.height, p.order), space.labeling)
+
+    top = space.max_weight
+    queries = [("ideals", r) for r in range(top + 1)] * 2
+    queries += [("all", None)] * 2 + [("ball", r) for r in range(top + 1)]
+    random.Random(seed).shuffle(queries)
+    with mock.patch.object(pomset, "IDEAL_TABLE_LIMIT", limit):
+        for kind, r in queries:
+            if kind == "ball":
+                assert r_ball_cardinality(space, r) == r_ball_cardinality(fresh(), r)
+            elif kind == "all":
+                same_ideals(all_ideals(p), all_ideals(fresh().pomset))
+            else:
+                same_ideals(enumerate_ideals(p, r), enumerate_ideals(fresh().pomset, r))
+            table = vars(p).get("_ideal_levels", {})
+            assert len({id(i) for level in table.values() for i in level}) <= limit
 
 
 @bounded(30)

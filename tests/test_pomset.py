@@ -6,9 +6,10 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pomset
+from conftest import orders, random_pomset
 from pomsetblock import pomset as pomset_module
 from pomsetblock.mset import Mset, ShapeError
+from pomsetblock.oracle import verify_formula_suite
 from pomsetblock.pomset import (
     CycleError,
     _transitive_closure,
@@ -24,6 +25,7 @@ from pomsetblock.pomset import (
     is_finer,
     is_ideal,
 )
+from pomsetblock.space import Space
 
 VSHAPE = Pomset.from_relations(3, 2, [(1, 2), (1, 3)])
 
@@ -131,6 +133,66 @@ def test_dual_is_built_once_and_leaves_the_order_alone():
         assert (hash(p), repr(p), p) == before
         assert p == before[2] and before[2] == p
         assert all_ideals(dual) == all_ideals(Pomset(p.ground_size, p.height, reversed_order))
+
+
+def fresh_order(p):
+    return Pomset(p.ground_size, p.height, p.order)
+
+
+def every_query(p):
+    """Each cardinality's ideals and then all of them, as count vectors."""
+    layers = [enumerate_ideals(p, r) for r in range(p.ground_size * p.height + 1)]
+    return [[i.counts for i in layer] for layer in [*layers, all_ideals(p)]]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(orders())
+def test_a_caller_mutating_a_returned_list_leaves_the_next_call_alone(p):
+    expected = every_query(fresh_order(p))
+    for _ in range(2):
+        got = [enumerate_ideals(p, r) for r in range(p.ground_size * p.height + 1)]
+        got.append(all_ideals(p))
+        assert [[i.counts for i in layer] for layer in got] == expected
+        for layer in got:
+            layer.reverse()
+            layer.append(None)
+            del layer[0]
+    assert every_query(p) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(orders())
+def test_a_full_ideal_table_leaves_equality_hashing_and_repr_alone(p):
+    fresh = fresh_order(p)
+    before = (hash(p), repr(p))
+    every_query(p)
+    table = vars(p)["_ideal_levels"]
+    assert len(table[None]) == len(all_ideals(fresh))
+    assert p == fresh and fresh == p
+    assert (hash(p), repr(p)) == before == (hash(fresh), repr(fresh))
+    assert len({p, fresh}) == 1
+    assert all_ideals(p) == all_ideals(fresh)
+
+
+def test_a_cold_oracle_suite_builds_each_ideal_once(monkeypatch):
+    # The suite lists all ideals, then asks for every radius's ball, which
+    # reads each cardinality's ideals from the table `all_ideals` filled.
+    built = []
+    inner = pomset_module._ideals_weighing
+
+    def counted(p, sizes, lo, hi):
+        out = inner(p, sizes, lo, hi)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(pomset_module, "_ideals_weighing", counted)
+    assert verify_formula_suite(Space(5, fresh_order(VSHAPE), (1, 2, 1))).ok
+    assert built == [11]
+    # An order with more ideals than the table may hold builds per call.
+    monkeypatch.setattr(pomset_module, "IDEAL_TABLE_LIMIT", 10)
+    built.clear()
+    assert verify_formula_suite(Space(5, fresh_order(VSHAPE), (1, 2, 1))).ok
+    assert built[0] == 11 and sum(built) > 11
 
 
 def test_ideal_complement():
