@@ -298,19 +298,27 @@ def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
 
 
 def min_distance(c: Code) -> int:
-    """Least distance between distinct codewords; min nonzero weight if linear."""
+    """Least distance between distinct codewords; min nonzero weight if linear.
+
+    A non-linear code weighs each codeword's differences with the words
+    after it, one batch per codeword, so at most |C| differences are held
+    at once rather than all |C|(|C| - 1)/2.
+    """
     if c.size < 2:
         raise UndefinedDistanceError("minimum distance needs at least two codewords")
     sp, m = c.space, c.space.m
+    words = c.codewords
     if c.is_linear:
-        words = c.codewords
+        batches = [words]
     else:
-        words = [
-            tuple((x - y) % m for x, y in zip(u, v))
-            for u, v in itertools.combinations(c.codewords, 2)
-        ]
+        batches = (
+            [tuple((x - y) % m for x, y in zip(u, v)) for v in words[i + 1:]]
+            for i, u in enumerate(words)
+        )
     # Only the zero word weighs 0.
-    return min(filter(None, map(sum, sp.words_weight_counts(words))))
+    return min(itertools.chain.from_iterable(
+        filter(None, map(sum, sp.words_weight_counts(batch))) for batch in batches
+    ))
 
 
 def _dual_generators(c: Code) -> list[tuple[int, ...]]:

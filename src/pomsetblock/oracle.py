@@ -24,18 +24,20 @@ counts summed over nested ideal keys, by prefix sums over the grid of
 counts.  The suite has one budget: what it lists lies in the space, which
 the census refuses past that budget, so no bitset exceeds it in bits.
 
-The sampled metric check works by columns: a chunk of triples is one draw
-of indices into the m^3 residue triples, and coordinate t is every n-th
-index.  Each index reads one word from a table, holding the unary codes
-2^w - 1 of the Lee weights w of the five differences a triple checks and a
-flag for u_t != v_t.  The OR of unary codes is the unary code of their
-maximum, so ORing a triple's words, each block's shifted to its own field,
-gives every difference's block maxima at once, one key per difference, and
-the weight is looked up once per key in one memo.
+The metric check works by columns, on every triple or on a seeded sample:
+a chunk of triples is one run of indices into the m^3 residue triples, and
+coordinate t is every n-th index.  Each index reads one word from a table,
+holding the unary codes 2^w - 1 of the Lee weights w of the five
+differences a triple checks and a flag for u_t != v_t.  The OR of unary
+codes is the unary code of their maximum, so ORing a triple's words, each
+block's shifted to its own field, gives every difference's block maxima at
+once, one key per difference, and the weight is looked up once per key in
+one memo.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -52,13 +54,13 @@ from .space import Space
 
 DEFAULT_TRIPLE_BUDGET = 10 ** 5
 DEFAULT_SAMPLES = 10 ** 5
-# Block-weight keys the metric kernel remembers; beyond them it recomputes,
+# Block-weight keys the metric check remembers; beyond them it recomputes,
 # so a wide space's memo stays a few MB.
 METRIC_MEMO_LIMIT = 1 << 13
-# Sampled triples drawn, weighed and checked together, so a chunk's columns
-# hold at most n times this many entries.
+# Triples drawn, weighed and checked together, so a chunk's columns hold at
+# most n times this many entries.
 _METRIC_CHUNK = 1 << 10
-# The five distances a sampled triple (u, v, w) checks, as positions in it:
+# The five distances a triple (u, v, w) checks, as positions in it:
 # d(u, v), d(u, u), d(v, u), d(u, w) and d(w, v).  `_cell_words` lays out
 # their fields in this order.
 _PAIRS = ((0, 1), (0, 0), (1, 0), (0, 2), (2, 1))
@@ -187,26 +189,6 @@ def _fold_blocks(blocks, columns):
     return words
 
 
-def _metric_kernel(space: Space):
-    """The pomset block weight of differences given by columns.
-
-    The returned function takes n columns, column t holding the Lee weights
-    of coordinate t of the differences, and maps them to the differences'
-    weights.  Each Lee weight w becomes its unary code 2^w - 1, each block
-    ORs its columns into the unary code of its maximum, the blocks' codes
-    lie side by side in one key per difference, and each key is weighed
-    through one `_Weights` memo for the whole space.
-    """
-    weigh = _Weights(space).__getitem__
-    unary = [(1 << w) - 1 for w in range(space.height + 1)].__getitem__
-    blocks = _block_shifts(space)
-
-    def weights(columns):
-        return map(weigh, _fold_blocks(blocks, [map(unary, c) for c in columns]))
-
-    return weights
-
-
 def _cell_words(space: Space) -> list[int]:
     """One word per residue triple (u, v, w), at index u m^2 + v m + w.
 
@@ -260,57 +242,33 @@ def verify_metric(
 ) -> MetricReport:
     """Check identity, symmetry and the triangle inequality.
 
-    Exhaustive over all triples when `metric_triples` says they fit the
-    budget, otherwise a seeded uniform sample.  A triple is n draws from
-    the m^3 residue triples (u_t, v_t, w_t), unzipped into u, v and w; the
-    draws of up to `_METRIC_CHUNK` triples are made in one call, as indices
-    into those residue triples, and stream exactly as one call per triple
-    would.  Coordinate t of a chunk is the column of every n-th index, and
-    each index reads its `_cell_words` word.  ORed within each block, block
-    b shifted up by b*h, and across blocks, a triple's words hold from bit
-    p*h*s the unary block-maxima key of its p-th difference of u - v,
-    u - u, v - u, u - w and w - v, weighed through one `_Weights` memo, and
-    above those a flag region that is zero exactly when u = v.  A sampled
-    triple checks d(u, u) = 0, d(u, v) = 0 iff u = v, d(u, v) = d(v, u) and
-    d(u, v) <= d(u, w) + d(w, v), in that order, and the first failure is
-    reported.
-    The default distance is built from definitions alone: `_metric_kernel`
-    when exhaustive, the words above when sampled.  Another one, taking two
-    coordinate tuples, can be injected to confirm the check has teeth; its
-    triples are decoded from the drawn indices.  A sample count below 1 is
-    a ValueError.
+    Over all (m^n)^3 triples when `metric_triples` says they fit the budget,
+    otherwise over a seeded uniform sample; the two differ only in where the
+    draws come from.  A triple is n indices c_t = u_t m^2 + v_t m + w_t into
+    the m^3 residue triples, unzipped into u, v and w.  Chunk by chunk, the
+    indices of up to `_METRIC_CHUNK` triples are drawn at once: a sample by
+    one `choices` call, which streams exactly as one call per triple would,
+    and the exhaustive check from every n-tuple of indices in lexicographic
+    order, which meets each vector triple once.  Coordinate t of a chunk is
+    the column of every n-th index, and each index reads its `_cell_words`
+    word.  ORed within each block, block b shifted up by b*h, and across
+    blocks, a triple's words hold from bit p*h*s the unary block-maxima key
+    of its p-th difference of u - v, u - u, v - u, u - w and w - v, weighed
+    through one `_Weights` memo, and above those a flag region that is zero
+    exactly when u = v.  Each triple checks d(u, u) = 0, d(u, v) = 0 iff
+    u = v, d(u, v) = d(v, u) and d(u, v) <= d(u, w) + d(w, v), in that
+    order; the first failure is reported with the number of triples checked
+    up to and including it.
+    The default distance is built from definitions alone, by the words
+    above.  Another one, taking two coordinate tuples, can be injected to
+    confirm the check has teeth; its triples are decoded from the drawn
+    indices.  A sample count below 1 is a ValueError.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
     m, n = space.m, space.n
     exhaustive, count = metric_triples(space, triple_budget, samples)
-    if exhaustive:
-        points = list(space.iter_coords())
-        pairs = list(itertools.product(points, repeat=2))
-        if distance_fn is None:
-            lee = [[min((x - y) % m, (y - x) % m) for y in range(m)] for x in range(m)]
-            found = _metric_kernel(space)(
-                [[lee[u[t]][v[t]] for u, v in pairs] for t in range(n)]
-            )
-        else:
-            found = itertools.starmap(distance_fn, pairs)
-        dist = dict(zip(pairs, found))
-        for u in points:
-            for v in points:
-                duv = dist[u, v]
-                if (duv == 0) != (u == v):
-                    return MetricReport(False, True, count, ("identity", u, v, None))
-                if duv != dist[v, u]:
-                    return MetricReport(False, True, count, ("symmetry", u, v, None))
-        for u in points:
-            for v in points:
-                duv = dist[u, v]
-                for w in points:
-                    if duv > dist[u, w] + dist[w, v]:
-                        return MetricReport(False, True, count, ("triangle", u, v, w))
-        return MetricReport(True, True, count)
-
     if distance_fn is None:
         weigh = _Weights(space).__getitem__
         cell = _cell_words(space).__getitem__
@@ -332,10 +290,18 @@ def verify_metric(
             return [*(map(distance_fn, uvw[a], uvw[b]) for a, b in _PAIRS),
                     map(eq, uvw[0], uvw[1])]
 
+    # Draws come from a seeded sample, or, for every triple in turn, from
+    # all n-tuples of residue triples in lexicographic order.
     cells = range(m ** 3)
-    choices = random.Random(seed).choices
-    for start in range(0, samples, _METRIC_CHUNK):
-        draws = choices(cells, k=n * min(_METRIC_CHUNK, samples - start))
+    if exhaustive:
+        every = itertools.chain.from_iterable(itertools.product(cells, repeat=n))
+
+        def draw(k):
+            return list(itertools.islice(every, k))
+    else:
+        draw = functools.partial(random.Random(seed).choices, cells)
+    for start in range(0, count, _METRIC_CHUNK):
+        draws = draw(k=n * min(_METRIC_CHUNK, count - start))
         for i, duv, duu, dvu, duw, dwv, same in zip(
             itertools.count(start), *distances(draws)
         ):
@@ -351,8 +317,8 @@ def verify_metric(
             u, v, w = (word[0] for word in _unzip(draws[at:at + n], m, n))
             if failed != "triangle":
                 w = None
-            return MetricReport(False, False, i + 1, (failed, u, v, w))
-    return MetricReport(True, False, samples)
+            return MetricReport(False, exhaustive, i + 1, (failed, u, v, w))
+    return MetricReport(True, exhaustive, count)
 
 
 @dataclass

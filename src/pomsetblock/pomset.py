@@ -405,17 +405,24 @@ def all_ideals(p: Pomset) -> list[Ideal]:
     most `IDEAL_TABLE_LIMIT` ideals, their list replaces the order's ideal
     table, split into its cardinality levels, and every later call, and
     every `enumerate_ideals` call, is a list copy; otherwise each call
-    builds the list again.
+    builds the list again.  When `enumerate_ideals` already holds every
+    level, the list is those levels' own ideals sorted by count vector, and
+    no ideal is built again.
     """
     table = p._ideal_levels
     every = table.get(None)
     if every is None:
-        every = _ideals_weighing(p, range(p.ground_size + 1), 0, p.ground_size * p.height)
-        if len(every) > IDEAL_TABLE_LIMIT:
-            return every
-        table.clear()
-        for i in every:
-            table.setdefault(i.cardinality, []).append(i)
+        levels = range(p.ground_size * p.height + 1)
+        if all(r in table for r in levels):
+            every = sorted(itertools.chain.from_iterable(map(table.get, levels)),
+                           key=operator.attrgetter("counts"))
+        else:
+            every = _ideals_weighing(p, range(p.ground_size + 1), 0, levels[-1])
+            if len(every) > IDEAL_TABLE_LIMIT:
+                return every
+            table.clear()
+            for i in every:
+                table.setdefault(i.cardinality, []).append(i)
         table[None] = every
     return every.copy()
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -118,6 +119,25 @@ def test_min_distance_nonlinear_matches_pairwise():
         for u, v in itertools.combinations(code.codewords, 2)
     )
     assert min_distance(code) == brute
+
+
+def test_min_distance_of_a_non_linear_code_holds_one_codeword_s_differences():
+    # 400 random words over Z_5^8: the 79 800 differences of all pairs at
+    # once peaked at about 20 MiB; one codeword's at a time stay near 0.3 MiB.
+    rng = random.Random(1)
+    sp = Space(5, Pomset.from_relations(4, 2, [(1, 2), (3, 4)]), (2, 2, 2, 2))
+    code = Code.from_codewords(
+        sp, {tuple(rng.randrange(5) for _ in range(8)) for _ in range(400)}
+    )
+    assert code.size == 400 and not code.is_linear
+    tracemalloc.start()
+    try:
+        d = min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 1
+    assert peak < 2 * 2 ** 20
 
 
 def test_dual_code():

@@ -15,7 +15,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_pomset
 from pomsetblock import balls, codes
@@ -45,7 +45,7 @@ from pomsetblock.codes import (
 )
 from pomsetblock.mset import Mset, ShapeError
 from pomsetblock.pomset import Ideal, Pomset, all_ideals, enumerate_ideals
-from pomsetblock.space import Space, _check_words
+from pomsetblock.space import Space, _check_words, distance
 
 
 def bounded(max_examples):
@@ -374,6 +374,18 @@ def test_column_kernel_matches_coords_weight(case):
         assert min_ideal_root_size(code) == min(
             sum(1 for x in space.weight_counts(w) if x) for w in code.codewords if any(w)
         )
+
+
+@bounded(100)
+@given(blocked_words())
+def test_min_distance_of_a_non_linear_code_is_the_least_over_all_pairs(case):
+    space, words = case
+    code = Code(space, words)
+    assume(code.size > 1 and not code.is_linear)
+    assert min_distance(code) == min(
+        distance(space.vector(u), space.vector(v))
+        for u, v in itertools.combinations(code.codewords, 2)
+    )
 
 
 def test_column_kernel_of_no_words():

@@ -1,6 +1,7 @@
-"""Differential tests of the oracle's metric kernel against the vector
-distance of `space`, and of the columnar sampled metric check against the
-per-triple loop it replaced, on random orders and block dimensions.
+"""Differential tests of the oracle's block-weight memo against the vector
+distance of `space`, of the columnar sampled metric check against the
+per-triple loop it replaced, and of the exhaustive check against the
+pair-table loop it replaced, on random orders and block dimensions.
 
 Hypothesis runs derandomized, without an example database and with a
 bounded number of examples, so the suite stays deterministic and quick.
@@ -8,6 +9,7 @@ bounded number of examples, so the suite stays deterministic and quick.
 
 import itertools
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_pomset
 from pomsetblock import oracle
-from pomsetblock.oracle import MetricReport, _metric_kernel, verify_metric
+from pomsetblock.oracle import MetricReport, verify_metric
 from pomsetblock.pomset import Pomset
 from pomsetblock.space import Space, distance
 
@@ -61,15 +63,29 @@ def vector_distances(space, pairs):
     return [distance(space.vector(a), space.vector(b)) for a, b in pairs]
 
 
+def kernel(space):
+    """The pomset block weight of differences given by Lee columns: each
+    Lee weight w as its unary code 2^w - 1, folded per block by
+    `_fold_blocks`, and each key weighed through one `_Weights` memo."""
+    weigh = oracle._Weights(space).__getitem__
+    blocks = oracle._block_shifts(space)
+
+    def weights(columns):
+        unary = [[(1 << w) - 1 for w in column] for column in columns]
+        return map(weigh, oracle._fold_blocks(blocks, unary))
+
+    return weights
+
+
 @bounded(80)
 @given(spaces(), SEEDS)
 def test_kernel_matches_the_vector_distance(space, seed):
-    kernel = _metric_kernel(space)
+    weights = kernel(space)
     pairs = random_pairs(space, seed, 40)
     expected = vector_distances(space, pairs)
-    assert list(kernel(lee_columns(space, pairs))) == expected
+    assert list(weights(lee_columns(space, pairs))) == expected
     # Asked again, the answers come from the memo.
-    assert list(kernel(lee_columns(space, pairs))) == expected
+    assert list(weights(lee_columns(space, pairs))) == expected
 
 
 def test_kernel_past_its_memo_limit_still_weighs(monkeypatch):
@@ -77,9 +93,8 @@ def test_kernel_past_its_memo_limit_still_weighs(monkeypatch):
     # two, nearly every pair is weighed afresh.
     monkeypatch.setattr(oracle, "METRIC_MEMO_LIMIT", 2)
     space = Space(5, random_pomset(random.Random(7), 24, 2, 0.1), (1,) * 24)
-    kernel = _metric_kernel(space)
     pairs = random_pairs(space, 11, 300) * 2
-    assert list(kernel(lee_columns(space, pairs))) == vector_distances(space, pairs)
+    assert list(kernel(space)(lee_columns(space, pairs))) == vector_distances(space, pairs)
 
 
 @pytest.mark.parametrize("limit, labeling", [
@@ -105,7 +120,7 @@ def test_kernel_weighs_lee_tuples_by_their_block_maxima(monkeypatch, limit, labe
         return closure(pomset, bw)
 
     monkeypatch.setattr(Pomset, "closure_counts", counted)
-    found = list(_metric_kernel(space)(columns))
+    found = list(kernel(space)(columns))
     assert found == expected
     weights, lee_tuples, met = {}, {}, []
     for lee, w in zip(zip(*columns), found):
@@ -282,3 +297,99 @@ def test_words_past_64_bits_match_the_per_triple_reference(space_id, name, limit
                                distance_fn=None if name == "default" else table[name])
     assert report == reference
     assert report.passed
+
+
+@st.composite
+def tiny_spaces(draw):
+    """Z_m^n of at most 27 vectors, so at most 27^3 triples, in 1..n blocks."""
+    m = draw(st.integers(2, 7))
+    # Largest n first: hypothesis leans towards the first choices.
+    n = draw(st.sampled_from(range(max(k for k in range(1, 6) if m ** k <= 27), 0, -1)))
+    labeling = []
+    while sum(labeling) < n:
+        labeling.append(draw(st.integers(1, n - sum(labeling))))
+    density = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    rng = random.Random(draw(SEEDS))
+    return Space(m, random_pomset(rng, len(labeling), m // 2, density), tuple(labeling))
+
+
+def reference_exhaustive_metric(space, distance_fn):
+    """The pair-table exhaustive check: every pair's distance in one dict,
+    identity and symmetry over all pairs, then the triangle over all
+    triples, each in lexicographic order; any report counts all triples."""
+    points = list(space.iter_coords())
+    count = len(points) ** 3
+    dist = {(u, v): distance_fn(u, v) for u in points for v in points}
+    for u in points:
+        for v in points:
+            duv = dist[u, v]
+            if (duv == 0) != (u == v):
+                return MetricReport(False, True, count, ("identity", u, v, None))
+            if duv != dist[v, u]:
+                return MetricReport(False, True, count, ("symmetry", u, v, None))
+    for u in points:
+        for v in points:
+            for w in points:
+                if dist[u, v] > dist[u, w] + dist[w, v]:
+                    return MetricReport(False, True, count, ("triangle", u, v, w))
+    return MetricReport(True, True, count)
+
+
+def breaks(distance_fn, axiom, u, v, w):
+    """Whether the triple breaks the axiom its counterexample names."""
+    duv = distance_fn(u, v)
+    if axiom == "identity":
+        return (duv == 0) != (u == v) or distance_fn(u, u) != 0
+    if axiom == "symmetry":
+        return duv != distance_fn(v, u)
+    return axiom == "triangle" and duv > distance_fn(u, w) + distance_fn(w, v)
+
+
+@pytest.mark.parametrize("name", ["default", "weight", "skewed", "squared",
+                                  "raw-residue", "rarely-zero"])
+@bounded(25)
+@given(tiny_spaces())
+def test_every_triple_is_checked_as_the_pair_table_checked_them(name, space):
+    table = distances(space)
+    distance_fn = table["weight" if name == "default" else name]
+    reference = reference_exhaustive_metric(space, distance_fn)
+    report = verify_metric(space, space.size ** 3,
+                           distance_fn=None if name == "default" else distance_fn)
+    assert report.exhaustive
+    if name in ("default", "weight", "skewed"):
+        # The true distance passes; skewing breaks symmetry in any space.
+        assert reference.passed == (name != "skewed")
+    if reference.passed:
+        assert report == reference
+        return
+    # A broken distance fails both ways; the new check stops at the first
+    # failing triple, in lexicographic order of the n residue triples.
+    assert not report.passed
+    axiom, u, v, w = report.counterexample
+    assert breaks(distance_fn, axiom, u, v, w)
+    cells = itertools.product(itertools.product(range(space.m), repeat=3), repeat=space.n)
+    first_u, first_v, first_w = zip(*next(
+        itertools.islice(cells, report.triples_checked - 1, None)))
+    assert (u, v) == (first_u, first_v)
+    assert w == (first_w if axiom == "triangle" else None)
+
+
+@pytest.mark.parametrize("m, labeling", [(3, (2,)), (13, (1,)), (2, (1, 3))])
+def test_the_exhaustive_check_weighs_each_triple_once(m, labeling):
+    # 729, 2197 and 4096 triples: part of one chunk, a part chunk after two
+    # whole ones, and four whole chunks.  Each triple asks for its five
+    # distances once, so the calls count every triple exactly once.
+    space = Space(m, random_pomset(random.Random(m), len(labeling), m // 2, 0.5), labeling)
+    weight = distances(space)["weight"]
+    calls = Counter()
+
+    def counted(a, b):
+        calls[a, b] += 1
+        return weight(a, b)
+
+    report = verify_metric(space, space.size ** 3, distance_fn=counted)
+    assert report == MetricReport(True, True, space.size ** 3)
+    expected = Counter()
+    for u, v, w in itertools.product(space.iter_coords(), repeat=3):
+        expected.update([(u, v), (u, u), (v, u), (u, w), (w, v)])
+    assert calls == expected

@@ -147,24 +147,28 @@ EXHAUSTIVE = make_space(5, [], (1, 1))
 
 def test_exhaustive_negative_control_breaks_identity():
     # Half the Lee distance, rounded down, puts residues 0 and 1 at distance 0.
+    # Triples run in lexicographic order of their residue triples
+    # (u_1, v_1, w_1, u_2, v_2, w_2), so the sixth, u = (0, 0), v = (0, 1),
+    # is the first with u != v, and the check stops there.
     def halved(a, b):
         return lee_sum(a, b) // 2
 
     report = verify_metric(EXHAUSTIVE, distance_fn=halved)
     assert not report.passed and report.exhaustive
-    assert report.triples_checked == 25 ** 3
+    assert report.triples_checked == 6
     assert report.counterexample == ("identity", (0, 0), (0, 1), None)
 
 
 def test_exhaustive_negative_control_breaks_the_triangle_inequality():
     # Squaring keeps identity and symmetry; the first triple in order to
-    # break the triangle is 0-1-2 in the last coordinate: 4 > 1 + 1.
+    # break the triangle is 0-1-2 in the last coordinate: 4 > 1 + 1.  It is
+    # the twelfth, residue triples (0, 0, 0) and (0, 2, 1).
     def squared(a, b):
         return lee_sum(a, b) ** 2
 
     report = verify_metric(EXHAUSTIVE, distance_fn=squared)
     assert not report.passed and report.exhaustive
-    assert report.triples_checked == 25 ** 3
+    assert report.triples_checked == 12
     assert report.counterexample == ("triangle", (0, 0), (0, 2), (0, 1))
 
 

@@ -195,6 +195,36 @@ def test_a_cold_oracle_suite_builds_each_ideal_once(monkeypatch):
     assert built[0] == 11 and sum(built) > 11
 
 
+def test_all_ideals_after_every_level_builds_each_ideal_once(monkeypatch):
+    # Each cardinality's ideals are asked for first, then all of them: the
+    # full list is the held levels' own ideals, merged by count vector.
+    expected = all_ideals(fresh_order(VSHAPE))
+    built = []
+    inner = pomset_module._ideals_weighing
+
+    def counted(p, sizes, lo, hi):
+        out = inner(p, sizes, lo, hi)
+        built.extend(out)
+        return out
+
+    monkeypatch.setattr(pomset_module, "_ideals_weighing", counted)
+    p = fresh_order(VSHAPE)
+    levels = [enumerate_ideals(p, r) for r in range(p.ground_size * p.height + 1)]
+    every = all_ideals(p)
+    assert len(built) == len(every) == 11
+    assert sorted(map(id, every)) == sorted(map(id, itertools.chain(*levels)))
+    assert every == expected
+    assert all_ideals(p) == every and len(built) == 11
+    # With room for 10, some level is not held, so the list is built.
+    monkeypatch.setattr(pomset_module, "IDEAL_TABLE_LIMIT", 10)
+    built.clear()
+    p = fresh_order(VSHAPE)
+    for r in range(p.ground_size * p.height + 1):
+        enumerate_ideals(p, r)
+    assert all_ideals(p) == expected
+    assert len(built) > 11
+
+
 def test_ideal_complement():
     chain = Pomset.chain(2, 2)
     comp = ideal_complement(chain, Ideal(chain, (2, 0)))
