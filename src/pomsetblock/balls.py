@@ -45,8 +45,14 @@ def lee_ball_size(m: int, a: int) -> int:
 
 @functools.cache
 def lee_ball_residues(m: int, a: int) -> tuple[int, ...]:
-    """Residues mod m with Lee weight at most a, ascending; one tuple per (m, a)."""
-    return tuple(x for x in range(m) if min(x, m - x) <= a)
+    """Residues mod m with Lee weight at most a, ascending; one tuple per (m, a).
+
+    They are 0..a and m-a..m-1, all of Z_m once 2a+1 >= m, so the tuple
+    costs its own size, not m.
+    """
+    if 2 * a + 1 >= m:
+        return tuple(range(m))
+    return (*range(a + 1), *range(m - a, m))
 
 
 def _counts_of(space: Space, i) -> tuple[int, ...]:

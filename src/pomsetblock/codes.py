@@ -26,8 +26,8 @@ generating set until it spans them (see `Code._form`).  The dual's Howell
 rows are taken once per code, as `Code._dual_form`, and the dual, the
 coset census and parity-block dependence all read them.  Words the library
 built itself, a listed span or words `Code.from_codewords` has just
-checked, go into `Code._trusted` as they are; `Code(space, words)` checks
-what a caller gives it.
+reduced, go into `Code._trusted` as they are; `Code(space, words)` checks
+what a caller gives it, by the word contract of `space`.
 """
 
 from __future__ import annotations
@@ -51,15 +51,7 @@ from .balls import (
     lee_ball_size,
 )
 from .pomset import Ideal, enumerate_ideals, enumerate_root_downsets
-from .space import (
-    Space,
-    Vector,
-    _check_lengths,
-    _check_radius,
-    _check_space,
-    _check_words,
-    _inexact,
-)
+from .space import Space, Vector, _check_radius, _check_space, _check_words, _reduce_words
 
 
 class UndefinedDistanceError(ValueError):
@@ -108,12 +100,7 @@ class Code:
     @classmethod
     def from_codewords(cls, space: Space, coord_lists) -> "Code":
         """The code of the given words, reducing signed integers mod m."""
-        m = space.m
-        words = list(map(tuple, coord_lists))
-        # Words of residues as exact ints are already what the checks want.
-        if _inexact(words) or set(itertools.chain.from_iterable(words)) - set(range(m)):
-            words = [tuple(operator.index(x) % m for x in w) for w in words]
-        _check_lengths(space, words)
+        words = _reduce_words(space, coord_lists)
         if not words:
             raise ValueError("a code must contain at least one codeword")
         return cls._trusted(space, tuple(sorted(set(words))))
@@ -162,7 +149,10 @@ class Code:
         For the code's Howell rows H, the rows of [H^T | I_n] span the pairs
         (H*v, v).  By the Howell property the form's rows zero on the left
         span the pairs with H*v = 0, and their right parts are the dual's.
+        A code that is no submodule has no such rows: a ValueError.
         """
+        if not self.is_linear:
+            raise ValueError("dual code requires a linear (submodule) code")
         n, m = self.space.n, self.space.m
         h = self._form
         k = len(h)
@@ -291,9 +281,8 @@ def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
     The span is listed from the rows' Howell form, so the budget counts its
     codewords; the form is kept as the code's own.
     """
-    m = space.m
-    norm = tuple(_check_words(space, [[operator.index(x) % m for x in row] for row in rows]))
-    form = _howell(norm, space.n, m)
+    norm = tuple(_reduce_words(space, rows))
+    form = _howell(norm, space.n, space.m)
     return _budgeted_code(space, form, budget, "span", generator=norm, form=form)
 
 
@@ -321,13 +310,6 @@ def min_distance(c: Code) -> int:
     ))
 
 
-def _dual_generators(c: Code) -> list[tuple[int, ...]]:
-    """Howell rows of the annihilator of a linear code, taken once per code."""
-    if not c.is_linear:
-        raise ValueError("dual code requires a linear (submodule) code")
-    return c._dual_form
-
-
 def dual_code(c: Code, budget: int = DEFAULT_BUDGET) -> Code:
     """Annihilator { v : v . c = 0 mod m for all c }, from its Howell rows.
 
@@ -335,7 +317,7 @@ def dual_code(c: Code, budget: int = DEFAULT_BUDGET) -> Code:
     records its Howell rows as generator and as form, so its own dual takes
     one Howell form of n rows.
     """
-    rows = _dual_generators(c)
+    rows = c._dual_form
     return _budgeted_code(c.space, rows, budget, "dual", generator=tuple(rows), form=rows)
 
 
@@ -387,7 +369,7 @@ def _coset_census(c: Code, kinds, steps, require_cover: bool) -> CheckResult | N
     sp = c.space
     m, n = sp.m, sp.n
     # A zero row keeps one lane when C is the whole space.
-    rows = _dual_generators(c) or [(0,) * n]
+    rows = c._dual_form or [(0,) * n]
     if m > 128 or len(rows) > 8:
         return None
     cols = [[h[t] for h in rows] for t in range(n)]
@@ -677,9 +659,9 @@ def construct_I_perfect(
             raise ValueError(
                 f"f must map every outside tuple to {in_dim} inside coordinates"
             )
-        ins, outs = (operator.index(x) % m for x in w), iter(v)
+        ins, outs = iter(w), iter(v)
         words.append(tuple(next(ins) if x else next(outs) for x in inside))
-    code = Code(space, words)
+    code = Code.from_codewords(space, words)
     result = check_I_perfect(code, i, budget)
     if not result.ok:
         raise InternalInconsistencyError(
@@ -704,7 +686,7 @@ def block_dependency_witnesses(c: Code) -> tuple[int, list[frozenset[int]]]:
     if c.size < 2:
         raise ValueError("the zero code has no dependent block set")
     m = sp.m
-    h = _dual_generators(c)
+    h = c._dual_form
 
     def dependent(down: frozenset[int]) -> bool:
         cols = [t for i in sorted(down) for t in range(*sp.block_bounds[i - 1])]

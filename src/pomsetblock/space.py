@@ -3,11 +3,17 @@
 Coordinates are grouped into one block per ordered ground-set element; a
 block weighs as the maximum Lee weight of its coordinates, and the weight
 of a vector is the cardinality of the order ideal generated by its block
-support.  All values are immutable but for two lazy caches per space,
-neither of which enters equality, hashing or repr: `Space._ball_table`, the
-per-block I-ball factors the closed forms of `balls` multiply, and
-`Space._rball_levels`, the radius-ball sizes `balls.r_ball_cardinality` has
-worked out so far.
+support.  All values are immutable but for three lazy caches per space,
+none of which enters equality, hashing or repr: `Space._ball_table`, the
+per-block I-ball factors the closed forms of `balls` multiply,
+`Space._lee`, the Lee weight of each residue for the column kernel
+`Space.words_weight_counts`, and `Space._rball_levels`, the radius-ball
+sizes `balls.r_ball_cardinality` has worked out so far.
+
+Codewords, generator rows and vectors all enter by one word contract:
+after the first wrong length, `_check_words` refuses a coordinate outside
+0..m-1 and `_reduce_words` takes it mod m; both find it from the extremes
+of the coordinates, so they cost what the words cost, whatever m is.
 """
 
 from __future__ import annotations
@@ -92,6 +98,12 @@ class Space:
         return tuple(tuple(b ** k for b in sizes) for k in self.labeling)
 
     @cached_property
+    def _lee(self) -> list[int]:
+        """Lee weight of each residue, the column kernel's lookup table."""
+        m = self.m
+        return [min(x, m - x) for x in range(m)]
+
+    @cached_property
     def _rball_levels(self) -> list[int]:
         """Radius-ball sizes by radius, grown by `r_ball_cardinality` as far as asked."""
         return [1]
@@ -106,8 +118,7 @@ class Space:
 
     def vector(self, coords) -> "Vector":
         """Wrap coordinates, reducing signed integers mod m."""
-        reduced = tuple(operator.index(x) % self.m for x in coords)
-        return Vector(self, reduced)
+        return Vector(self, _reduce_words(self, [coords])[0])
 
     def zero(self) -> "Vector":
         return Vector(self, (0,) * self.n)
@@ -145,8 +156,7 @@ class Space:
         `map` per coordinate, and the closure is worked out once per
         distinct block-weight tuple, so no Python call is made per word.
         """
-        m = self.m
-        lee = [min(x, m - x) for x in range(m)]
+        lee = self._lee
         cols = list(zip(*words)) or [()] * self.n
         blocks = []
         for lo, hi in self.block_bounds:
@@ -192,34 +202,45 @@ class Vector:
 
 
 def _check_words(space: Space, words) -> list[tuple[int, ...]]:
-    """Integer tuples of the words, each n residues reduced mod m.
+    """Integer tuples of the words, each n residues already reduced mod m.
 
-    The first word of the wrong length is reported before any coordinate
-    outside 0..m-1; both are ShapeErrors.  Words are rebuilt through
-    `operator.index` only when one is not a tuple or holds anything but an
-    exact int, so tuples of ints come back as they are.
+    The strict half of the word contract: after the first word of the wrong
+    length, a coordinate outside 0..m-1 is a ShapeError.
     """
-    words = list(words)
-    if set(map(type, words)).difference((tuple,)) or _inexact(words):
-        words = [tuple(map(operator.index, w)) for w in words]
-    _check_lengths(space, words)
-    stray = set(itertools.chain.from_iterable(words)).difference(range(space.m))
-    if stray:
-        x = next(x for w in words for x in w if x in stray)
+    words = _int_words(space, words)
+    x = _stray(words, space.m)
+    if x is not None:
         raise ShapeError(f"coordinate {x} not reduced mod {space.m}")
     return words
 
 
-def _check_lengths(space: Space, words) -> None:
-    """The first word not of n coordinates is a ShapeError."""
+def _reduce_words(space: Space, words) -> list[tuple[int, ...]]:
+    """The lenient half of the word contract: stray coordinates are taken mod m."""
+    words = _int_words(space, words)
+    if _stray(words, space.m) is None:
+        return words
+    return [tuple(x % space.m for x in w) for w in words]
+
+
+def _int_words(space: Space, words) -> list[tuple[int, ...]]:
+    """The words as tuples of n exact ints, rebuilt through `operator.index`
+    only if one is not; the first wrong length is a ShapeError."""
+    words = list(words)
+    coords = itertools.chain.from_iterable(words)
+    if set(map(type, words)).difference((tuple,)) or set(map(type, coords)).difference((int,)):
+        words = [tuple(map(operator.index, w)) for w in words]
     if set(map(len, words)).difference((space.n,)):
         w = next(w for w in words if len(w) != space.n)
         raise ShapeError(f"expected {space.n} coordinates, got {len(w)}")
+    return words
 
 
-def _inexact(words) -> bool:
-    """True iff some coordinate of the words is not an exact int."""
-    return bool(set(map(type, itertools.chain.from_iterable(words))).difference((int,)))
+def _stray(words, m: int) -> int | None:
+    """The first coordinate outside 0..m-1, or None; the extremes settle the
+    common case, so the cost is linear in the words whatever m is."""
+    if not words or (min(map(min, words)) >= 0 and max(map(max, words)) < m):
+        return None
+    return next(x for w in words for x in w if not 0 <= x < m)
 
 
 def _check_space(u, v) -> None:

@@ -296,3 +296,11 @@ def test_box_translates_overlap_but_never_tile():
                     }
                     assert shifted & box
                     assert shifted != box
+
+
+def test_lee_ball_residues_match_the_definition():
+    for m in range(2, 14):
+        for a in range(m + 1):
+            assert lee_ball_residues(m, a) == tuple(
+                x for x in range(m) if min(x, m - x) <= a
+            )

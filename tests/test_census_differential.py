@@ -179,7 +179,7 @@ def watched_census(code, boxes, cover):
 
 def keyed_by_cosets(code):
     """True iff a syndrome fits the coset pass's word: m <= 128, <= 8 dual rows."""
-    rows = [h for h in codes._dual_generators(code) if any(h)]
+    rows = [h for h in code._dual_form if any(h)]
     return code.space.m <= 128 and len(rows) <= 8
 
 

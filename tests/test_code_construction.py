@@ -272,7 +272,7 @@ def test_a_spanned_code_takes_one_howell_form_and_one_dual_form(monkeypatch):
     assert (dual.size, result.ok) == (625, True)
     assert answers and answers[0] is not None
     assert calls == [2, 6]
-    assert dual.generator == tuple(codes._dual_generators(code))
+    assert dual.generator == tuple(code._dual_form)
 
 
 @st.composite

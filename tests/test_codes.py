@@ -158,6 +158,14 @@ def test_dual_code():
         dual_code(load_fixture("iperfect_z9_mds").code)
 
 
+def test_a_non_linear_code_has_no_dual_form():
+    code = Code(make_space(5, [(1, 2)], (1, 1)), [(0, 0), (1, 0)])
+    for read in (lambda: code._dual_form, lambda: dual_code(code),
+                 lambda: block_dependency_witnesses(code)):
+        with pytest.raises(ValueError, match=r"^dual code requires a linear \(submodule\) code$"):
+            read()
+
+
 def test_dual_size_product_for_prime_modulus():
     rng = random.Random(4)
     # The product holds over composite moduli too.

@@ -2,8 +2,8 @@
 dependence, the radius-ball lister and the ball-code intersection count in
 `codes`, each against a brute-force reference over Z_m for m in 2..12,
 composite moduli included; and of the columnar builders and checks behind
-them (`_lex_span`, `Space.words_weight_counts`, `_check_words`) against
-row-wise references.
+them (`_lex_span`, `Space.words_weight_counts`, the word contract's
+`_check_words` and `_reduce_words`) against row-wise references.
 
 Hypothesis runs derandomized, without an example database and with a
 bounded number of examples, so the suite stays deterministic and quick.
@@ -45,7 +45,7 @@ from pomsetblock.codes import (
 )
 from pomsetblock.mset import Mset, ShapeError
 from pomsetblock.pomset import Ideal, Pomset, all_ideals, enumerate_ideals
-from pomsetblock.space import Space, _check_words, distance
+from pomsetblock.space import Space, Vector, _check_words, _reduce_words, distance
 
 
 def bounded(max_examples):
@@ -327,7 +327,7 @@ def test_lex_span_matches_the_row_wise_builder(case, dual):
     n, m = space.n, space.m
     form = _howell(rows, n, m)
     if dual:
-        form = codes._dual_generators(span_generator(space, rows))
+        form = span_generator(space, rows)._dual_form
     words = _lex_span(form, n, m)
     expected = row_wise_lex_span(form, n, m)
     assert words == expected
@@ -447,3 +447,73 @@ def test_check_words_returns_tuples_of_ints_as_they_are():
     space = Space(5, Pomset.from_relations(2, 2, []), (1, 1))
     word = (1, 2)
     assert _check_words(space, [word])[0] is word
+    assert _reduce_words(space, [word])[0] is word
+
+
+def reference_reduce_words(space, words):
+    """Every word rebuilt through `operator.index`, its length checked, then
+    each coordinate taken mod m."""
+    words = [tuple(map(operator.index, w)) for w in words]
+    for w in words:
+        if len(w) != space.n:
+            raise ShapeError(f"expected {space.n} coordinates, got {len(w)}")
+    return [tuple(x % space.m for x in w) for w in words]
+
+
+@st.composite
+def wide_words(draw):
+    """Raw words over a small modulus or one up to 2^70, with negative,
+    unreduced and past-2^64 ints, as tuples or lists; in some cases also
+    bools, floats and strings, or words of the wrong length."""
+    m = draw(st.one_of(st.integers(2, 12), st.integers(2, 2 ** 70)))
+    n = draw(st.integers(1, 4))
+    space = Space(m, Pomset.from_relations(n, m // 2, []), (1,) * n)
+    coordinate = st.one_of(
+        st.integers(0, m - 1),
+        st.integers(0, m - 1),
+        st.integers(0, m - 1),
+        st.integers(-2 * m, -1),
+        st.integers(m, 3 * m),
+        st.integers(2 ** 64, 2 ** 80),
+        st.integers(-(2 ** 80), -(2 ** 64)),
+    )
+    if draw(st.booleans()):
+        coordinate |= st.sampled_from((False, True, 0.0, 1.5, "1"))
+    sizes = (n - 1, n, n + 1) if draw(st.booleans()) else (n,)
+    coords = st.sampled_from(sizes).flatmap(lambda k: st.lists(coordinate, min_size=k, max_size=k))
+    word = st.tuples(st.sampled_from((tuple, list)), coords)
+    words = draw(st.lists(word, max_size=6))
+    return space, [kind(coords) for kind, coords in words]
+
+
+@bounded(400)
+@given(wide_words())
+def test_the_word_contract_matches_the_per_coordinate_reference(case):
+    space, words = case
+    assert outcome(_check_words, space, words) == outcome(reference_check_words, space, words)
+    assert outcome(_reduce_words, space, words) == outcome(reference_reduce_words, space, words)
+
+
+@bounded(300)
+@given(wide_words())
+def test_every_entry_point_takes_words_by_the_contract(case):
+    space, words = case
+
+    def each(fn):
+        return lambda sp, ws: [fn(sp, [w])[0] for w in ws]
+
+    def distinct(fn):
+        return lambda sp, ws: sorted(set(fn(sp, ws)))
+
+    assert (outcome(lambda sp, ws: [sp.vector(w).coords for w in ws], space, words)
+            == outcome(each(reference_reduce_words), space, words))
+    assert (outcome(lambda sp, ws: [Vector(sp, w).coords for w in ws], space, words)
+            == outcome(each(reference_check_words), space, words))
+    if space.m <= 12:
+        assert (outcome(lambda sp, ws: list(span_generator(sp, ws).generator), space, words)
+                == outcome(reference_reduce_words, space, words))
+    if words:
+        assert (outcome(lambda sp, ws: list(Code.from_codewords(sp, ws).codewords), space, words)
+                == outcome(distinct(reference_reduce_words), space, words))
+        assert (outcome(lambda sp, ws: list(Code(sp, ws).codewords), space, words)
+                == outcome(distinct(reference_check_words), space, words))

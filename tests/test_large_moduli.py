@@ -4,22 +4,26 @@ Loading a spanned code (`codes._lex_span`) and the translate census
 (`codes._ball_census`) table shifts only over the residues that actually
 occur, so a large modulus costs memory in the code's size and the ball's,
 not m x m.  The differential tests compare both against the full-table
-versions they replaced, on random small spaces.
+versions they replaced, on random small spaces.  The word contract
+(`space._check_words`, `space._reduce_words`) and `balls.lee_ball_residues`
+cost what the words and residues they return cost, not m.
 """
 
 import itertools
 import math
 import operator
 import random
+import time
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
 from pomsetblock import codes
+from pomsetblock.balls import lee_ball_residues
 from pomsetblock.cli import problem_from_dict
 from pomsetblock.codes import Code, CheckResult, _ball_census, _howell, _lex_span, _span_size
 from pomsetblock.pomset import Ideal, Pomset
-from pomsetblock.space import Space
+from pomsetblock.space import Space, distance
 
 M = 4001
 PEAK_LIMIT = 8 * 2 ** 20  # A full m x m table at M holds 128 MiB of pointers alone.
@@ -52,6 +56,46 @@ def test_a_census_over_a_large_modulus_tables_only_held_residues():
     result, peak = traced_peak(lambda: codes.check_I_perfect(problem.code, ideal))
     assert result == CheckResult(False, (0, 2), "vector covered by no ball")
     assert peak < PEAK_LIMIT
+
+
+def line(m):
+    """One coordinate over Z_m."""
+    return Space(m, Pomset.from_relations(1, m // 2, []), (1,))
+
+
+def elapsed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
+def test_listed_words_over_a_large_modulus_load_in_little_memory():
+    # Testing residues against range(m) peaked at 67 MiB here.
+    space = line(10 ** 6)
+    code, peak = traced_peak(lambda: Code.from_codewords(space, [[0], [-1]]))
+    assert code.codewords == ((0,), (10 ** 6 - 1,))
+    assert peak < 2 ** 20
+
+
+def test_vectors_and_codes_over_a_huge_modulus_are_checked_in_time_linear_in_the_words():
+    # Testing residues against range(m) took about 1.7 s per call here.
+    m = 10 ** 8
+    space = line(m)
+    u, took = elapsed(lambda: space.vector([-3]))
+    assert u.coords == (m - 3,) and took < 0.1
+    code, took = elapsed(lambda: Code(space, [(0,), (m - 1,)]))
+    assert code.codewords == ((0,), (m - 1,)) and took < 0.1
+    d, took = elapsed(lambda: distance(u, space.vector([5])))
+    assert d == 8 and took < 0.1
+
+
+def test_lee_ball_residues_of_a_huge_modulus_cost_their_own_size():
+    # A cold call, past the cache; scanning every residue took 1.3 s.
+    residues, took = elapsed(lambda: lee_ball_residues.__wrapped__(10 ** 7, 1))
+    assert residues == (0, 1, 10 ** 7 - 1) and took < 0.01
+    m = 10 ** 12 + 39
+    assert lee_ball_residues(m, 0) == (0,)
+    assert lee_ball_residues(m, 3) == (0, 1, 2, 3, m - 3, m - 2, m - 1)
 
 
 def reference_lex_span(form, n, m):

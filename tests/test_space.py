@@ -150,3 +150,16 @@ def test_cross_space_operations_rejected():
         Vector(a, (5, 0))
     with pytest.raises(ShapeError):
         Vector(a, (0, 0, 0))
+
+
+def test_the_column_kernel_builds_one_lee_table_per_space():
+    sp = make_space(7, [(1, 2)], (2, 1))
+    words = [(0, 6, 3), (1, 2, 0)]
+    first = sp.words_weight_counts(words)
+    table = sp.__dict__["_lee"]
+    assert table == [min(x, 7 - x) for x in range(7)]
+    assert sp.words_weight_counts(words) == first
+    assert sp._lee is table
+    # The cache stays out of equality, hashing and repr.
+    fresh = make_space(7, [(1, 2)], (2, 1))
+    assert sp == fresh and hash(sp) == hash(fresh) and repr(sp) == repr(fresh)
