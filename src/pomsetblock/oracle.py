@@ -31,8 +31,8 @@ holding the unary codes 2^w - 1 of the Lee weights w of the five
 differences a triple checks and a flag for u_t != v_t.  The OR of unary
 codes is the unary code of their maximum, so ORing a triple's words, each
 block's shifted to its own field, gives every difference's block maxima at
-once, one key per difference, and the weight is looked up once per key in
-one memo.
+once.  One mask per block, read off the order relation, closes each
+difference's ideal inside its field, so each weight is one bit count.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ from .space import Space
 
 DEFAULT_TRIPLE_BUDGET = 10 ** 5
 DEFAULT_SAMPLES = 10 ** 5
-# Block-weight keys the metric check remembers; beyond them it recomputes,
-# so a wide space's memo stays a few MB.
-METRIC_MEMO_LIMIT = 1 << 13
 # Triples drawn, weighed and checked together, so a chunk's columns hold at
 # most n times this many entries.
 _METRIC_CHUNK = 1 << 10
@@ -96,32 +93,34 @@ def weight_census(
     vectors with block-weight tuple (w_1, ..., w_s) number the product of
     how many tuples of each block weigh w_t, its largest Lee weight
     min(x, m - x).  Each block-weight tuple's generated ideal is taken once,
-    so no vector is visited.  Per block the tuples are listed in
-    lexicographic order and their weights tallied in the order first met;
-    the product over blocks meets the block-weight tuples in the order of
-    their first vector (Knuth, TAOCP 4A 7.2.1.1), so both dicts are filled
-    in the order a vector-by-vector scan would fill them.  A space of more
-    than `budget` vectors is refused.
+    so no vector is visited: block t's weights are tallied as unary codes
+    in its field, the OR of one per block is closed by `_close_ideals`, and
+    each field's bit count is a count of the ideal.  Per block the tuples
+    are listed in lexicographic order and their weights tallied in the order
+    first met; the product over blocks meets the block-weight tuples in the
+    order of their first vector (Knuth, TAOCP 4A 7.2.1.1), so both dicts are
+    filled in the order a vector-by-vector scan would fill them.  A space of
+    more than `budget` vectors is refused.
     """
     if space.size > budget:
         raise BudgetExceededError(
             f"space of size {space.size} exceeds budget {budget}"
         )
-    m = space.m
+    m, h = space.m, space.height
     lee = [min(x, m - x) for x in range(m)].__getitem__
+    shifts = range(0, h * space.s, h)
     tallies = [
-        Counter(max(map(lee, x)) for x in itertools.product(range(m), repeat=k))
-        for k in space.labeling
+        Counter((1 << max(map(lee, x))) - 1 << lo
+                for x in itertools.product(range(m), repeat=k))
+        for k, lo in zip(space.labeling, shifts)
     ]
+    closed = _close_ideals(space, list(map(sum, itertools.product(*tallies))))
     sphere_counts: dict[int, int] = {}
     ideal_counts: dict[tuple[int, ...], int] = {}
-    for bw, counts in zip(
-        itertools.product(*tallies),
-        itertools.product(*(t.values() for t in tallies)),
-    ):
+    for word, counts in zip(closed, itertools.product(*(t.values() for t in tallies))):
         count = math.prod(counts)
-        key = space.pomset.closure_counts(bw)
-        w = sum(key)
+        key = tuple((word >> lo & (1 << h) - 1).bit_count() for lo in shifts)
+        w = word.bit_count()
         if w:
             sphere_counts[w] = sphere_counts.get(w, 0) + count
         ideal_counts[key] = ideal_counts.get(key, 0) + count
@@ -139,32 +138,6 @@ class MetricReport:
         return self.passed
 
 
-class _Weights(dict):
-    """Pomset block weights by unary block-maxima key, weighed on a miss.
-
-    A key holds each block's largest Lee weight w_b as the unary code
-    2^w_b - 1 in its own h bits, block b from bit b*h.  A key not held is
-    decoded, each field to its bit count, and weighed as the size of the
-    ideal those block weights generate.  The first `METRIC_MEMO_LIMIT` keys
-    met are kept.
-    """
-
-    def __init__(self, space: Space):
-        super().__init__()
-        h = space.height
-        self.shifts = range(0, h * space.s, h)
-        self.field = (1 << h) - 1
-        self.closure = space.pomset.closure_counts
-
-    def __missing__(self, key):
-        field = self.field
-        bw = tuple((key >> lo & field).bit_count() for lo in self.shifts)
-        weight = sum(self.closure(bw))
-        if len(self) < METRIC_MEMO_LIMIT:
-            self[key] = weight
-        return weight
-
-
 def _block_shifts(space: Space):
     """Each block's coordinate bounds and the shift, b*h, of its field."""
     h = space.height
@@ -175,8 +148,8 @@ def _fold_blocks(blocks, columns):
     """Per position, the OR of the columns within each block, each block's
     OR shifted up by its field's offset, and those ORed together.
 
-    Columns of unary Lee codes give the unary block-maxima keys `_Weights`
-    reads, since the OR of unary codes is the unary code of their maximum.
+    Columns of unary Lee codes give each block's maximum in unary, since
+    the OR of unary codes is the unary code of their maximum.
     """
     words = None
     for lo, hi, shift in blocks:
@@ -187,6 +160,28 @@ def _fold_blocks(blocks, columns):
             top = map(lshift, top, repeat(shift))
         words = top if words is None else map(or_, words, top)
     return words
+
+
+def _close_ideals(space: Space, words):
+    """The list `words`, each holding unary block maxima in up to five
+    fields of f = h*s bits, block b from bit b*h of a field, with each field
+    closed into the unary code of the ideal it generates.
+
+    Block b is present in field p exactly when bit p*f + b*h is set.  For
+    each block b with blocks strictly below it, those bits, times the
+    full-height codes of those blocks, are ORed in, every field at once.
+    The order is transitive, so each mask reads the words as given, and a
+    closed field's bit count is the size of its ideal.
+    """
+    h = space.height
+    lows = sum(1 << p * h * space.s for p in range(len(_PAIRS)))
+    closed = words
+    for b, lower in space.pomset.strictly_below.items():
+        if lower:
+            present = map(and_, map(rshift, words, repeat((b - 1) * h)), repeat(lows))
+            mask = sum(((1 << h) - 1) << (a - 1) * h for a in lower)
+            closed = map(or_, closed, map(mul, present, repeat(mask)))
+    return closed
 
 
 def _cell_words(space: Space) -> list[int]:
@@ -252,13 +247,13 @@ def verify_metric(
     order, which meets each vector triple once.  Coordinate t of a chunk is
     the column of every n-th index, and each index reads its `_cell_words`
     word.  ORed within each block, block b shifted up by b*h, and across
-    blocks, a triple's words hold from bit p*h*s the unary block-maxima key
-    of its p-th difference of u - v, u - u, v - u, u - w and w - v, weighed
-    through one `_Weights` memo, and above those a flag region that is zero
-    exactly when u = v.  Each triple checks d(u, u) = 0, d(u, v) = 0 iff
-    u = v, d(u, v) = d(v, u) and d(u, v) <= d(u, w) + d(w, v), in that
-    order; the first failure is reported with the number of triples checked
-    up to and including it.
+    blocks, a triple's words hold from bit p*h*s the unary block maxima of
+    its p-th difference of u - v, u - u, v - u, u - w and w - v, closed by
+    `_close_ideals` and weighed by bit count, and above those a flag region
+    that is zero exactly when u = v.  Each triple checks d(u, u) = 0,
+    d(u, v) = 0 iff u = v, d(u, v) = d(v, u) and d(u, v) <= d(u, w) +
+    d(w, v), in that order; the first failure is reported with the number
+    of triples checked up to and including it.
     The default distance is built from definitions alone, by the words
     above.  Another one, taking two coordinate tuples, can be injected to
     confirm the check has teeth; its triples are decoded from the drawn
@@ -270,7 +265,6 @@ def verify_metric(
     m, n = space.m, space.n
     exhaustive, count = metric_triples(space, triple_budget, samples)
     if distance_fn is None:
-        weigh = _Weights(space).__getitem__
         cell = _cell_words(space).__getitem__
         blocks = _block_shifts(space)
         f = space.height * space.s
@@ -278,9 +272,10 @@ def verify_metric(
 
         # Per triple of a chunk's draws, its five distances and whether u = v.
         def distances(draws):
-            words = list(_fold_blocks(blocks, [map(cell, draws[t::n]) for t in range(n)]))
+            folded = list(_fold_blocks(blocks, [map(cell, draws[t::n]) for t in range(n)]))
+            words = list(_close_ideals(space, folded))
             return [
-                *(map(weigh, map(and_, map(rshift, words, repeat(p * f)), repeat(mask)))
+                *(map(int.bit_count, map(and_, map(rshift, words, repeat(p * f)), repeat(mask)))
                   for p in range(len(_PAIRS))),
                 map(not_, map(rshift, words, repeat(len(_PAIRS) * f))),
             ]

@@ -6,9 +6,10 @@ of a vector is the cardinality of the order ideal generated by its block
 support.  All values are immutable but for three lazy caches per space,
 none of which enters equality, hashing or repr: `Space._ball_table`, the
 per-block I-ball factors the closed forms of `balls` multiply,
-`Space._lee`, the Lee weight of each residue for the column kernel
-`Space.words_weight_counts`, and `Space._rball_levels`, the radius-ball
-sizes `balls.r_ball_cardinality` has worked out so far.
+`Space._lee`, the Lee weight of each residue read so far by
+`Space.block_weights` and the column kernel `Space.words_weight_counts`,
+and `Space._rball_levels`, the radius-ball sizes
+`balls.r_ball_cardinality` has worked out so far.
 
 Codewords, generator rows and vectors all enter by one word contract:
 after the first wrong length, `_check_words` refuses a coordinate outside
@@ -98,10 +99,9 @@ class Space:
         return tuple(tuple(b ** k for b in sizes) for k in self.labeling)
 
     @cached_property
-    def _lee(self) -> list[int]:
-        """Lee weight of each residue, the column kernel's lookup table."""
-        m = self.m
-        return [min(x, m - x) for x in range(m)]
+    def _lee(self) -> "_LeeTable":
+        """Lee weight by residue, each worked out the first time it is read."""
+        return _LeeTable(self.m)
 
     @cached_property
     def _rball_levels(self) -> list[int]:
@@ -129,17 +129,8 @@ class Space:
 
     def block_weights(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Per-block maximum Lee weight of a raw coordinate tuple."""
-        m = self.m
-        out = []
-        for lo, hi in self.block_bounds:
-            w = 0
-            for t in range(lo, hi):
-                x = coords[t]
-                lw = x if x + x <= m else m - x
-                if lw > w:
-                    w = lw
-            out.append(w)
-        return tuple(out)
+        lee = self._lee.__getitem__
+        return tuple(max(map(lee, coords[lo:hi])) for lo, hi in self.block_bounds)
 
     def weight_counts(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Counts of the ideal generated by the block support."""
@@ -169,6 +160,19 @@ class Space:
         for bw in closures:
             closures[bw] = self.pomset.closure_counts(bw)
         return list(map(closures.__getitem__, keys))
+
+
+class _LeeTable(dict):
+    """Lee weights min(x, m - x) of the residues x read so far, so a table
+    over a huge modulus holds only the residues its words hold."""
+
+    def __init__(self, m: int):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, x: int) -> int:
+        weight = self[x] = min(x, self.m - x)
+        return weight
 
 
 @dataclass(frozen=True)

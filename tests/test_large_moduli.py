@@ -5,8 +5,9 @@ Loading a spanned code (`codes._lex_span`) and the translate census
 occur, so a large modulus costs memory in the code's size and the ball's,
 not m x m.  The differential tests compare both against the full-table
 versions they replaced, on random small spaces.  The word contract
-(`space._check_words`, `space._reduce_words`) and `balls.lee_ball_residues`
-cost what the words and residues they return cost, not m.
+(`space._check_words`, `space._reduce_words`), `balls.lee_ball_residues`
+and the Lee table `Space._lee` cost what the words and residues they
+return or read cost, not m.
 """
 
 import itertools
@@ -87,6 +88,20 @@ def test_vectors_and_codes_over_a_huge_modulus_are_checked_in_time_linear_in_the
     assert code.codewords == ((0,), (m - 1,)) and took < 0.1
     d, took = elapsed(lambda: distance(u, space.vector([5])))
     assert d == 8 and took < 0.1
+
+
+def test_the_lee_table_of_a_huge_modulus_holds_only_the_residues_read():
+    # A table of every residue took 10^8 entries and ran out of memory.
+    m = 10 ** 8
+    space = line(m)
+    code = Code(space, [(0,), (1,)])
+    (facts, weight), peak = traced_peak(
+        lambda: (codes.singleton_facts(code), space.coords_weight((m - 3,))))
+    assert facts == (1, 0, 0, 0) and weight == 3
+    assert peak < 2 ** 20
+    table = space.__dict__["_lee"]
+    assert m - 3 in table and len(table) <= 3
+    assert all(w == min(x, m - x) for x, w in table.items())
 
 
 def test_lee_ball_residues_of_a_huge_modulus_cost_their_own_size():

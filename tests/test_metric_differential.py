@@ -1,4 +1,4 @@
-"""Differential tests of the oracle's block-weight memo against the vector
+"""Differential tests of the oracle's ideal-closing masks against the vector
 distance of `space`, of the columnar sampled metric check against the
 per-triple loop it replaced, and of the exhaustive check against the
 pair-table loop it replaced, on random orders and block dimensions.
@@ -66,13 +66,14 @@ def vector_distances(space, pairs):
 def kernel(space):
     """The pomset block weight of differences given by Lee columns: each
     Lee weight w as its unary code 2^w - 1, folded per block by
-    `_fold_blocks`, and each key weighed through one `_Weights` memo."""
-    weigh = oracle._Weights(space).__getitem__
+    `_fold_blocks`, closed by the masks of `_close_ideals` and weighed by
+    its bit count."""
     blocks = oracle._block_shifts(space)
 
     def weights(columns):
         unary = [[(1 << w) - 1 for w in column] for column in columns]
-        return map(weigh, oracle._fold_blocks(blocks, unary))
+        return map(int.bit_count,
+                   oracle._close_ideals(space, list(oracle._fold_blocks(blocks, unary))))
 
     return weights
 
@@ -84,58 +85,38 @@ def test_kernel_matches_the_vector_distance(space, seed):
     pairs = random_pairs(space, seed, 40)
     expected = vector_distances(space, pairs)
     assert list(weights(lee_columns(space, pairs))) == expected
-    # Asked again, the answers come from the memo.
+    # Asked again, the answers are the same.
     assert list(weights(lee_columns(space, pairs))) == expected
 
 
-def test_kernel_past_its_memo_limit_still_weighs(monkeypatch):
-    # 24 unit blocks over Z_5 have 3^24 block-weight keys; with room for
-    # two, nearly every pair is weighed afresh.
-    monkeypatch.setattr(oracle, "METRIC_MEMO_LIMIT", 2)
+def test_kernel_weighs_24_unit_blocks():
+    # 24 unit blocks over Z_5 have 3^24 block-weight profiles, nearly every
+    # pair its own.
     space = Space(5, random_pomset(random.Random(7), 24, 2, 0.1), (1,) * 24)
     pairs = random_pairs(space, 11, 300) * 2
     assert list(kernel(space)(lee_columns(space, pairs))) == vector_distances(space, pairs)
 
 
-@pytest.mark.parametrize("limit, labeling", [
-    pytest.param(2, (3, 2, 3, 1), id="2"),
-    pytest.param(oracle.METRIC_MEMO_LIMIT, (3, 2, 3, 1), id=str(oracle.METRIC_MEMO_LIMIT)),
-    pytest.param(2, (3, 3, 3, 3), id="2-four-blocks-of-3"),
+@pytest.mark.parametrize("labeling", [
+    pytest.param((3, 2, 3, 1), id="3-2-3-1"),
+    pytest.param((3, 3, 3, 3), id="3-3-3-3"),
 ])
-def test_kernel_weighs_lee_tuples_by_their_block_maxima(monkeypatch, limit, labeling):
+def test_kernel_weighs_lee_tuples_by_their_block_maxima(labeling):
     # Blocks of up to 3 coordinates over Z_7: many Lee-weight tuples share
-    # their block maxima, and each must weigh as its maxima do, with room
-    # for two keys or the default.  The ideal is generated once for each
-    # block-maxima key the memo keeps, which are the first `limit` met.
-    monkeypatch.setattr(oracle, "METRIC_MEMO_LIMIT", limit)
+    # their block maxima, and each must weigh as its maxima do.
     space = Space(7, random_pomset(random.Random(5), 4, 3, 0.5), labeling)
     pairs = random_pairs(space, 13, 400) * 2
     expected = vector_distances(space, pairs)
     columns = lee_columns(space, pairs)
-    generated = []
-    closure = Pomset.closure_counts
-
-    def counted(pomset, bw):
-        generated.append(bw)
-        return closure(pomset, bw)
-
-    monkeypatch.setattr(Pomset, "closure_counts", counted)
     found = list(kernel(space)(columns))
     assert found == expected
-    weights, lee_tuples, met = {}, {}, []
+    weights, lee_tuples = {}, {}
     for lee, w in zip(zip(*columns), found):
         maxima = tuple(max(lee[lo:hi]) for lo, hi in space.block_bounds)
         weights.setdefault(maxima, set()).add(w)
         lee_tuples.setdefault(maxima, set()).add(lee)
-        met.append(maxima)
     assert all(len(ws) == 1 for ws in weights.values())
     assert max(map(len, lee_tuples.values())) > 1
-    # Kept keys are weighed once; any other key each time it is met.
-    kept = list(weights)[:limit]
-    assert all(generated.count(maxima) == 1 for maxima in kept)
-    assert sorted(generated) == sorted(
-        [*kept, *(maxima for maxima in met if maxima not in kept)]
-    )
 
 
 @bounded(40)
@@ -207,16 +188,13 @@ def distances(space):
     spaces(),
     SEEDS,
     st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)),
-    st.sampled_from((2, oracle.METRIC_MEMO_LIMIT)),
 )
-def test_columnar_sample_matches_the_per_triple_reference(name, space, seed,
-                                                          samples, limit):
+def test_columnar_sample_matches_the_per_triple_reference(name, space, seed, samples):
     table = distances(space)
     reference = reference_sampled_metric(space, seed, samples,
                                          table["weight" if name == "default" else name])
-    with mock.patch.object(oracle, "METRIC_MEMO_LIMIT", limit):
-        report = verify_metric(space, 0, seed=seed, samples=samples,
-                               distance_fn=None if name == "default" else table[name])
+    report = verify_metric(space, 0, seed=seed, samples=samples,
+                           distance_fn=None if name == "default" else table[name])
     assert report == reference
 
 
@@ -263,16 +241,18 @@ def test_cell_words_hold_each_difference_in_unary(m):
     (2, (1, 2, 1)), (5, (1, 1, 2, 1)), (7, (2, 1, 3)), (12, (1, 2)), (9, (1,) * 5),
 ])
 def test_weights_decode_every_unary_profile(m, labeling):
+    # Every profile of block maxima, in unary and closed by the masks, has
+    # the bit count of the ideal the library generates from it.
     s = len(labeling)
     space = Space(m, random_pomset(random.Random(m + s), s, m // 2, 0.4), labeling)
     h = space.height
-    weights = oracle._Weights(space)
-    for profile in itertools.product(range(h + 1), repeat=s):
-        key = sum(((1 << w) - 1) << b * h for b, w in enumerate(profile))
-        expected = sum(space.pomset.closure_counts(profile))
-        assert weights[key] == expected
-        # Asked again, a kept key is answered from the memo.
-        assert weights[key] == expected
+    profiles = list(itertools.product(range(h + 1), repeat=s))
+    keys = [sum(((1 << w) - 1) << b * h for b, w in enumerate(profile))
+            for profile in profiles]
+    closed = list(oracle._close_ideals(space, keys))
+    assert len(closed) == len(profiles)
+    for profile, word in zip(profiles, closed):
+        assert word.bit_count() == sum(space.pomset.closure_counts(profile))
 
 
 WIDE_SPACES = {
@@ -283,20 +263,42 @@ WIDE_SPACES = {
 }
 
 
-@pytest.mark.parametrize("limit", [2, oracle.METRIC_MEMO_LIMIT])
 @pytest.mark.parametrize("name", ["default", "rarely-zero"])
 @pytest.mark.parametrize("space_id", list(WIDE_SPACES))
-def test_words_past_64_bits_match_the_per_triple_reference(space_id, name, limit):
+def test_words_past_64_bits_match_the_per_triple_reference(space_id, name):
     space = WIDE_SPACES[space_id]
     table = distances(space)
     samples = CHUNK + 3
     reference = reference_sampled_metric(space, 29, samples,
                                          table["weight" if name == "default" else name])
-    with mock.patch.object(oracle, "METRIC_MEMO_LIMIT", limit):
-        report = verify_metric(space, 0, seed=29, samples=samples,
-                               distance_fn=None if name == "default" else table[name])
+    report = verify_metric(space, 0, seed=29, samples=samples,
+                           distance_fn=None if name == "default" else table[name])
     assert report == reference
     assert report.passed
+
+
+@pytest.mark.parametrize("space", [
+    pytest.param(Space(7, Pomset.chain(3, 3), (2, 1, 3)), id="z7-chain"),
+    pytest.param(Space(6, random_pomset(random.Random(41), 4, 3, 0.5), (1, 2, 1, 2)),
+                 id="z6-random-order"),
+    pytest.param(WIDE_SPACES["z5-24-unit-blocks"], id="z5-24-unit-blocks"),
+    pytest.param(Space(3, Pomset.chain(2, 1), (1, 2)), id="z3-chain-every-triple"),
+])
+def test_the_default_distance_generates_no_ideal_through_the_library(space):
+    # The oracle closes ideals by its own masks, read off the order
+    # relation, so the check passes with the library's closure broken, and
+    # reports as the library's coordinate weight does.  Z_3^3 has few
+    # enough triples to check them all.
+    samples = 2 * CHUNK + 3
+
+    def broken(pomset, weights):
+        raise AssertionError("closure_counts called")
+
+    with mock.patch.object(Pomset, "closure_counts", broken):
+        report = verify_metric(space, seed=43, samples=samples)
+    assert report == MetricReport(True, *oracle.metric_triples(space, samples=samples))
+    assert report == verify_metric(space, seed=43, samples=samples,
+                                   distance_fn=distances(space)["weight"])
 
 
 @st.composite

@@ -637,6 +637,24 @@ def test_census_matches_a_vector_by_vector_scan(space):
     assert report.total == space.size
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(small_spaces(3000))
+def test_the_census_generates_no_ideal_through_the_library(space):
+    # The census closes each block-weight tuple's ideal by the oracle's own
+    # masks, so it is the same census with the library's closure broken.
+    expected = weight_census(space)
+
+    def broken(pomset, weights):
+        raise AssertionError("closure_counts called")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Pomset, "closure_counts", broken)
+        report = weight_census(space)
+    assert list(report.sphere_counts.items()) == list(expected.sphere_counts.items())
+    assert (list(report.ideal_sphere_counts.items())
+            == list(expected.ideal_sphere_counts.items()))
+
+
 def reference_full_count_checks(space, lister, complement):
     """Per-ideal reference for the submodule and duality outcomes.
 

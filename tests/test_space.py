@@ -157,9 +157,12 @@ def test_the_column_kernel_builds_one_lee_table_per_space():
     words = [(0, 6, 3), (1, 2, 0)]
     first = sp.words_weight_counts(words)
     table = sp.__dict__["_lee"]
-    assert table == [min(x, 7 - x) for x in range(7)]
+    # The table holds the Lee weight of each residue read, and no other.
+    assert table == {x: min(x, 7 - x) for x in (0, 1, 2, 3, 6)}
     assert sp.words_weight_counts(words) == first
     assert sp._lee is table
+    assert sp.block_weights((4, 4, 5)) == (3, 2)
+    assert table == {x: min(x, 7 - x) for x in range(7)}
     # The cache stays out of equality, hashing and repr.
     fresh = make_space(7, [(1, 2)], (2, 1))
     assert sp == fresh and hash(sp) == hash(fresh) and repr(sp) == repr(fresh)
