@@ -448,6 +448,12 @@ def cmd_oracle(problem, args, rep) -> int:
             raise BudgetExceededError(
                 f"metric check of {triples} triples exceeds budget {args.budget}"
             )
+        cells = sp.m ** 3
+        if cells > args.budget:
+            raise BudgetExceededError(
+                f"metric check's table of m^3 = {cells} residue-triple words "
+                f"exceeds budget {args.budget}"
+            )
         report = oracle.verify_metric(sp, seed=args.seed)
         rep.say(
             ("exhaustive" if report.exhaustive else "sampled")

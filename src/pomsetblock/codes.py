@@ -20,14 +20,15 @@ order, n column lists zipped into words at the end, and minimum distance,
 weight distribution and root-set sizes all weigh the words through one
 column kernel, `Space.words_weight_counts`.
 
-Each code is built once, from one Howell form, kept as its `_form`: a span
-keeps the form it was spanned from, and a code given by its words grows a
-generating set until it spans them (see `Code._form`).  The dual's Howell
-rows are taken once per code, as `Code._dual_form`, and the dual, the
-coset census and parity-block dependence all read them.  Words the library
+Each code is built once, from one Howell form, kept as its `_form`, the one
+witness of its linearity: a span keeps the form it was spanned from, and a
+code given by its words grows a generating set until it spans them (see
+`Code._form`).  The dual's Howell rows are taken once per code, as
+`Code._dual_form`, and the dual, the coset census and parity-block
+dependence all read them.  Words the library
 built itself, a listed span or words `Code.from_codewords` has just
 reduced, go into `Code._trusted` as they are; `Code(space, words)` checks
-what a caller gives it, by the word contract of `space`.
+what a caller gives it, by the word contract of `space`, and takes no rows.
 """
 
 from __future__ import annotations
@@ -67,29 +68,31 @@ class Code:
     """Finite nonempty set of coordinate tuples of one space, sorted.
 
     Every codeword is a tuple of n integer residues reduced mod m.
-    `generator` records the rows the code was spanned from, when it was,
-    and so marks the code as a submodule; equality and hashing ignore it.
     `Code(space, words)` checks and de-duplicates the words it is given;
-    the codes the library builds itself skip that, see `_trusted`.
+    the codes the library builds itself skip that, see `_trusted`.  A
+    caller with generator rows calls `span_generator`.  `generator` records
+    the rows a span or a dual was built from; only `_trusted` sets it, and
+    equality, hashing and repr ignore it.  Linearity has one witness, the
+    code's Howell form `_form`.
     """
 
     space: Space
     codewords: tuple[tuple[int, ...], ...]
-    generator: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
+    generator: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         words = _check_words(self.space, self.codewords)
-        if not words:
-            raise ValueError("a code must contain at least one codeword")
-        object.__setattr__(self, "codewords", tuple(sorted(set(words))))
+        object.__setattr__(self, "codewords", _distinct(words))
 
     @classmethod
     def _trusted(cls, space: Space, codewords, generator=None, form=None) -> "Code":
         """The code of words the caller built sorted, distinct and reduced; unchecked.
 
         The instance dict gets the fields validation would set, so a trusted
-        code equals, hashes and reprs like a checked one.  A Howell form
-        already at hand becomes the code's `_form`.
+        code equals, hashes and reprs like a checked one.  `span_generator`
+        and `dual_code` pass the rows they built from as `generator`, and
+        their Howell form, which becomes the code's `_form`.
         """
         code = object.__new__(cls)
         code.__dict__.update(space=space, codewords=codewords, generator=generator)
@@ -100,10 +103,7 @@ class Code:
     @classmethod
     def from_codewords(cls, space: Space, coord_lists) -> "Code":
         """The code of the given words, reducing signed integers mod m."""
-        words = _reduce_words(space, coord_lists)
-        if not words:
-            raise ValueError("a code must contain at least one codeword")
-        return cls._trusted(space, tuple(sorted(set(words))))
+        return cls._trusted(space, _distinct(_reduce_words(space, coord_lists)))
 
     @property
     def size(self) -> int:
@@ -117,20 +117,18 @@ class Code:
     def _form(self):
         """`_howell` rows of the code, or None if it is no submodule.
 
-        A spanned code is given its form when it is built, and a dual its
-        Howell rows.  For listed codewords the form grows with a generating
-        set: walking the sorted words, each word outside the current span
-        joins the set and the span is relisted from the set's Howell form.
-        The span holds zero and every word walked, so once it outgrows the
-        code the code is no submodule; a walk that ends within |C| words has
-        spanned exactly the code.  Each new generator at least doubles the
+        A span or a dual is given its form when `_trusted` builds it.  For
+        listed codewords the form grows with a generating set: walking the
+        sorted words, each word outside the current span joins the set and
+        the span is relisted from the set's Howell form.  The span holds
+        zero and every word walked, so once it outgrows the code the code is
+        no submodule; a walk that ends within |C| words has spanned exactly
+        the code.  A set without zero, or whose size does not divide m^n,
+        always outgrows itself.  Each new generator at least doubles the
         span, so at most log2|C| + 1 forms are taken, each over at most that
         many rows.
         """
-        sp = self.space
-        n, m = sp.n, sp.m
-        if self.generator is not None:
-            return _howell(self.generator, n, m)
+        n, m = self.space.n, self.space.m
         gens, form = [], []
         span = {(0,) * n}
         for w in self.codewords:
@@ -159,19 +157,18 @@ class Code:
         rows = [[*(row[t] for row in h), *(int(t == u) for u in range(n))] for t in range(n)]
         return [row[k:] for row in _howell(rows, k + n, m) if not any(row[:k])]
 
-    @cached_property
+    @property
     def is_linear(self) -> bool:
-        """True iff the code is a submodule (closed under + and -).
-
-        A submodule holds zero and its size divides m^n, which settles most
-        other sets at once; the rest are decided by `_form`, whose growing
-        generating set spans the code exactly when it is a submodule.
-        """
-        if self.generator is not None:
-            return True
-        if self.codewords[0] != (0,) * self.space.n or self.space.size % self.size:
-            return False
+        """True iff the code is a submodule (closed under + and -): iff it has
+        a Howell form, see `_form`."""
         return self._form is not None
+
+
+def _distinct(words) -> tuple[tuple[int, ...], ...]:
+    """The words sorted and once each; a code holds at least one."""
+    if not words:
+        raise ValueError("a code must contain at least one codeword")
+    return tuple(sorted(set(words)))
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:

@@ -5,7 +5,8 @@ block weighs as the maximum Lee weight of its coordinates, and the weight
 of a vector is the cardinality of the order ideal generated by its block
 support.  All values are immutable but for three lazy caches per space,
 none of which enters equality, hashing or repr: `Space._ball_table`, the
-per-block I-ball factors the closed forms of `balls` multiply,
+per-block I-ball factors the closed forms of `balls` multiply, each row
+grown only through the largest count asked for so far,
 `Space._lee`, the Lee weight of each residue read so far by
 `Space.block_weights` and the column kernel `Space.words_weight_counts`,
 and `Space._rball_levels`, the radius-ball sizes
@@ -93,10 +94,19 @@ class Space:
         return tuple(bounds)
 
     @cached_property
-    def _ball_table(self) -> tuple[tuple[int, ...], ...]:
-        """Row t, column c: min(2c+1, m)^k_t, block t's I-ball factor at count c."""
-        sizes = [min(2 * c + 1, self.m) for c in range(self.height + 1)]
-        return tuple(tuple(b ** k for b in sizes) for k in self.labeling)
+    def _ball_table(self) -> list[list[int]]:
+        """Row t, column c: min(2c+1, m)^k_t, block t's I-ball factor at count c.
+
+        Every row starts at count 0 alone; `_grow_ball_table` extends them
+        all only as far as the largest count asked for.
+        """
+        return [[1] for _ in self.labeling]
+
+    def _grow_ball_table(self, counts) -> None:
+        """Extend every row of `_ball_table` through the largest of the counts."""
+        top = max(counts)
+        for row, k in zip(self._ball_table, self.labeling):
+            row.extend(min(2 * c + 1, self.m) ** k for c in range(len(row), top + 1))
 
     @cached_property
     def _lee(self) -> "_LeeTable":

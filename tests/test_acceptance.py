@@ -152,7 +152,7 @@ def test_criterion_05_equal_blocks_duality_equivalences():
         # (3)+(4) the dual code in the dual order
         dual_sp = Space(sp.m, dual_pomset(sp.pomset), sp.labeling)
         dual = dual_code(code)
-        dual = Code(dual_sp, dual.codewords, dual.generator)
+        dual = Code(dual_sp, dual.codewords)
         for i in enumerate_ideals(dual_sp.pomset, k // t * lh):
             if i.is_full_count:
                 assert is_I_perfect(dual, i)

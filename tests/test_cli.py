@@ -243,6 +243,24 @@ def test_oracle_metric_honours_the_budget():
     assert status == 0 and kv(out)["triples"] == "15625"
 
 
+def test_oracle_metric_budgets_its_table_of_residue_triples(tmp_path):
+    # One coordinate over Z_101: 10^5 sampled triples, from m^3 = 1030301 cell words.
+    line = {"pomset": {"s": 1, "relations": []}, "labeling": [1]}
+    path = tmp_path / "z101.json"
+    path.write_text(json.dumps({"m": 101, **line}))
+    status, out = invoke("oracle", "metric", "--budget", "1030300", str(path))
+    assert status == 3 and kv(out)["error"] == "budget"
+    assert ("metric check's table of m^3 = 1030301 residue-triple words exceeds "
+            "budget 1030300") in out
+    status, out = invoke("oracle", "metric", "--budget", "1030301", "--machine", str(path))
+    assert status == 0 and kv(out)["triples"] == "100000"
+    # Over Z_100000007 the table of 10^24 words ran out of memory.
+    huge = tmp_path / "z100000007.json"
+    huge.write_text(json.dumps({"m": 100000007, **line, "code": {"codewords": [[0], [1]]}}))
+    status, out = invoke("oracle", "metric", "--machine", str(huge))
+    assert status == 3 and kv(out)["error"] == "budget"
+
+
 # The flags of a valid request of every command on `mds_z5_len6`.
 REQUESTS = {
     "weight": ["--vector", "0,0,0,0,0,0"],

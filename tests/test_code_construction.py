@@ -18,7 +18,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_fixture
+from conftest import load_fixture, random_pomset
 from pomsetblock import codes
 from pomsetblock.cli import Report
 from pomsetblock.codes import (
@@ -32,7 +32,7 @@ from pomsetblock.codes import (
     span_generator,
 )
 from pomsetblock.mset import ShapeError
-from pomsetblock.pomset import Ideal, Pomset
+from pomsetblock.pomset import Ideal, Pomset, dual_pomset
 from pomsetblock.space import Space
 
 
@@ -138,7 +138,7 @@ def closed(words, m):
 
 def assert_same_code(built, words):
     """`built` equals, hashes and reprs like the checked code of `words`."""
-    checked = Code(built.space, list(words), built.generator)
+    checked = Code(built.space, list(words))
     assert built == checked
     assert hash(built) == hash(checked)
     assert repr(built) == repr(checked)
@@ -226,6 +226,67 @@ def test_a_linear_walk_takes_at_most_log_size_forms(monkeypatch):
     # takes one more: that of the n rows of [H^T | I_n].
     assert dual_code(listed) == dual_code(code)
     assert calls[walked:] == [space.n, space.n]
+
+
+def test_the_constructor_takes_words_and_no_generator():
+    # {(0,0), (0,1)} over Z_5 is no submodule, whatever rows a caller holds.
+    space = Space(5, Pomset.from_relations(2, 2, [(1, 2)]), (1, 1))
+    with pytest.raises(TypeError):
+        Code(space, [(0, 0), (0, 1)], generator=((0, 1),))
+    code = Code(space, [(0, 0), (0, 1)])
+    assert code.generator is None and not code.is_linear
+    with pytest.raises(ValueError, match="linear"):
+        dual_code(code)
+    for counts in ((0, 0), (2, 0)):
+        assert check_I_perfect(code, Ideal(space.pomset, counts)).witness == (0, 2)
+    assert span_generator(space, [(0, 1)]).generator == ((0, 1),)
+
+
+@st.composite
+def word_sets(draw, max_vectors=400):
+    """A space over Z_m, 2 <= m <= 12, on a random order, and a set of its words.
+
+    The set is a span, a span with one word dropped or one added, a set
+    without zero, a set whose size does not divide m^n, or the dual of a
+    span in the dual order (the space returned is then that of the dual).
+    """
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(1, max(1, int(math.log(max_vectors, m)))))
+    rng = random.Random(draw(SEEDS))
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    labeling = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    space = Space(m, random_pomset(rng, len(labeling), m // 2), labeling)
+    every = list(space.iter_coords())
+    rows = [[rng.choice([g for g in range(1, m + 1) if m % g == 0]) * rng.randrange(m) % m
+             for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    spanned = span_generator(space, rows)
+    span = list(spanned.codewords)
+    kind = draw(st.sampled_from(("span", "drop", "add", "no zero", "size", "dual")))
+    if kind == "drop" and len(span) > 1:
+        span.remove(rng.choice(span))
+    elif kind == "add" and len(span) < len(every):
+        span.append(rng.choice(sorted(set(every) - set(span))))
+    elif kind == "no zero" and len(every) > 1:
+        span = rng.sample(every[1:], rng.randint(1, len(every) - 1))
+    elif kind == "size":
+        sizes = [k for k in range(1, len(every) + 1) if space.size % k] or [1]
+        span = rng.sample(every, rng.choice(sizes))
+    elif kind == "dual":
+        span = list(dual_code(spanned).codewords)
+        space = Space(m, dual_pomset(space.pomset), space.labeling)
+    return space, span
+
+
+@bounded(200)
+@given(word_sets())
+def test_the_howell_form_alone_decides_linearity(case):
+    space, words = case
+    n, m = space.n, space.m
+    code = Code(space, words)
+    assert code.is_linear == closed(set(words), m)
+    assert Code.from_codewords(space, list(reversed(words))).is_linear == code.is_linear
+    if code.is_linear:
+        assert code._form == _howell(list(code.codewords), n, m)
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (5, 2), (6, 2), (9, 1)])

@@ -306,7 +306,7 @@ def test_dual_perfectness_equivalence():
         sp = code.space
         dual_sp = Space(sp.m, dual_pomset(sp.pomset), sp.labeling)
         dual = dual_code(code)
-        dual = Code(dual_sp, dual.codewords, dual.generator)
+        dual = Code(dual_sp, dual.codewords)
         for i in all_ideals(sp.pomset):
             if not i.is_full_count or i.cardinality == 0:
                 continue
@@ -322,7 +322,7 @@ def _all_duality_conditions(code):
     lh = sp.height
     dual_sp = Space(sp.m, dual_pomset(sp.pomset), sp.labeling)
     dual = dual_code(code)
-    dual = Code(dual_sp, dual.codewords, dual.generator)
+    dual = Code(dual_sp, dual.codewords)
 
     cond1 = is_MDS(code)
     cond2 = all(
@@ -557,7 +557,7 @@ def test_error_correcting_ball_sum_criteria():
 def test_finer_order_preserves_mds():
     base = load_fixture("mds_equal_blocks_z5")
     finer = make_space(5, [(1, 2), (3, 2), (1, 3)], (2, 2, 2))
-    refit = Code(finer, base.code.codewords, base.code.generator)
+    refit = Code(finer, base.code.codewords)
     assert is_MDS(base.code) and is_MDS(refit)
 
     one = load_fixture("perfect_r1_z5")

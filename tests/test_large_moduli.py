@@ -7,7 +7,8 @@ not m x m.  The differential tests compare both against the full-table
 versions they replaced, on random small spaces.  The word contract
 (`space._check_words`, `space._reduce_words`), `balls.lee_ball_residues`
 and the Lee table `Space._lee` cost what the words and residues they
-return or read cost, not m.
+return or read cost, not m, and the rows of `Space._ball_table` grow only
+through the largest count the closed forms have read.
 """
 
 import itertools
@@ -19,11 +20,17 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import orders
 from pomsetblock import codes
-from pomsetblock.balls import lee_ball_residues
+from pomsetblock.balls import (
+    I_ball_cardinality,
+    I_sphere_cardinality,
+    lee_ball_residues,
+    r_ball_cardinality,
+)
 from pomsetblock.cli import problem_from_dict
 from pomsetblock.codes import Code, CheckResult, _ball_census, _howell, _lex_span, _span_size
-from pomsetblock.pomset import Ideal, Pomset
+from pomsetblock.pomset import Ideal, Pomset, all_ideals
 from pomsetblock.space import Space, distance
 
 M = 4001
@@ -102,6 +109,40 @@ def test_the_lee_table_of_a_huge_modulus_holds_only_the_residues_read():
     table = space.__dict__["_lee"]
     assert m - 3 in table and len(table) <= 3
     assert all(w == min(x, m - x) for x, w in table.items())
+
+
+def test_closed_forms_of_a_huge_modulus_grow_the_ball_table_only_through_the_counts_read():
+    # Rows through the height held 5 * 10^5 factors a block at this m.
+    m = 10 ** 6 + 3
+    space = Space(m, Pomset.from_relations(2, m // 2, []), (1, 2))
+    ideal = Ideal(space.pomset, (1, 2))
+    sizes, peak = traced_peak(lambda: (
+        I_ball_cardinality(space, ideal),
+        I_sphere_cardinality(space, ideal),
+        r_ball_cardinality(space, 1),
+    ))
+    assert sizes == (3 * 5 ** 2, 2 * (5 ** 2 - 3 ** 2), 1 + 2 + (3 ** 2 - 1))
+    assert peak < 2 ** 20
+    assert space._ball_table == [[1, 3, 5], [1, 9, 25]]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(orders(max_size=5, max_height=4), st.integers(0, 2 ** 32 - 1))
+def test_grown_ball_rows_match_the_eager_table(order, seed):
+    rng = random.Random(seed)
+    m = 2 * order.height + rng.randint(0, 1)
+    labeling = [rng.randint(1, 3) for _ in range(order.ground_size)]
+    grown, eager = Space(m, order, labeling), Space(m, order, labeling)
+    eager.__dict__["_ball_table"] = [
+        [min(2 * c + 1, m) ** k for c in range(order.height + 1)] for k in labeling]
+    ideals = all_ideals(order)
+    queries = [rng.choice(ideals) for _ in range(rng.randint(1, 2 * len(ideals)))]
+    top = 0
+    for i in queries:
+        size = rng.choice((I_ball_cardinality, I_sphere_cardinality))
+        assert size(grown, i) == size(eager, i)
+        top = max(top, *i.counts)
+        assert grown._ball_table == [row[:top + 1] for row in eager._ball_table]
 
 
 def test_lee_ball_residues_of_a_huge_modulus_cost_their_own_size():
