@@ -88,14 +88,13 @@ def I_ball_cardinality(space: Space, i: Ideal) -> int:
     Each factor is a lookup in `space._ball_table`, whose row for a block of
     dimension k holds min(2c+1, m)^k at column c: 1 outside the root set,
     (2c+1)^k on a partial block and m^k on a full one.  A count past the
-    rows' end grows them through the largest count, and the lookup is retried.
+    rows' end takes the rows of `Space._ball_rows`, which reach it.
     """
     _require_ideal(space, i)
     try:
         return math.prod(map(operator.getitem, space._ball_table, i.counts))
     except IndexError:
-        space._grow_ball_table(i.counts)
-        return I_ball_cardinality(space, i)
+        return math.prod(map(operator.getitem, space._ball_rows(i.counts), i.counts))
 
 
 def I_sphere_cardinality(space: Space, i: Ideal) -> int:
@@ -108,30 +107,33 @@ def I_sphere_cardinality(space: Space, i: Ideal) -> int:
     the root set.  A block with 0 < c < height has nothing present above
     it, since everything below a present block is full, so it is maximal;
     only full blocks look above them.  The empty ideal's sphere is the zero
-    vector alone (size 1).  The rows grow as in `I_ball_cardinality`.
+    vector alone (size 1).  The rows are read as in `I_ball_cardinality`.
     """
     _require_ideal(space, i)
+    try:
+        return _sphere_size(space, i, space._ball_table)
+    except IndexError:
+        return _sphere_size(space, i, space._ball_rows(i.counts))
+
+
+def _sphere_size(space: Space, i: Ideal, table) -> int:
+    """`I_sphere_cardinality` from rows of I-ball factors that reach the counts."""
     counts = i.counts
     l = i.height
     above = space.pomset.strictly_above
-    table = space._ball_table
     size = 1
-    try:
-        for t, c in enumerate(counts, start=1):
-            if c:
-                row = table[t - 1]
-                if c == l:
-                    for u in above[t]:
-                        if counts[u - 1]:
-                            size *= row[c]
-                            break
-                    else:
-                        size *= row[c] - row[c - 1]
+    for t, c in enumerate(counts, start=1):
+        if c:
+            row = table[t - 1]
+            if c == l:
+                for u in above[t]:
+                    if counts[u - 1]:
+                        size *= row[c]
+                        break
                 else:
                     size *= row[c] - row[c - 1]
-    except IndexError:
-        space._grow_ball_table(counts)
-        return I_sphere_cardinality(space, i)
+            else:
+                size *= row[c] - row[c - 1]
     return size
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -168,8 +170,16 @@ class Report:
         self._kv.append(f"{key}={value}")
 
     def put_rows(self, key: str, rows) -> None:
-        """Puts each row of integers under key.0, key.1, ... in turn."""
-        self._kv += [_row_format(key, len(row)) % (j, *row) for j, row in enumerate(rows)]
+        """Puts each row of integers under key.0, key.1, ... in turn.
+
+        One C-level pass formats every row, whatever its width: each tuple
+        (j,) + row goes through the %-format of its row's width.
+        """
+        rows = list(map(tuple, rows))
+        widths = list(map(len, rows))
+        formats = {w: _row_format(key, w) for w in set(widths)}
+        self._kv += map(operator.mod, map(formats.__getitem__, widths),
+                        map(operator.add, zip(itertools.count()), rows))
 
     def emit(self) -> None:
         """Writes the human lines, unless machine-only, then the key lines at once."""
@@ -536,7 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     use and shared by every later `run`.
 
     Parsing leaves the tree unchanged, so a process serving many requests
-    builds it once; callers must not modify the returned parser.
+    builds it once; callers must not modify the returned parser.  Its
+    `command_parsers` maps each command's name to its subparser.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
@@ -560,11 +571,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="path to a problem JSON file")
         for names, spec in command.flags:
             p.add_argument(*names, **spec)
+    parser.command_parsers = sub.choices
     return parser
 
 
+def parse_argv(argv) -> argparse.Namespace:
+    """The request's arguments, parsed once by one parser of `build_parser`'s tree.
+
+    An argv that starts with a command goes straight to that command's
+    subparser, which is what the top-level parser would hand it to, and
+    leftover arguments are reported as the top-level parser reports them.
+    Any other argv (no command, an unknown one, `-h`, a flag before the
+    command) goes to the top-level parser.
+    """
+    parser = build_parser()
+    sub = parser.command_parsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def run(argv=None, out=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Serve one request: parse argv once, load the problem, run its command.
+
+    The problem loads only what the command reads: a code given by generator
+    rows keeps its Howell form, and its words are listed only if the
+    command reads them.
+    """
+    args = parse_argv(sys.argv[1:] if argv is None else list(argv))
     rep = Report(args.machine, out)
     try:
         if args.budget < 0:

@@ -18,17 +18,19 @@ Codewords are sorted coordinate tuples, made and read by columns:
 `_lex_span` lists a span from its Howell rows already in lexicographic
 order, n column lists zipped into words at the end, and minimum distance,
 weight distribution and root-set sizes all weigh the words through one
-column kernel, `Space.words_weight_counts`.
+column kernel, `Space.words_weight_counts`.  A span or a dual lists its
+words only when they are first read: its size, its dual, the coset pass
+of the census and parity-block dependence read the form alone.
 
 Each code is built once, from one Howell form, kept as its `_form`, the one
 witness of its linearity: a span keeps the form it was spanned from, and a
 code given by its words grows a generating set until it spans them (see
 `Code._form`).  The dual's Howell rows are taken once per code, as
 `Code._dual_form`, and the dual, the coset census and parity-block
-dependence all read them.  Words the library
-built itself, a listed span or words `Code.from_codewords` has just
-reduced, go into `Code._trusted` as they are; `Code(space, words)` checks
-what a caller gives it, by the word contract of `space`, and takes no rows.
+dependence all read them.  Words the library built itself, a span listed
+from its form or words `Code.from_codewords` has just reduced, go into
+`Code._trusted` as they are; `Code(space, words)` checks what a caller
+gives it, by the word contract of `space`, and takes no rows.
 """
 
 from __future__ import annotations
@@ -74,6 +76,12 @@ class Code:
     the rows a span or a dual was built from; only `_trusted` sets it, and
     equality, hashing and repr ignore it.  Linearity has one witness, the
     code's Howell form `_form`.
+
+    A span or a dual keeps its Howell form and lists its words from it only
+    when `codewords` is first read (see `__getattr__`); its `size` is the
+    form's, so a request that reads neither the words nor a fact weighed
+    over them lists none.  Equality, hashing and repr read the words, so
+    they list them, and mean what they mean for a code given by its words.
     """
 
     space: Space
@@ -86,28 +94,45 @@ class Code:
         object.__setattr__(self, "codewords", _distinct(words))
 
     @classmethod
-    def _trusted(cls, space: Space, codewords, generator=None, form=None) -> "Code":
+    def _trusted(cls, space: Space, codewords=None, generator=None, form=None) -> "Code":
         """The code of words the caller built sorted, distinct and reduced; unchecked.
 
         The instance dict gets the fields validation would set, so a trusted
         code equals, hashes and reprs like a checked one.  `span_generator`
-        and `dual_code` pass the rows they built from as `generator`, and
-        their Howell form, which becomes the code's `_form`.
+        and `dual_code` pass no words but the rows they built from as
+        `generator`, and their Howell form, which becomes the code's `_form`
+        and lists the words when they are first read.
         """
         code = object.__new__(cls)
-        code.__dict__.update(space=space, codewords=codewords, generator=generator)
+        code.__dict__.update(space=space, generator=generator)
+        if codewords is not None:
+            code.__dict__["codewords"] = codewords
         if form is not None:
             code.__dict__["_form"] = form
         return code
+
+    def __getattr__(self, name: str):
+        """`codewords` of a code built from its form, listed on first read.
+
+        Only a name missing from the instance dict comes here, so a code
+        holding its words, or one read before, never does.
+        """
+        if name != "codewords" or "_form" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        words = tuple(_lex_span(self._form, self.space.n, self.space.m))
+        self.__dict__["codewords"] = words
+        return words
 
     @classmethod
     def from_codewords(cls, space: Space, coord_lists) -> "Code":
         """The code of the given words, reducing signed integers mod m."""
         return cls._trusted(space, _distinct(_reduce_words(space, coord_lists)))
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return len(self.codewords)
+        """|C|: the words held, or else the span size of the form, unlisted."""
+        words = self.__dict__.get("codewords")
+        return len(words) if words is not None else _span_size(self._form, self.space.m)
 
     @cached_property
     def coord_set(self) -> frozenset[tuple[int, ...]]:
@@ -260,16 +285,16 @@ def _lex_span(form, n: int, m: int) -> list[tuple[int, ...]]:
     return list(zip(*cols))
 
 
-def _budgeted_code(space: Space, rows, budget: int, what: str, **kwargs) -> Code:
+def _budgeted_code(space: Space, rows, budget: int, what: str, generator=None) -> Code:
     """The code Howell rows span, once its size is known to fit the budget.
 
-    The span is listed sorted and once each, so the code takes its words as
-    they are.
+    The code keeps the rows as its form and lists the span, sorted and once
+    each, only when its words are first read.
     """
     size = _span_size(rows, space.m)
     if size > budget:
         raise BudgetExceededError(f"{what} of {size} codewords exceeds budget {budget}")
-    return Code._trusted(space, tuple(_lex_span(rows, space.n, space.m)), **kwargs)
+    return Code._trusted(space, generator=generator, form=rows)
 
 
 def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
@@ -280,7 +305,7 @@ def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
     """
     norm = tuple(_reduce_words(space, rows))
     form = _howell(norm, space.n, space.m)
-    return _budgeted_code(space, form, budget, "span", generator=norm, form=form)
+    return _budgeted_code(space, form, budget, "span", norm)
 
 
 def min_distance(c: Code) -> int:
@@ -315,7 +340,7 @@ def dual_code(c: Code, budget: int = DEFAULT_BUDGET) -> Code:
     one Howell form of n rows.
     """
     rows = c._dual_form
-    return _budgeted_code(c.space, rows, budget, "dual", generator=tuple(rows), form=rows)
+    return _budgeted_code(c.space, rows, budget, "dual", tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ of a vector is the cardinality of the order ideal generated by its block
 support.  All values are immutable but for three lazy caches per space,
 none of which enters equality, hashing or repr: `Space._ball_table`, the
 per-block I-ball factors the closed forms of `balls` multiply, each row
-grown only through the largest count asked for so far,
+grown only through the largest count asked for so far and never past
+`BALL_ROW_LIMIT`,
 `Space._lee`, the Lee weight of each residue read so far by
 `Space.block_weights` and the column kernel `Space.words_weight_counts`,
 and `Space._rball_levels`, the radius-ball sizes
@@ -27,6 +28,11 @@ from functools import cached_property
 
 from .mset import Mset, ShapeError
 from .pomset import Pomset
+
+# Counts a row of `Space._ball_table` holds at most, as `pomset.IDEAL_TABLE_LIMIT`
+# bounds an order's ideal table: a count at or past it is worked out on the
+# call that reads it, so no row grows with a huge modulus's height.
+BALL_ROW_LIMIT = 1 << 13
 
 
 def lee_weight(x: int, m: int) -> int:
@@ -97,16 +103,25 @@ class Space:
     def _ball_table(self) -> list[list[int]]:
         """Row t, column c: min(2c+1, m)^k_t, block t's I-ball factor at count c.
 
-        Every row starts at count 0 alone; `_grow_ball_table` extends them
-        all only as far as the largest count asked for.
+        Every row starts at count 0 alone; `_ball_rows` extends them all
+        only as far as the largest count asked for, below `BALL_ROW_LIMIT`.
         """
         return [[1] for _ in self.labeling]
 
-    def _grow_ball_table(self, counts) -> None:
-        """Extend every row of `_ball_table` through the largest of the counts."""
+    def _ball_rows(self, counts) -> list:
+        """Rows of I-ball factors, one per block, that reach every count.
+
+        Below `BALL_ROW_LIMIT` they are the rows of `_ball_table`, each grown
+        through the largest of the counts; at or past it, rows that work out
+        each factor as it is read and store none.
+        """
         top = max(counts)
-        for row, k in zip(self._ball_table, self.labeling):
+        if top >= BALL_ROW_LIMIT:
+            return [_BallFactors(self.m, k) for k in self.labeling]
+        table = self._ball_table
+        for row, k in zip(table, self.labeling):
             row.extend(min(2 * c + 1, self.m) ** k for c in range(len(row), top + 1))
+        return table
 
     @cached_property
     def _lee(self) -> "_LeeTable":
@@ -170,6 +185,18 @@ class Space:
         for bw in closures:
             closures[bw] = self.pomset.closure_counts(bw)
         return list(map(closures.__getitem__, keys))
+
+
+class _BallFactors:
+    """A row of I-ball factors min(2c+1, m)^k of one block, worked out per read."""
+
+    __slots__ = ("m", "k")
+
+    def __init__(self, m: int, k: int):
+        self.m, self.k = m, k
+
+    def __getitem__(self, c: int) -> int:
+        return min(2 * c + 1, self.m) ** self.k
 
 
 class _LeeTable(dict):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pomsetblock import cli, oracle
+from pomsetblock import cli, codes, oracle
 from pomsetblock.cli import load_problem, run
 from pomsetblock.fixtures import NAMES, fixture_path
 
@@ -695,3 +695,99 @@ def test_main_exits_quietly_when_its_reader_closes(tmp_path):
     status = proc.wait(timeout=60)
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
     assert status not in (cli.EXIT_OK, cli.EXIT_FALSE)
+
+
+@pytest.mark.parametrize("request_, status, primal_listings", [
+    (["partition", "--ideal", "2,2,2,0"], 0, 0),
+    (["dual"], 0, 0),
+    (["check-perfect", "--ideal", "2,2,2,0"], 0, 0),
+    (["check-error-correcting", "--radius", "1"], 0, 0),
+    # `min_root` weighs every codeword, the threshold's independent check.
+    (["block-threshold"], 0, 1),
+    (["weight-dist"], 0, 1),
+    (["singleton"], 0, 1),
+])
+def test_a_spanned_code_is_listed_only_by_the_requests_that_read_its_words(
+        monkeypatch, request_, status, primal_listings):
+    # The first four fail at the parent, which listed every span at load.
+    path = fixture_path("mds_z5_len6")
+    primal = load_problem(path).code._form
+    forms = []
+    real = codes._lex_span
+    monkeypatch.setattr(codes, "_lex_span",
+                        lambda form, n, m: forms.append(form) or real(form, n, m))
+    assert invoke(request_[0], path, *request_[1:], "--machine")[0] == status
+    assert sum(form == primal for form in forms) == primal_listings
+    assert len(forms) == primal_listings + (request_ == ["dual"])
+
+
+def parse_outcome(parse, argv, capsys):
+    """The Namespace `parse` returns, or its exit code and what it printed."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def flag_argvs():
+    """Every command with each of its flags, and its required ones."""
+    path = fixture_path("mds_z5_len6")
+    values = {"--ideal": "2,2,2,0", "--radius": "1", "--cardinality": "1",
+              "--size": "1", "--seed": "3", "--budget": "99"}
+    for name, command in cli.COMMANDS.items():
+        head = [name, *command.modes[:1]]
+        flags = [(names[0], spec) for names, spec in command.flags]
+        flags += [("--budget", {}), ("--machine", {"action": "store_true"})]
+        given = {flag: [flag] if spec.get("action") == "store_true"
+                 else [flag, values.get(flag, "0,0,0,0,0,0")] for flag, spec in flags}
+        required = [arg for flag, spec in flags if spec.get("required") for arg in given[flag]]
+        yield head + [path] + required
+        for flag in given:
+            yield head + [path] + required + given[flag]
+            yield head + given[flag] + [path] + required
+
+
+def test_one_parse_per_request_matches_the_two_level_parse(capsys):
+    # Fails at the parent, which has no `parse_argv`.
+    path = fixture_path("mds_z5_len6")
+    corpus = [
+        *flag_argvs(),
+        *([name, "-h"] for name in cli.COMMANDS),
+        [],
+        ["-h"],
+        ["--help"],
+        ["no-such-command", path],
+        ["dual", path, "--bogus"],
+        ["dual", path, "extra"],
+        ["dual"],
+        ["weight", path],
+        ["weight", "--seed", "1", "--vector", "0,0,0,0,0,0", path],
+        ["dual", path, "--seed", "1"],
+        ["oracle", "bogus", path],
+        ["oracle", path],
+        ["--machine", "dual", path],
+        ["--budget", "5", "dual", path],
+        ["dual", "--", path],
+        ["dual", path, "--machine", "--machine"],
+        ["dual", path, "--budget"],
+        ["dual", path, "--budget", "x"],
+        ["weight", path, "--vector=0,0,0,0,0,0", "--vec", "1"],
+    ]
+    routes = set()
+    for argv in corpus:
+        one = parse_outcome(cli.parse_argv, list(argv), capsys)
+        two = parse_outcome(cli.build_parser().parse_args, list(argv), capsys)
+        assert one == two, argv
+        routes.add(type(one))
+    assert routes == {argparse.Namespace, tuple}
+
+
+def test_leftover_arguments_are_reported_by_the_top_level_parser(capsys):
+    path = fixture_path("mds_z5_len6")
+    with pytest.raises(SystemExit) as exc:
+        run(["dual", path, "--bogus", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pomsetblock [-h]")
+    assert err.endswith("pomsetblock: error: unrecognized arguments: --bogus x\n")

@@ -9,18 +9,22 @@ Hypothesis runs derandomized, without an example database and with a
 bounded number of examples, so the suite stays deterministic and quick.
 """
 
+import contextlib
 import io
 import itertools
 import math
 import operator
+import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_fixture, random_pomset
 from pomsetblock import codes
-from pomsetblock.cli import Report
+from pomsetblock.balls import BudgetExceededError
+from pomsetblock.cli import Report, _row_format
 from pomsetblock.codes import (
     Code,
     _budgeted_code,
@@ -410,3 +414,79 @@ def test_put_rows_of_one_width(width):
 def test_put_rows_of_no_rows_and_empty_rows():
     assert printed("downset", []) == ""
     assert printed("downset", [[]]) == "downset.0=\n"
+
+
+def per_row(key, rows):
+    """What `put_rows` printed one row, one Python-level format, at a time."""
+    return "".join(_row_format(key, len(row)) % (j, *row) + "\n"
+                   for j, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[7]],
+    [(1, 2, 3)],
+    [[]],
+    [[1, 2], [3], [], [4, 5, 6, 7], [8, 9]],
+    [(0,), (1, 2, 3, 4, 5, 6, 7, 8, 9), [10, 11]],
+])
+def test_put_rows_of_empty_one_row_and_ragged_lists_match_the_per_row_format(rows):
+    for key in ("codeword", "100%"):
+        assert printed(key, rows) == per_row(key, rows)
+        assert printed(key, iter(rows)) == per_row(key, rows)
+
+
+@contextlib.contextmanager
+def counted_listings():
+    """The Howell form of each `codes._lex_span` call made in the block."""
+    forms, real = [], codes._lex_span
+    with mock.patch.object(codes, "_lex_span",
+                           lambda form, n, m: forms.append(form) or real(form, n, m)):
+        yield forms
+
+
+@bounded(100)
+@given(spans())
+def test_a_span_lists_its_words_on_first_read_and_equals_the_listed_code(case):
+    # Fails at the parent, which listed every span when it was built.
+    space, rows = case
+    n, m = space.n, space.m
+    words = _lex_span(_howell(rows, n, m), n, m)
+    checked = Code(space, list(words))
+    with counted_listings() as forms:
+        sized = span_generator(space, rows)
+        assert sized.size == len(words) and not forms
+        assert "codewords" not in vars(sized)
+        for same in (operator.eq, lambda a, b: hash(a) == hash(b),
+                     lambda a, b: repr(a) == repr(b)):
+            fresh = span_generator(space, rows)
+            assert same(fresh, checked)
+            assert vars(fresh)["codewords"] == checked.codewords
+        assert len(forms) == 3
+        assert sized.codewords is sized.codewords and len(forms) == 4
+        assert type(sized.codewords) is tuple
+        dual = dual_code(sized)
+        assert dual.size * sized.size == space.size and len(forms) == 4
+
+
+def test_a_span_past_its_budget_is_refused_when_built():
+    # The budget is checked at construction, before any word is listed.
+    # Fails at the parent, which listed every span that fit.
+    space = Space(5, Pomset.from_relations(2, 2, []), (1, 2))
+    rows = [(1, 0, 0), (0, 1, 2)]
+    with counted_listings() as forms:
+        assert span_generator(space, rows, budget=25).size == 25
+        with pytest.raises(BudgetExceededError, match="^span of 25 codewords exceeds budget 24$"):
+            span_generator(space, rows, budget=24)
+        code = span_generator(space, rows)
+        with pytest.raises(BudgetExceededError, match="^dual of 5 codewords exceeds budget 4$"):
+            dual_code(code, budget=4)
+    assert forms == []
+
+
+def test_listing_on_first_read_leaves_other_attributes_and_pickling_alone():
+    space = Space(5, Pomset.from_relations(1, 2, []), (1,))
+    for code in (Code(space, [(0,), (1,)]), span_generator(space, [(1,)])):
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            code.missing
+        assert pickle.loads(pickle.dumps(code)) == code

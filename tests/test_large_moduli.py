@@ -8,7 +8,8 @@ versions they replaced, on random small spaces.  The word contract
 (`space._check_words`, `space._reduce_words`), `balls.lee_ball_residues`
 and the Lee table `Space._lee` cost what the words and residues they
 return or read cost, not m, and the rows of `Space._ball_table` grow only
-through the largest count the closed forms have read.
+through the largest count the closed forms have read, and never past
+`BALL_ROW_LIMIT`.
 """
 
 import itertools
@@ -31,7 +32,7 @@ from pomsetblock.balls import (
 from pomsetblock.cli import problem_from_dict
 from pomsetblock.codes import Code, CheckResult, _ball_census, _howell, _lex_span, _span_size
 from pomsetblock.pomset import Ideal, Pomset, all_ideals
-from pomsetblock.space import Space, distance
+from pomsetblock.space import BALL_ROW_LIMIT, Space, distance
 
 M = 4001
 PEAK_LIMIT = 8 * 2 ** 20  # A full m x m table at M holds 128 MiB of pointers alone.
@@ -124,6 +125,27 @@ def test_closed_forms_of_a_huge_modulus_grow_the_ball_table_only_through_the_cou
     assert sizes == (3 * 5 ** 2, 2 * (5 ** 2 - 3 ** 2), 1 + 2 + (3 ** 2 - 1))
     assert peak < 2 ** 20
     assert space._ball_table == [[1, 3, 5], [1, 9, 25]]
+
+
+def test_ball_factors_past_the_row_limit_are_worked_out_per_call_and_not_stored():
+    # A count near h grew each row through it: 5 * 10^7 factors, a MemoryError.
+    m = 10 ** 8 + 7
+    h = m // 2
+    space = Space(m, Pomset.from_relations(2, h, [[1, 2]]), (1, 2))
+    near, full = Ideal(space.pomset, (h - 2, 0)), Ideal(space.pomset, (h, 3))
+    sizes, peak = traced_peak(lambda: (
+        I_ball_cardinality(space, near),
+        I_sphere_cardinality(space, near),
+        I_ball_cardinality(space, full),
+        I_sphere_cardinality(space, full),
+    ))
+    assert sizes == (m - 4, 2, m * 7 ** 2, m * (7 ** 2 - 5 ** 2))
+    assert peak < 2 ** 16
+    assert space._ball_table == [[1], [1]]
+    # Below the limit the rows still grow, and serve the hit path.
+    ideal = Ideal(space.pomset, (BALL_ROW_LIMIT - 1, 0))
+    assert I_ball_cardinality(space, ideal) == 2 * BALL_ROW_LIMIT - 1
+    assert [len(row) for row in space._ball_table] == [BALL_ROW_LIMIT] * 2
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
