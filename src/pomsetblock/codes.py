@@ -179,7 +179,8 @@ class Code:
         n, m = self.space.n, self.space.m
         h = self._form
         k = len(h)
-        rows = [[*(row[t] for row in h), *(int(t == u) for u in range(n))] for t in range(n)]
+        columns = list(zip(*h)) if h else [()] * n
+        rows = [[*column, *[0] * t, 1, *[0] * (n - 1 - t)] for t, column in enumerate(columns)]
         return [row[k:] for row in _howell(rows, k + n, m) if not any(row[:k])]
 
     @property
@@ -220,10 +221,11 @@ def _howell(rows, n: int, m: int) -> list[tuple[int, ...]]:
     Storjohann and Mulders, ESA 1998).  Per column, extended-gcd steps of
     determinant 1 fold the rows still zero to its left into one pivot row,
     which a unit scales so that its pivot a divides m, and each entry above
-    the pivot is reduced mod a.  The row's annihilator multiple (m/a)*row
-    joins the other rows, which then span exactly the words of the span
-    zero up to the pivot: the Howell property.  The form is canonical, and
-    each word of the span is sum c_i*row_i, 0 <= c_i < m/a_i, in one way.
+    the pivot is reduced mod a.  The row's annihilator multiple (m/a)*row,
+    zero when a = 1 and then left out, joins the other rows, which then span
+    exactly the words of the span zero up to the pivot: the Howell property.
+    The form is canonical, and each word of the span is sum c_i*row_i,
+    0 <= c_i < m/a_i, in one way.
     """
     rest = [[x % m for x in row] for row in rows]
     form = []
@@ -244,7 +246,8 @@ def _howell(rows, n: int, m: int) -> list[tuple[int, ...]]:
         inverse = pow(pivot[p] // g, -1, m // g)
         unit = next(u for u in range(inverse, m, m // g) if math.gcd(u, m) == 1)
         pivot = [unit * x % m for x in pivot]
-        rest.append([m // g * x % m for x in pivot])
+        if g > 1:
+            rest.append([m // g * x % m for x in pivot])
         for above in form:
             c = above[p] // g
             if c:

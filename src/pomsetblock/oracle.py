@@ -7,43 +7,48 @@ only ever invoked on the comparison side of a check, so agreement between
 the two routes is meaningful evidence rather than a tautology.
 
 The census visits no vector: per block, each residue tuple is weighed once,
-in lexicographic order, and since block weights are independent from block
-to block, the vectors of each block-weight tuple number the product of the
-per-block tallies of its weights.  Each I-ball is built at most once per
-suite, as one bitset whose bit j stands for the vector of big-endian base-m
-value j: radius by radius, the bitsets of the I-balls of that cardinality
-are ORed into the union whose bit count is checked against the census's
-r-ball, and a full-count ball's bitset also gives its coordinate
-projections, by folding it onto each coordinate.  Those decide whether it is
-a product of subgroups of Z_m, and that product's annihilator is compared,
-coordinate by coordinate, with the dual order's ball of the complement.  The
-tiling check is per coordinate too: centers listed as a product tile with a
-product ball exactly when each coordinate's projection and residue list
-tile Z_m, so it lists no translate.  I-ball sizes are the census's ideal
+in lexicographic order, as the `max` of its Lee weights in one C-level pass,
+and since block weights are independent from block to block, the vectors of
+each block-weight tuple number the product of the per-block tallies of its
+weights; each closed tuple's ideal counts are read by one masked bit count
+per block.  Each I-ball is built at most once per suite, as one bitset whose
+bit j stands for the vector of big-endian base-m value j: radius by radius,
+the bitsets of the I-balls of that cardinality are ORed into the union
+whose bit count is checked against the census's r-ball, and a full-count
+ball's bitset also gives its coordinate projections, by folding it onto
+each coordinate.  Those decide whether it is a product of subgroups of Z_m,
+and that product's annihilator is compared, coordinate by coordinate, with
+the dual order's ball of the complement.  The tiling check is per
+coordinate too: centers listed as a product tile with a product ball
+exactly when each coordinate's projection and residue list tile Z_m, so it
+lists no translate; the listing is sorted once and compared lazily with the
+product of the lists read off it.  I-ball sizes are the census's ideal
 counts summed over nested ideal keys, by prefix sums over the grid of
 counts.  The suite has one budget: what it lists lies in the space, which
 the census refuses past that budget, so no bitset exceeds it in bits.
 
 The metric check works by columns, on every triple or on a seeded sample:
-a chunk of triples is one run of indices into the m^3 residue triples, and
-coordinate t is every n-th index.  Each index reads one word from a table,
-holding the unary codes 2^w - 1 of the Lee weights w of the five
-differences a triple checks and a flag for u_t != v_t.  The OR of unary
-codes is the unary code of their maximum, so ORing a triple's words, each
-block's shifted to its own field, gives every difference's block maxima at
-once.  One mask per block, read off the order relation, closes each
-difference's ideal inside its field, so each weight is one bit count.
+a chunk of triples is one run of indices into the m^3 residue triples,
+sampled as `Random.choices` draws them, floor(random() * m^3), by C-level
+maps over the generator's stream, and coordinate t is every n-th index.
+Each index reads one word from a table, holding the unary codes 2^w - 1 of
+the Lee weights w of the five differences a triple checks and a flag for
+u_t != v_t.  The OR of unary codes is the unary code of their maximum, so
+ORing a triple's words, each block's shifted to its own field, gives every
+difference's block maxima at once.  One mask per block, read off the order
+relation, closes each difference's ideal inside its field, so each weight
+is one bit count of the word under its field's mask, and the triangle's
+right side d(u, w) + d(w, v) one count under the union of their two fields.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import repeat, starmap
 from operator import (add, and_, eq, floordiv, itemgetter, lshift, mod, mul,
                       not_, or_, rshift)
 
@@ -92,38 +97,42 @@ def weight_census(
     A vector's block weights are independent from block to block, so the
     vectors with block-weight tuple (w_1, ..., w_s) number the product of
     how many tuples of each block weigh w_t, its largest Lee weight
-    min(x, m - x).  Each block-weight tuple's generated ideal is taken once,
-    so no vector is visited: block t's weights are tallied as unary codes
-    in its field, the OR of one per block is closed by `_close_ideals`, and
-    each field's bit count is a count of the ideal.  Per block the tuples
-    are listed in lexicographic order and their weights tallied in the order
-    first met; the product over blocks meets the block-weight tuples in the
-    order of their first vector (Knuth, TAOCP 4A 7.2.1.1), so both dicts are
-    filled in the order a vector-by-vector scan would fill them.  A space of
-    more than `budget` vectors is refused.
+    min(x, m - x).  Per block, the weights are tallied by one C-level pass,
+    the `max` of each tuple of the residues' Lee weights.  Each
+    block-weight tuple's generated ideal is taken once, so no vector is
+    visited: block t's weight w is the unary code 2^w - 1 in its field, the
+    OR of one per block is closed by `_close_ideals`, and each field, read
+    as one masked bit count per block, is a count of the ideal; their sum
+    is the weight.  Per block the tuples are listed in lexicographic order
+    and their weights tallied in the order first met; the product over
+    blocks meets the block-weight tuples in the order of their first vector
+    (Knuth, TAOCP 4A 7.2.1.1), so the ideal counts fill in the order a
+    vector-by-vector scan would fill them, and so do the weight counts,
+    read off the ideal counts in their order.  A space of more than
+    `budget` vectors is refused.
     """
     if space.size > budget:
         raise BudgetExceededError(
             f"space of size {space.size} exceeds budget {budget}"
         )
     m, h = space.m, space.height
-    lee = [min(x, m - x) for x in range(m)].__getitem__
+    lees = [min(x, m - x) for x in range(m)]
     shifts = range(0, h * space.s, h)
-    tallies = [
-        Counter((1 << max(map(lee, x))) - 1 << lo
-                for x in itertools.product(range(m), repeat=k))
-        for k, lo in zip(space.labeling, shifts)
-    ]
-    closed = _close_ideals(space, list(map(sum, itertools.product(*tallies))))
-    sphere_counts: dict[int, int] = {}
+    tallies = [Counter(map(max, itertools.product(lees, repeat=k)))
+               for k in space.labeling]
+    unary = [[(1 << w) - 1 << lo for w in t] for t, lo in zip(tallies, shifts)]
+    closed = list(_close_ideals(space, list(map(sum, itertools.product(*unary)))))
+    keys = zip(*(map(int.bit_count, map(and_, closed, repeat((1 << h) - 1 << lo)))
+                 for lo in shifts))
+    counts = map(math.prod, itertools.product(*(t.values() for t in tallies)))
     ideal_counts: dict[tuple[int, ...], int] = {}
-    for word, counts in zip(closed, itertools.product(*(t.values() for t in tallies))):
-        count = math.prod(counts)
-        key = tuple((word >> lo & (1 << h) - 1).bit_count() for lo in shifts)
-        w = word.bit_count()
+    for key, count in zip(keys, counts):
+        ideal_counts[key] = ideal_counts.get(key, 0) + count
+    sphere_counts: dict[int, int] = {}
+    for key, count in ideal_counts.items():
+        w = sum(key)
         if w:
             sphere_counts[w] = sphere_counts.get(w, 0) + count
-        ideal_counts[key] = ideal_counts.get(key, 0) + count
     return CensusReport(space, sphere_counts, ideal_counts, space.size)
 
 
@@ -241,16 +250,21 @@ def verify_metric(
     otherwise over a seeded uniform sample; the two differ only in where the
     draws come from.  A triple is n indices c_t = u_t m^2 + v_t m + w_t into
     the m^3 residue triples, unzipped into u, v and w.  Chunk by chunk, the
-    indices of up to `_METRIC_CHUNK` triples are drawn at once: a sample by
-    one `choices` call, which streams exactly as one call per triple would,
-    and the exhaustive check from every n-tuple of indices in lexicographic
-    order, which meets each vector triple once.  Coordinate t of a chunk is
-    the column of every n-th index, and each index reads its `_cell_words`
-    word.  ORed within each block, block b shifted up by b*h, and across
-    blocks, a triple's words hold from bit p*h*s the unary block maxima of
-    its p-th difference of u - v, u - u, v - u, u - w and w - v, closed by
-    `_close_ideals` and weighed by bit count, and above those a flag region
-    that is zero exactly when u = v.  Each triple checks d(u, u) = 0,
+    indices of up to `_METRIC_CHUNK` triples are drawn at once: a sample as
+    `random.Random(seed).choices(range(m**3), k)` draws it, index
+    floor(random() * m^3) with m^3 a float, by C-level maps over the
+    generator's stream, so it streams exactly as one `choices` call per
+    triple would; the exhaustive check from every n-tuple of indices in
+    lexicographic order, which meets each vector triple once.  Coordinate t
+    of a chunk is the column of every n-th index, and each index reads its
+    `_cell_words` word.  ORed within each block, block b shifted up by b*h,
+    and across blocks, a triple's words hold from bit p*h*s the unary block
+    maxima of its p-th difference of u - v, u - u, v - u, u - w and w - v,
+    closed by `_close_ideals`, and above those a flag region that is zero
+    exactly when u = v.  Each field is closed inside its own bits, so d(u, v), d(u, u)
+    and d(v, u) are each the bit count of the word under their field's mask,
+    and d(u, w) + d(w, v) one bit count under the union of fields 3 and 4;
+    an injected distance's two are added.  Each triple checks d(u, u) = 0,
     d(u, v) = 0 iff u = v, d(u, v) = d(v, u) and d(u, v) <= d(u, w) +
     d(w, v), in that order; the first failure is reported with the number
     of triples checked up to and including it.
@@ -268,43 +282,47 @@ def verify_metric(
         cell = _cell_words(space).__getitem__
         blocks = _block_shifts(space)
         f = space.height * space.s
-        mask = (1 << f) - 1
+        # Fields 0-2 hold d(u, v), d(u, u) and d(v, u); fields 3 and 4 the
+        # triangle's right side d(u, w) + d(w, v), read as one.
+        masks = [(1 << f) - 1 << p * f for p in range(3)] + [(1 << 2 * f) - 1 << 3 * f]
 
-        # Per triple of a chunk's draws, its five distances and whether u = v.
+        # Per triple of a chunk's draws, its four distances and whether u = v.
         def distances(draws):
             folded = list(_fold_blocks(blocks, [map(cell, draws[t::n]) for t in range(n)]))
             words = list(_close_ideals(space, folded))
-            return [
-                *(map(int.bit_count, map(and_, map(rshift, words, repeat(p * f)), repeat(mask)))
-                  for p in range(len(_PAIRS))),
-                map(not_, map(rshift, words, repeat(len(_PAIRS) * f))),
-            ]
+            return [*(map(int.bit_count, map(and_, words, repeat(mask))) for mask in masks),
+                    map(not_, map(rshift, words, repeat(len(_PAIRS) * f)))]
     else:
         def distances(draws):
             uvw = _unzip(draws, m, n)
-            return [*(map(distance_fn, uvw[a], uvw[b]) for a, b in _PAIRS),
-                    map(eq, uvw[0], uvw[1])]
+            duv, duu, dvu, duw, dwv = (map(distance_fn, uvw[a], uvw[b]) for a, b in _PAIRS)
+            return [duv, duu, dvu, map(add, duw, dwv), map(eq, uvw[0], uvw[1])]
 
     # Draws come from a seeded sample, or, for every triple in turn, from
     # all n-tuples of residue triples in lexicographic order.
-    cells = range(m ** 3)
     if exhaustive:
-        every = itertools.chain.from_iterable(itertools.product(cells, repeat=n))
+        every = itertools.chain.from_iterable(itertools.product(range(m ** 3), repeat=n))
 
         def draw(k):
             return list(itertools.islice(every, k))
     else:
-        draw = functools.partial(random.Random(seed).choices, cells)
+        # `Random.choices`' own rule for an unweighted population of c
+        # items: index floor(random() * c), with c a float.
+        rng, cells = random.Random(seed), float(m ** 3)
+
+        def draw(k):
+            return list(map(math.floor, map(mul, starmap(rng.random, repeat((), k)),
+                                            repeat(cells))))
     for start in range(0, count, _METRIC_CHUNK):
         draws = draw(k=n * min(_METRIC_CHUNK, count - start))
-        for i, duv, duu, dvu, duw, dwv, same in zip(
+        for i, duv, duu, dvu, dtri, same in zip(
             itertools.count(start), *distances(draws)
         ):
             if (duv == 0) != same or duu != 0:
                 failed = "identity"
             elif duv != dvu:
                 failed = "symmetry"
-            elif duv > duw + dwv:
+            elif duv > dtri:
                 failed = "triangle"
             else:
                 continue
@@ -433,13 +451,6 @@ def verify_formula_suite(
     ])
 
 
-def _projections(listing):
-    """Per coordinate, a listing's residues: none for an empty listing, as
-    `zip(*listing)` gives, but without a tuple as long as the listing."""
-    width = min(map(len, listing), default=0)
-    return [set(map(itemgetter(t), listing)) for t in range(width)]
-
-
 def _dual_ball_matches(space, gcds, counts):
     """Whether the annihilator of the product over coordinates of the
     multiples of g, g in `gcds`, is the dual order's ball with `counts`.
@@ -460,8 +471,8 @@ def _dual_ball_matches(space, gcds, counts):
 
 def _bit_projections(space, bits):
     """Per coordinate, the residues of the vectors of the space that a ball
-    bitset holds: none when it holds none, as `_projections` gives for an
-    empty listing.  Bits at or above m^n, outside the space, enter none.
+    bitset holds: no sets at all when it holds none, as for an empty listing
+    of tuples.  Bits at or above m^n, outside the space, enter none.
 
     Level t holds bit x*w + j, with w = m^(n-1-t), iff some member has
     coordinate t equal to x and its coordinates after t of base-m value j.
@@ -572,16 +583,40 @@ def _tiles(m, centers, box):
     (Szabo & Sands, Factoring Groups into Subsets, 2009).  A listing that
     tiles without being a product is rejected: `partition_centers` lists a
     product, so nothing else needs certifying.  Centers must be reduced.
+
+    Sorted, a product listing is the lexicographic product of the sorted
+    P_t, so coordinate t of every k-th center, k the product of the later
+    lists' lengths, cycles through P_t.  Each list is read off that way,
+    from the last coordinate, as the strictly increasing run it starts
+    with; the listing is then that product iff it is as long and equal to
+    it center by center, compared lazily.  That holds exactly when the
+    listing has no repeats and its set is the product of its projections.
+    Each distinct pair of a list and its residues is checked once.  An
+    empty listing tiles nothing.
     """
+    listing = sorted(centers)
+    if not listing:
+        return False
+    lists = []
+    stride = 1
+    for t in reversed(range(len(box))):
+        rising = []
+        for x in map(itemgetter(t), itertools.islice(listing, 0, None, stride)):
+            if rising and x <= rising[-1]:
+                break
+            rising.append(x)
+        lists.append(tuple(rising))
+        stride *= len(rising)
+    lists.reverse()
     residues = range(m)
-    projections = _projections(centers)
     return (
-        len(set(centers)) == len(centers) == math.prod(map(len, projections))
+        len(listing) == math.prod(map(len, lists))
         and all(
-            p.issubset(residues)
+            set(p).issubset(residues)
             and sorted((a + b) % m for a in p for b in rs) == list(residues)
-            for p, rs in zip(projections, box)
+            for p, rs in set(zip(lists, map(tuple, box)))
         )
+        and all(map(eq, listing, itertools.product(*lists)))
     )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -11,12 +12,12 @@ from pomsetblock.balls import BudgetExceededError
 from pomsetblock.codes import Code, _ball_census
 from pomsetblock import oracle
 from pomsetblock.oracle import (
+    MetricReport,
     _ball_sizes,
     _bit_projections,
     _check_ball_listings,
     _dual_ball_matches,
     _outcome,
-    _projections,
     _tiles,
     metric_triples,
     verify_formula_suite,
@@ -116,15 +117,28 @@ def lee_sum(a, b):
     return sum(min((x - y) % 5, (y - x) % 5) for x, y in zip(a, b))
 
 
+# The sampled controls' reports are pinned as the seed-0 draws give them, so
+# a change to the draws, their order or the order of the checks shows.
+
+
+def test_sampled_negative_control_breaks_identity():
+    # d(u, u) = 1 for every u that starts with 0.
+    def lifted(a, b):
+        return lee_sum(a, b) + (a == b and a[0] == 0)
+
+    report = verify_metric(SAMPLED, distance_fn=lifted)
+    assert report == MetricReport(False, False, 26, ("identity", (0, 3, 4), (2, 3, 1), None))
+    assert lifted(report.counterexample[1], report.counterexample[1]) == 1
+
+
 def test_sampled_negative_control_breaks_symmetry():
     # Zero exactly on the diagonal, but one more in one direction.
     def skewed(a, b):
         return lee_sum(a, b) + (a > b)
 
     report = verify_metric(SAMPLED, distance_fn=skewed)
-    assert not report.passed and not report.exhaustive
-    axiom, u, v, w = report.counterexample
-    assert axiom == "symmetry" and w is None
+    assert report == MetricReport(False, False, 1, ("symmetry", (4, 3, 2), (1, 3, 0), None))
+    _, u, v, _ = report.counterexample
     assert skewed(u, v) != skewed(v, u)
 
 
@@ -134,10 +148,10 @@ def test_sampled_negative_control_breaks_the_triangle_inequality():
         return lee_sum(a, b) ** 2
 
     report = verify_metric(SAMPLED, distance_fn=squared)
-    assert not report.passed and not report.exhaustive
-    assert 1 <= report.triples_checked < 10 ** 5
-    axiom, u, v, w = report.counterexample
-    assert axiom == "triangle"
+    assert report == MetricReport(
+        False, False, 20, ("triangle", (2, 3, 2), (3, 2, 3), (3, 3, 3))
+    )
+    _, u, v, w = report.counterexample
     assert squared(u, v) > squared(u, w) + squared(w, v)
 
 
@@ -583,6 +597,98 @@ def test_per_coordinate_tiling_agrees_with_the_ball_census(case):
         assert tiles == _ball_census(code, [box], code.size * space.size, True).ok
     else:
         assert not tiles
+
+
+def _projections(listing):
+    """Per coordinate, a listing's residues: none for an empty listing, as
+    `zip(*listing)` gives, but without a tuple as long as the listing."""
+    width = min(map(len, listing), default=0)
+    return [set(map(itemgetter(t), listing)) for t in range(width)]
+
+
+def reference_tiles(m, centers, box):
+    """The set rule `_tiles` replaced: no repeats, as many centers as the
+    product of the projections, and each projection with its residues
+    tiling Z_m."""
+    residues = range(m)
+    projections = _projections(centers)
+    return (
+        len(set(centers)) == len(centers) == math.prod(map(len, projections))
+        and all(
+            p.issubset(residues)
+            and sorted((a + b) % m for a in p for b in rs) == list(residues)
+            for p, rs in zip(projections, box)
+        )
+    )
+
+
+# Over Z_6, two unit blocks and the ball of (1, 0): {5, 0, 1} x {0}.  Its
+# tiling centers are {0, 3} x Z_6, listed in order.
+TILING_BOX = [(0, 1, 5), (0,)]
+TILING = list(itertools.product((0, 3), range(6)))
+
+
+@pytest.mark.parametrize("name, centers, tiles", [
+    ("the product", TILING, True),
+    ("shuffled", TILING[1::2] + TILING[-2::-2], True),
+    ("one center repeated", TILING + [TILING[5]], False),
+    ("one center repeated in place of another", TILING[:-1] + [TILING[0]], False),
+    ("one center removed", TILING[:4] + TILING[5:], False),
+    ("one projection value on every row", [(0, x) for x in range(6)], False),
+    ("every row one center", [(0, 3)] * 12, False),
+    ("a non-product with product-sized projections",
+     [(a + r % 2, r) for r in range(6) for a in (0, 3)], False),
+    ("empty", [], False),
+    ("a residue at m", [(a or 6, x) for a, x in TILING], False),
+    ("a residue past m", TILING[:-1] + [(9, 5)], False),
+])
+def test_tiles_agrees_with_the_set_rule_on_adversarial_listings(name, centers, tiles):
+    assert reference_tiles(6, centers, TILING_BOX) == tiles
+    assert _tiles(6, centers, TILING_BOX) == tiles
+    assert _tiles(6, centers[::-1], TILING_BOX) == tiles
+
+
+@st.composite
+def tiling_listings(draw):
+    """A ball's residue lists over Z_m^n, m in 2..7 and n in 1..3, and
+    centers: any list of tuples over 0..m, or a shuffled product of residue
+    sets, each a coset that tiles with the ball's residues or any set, some
+    reaching m, with a center moved (anywhere, or within the sets),
+    repeated or dropped."""
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 3))
+    space = Space(m, Pomset.from_relations(n, m // 2, []), (1,) * n)
+    box = balls._ball_box(space, draw(st.sampled_from(all_ideals(space.pomset))), space.size)
+    residue = st.integers(0, m)
+    if draw(st.booleans()):
+        centers = draw(st.lists(st.tuples(*[residue] * n), max_size=40))
+    else:
+        sets = []
+        for rs in box:
+            if m % len(rs) == 0 and draw(st.booleans()):
+                shift = draw(st.integers(0, m - 1))
+                sets.append(sorted((shift + a) % m for a in range(0, m, len(rs))))
+            else:
+                sets.append(sorted(draw(st.sets(residue, min_size=1, max_size=m))))
+        centers = draw(st.permutations(list(itertools.product(*sets))))
+        fault = draw(st.sampled_from([None, "moved", "moved within", "repeated", "dropped"]))
+        j, k = (draw(st.integers(0, len(centers) - 1)) for _ in range(2))
+        if fault == "moved":
+            centers[j] = draw(st.tuples(*[residue] * n))
+        elif fault == "moved within":
+            centers[j] = draw(st.tuples(*map(st.sampled_from, sets)))
+        elif fault == "repeated":
+            centers[j] = centers[k]
+        elif fault == "dropped":
+            del centers[j]
+    return m, box, centers
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(tiling_listings())
+def test_tiles_agrees_with_the_set_rule_on_drawn_listings(case):
+    m, box, centers = case
+    assert _tiles(m, centers, box) == reference_tiles(m, centers, box)
 
 
 def is_subgroup(m, n, members):
