@@ -5,6 +5,18 @@ key=value lines.
 Exit codes: 0 computed or verified true, 1 check evaluated false (report
 carries a witness), 2 input error, 3 enumeration budget exceeded; `main`
 exits 141, as a filter killed by SIGPIPE does, when its reader closes early.
+
+A process that serves many requests through `run` shares what they build.
+The parser is built once (`build_parser`), and each distinct problem
+document once: `run` reads the file on every request and keys the problem
+by the document's text, so an edited file is loaded afresh and two paths
+holding the same text share one problem.  The problem's order, space and
+code, with the tables they fill lazily (the ideal table, the ball rows, the
+Howell and dual forms, the listed and weighed codewords), then serve every
+later request on that document.  At most `PROBLEM_MEMO_SIZE` problems are
+kept, the least recently used dropped first, and a load that fails is not
+kept.  The shared objects are not locked: one thread serves the requests
+in turn.  `load_problem` shares nothing.
 """
 
 from __future__ import annotations
@@ -38,8 +50,13 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+# Distinct problem documents `run` keeps built.  A caller works on a few
+# files at a time; 16 holds the 11 shipped fixtures, or the 9 problem files
+# of a benchmark run, with room to spare.
+PROBLEM_MEMO_SIZE = 16
 
-@dataclass
+
+@dataclass(frozen=True)
 class Problem:
     space: Space
     code: codes.Code | None = None
@@ -137,8 +154,18 @@ def problem_from_dict(doc: dict) -> Problem:
 
 
 def load_problem(path: str) -> Problem:
+    """A new problem from the JSON file at `path`, shared with no one."""
     with open(path, "r", encoding="utf-8") as fh:
         return problem_from_dict(json.load(fh))
+
+
+@functools.lru_cache(maxsize=PROBLEM_MEMO_SIZE)
+def _problem_of_text(text: str) -> Problem:
+    """The problem of one document's text, built once and shared by `run`.
+
+    A document that fails to load raises, and nothing is kept for it.
+    """
+    return problem_from_dict(json.loads(text))
 
 
 @functools.cache
@@ -598,16 +625,23 @@ def parse_argv(argv) -> argparse.Namespace:
 def run(argv=None, out=None) -> int:
     """Serve one request: parse argv once, load the problem, run its command.
 
-    The problem loads only what the command reads: a code given by generator
-    rows keeps its Howell form, and its words are listed only if the
-    command reads them.
+    The problem file is read on every request, and its text is the key of
+    the shared problem (see the module docstring): the first request on a
+    document builds it, and later ones, whatever their command, reuse it
+    and every table an earlier request filled, up to `PROBLEM_MEMO_SIZE`
+    documents.  Like the parser, the shared problems serve one thread's
+    requests in turn.  A problem builds only what its requests read: a
+    code given by generator rows keeps its Howell form, and its words are
+    listed only once a command reads them.
     """
     args = parse_argv(sys.argv[1:] if argv is None else list(argv))
     rep = Report(args.machine, out)
     try:
         if args.budget < 0:
             raise ValueError(f"--budget must be non-negative, got {args.budget}")
-        problem = load_problem(args.problem)
+        with open(args.problem, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        problem = _problem_of_text(text)
         status = COMMANDS[args.command].run(problem, args, rep)
     except BudgetExceededError as exc:
         rep.say(f"budget exceeded: {exc}")

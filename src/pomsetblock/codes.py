@@ -18,9 +18,11 @@ Codewords are sorted coordinate tuples, made and read by columns:
 `_lex_span` lists a span from its Howell rows already in lexicographic
 order, n column lists zipped into words at the end, and minimum distance,
 weight distribution and root-set sizes all weigh the words through one
-column kernel, `Space.words_weight_counts`.  A span or a dual lists its
-words only when they are first read: its size, its dual, the coset pass
-of the census and parity-block dependence read the form alone.
+column kernel, `Space.words_weight_counts`.  A code weighs its words once,
+as `Code._closures`, so those facts asked of one code in turn share one
+pass.  A span or a dual lists its words only when they are first read: its
+size, its dual, the coset pass of the census and parity-block dependence
+read the form alone.
 
 Each code is built once, from one Howell form, kept as its `_form`, the one
 witness of its linearity: a span keeps the form it was spanned from, and a
@@ -183,6 +185,15 @@ class Code:
         rows = [[*column, *[0] * t, 1, *[0] * (n - 1 - t)] for t, column in enumerate(columns)]
         return [row[k:] for row in _howell(rows, k + n, m) if not any(row[:k])]
 
+    @cached_property
+    def _closures(self) -> list[tuple[int, ...]]:
+        """Each codeword's ideal count vector, in word order, weighed once.
+
+        Minimum distance of a linear code, the weight distribution and the
+        least root-set size all read this one list.
+        """
+        return self.space.words_weight_counts(self.codewords)
+
     @property
     def is_linear(self) -> bool:
         """True iff the code is a submodule (closed under + and -): iff it has
@@ -320,16 +331,15 @@ def min_distance(c: Code) -> int:
     """
     if c.size < 2:
         raise UndefinedDistanceError("minimum distance needs at least two codewords")
+    # Only the zero word weighs 0.
+    if c.is_linear:
+        return min(filter(None, map(sum, c._closures)))
     sp, m = c.space, c.space.m
     words = c.codewords
-    if c.is_linear:
-        batches = [words]
-    else:
-        batches = (
-            [tuple((x - y) % m for x, y in zip(u, v)) for v in words[i + 1:]]
-            for i, u in enumerate(words)
-        )
-    # Only the zero word weighs 0.
+    batches = (
+        [tuple((x - y) % m for x, y in zip(u, v)) for v in words[i + 1:]]
+        for i, u in enumerate(words)
+    )
     return min(itertools.chain.from_iterable(
         filter(None, map(sum, sp.words_weight_counts(batch))) for batch in batches
     ))
@@ -738,8 +748,7 @@ def min_ideal_root_size(c: Code) -> int:
     if c.size < 2:
         raise ValueError("needs a nonzero codeword")
     # Only the zero word generates the empty ideal.
-    closures = set(c.space.words_weight_counts(c.codewords))
-    return min(filter(None, (len(k) - k.count(0) for k in closures)))
+    return min(filter(None, (len(k) - k.count(0) for k in set(c._closures))))
 
 
 def ball_code_intersection(c: Code, i, x: Vector) -> int:
@@ -781,7 +790,7 @@ class WeightDistribution:
 def weight_distribution(c: Code) -> WeightDistribution:
     """Exact weight census over the codewords."""
     counts = [0] * (c.space.max_weight + 1)
-    for closure, k in Counter(c.space.words_weight_counts(c.codewords)).items():
+    for closure, k in Counter(c._closures).items():
         counts[sum(closure)] += k
     return WeightDistribution(tuple(counts))
 

@@ -4,9 +4,16 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from pomsetblock import cli
 from pomsetblock.cli import Problem, load_problem
 from pomsetblock.fixtures import NAMES, fixture_path
 from pomsetblock.pomset import Pomset
+
+
+@pytest.fixture(autouse=True)
+def _cold_problem_memo():
+    """Each test starts with no problem kept by `cli.run`, whatever ran before."""
+    cli._problem_of_text.cache_clear()
 
 
 def load_fixture(name: str) -> Problem:

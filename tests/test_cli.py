@@ -710,6 +710,9 @@ def test_main_exits_quietly_when_its_reader_closes(tmp_path):
 def test_a_spanned_code_is_listed_only_by_the_requests_that_read_its_words(
         monkeypatch, request_, status, primal_listings):
     # The first four fail at the parent, which listed every span at load.
+    # The problem memo starts cold (see conftest), so the first request
+    # loads the problem; the same request again reuses it and lists no
+    # more of the primal, while `dual` builds a new dual each time.
     path = fixture_path("mds_z5_len6")
     primal = load_problem(path).code._form
     forms = []
@@ -719,6 +722,9 @@ def test_a_spanned_code_is_listed_only_by_the_requests_that_read_its_words(
     assert invoke(request_[0], path, *request_[1:], "--machine")[0] == status
     assert sum(form == primal for form in forms) == primal_listings
     assert len(forms) == primal_listings + (request_ == ["dual"])
+    assert invoke(request_[0], path, *request_[1:], "--machine")[0] == status
+    assert sum(form == primal for form in forms) == primal_listings
+    assert len(forms) == primal_listings + 2 * (request_ == ["dual"])
 
 
 def parse_outcome(parse, argv, capsys):
