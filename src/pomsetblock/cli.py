@@ -14,9 +14,13 @@ holding the same text share one problem.  The problem's order, space and
 code, with the tables they fill lazily (the ideal table, the ball rows, the
 Howell and dual forms, the listed and weighed codewords), then serve every
 later request on that document.  At most `PROBLEM_MEMO_SIZE` problems are
-kept, the least recently used dropped first, and a load that fails is not
-kept.  The shared objects are not locked: one thread serves the requests
-in turn.  `load_problem` shares nothing.
+kept, the least recently used dropped first, and only small ones: an order
+of at most `PROBLEM_MEMO_BLOCKS` elements and a code of at most
+`PROBLEM_MEMO_ENTRIES` coordinates over all its words, so the memo holds a
+few MB a problem whatever the documents; a larger problem, and a load that
+fails, are not kept.  A dual is built afresh by each request that reads
+it.  The shared objects are not locked: one thread serves the requests in
+turn.  `load_problem` shares nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 import operator
 import os
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -54,6 +59,16 @@ EXIT_BUDGET = 3
 # files at a time; 16 holds the 11 shipped fixtures, or the 9 problem files
 # of a benchmark run, with room to spare.
 PROBLEM_MEMO_SIZE = 16
+# A problem is kept only while what its requests may build stays small.  An
+# order of at most 10 elements has at most 2^10 downsets, whose tables held
+# about 1 MB with every level listed; a code of at most 2^16 coordinates
+# over all its words holds its words and their weights in about 2 MB.  The
+# ideal table (at most `pomset.IDEAL_TABLE_LIMIT` ideals, about 2.5 MB when
+# full) and the ball rows (`space.BALL_ROW_LIMIT`) are bounded apart.  16
+# problems at these bounds raised a process's peak RSS by about 66 MB.  Any
+# other problem is loaded afresh by each request, as `load_problem` would.
+PROBLEM_MEMO_BLOCKS = 10
+PROBLEM_MEMO_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -159,13 +174,30 @@ def load_problem(path: str) -> Problem:
         return problem_from_dict(json.load(fh))
 
 
-@functools.lru_cache(maxsize=PROBLEM_MEMO_SIZE)
-def _problem_of_text(text: str) -> Problem:
-    """The problem of one document's text, built once and shared by `run`.
+# Problems kept by `_problem_of_text`, by document text, least recently
+# used first.
+_problems: OrderedDict[str, Problem] = OrderedDict()
 
-    A document that fails to load raises, and nothing is kept for it.
+
+def _problem_of_text(text: str) -> Problem:
+    """The problem of one document's text, shared by `run`'s requests.
+
+    A kept problem is returned as it is; any other is built, and kept if it
+    is small enough (see the module docstring).  A document that fails
+    to load raises, and nothing is kept for it.
     """
-    return problem_from_dict(json.loads(text))
+    problem = _problems.get(text)
+    if problem is not None:
+        _problems.move_to_end(text)
+        return problem
+    problem = problem_from_dict(json.loads(text))
+    code = problem.code
+    if problem.space.pomset.ground_size <= PROBLEM_MEMO_BLOCKS and (
+            code is None or code.size * problem.space.n <= PROBLEM_MEMO_ENTRIES):
+        _problems[text] = problem
+        if len(_problems) > PROBLEM_MEMO_SIZE:
+            _problems.popitem(last=False)
+    return problem
 
 
 @functools.cache
@@ -625,14 +657,11 @@ def parse_argv(argv) -> argparse.Namespace:
 def run(argv=None, out=None) -> int:
     """Serve one request: parse argv once, load the problem, run its command.
 
-    The problem file is read on every request, and its text is the key of
-    the shared problem (see the module docstring): the first request on a
-    document builds it, and later ones, whatever their command, reuse it
-    and every table an earlier request filled, up to `PROBLEM_MEMO_SIZE`
-    documents.  Like the parser, the shared problems serve one thread's
-    requests in turn.  A problem builds only what its requests read: a
-    code given by generator rows keeps its Howell form, and its words are
-    listed only once a command reads them.
+    The problem file is read on every request and its text looked up in
+    `_problem_of_text`, so requests on one document may share its problem
+    (see the module docstring).  A problem builds only what its requests
+    read: a code given by generator rows keeps its Howell form, and its
+    words are listed only once a command reads them.
     """
     args = parse_argv(sys.argv[1:] if argv is None else list(argv))
     rep = Report(args.machine, out)

@@ -13,7 +13,7 @@ from pomsetblock.pomset import Pomset
 @pytest.fixture(autouse=True)
 def _cold_problem_memo():
     """Each test starts with no problem kept by `cli.run`, whatever ran before."""
-    cli._problem_of_text.cache_clear()
+    cli._problems.clear()
 
 
 def load_fixture(name: str) -> Problem:

@@ -1,16 +1,15 @@
 """Requests served in one process share each problem document `cli.run` loads.
 
 `run` keys a built problem by its file's text (`cli._problem_of_text`), so
-these tests check that sharing changes no answer: the golden corpus in a
-shuffled order, a file rewritten or mended between requests, the memo's
-bound, and a code whose words are weighed once across requests.  The
-autouse fixture in conftest starts each test with the memo empty.
+these tests check that sharing changes no answer: a file rewritten or
+mended between requests, two paths with one text, the memo's bounds, and a
+code whose words are weighed once across requests.  The golden corpus
+replayed in a shuffled order is in `test_golden_cli.py`.  The autouse
+fixture in conftest starts each test with the memo empty.
 """
 
 import dataclasses
 import io
-import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,12 +19,6 @@ from pomsetblock.cli import load_problem, run
 from pomsetblock.fixtures import fixture_path
 from pomsetblock.space import Space
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-sys.path.insert(0, str(GOLDEN))
-
-import generate  # noqa: E402
-
-
 def invoke(*argv):
     buf = io.StringIO()
     status = run(list(argv), out=buf)
@@ -34,28 +27,13 @@ def invoke(*argv):
 
 def cold(*argv):
     """The answer of a request served with no problem kept, as a lone run's."""
-    kept = cli._problem_of_text
+    kept = cli._problems.copy()
+    cli._problems.clear()
     try:
-        cli._problem_of_text = kept.__wrapped__
         return invoke(*argv)
     finally:
-        cli._problem_of_text = kept
-
-
-def test_the_golden_corpus_replays_in_a_shuffled_order_in_one_process():
-    lines = generate.CORPUS.read_text().splitlines()
-    random.Random(41).shuffle(lines)
-    mismatches = []
-    for line in lines:
-        expected, status, *argv = line.split(" ")
-        got_status, output = generate.replay(argv)
-        if (generate.digest(output), got_status) != (expected, int(status)):
-            mismatches.append(f"$ {' '.join(argv)}\nexit {got_status} (expected {status})")
-    assert not mismatches, (
-        f"{len(mismatches)} of {len(lines)} invocations differ; the first:\n\n"
-        + "\n".join(mismatches[:5])
-    )
-    assert cli._problem_of_text.cache_info().hits > len(lines) // 2
+        cli._problems.clear()
+        cli._problems.update(kept)
 
 
 def test_a_rewritten_file_gets_the_new_documents_answer(tmp_path):
@@ -67,14 +45,16 @@ def test_a_rewritten_file_gets_the_new_documents_answer(tmp_path):
             assert got == cold(*request, "--machine", fixture_path(name)), (name, request)
 
 
-def test_two_paths_with_one_text_share_one_problem(tmp_path):
+def test_two_paths_with_one_text_share_one_problem(tmp_path, monkeypatch):
+    loads = []
+    real = cli.problem_from_dict
+    monkeypatch.setattr(cli, "problem_from_dict", lambda doc: loads.append(1) or real(doc))
     text = Path(fixture_path("mds_z5_len6")).read_text()
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     first.write_text(text)
     second.write_text(text)
     assert invoke("check-mds", str(first)) == invoke("check-mds", str(second))
-    info = cli._problem_of_text.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert (len(loads), len(cli._problems)) == (1, 1)
 
 
 def test_a_file_that_failed_to_load_loads_once_mended(tmp_path):
@@ -84,23 +64,46 @@ def test_a_file_that_failed_to_load_loads_once_mended(tmp_path):
         path.write_text(broken)
         status, out = invoke("singleton", "--machine", str(path))
         assert (status, out) == (cli.EXIT_INPUT, "error=input\n")
-        assert cli._problem_of_text.cache_info().currsize == 0
+        assert not cli._problems
     path.write_text(text)
     assert invoke("singleton", "--machine", str(path)) == cold(
         "singleton", "--machine", fixture_path("mds_z5_len3"))
-    assert cli._problem_of_text.cache_info().currsize == 1
+    assert len(cli._problems) == 1
 
 
 def test_the_memo_keeps_no_more_problems_than_its_bound(tmp_path):
     bound = cli.PROBLEM_MEMO_SIZE
-    assert cli._problem_of_text.cache_info().maxsize == bound
-    for j in range(bound + 5):
-        path = tmp_path / f"z{j + 2}.json"
-        path.write_text(f'{{"m": {j + 2}, "pomset": {{"s": 1, "relations": []}}, '
-                        f'"labeling": [1]}}')
+
+    def request(j):
+        path = tmp_path / f"z{j}.json"
+        path.write_text(f'{{"m": {j}, "pomset": {{"s": 1, "relations": []}}, "labeling": [1]}}')
         assert invoke("weight", "--machine", "--vector", "1", str(path)) == (
             cli.EXIT_OK, "weight=1\n")
-        assert cli._problem_of_text.cache_info().currsize == min(j + 1, bound)
+        return path.read_text()
+
+    texts = []
+    for j in range(2, bound + 7):
+        texts.append(request(j))
+        assert len(cli._problems) == min(len(texts), bound)
+    # The least recently used are dropped first, and a request refreshes its own.
+    kept = texts[-bound:]
+    assert list(cli._problems) == kept
+    oldest = request(len(texts) - bound + 2)
+    assert oldest == kept[0]
+    assert list(cli._problems) == [*kept[1:], oldest]
+    newest = request(bound + 7)
+    assert list(cli._problems) == [*kept[2:], oldest, newest]
+
+
+# mds_z5_len6 has an order of 4 elements and a code of 25 words of length 6.
+@pytest.mark.parametrize("blocks, entries, kept", [(4, 150, 1), (3, 150, 0), (4, 149, 0)])
+def test_only_a_problem_within_both_bounds_is_kept(monkeypatch, blocks, entries, kept):
+    monkeypatch.setattr(cli, "PROBLEM_MEMO_BLOCKS", blocks)
+    monkeypatch.setattr(cli, "PROBLEM_MEMO_ENTRIES", entries)
+    path = fixture_path("mds_z5_len6")
+    for request in ("weight-dist", "singleton", "dual"):
+        assert invoke(request, "--machine", path) == cold(request, "--machine", path)
+        assert len(cli._problems) == kept
 
 
 def test_load_problem_returns_a_new_frozen_problem_each_call():
