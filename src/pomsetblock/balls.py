@@ -1,8 +1,13 @@
 """Balls and spheres of the block metric: membership, closed-form sizes,
 explicit enumeration, and tiling translates.
 
-Closed forms here are certified against exhaustive enumeration by the
-`oracle` module; enumeration order is always lexicographic on coordinates.
+Every closed form reads one per-block factor, min(2c+1, m)^k for a block
+of dimension k at count c, from the space's rows `Space._ball_rows`: the
+I-ball size is a product of factors, the I-sphere size takes factor
+differences on the maximal blocks, and the r-ball size is a running sum of
+spheres kept on the space.  Closed forms here are certified against
+exhaustive enumeration by the `oracle` module; enumeration order is always
+lexicographic on coordinates.
 """
 
 from __future__ import annotations
@@ -85,16 +90,12 @@ def _require_ideal(space: Space, i: Ideal) -> Ideal:
 def I_ball_cardinality(space: Space, i: Ideal) -> int:
     """Closed-form size of an I-ball: the product of min(2c+1, m)^k over blocks.
 
-    Each factor is a lookup in `space._ball_table`, whose row for a block of
+    Each factor is a lookup in `space._ball_rows`, whose row for a block of
     dimension k holds min(2c+1, m)^k at column c: 1 outside the root set,
-    (2c+1)^k on a partial block and m^k on a full one.  A count past the
-    rows' end takes the rows of `Space._ball_rows`, which reach it.
+    (2c+1)^k on a partial block and m^k on a full one.
     """
     _require_ideal(space, i)
-    try:
-        return math.prod(map(operator.getitem, space._ball_table, i.counts))
-    except IndexError:
-        return math.prod(map(operator.getitem, space._ball_rows(i.counts), i.counts))
+    return math.prod(map(operator.getitem, space._ball_rows, i.counts))
 
 
 def I_sphere_cardinality(space: Space, i: Ideal) -> int:
@@ -102,29 +103,21 @@ def I_sphere_cardinality(space: Space, i: Ideal) -> int:
 
     Maximal blocks must weigh exactly their count c, giving the shell
     row[c] - row[c-1] = min(2c+1, m)^k - min(2c-1, m)^k choices, with `row`
-    the block's row of `space._ball_table`; every other block contributes
+    the block's row of `space._ball_rows`; every other block contributes
     row[c]: m^k on a root block with a present block above it, 1 outside
     the root set.  A block with 0 < c < height has nothing present above
     it, since everything below a present block is full, so it is maximal;
     only full blocks look above them.  The empty ideal's sphere is the zero
-    vector alone (size 1).  The rows are read as in `I_ball_cardinality`.
+    vector alone (size 1).
     """
     _require_ideal(space, i)
-    try:
-        return _sphere_size(space, i, space._ball_table)
-    except IndexError:
-        return _sphere_size(space, i, space._ball_rows(i.counts))
-
-
-def _sphere_size(space: Space, i: Ideal, table) -> int:
-    """`I_sphere_cardinality` from rows of I-ball factors that reach the counts."""
-    counts = i.counts
+    counts, rows = i.counts, space._ball_rows
     l = i.height
     above = space.pomset.strictly_above
     size = 1
     for t, c in enumerate(counts, start=1):
         if c:
-            row = table[t - 1]
+            row = rows[t - 1]
             if c == l:
                 for u in above[t]:
                     if counts[u - 1]:

@@ -42,7 +42,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .balls import (
@@ -74,10 +74,8 @@ class Code:
     Every codeword is a tuple of n integer residues reduced mod m.
     `Code(space, words)` checks and de-duplicates the words it is given;
     the codes the library builds itself skip that, see `_trusted`.  A
-    caller with generator rows calls `span_generator`.  `generator` records
-    the rows a span or a dual was built from; only `_trusted` sets it, and
-    equality, hashing and repr ignore it.  Linearity has one witness, the
-    code's Howell form `_form`.
+    caller with generator rows calls `span_generator`.  Linearity has one
+    witness, the code's Howell form `_form`.
 
     A span or a dual keeps its Howell form and lists its words from it only
     when `codewords` is first read (see `__getattr__`); its `size` is the
@@ -88,25 +86,22 @@ class Code:
 
     space: Space
     codewords: tuple[tuple[int, ...], ...]
-    generator: tuple[tuple[int, ...], ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         words = _check_words(self.space, self.codewords)
         object.__setattr__(self, "codewords", _distinct(words))
 
     @classmethod
-    def _trusted(cls, space: Space, codewords=None, generator=None, form=None) -> "Code":
+    def _trusted(cls, space: Space, codewords=None, form=None) -> "Code":
         """The code of words the caller built sorted, distinct and reduced; unchecked.
 
         The instance dict gets the fields validation would set, so a trusted
         code equals, hashes and reprs like a checked one.  `span_generator`
-        and `dual_code` pass no words but the rows they built from as
-        `generator`, and their Howell form, which becomes the code's `_form`
-        and lists the words when they are first read.
+        and `dual_code` pass no words but their Howell form, which becomes
+        the code's `_form` and lists the words when they are first read.
         """
         code = object.__new__(cls)
-        code.__dict__.update(space=space, generator=generator)
+        code.__dict__["space"] = space
         if codewords is not None:
             code.__dict__["codewords"] = codewords
         if form is not None:
@@ -299,7 +294,7 @@ def _lex_span(form, n: int, m: int) -> list[tuple[int, ...]]:
     return list(zip(*cols))
 
 
-def _budgeted_code(space: Space, rows, budget: int, what: str, generator=None) -> Code:
+def _budgeted_code(space: Space, rows, budget: int, what: str) -> Code:
     """The code Howell rows span, once its size is known to fit the budget.
 
     The code keeps the rows as its form and lists the span, sorted and once
@@ -308,7 +303,7 @@ def _budgeted_code(space: Space, rows, budget: int, what: str, generator=None) -
     size = _span_size(rows, space.m)
     if size > budget:
         raise BudgetExceededError(f"{what} of {size} codewords exceeds budget {budget}")
-    return Code._trusted(space, generator=generator, form=rows)
+    return Code._trusted(space, form=rows)
 
 
 def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
@@ -317,9 +312,8 @@ def span_generator(space: Space, rows, budget: int = DEFAULT_BUDGET) -> Code:
     The span is listed from the rows' Howell form, so the budget counts its
     codewords; the form is kept as the code's own.
     """
-    norm = tuple(_reduce_words(space, rows))
-    form = _howell(norm, space.n, space.m)
-    return _budgeted_code(space, form, budget, "span", norm)
+    form = _howell(_reduce_words(space, rows), space.n, space.m)
+    return _budgeted_code(space, form, budget, "span")
 
 
 def min_distance(c: Code) -> int:
@@ -349,11 +343,10 @@ def dual_code(c: Code, budget: int = DEFAULT_BUDGET) -> Code:
     """Annihilator { v : v . c = 0 mod m for all c }, from its Howell rows.
 
     The budget counts the dual's codewords; |C| * |dual| = m^n.  The dual
-    records its Howell rows as generator and as form, so its own dual takes
-    one Howell form of n rows.
+    keeps its Howell rows as its form, so its own dual takes one Howell form
+    of n rows.
     """
-    rows = c._dual_form
-    return _budgeted_code(c.space, rows, budget, "dual", tuple(rows))
+    return _budgeted_code(c.space, c._dual_form, budget, "dual")
 
 
 @dataclass(frozen=True)
@@ -556,7 +549,11 @@ def _r_ball_coords(c: Code, r: int, budget: int):
     most r elements, listed one cardinality at a time.  The lister adds up
     the size of every box it builds and stops once the census could not
     take |C| copies of the total, so a ball past the budget costs only the
-    ideals of its first few cardinalities.  In an I-sphere each coordinate
+    ideals of its first few cardinalities.  Before any is listed, the
+    I-ball of one ideal of r elements, its blocks filled to full height
+    along a linear extension, is weighed from the ball rows: the radius
+    ball holds it, so one past the room is refused by the same message,
+    and a huge modulus lists no residue.  In an I-sphere each coordinate
     of a block with count w has Lee weight at most w, and a maximal block
     has weight exactly w: it splits into one box per choice of its first
     coordinate of weight w, the ones before it weighing less.
@@ -564,6 +561,14 @@ def _r_ball_coords(c: Code, r: int, budget: int):
     sp = c.space
     _check_radius(sp, r)
     m, room = sp.m, budget // c.size
+    refusal = (f"census of {c.size} codewords x a radius-{r} ball of more "
+               f"than {room} vectors exceeds budget {budget}")
+    counts, left = [0] * sp.s, r
+    for t in sorted(range(sp.s), key=lambda t: len(sp.pomset.strictly_below[t + 1])):
+        counts[t] = min(left, sp.height)
+        left -= counts[t]
+    if math.prod(map(operator.getitem, sp._ball_rows, counts)) > room:
+        raise BudgetExceededError(refusal)
     boxes, size = [], 0
     for card in range(r + 1):
         for i in enumerate_ideals(sp.pomset, card):
@@ -577,10 +582,7 @@ def _r_ball_coords(c: Code, r: int, budget: int):
                 boxes.append(box)
                 size += math.prod(map(len, box))
             if size > room:
-                raise BudgetExceededError(
-                    f"census of {c.size} codewords x a radius-{r} ball of more "
-                    f"than {room} vectors exceeds budget {budget}"
-                )
+                raise BudgetExceededError(refusal)
     return boxes
 
 
@@ -754,19 +756,24 @@ def min_ideal_root_size(c: Code) -> int:
 def ball_code_intersection(c: Code, i, x: Vector) -> int:
     """Exact size of { codewords inside the I-ball centered at x }.
 
-    `i` is an Ideal or an Mset.  The ball about x is the product of the
-    residues x_t + r with r within coordinate t's count, so whichever of
-    the ball and the code is smaller is walked and tested against the other.
+    `i` is an Ideal or an Mset.  The ball's size comes from the ball rows.
+    A ball smaller than the code is listed, as the product of the residues
+    x_t + r with r within coordinate t's count, and looked up in the code;
+    otherwise each codeword's Lee distance to x is tested coordinate by
+    coordinate against its block's count, so no residue is listed.
     """
     _check_space(c, x)
     sp, m = c.space, c.space.m
-    shifted = _ball_block_choices(sp, _counts_of(sp, i), x.coords)
-    words = c.coord_set
-    if math.prod(map(len, shifted)) < c.size:
+    counts = _counts_of(sp, i)
+    if math.prod(map(operator.getitem, sp._ball_rows, counts)) < c.size:
+        words = c.coord_set
+        shifted = _ball_block_choices(sp, counts, x.coords)
         return sum(1 for w in itertools.product(*shifted) if w in words)
-    for t, residues in enumerate(shifted):
-        if len(residues) < m:
-            words = [w for w in words if w[t] in residues]
+    words = c.codewords
+    caps = itertools.chain.from_iterable(map(itertools.repeat, counts, sp.labeling))
+    for t, (a, cap) in enumerate(zip(x.coords, caps)):
+        if 2 * cap + 1 < m:
+            words = [w for w in words if not cap < (w[t] - a) % m < m - cap]
     return len(words)
 
 

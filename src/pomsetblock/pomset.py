@@ -67,6 +67,14 @@ def _check_sizes(ground_size: int, height: int) -> None:
         raise ValueError("height must be positive")
 
 
+class _IdealTable(dict):
+    """An order's ideal table.  `held` counts the ideals its cardinality
+    levels hold, kept in step as levels are stored, so a miss re-counts
+    nothing; the None list, when present, holds the same objects again."""
+
+    held = 0
+
+
 @dataclass(frozen=True)
 class Pomset:
     """Strict partial order on {1..s} with a common multiplicity cap.
@@ -161,7 +169,7 @@ class Pomset:
         return {}
 
     @cached_property
-    def _ideal_levels(self) -> dict:
+    def _ideal_levels(self) -> "_IdealTable":
         """The ideal table, filled by `enumerate_ideals` and `all_ideals`.
 
         Key r holds the ideals of cardinality r as `enumerate_ideals` lists
@@ -171,7 +179,7 @@ class Pomset:
         caller may change its list; like the tables above, this one stays
         outside equality, hashing and repr.
         """
-        return {}
+        return _IdealTable()
 
     def downsets_of_size(self, size: int) -> tuple[frozenset[int], ...]:
         """The downward-closed subsets with `size` elements, by sorted elements.
@@ -423,6 +431,7 @@ def all_ideals(p: Pomset) -> list[Ideal]:
             table.clear()
             for i in every:
                 table.setdefault(i.cardinality, []).append(i)
+            table.held = len(every)
         table[None] = every
     return every.copy()
 
@@ -446,11 +455,10 @@ def enumerate_ideals(p: Pomset, r: int) -> list[Ideal]:
     if level is None:
         sizes = range(-(-r // p.height), min(r, p.ground_size) + 1)
         level = _ideals_weighing(p, sizes, r, r)
-        # The None list, when present, holds the levels' own objects.
-        held = sum(len(kept) for key, kept in table.items() if key is not None)
-        if held + len(level) > IDEAL_TABLE_LIMIT:
+        if table.held + len(level) > IDEAL_TABLE_LIMIT:
             return level
         table[r] = level
+        table.held += len(level)
     return level.copy()
 
 

@@ -4,14 +4,13 @@ Coordinates are grouped into one block per ordered ground-set element; a
 block weighs as the maximum Lee weight of its coordinates, and the weight
 of a vector is the cardinality of the order ideal generated by its block
 support.  All values are immutable but for three lazy caches per space,
-none of which enters equality, hashing or repr: `Space._ball_table`, the
-per-block I-ball factors the closed forms of `balls` multiply, each row
-grown only through the largest count asked for so far and never past
-`BALL_ROW_LIMIT`,
-`Space._lee`, the Lee weight of each residue read so far by
-`Space.block_weights` and the column kernel `Space.words_weight_counts`,
-and `Space._rball_levels`, the radius-ball sizes
-`balls.r_ball_cardinality` has worked out so far.
+none of which enters equality, hashing or repr: `Space._ball_rows`, the
+per-block I-ball factors min(2c+1, m)^k every closed form of `balls`
+reads, built whole on the first read as lists below a height of
+`BALL_ROW_LIMIT` and worked out per read at or past it; `Space._lee`, the
+Lee weight of each residue read so far by `Space.block_weights` and the
+column kernel `Space.words_weight_counts`; and `Space._rball_levels`, the
+radius-ball sizes `balls.r_ball_cardinality` has worked out so far.
 
 Codewords, generator rows and vectors all enter by one word contract:
 after the first wrong length, `_check_words` refuses a coordinate outside
@@ -29,10 +28,11 @@ from functools import cached_property
 from .mset import Mset, ShapeError
 from .pomset import Pomset
 
-# Counts a row of `Space._ball_table` holds at most, as `pomset.IDEAL_TABLE_LIMIT`
-# bounds an order's ideal table: a count at or past it is worked out on the
-# call that reads it, so no row grows with a huge modulus's height.
-BALL_ROW_LIMIT = 1 << 13
+# Heights below this get `Space._ball_rows` as lists of every factor, built
+# whole; a higher one gets factors worked out as they are read.  A problem
+# kept between in-process requests then holds at most 256 factors a block,
+# about 0.1 MB over 10 blocks, and no row grows with a huge modulus.
+BALL_ROW_LIMIT = 1 << 8
 
 
 def lee_weight(x: int, m: int) -> int:
@@ -100,28 +100,17 @@ class Space:
         return tuple(bounds)
 
     @cached_property
-    def _ball_table(self) -> list[list[int]]:
+    def _ball_rows(self) -> list:
         """Row t, column c: min(2c+1, m)^k_t, block t's I-ball factor at count c.
 
-        Every row starts at count 0 alone; `_ball_rows` extends them all
-        only as far as the largest count asked for, below `BALL_ROW_LIMIT`.
-        """
-        return [[1] for _ in self.labeling]
-
-    def _ball_rows(self, counts) -> list:
-        """Rows of I-ball factors, one per block, that reach every count.
-
-        Below `BALL_ROW_LIMIT` they are the rows of `_ball_table`, each grown
-        through the largest of the counts; at or past it, rows that work out
+        Below `BALL_ROW_LIMIT` the rows are lists of all height + 1 factors,
+        built whole on the first read; at or past it, rows that work out
         each factor as it is read and store none.
         """
-        top = max(counts)
-        if top >= BALL_ROW_LIMIT:
-            return [_BallFactors(self.m, k) for k in self.labeling]
-        table = self._ball_table
-        for row, k in zip(table, self.labeling):
-            row.extend(min(2 * c + 1, self.m) ** k for c in range(len(row), top + 1))
-        return table
+        if self.height < BALL_ROW_LIMIT:
+            return [[min(2 * c + 1, self.m) ** k for c in range(self.height + 1)]
+                    for k in self.labeling]
+        return [_BallFactors(self.m, k) for k in self.labeling]
 
     @cached_property
     def _lee(self) -> "_LeeTable":

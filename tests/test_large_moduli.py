@@ -7,9 +7,10 @@ not m x m.  The differential tests compare both against the full-table
 versions they replaced, on random small spaces.  The word contract
 (`space._check_words`, `space._reduce_words`), `balls.lee_ball_residues`
 and the Lee table `Space._lee` cost what the words and residues they
-return or read cost, not m, and the rows of `Space._ball_table` grow only
-through the largest count the closed forms have read, and never past
-`BALL_ROW_LIMIT`.
+return or read cost, not m.  The ball rows `Space._ball_rows` hold every
+factor below a height of `BALL_ROW_LIMIT` and none at or past it, and a
+huge modulus's intersection, radius census and radius sweep list no
+residue and no ideal beyond what their answer needs.
 """
 
 import itertools
@@ -18,12 +19,15 @@ import operator
 import random
 import time
 import tracemalloc
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import orders
-from pomsetblock import codes
+from pomsetblock import codes, space as space_module
 from pomsetblock.balls import (
+    BudgetExceededError,
     I_ball_cardinality,
     I_sphere_cardinality,
     lee_ball_residues,
@@ -31,6 +35,7 @@ from pomsetblock.balls import (
 )
 from pomsetblock.cli import problem_from_dict
 from pomsetblock.codes import Code, CheckResult, _ball_census, _howell, _lex_span, _span_size
+from pomsetblock.mset import Mset
 from pomsetblock.pomset import Ideal, Pomset, all_ideals
 from pomsetblock.space import BALL_ROW_LIMIT, Space, distance
 
@@ -112,7 +117,12 @@ def test_the_lee_table_of_a_huge_modulus_holds_only_the_residues_read():
     assert all(w == min(x, m - x) for x, w in table.items())
 
 
-def test_closed_forms_of_a_huge_modulus_grow_the_ball_table_only_through_the_counts_read():
+def stored_factors(space):
+    """The I-ball factors a space's ball rows hold as lists."""
+    return sum(len(row) for row in space._ball_rows if isinstance(row, list))
+
+
+def test_closed_forms_of_a_huge_modulus_store_no_ball_factor():
     # Rows through the height held 5 * 10^5 factors a block at this m.
     m = 10 ** 6 + 3
     space = Space(m, Pomset.from_relations(2, m // 2, []), (1, 2))
@@ -124,7 +134,7 @@ def test_closed_forms_of_a_huge_modulus_grow_the_ball_table_only_through_the_cou
     ))
     assert sizes == (3 * 5 ** 2, 2 * (5 ** 2 - 3 ** 2), 1 + 2 + (3 ** 2 - 1))
     assert peak < 2 ** 20
-    assert space._ball_table == [[1, 3, 5], [1, 9, 25]]
+    assert stored_factors(space) == 0
 
 
 def test_ball_factors_past_the_row_limit_are_worked_out_per_call_and_not_stored():
@@ -141,30 +151,68 @@ def test_ball_factors_past_the_row_limit_are_worked_out_per_call_and_not_stored(
     ))
     assert sizes == (m - 4, 2, m * 7 ** 2, m * (7 ** 2 - 5 ** 2))
     assert peak < 2 ** 16
-    assert space._ball_table == [[1], [1]]
-    # Below the limit the rows still grow, and serve the hit path.
-    ideal = Ideal(space.pomset, (BALL_ROW_LIMIT - 1, 0))
-    assert I_ball_cardinality(space, ideal) == 2 * BALL_ROW_LIMIT - 1
-    assert [len(row) for row in space._ball_table] == [BALL_ROW_LIMIT] * 2
+    assert stored_factors(space) == 0
+    # Just below the limit the rows hold all h + 1 factors, built whole on
+    # the first read; at the limit they hold none.
+    for h, stored in ((BALL_ROW_LIMIT - 1, BALL_ROW_LIMIT), (BALL_ROW_LIMIT, 0)):
+        m = 2 * h + 1
+        space = Space(m, Pomset.from_relations(2, h, []), (1, 2))
+        assert I_ball_cardinality(space, Ideal(space.pomset, (1, 0))) == 3
+        assert stored_factors(space) == 2 * stored
+        rows = space._ball_rows
+        assert [[row[c] for c in range(h + 1)] for row in rows] == [
+            [min(2 * c + 1, m) ** k for c in range(h + 1)] for k in (1, 2)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(orders(max_size=5, max_height=4), st.integers(0, 2 ** 32 - 1))
-def test_grown_ball_rows_match_the_eager_table(order, seed):
+def test_full_ball_rows_match_the_computed_factors(order, seed):
     rng = random.Random(seed)
     m = 2 * order.height + rng.randint(0, 1)
     labeling = [rng.randint(1, 3) for _ in range(order.ground_size)]
-    grown, eager = Space(m, order, labeling), Space(m, order, labeling)
-    eager.__dict__["_ball_table"] = [
-        [min(2 * c + 1, m) ** k for c in range(order.height + 1)] for k in labeling]
-    ideals = all_ideals(order)
-    queries = [rng.choice(ideals) for _ in range(rng.randint(1, 2 * len(ideals)))]
-    top = 0
-    for i in queries:
-        size = rng.choice((I_ball_cardinality, I_sphere_cardinality))
-        assert size(grown, i) == size(eager, i)
-        top = max(top, *i.counts)
-        assert grown._ball_table == [row[:top + 1] for row in eager._ball_table]
+    full, computed = Space(m, order, labeling), Space(m, order, labeling)
+    with mock.patch.object(space_module, "BALL_ROW_LIMIT", 0):
+        assert stored_factors(computed) == 0
+    assert stored_factors(full) == len(labeling) * (order.height + 1)
+    for i in all_ideals(order):
+        assert I_ball_cardinality(full, i) == I_ball_cardinality(computed, i)
+        assert I_sphere_cardinality(full, i) == I_sphere_cardinality(computed, i)
+    for r in range(full.max_weight + 1):
+        assert r_ball_cardinality(full, r) == r_ball_cardinality(computed, r)
+
+
+def test_an_intersection_over_a_huge_modulus_lists_no_residue():
+    # Shifting the residues of a count near h listed 10^8 of them, a MemoryError.
+    m = 10 ** 8 + 7
+    h = m // 2
+    code = Code(line(m), [(0,), (1,)])
+    # Word 1 lies h - 1 below center h, word 0 h - 1 above center h + 2,
+    # and the other word h away from each.
+    for count, center, expected in (
+            (h, 1, 2), (0, 1, 1), (h - 1, 1, 2), (h - 1, h, 1), (h - 1, h + 2, 1)):
+        found, peak = traced_peak(lambda: codes.ball_code_intersection(
+            code, Mset(1, h, (count,)), code.space.vector([center])))
+        assert found == expected and peak < 2 ** 16
+
+
+def test_a_census_of_a_huge_radius_is_refused_before_any_ball_is_listed():
+    # Listing the spheres cached one residue tuple per count, a MemoryError.
+    m = 10 ** 8 + 7
+    code = Code(line(m), [(0,), (1,)])
+    message = (f"census of 2 codewords x a radius-{m // 2} ball of more than "
+               f"5000000 vectors exceeds budget 10000000")
+    for check in (codes.check_r_perfect, codes.check_r_error_correcting):
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            check(code, m // 2)
+
+
+def test_a_long_radius_sweep_keeps_its_ideal_count_in_step():
+    # Re-counting the held ideals on every new level took 8 s to r = 20000.
+    space = line(10 ** 8 + 7)
+    size, took = elapsed(lambda: r_ball_cardinality(space, 20000))
+    assert size == 2 * 20000 + 1 and took < 2
+    table = vars(space.pomset)["_ideal_levels"]
+    assert table.held == sum(len(kept) for key, kept in table.items() if key is not None)
 
 
 def test_lee_ball_residues_of_a_huge_modulus_cost_their_own_size():
