@@ -48,12 +48,12 @@ def lee_ball_size(m: int, a: int) -> int:
     return min(2 * a + 1, m)
 
 
-@functools.cache
 def lee_ball_residues(m: int, a: int) -> tuple[int, ...]:
-    """Residues mod m with Lee weight at most a, ascending; one tuple per (m, a).
+    """Residues mod m with Lee weight at most a, ascending.
 
     They are 0..a and m-a..m-1, all of Z_m once 2a+1 >= m, so the tuple
-    costs its own size, not m.
+    costs its own size, not m.  No cache keeps it: a radius census holds
+    each sphere's residues only while it lists them.
     """
     if 2 * a + 1 >= m:
         return tuple(range(m))

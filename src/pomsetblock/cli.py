@@ -459,6 +459,8 @@ def cmd_weight_dist(problem, args, rep) -> int:
         k = codes.ceil_log(code.size, sp.m)
         if sp.m ** k != code.size:
             raise ValueError("closed form needs a code of size m^k")
+        if not code.is_linear:
+            raise ValueError("closed form needs a linear code")
         dist = codes.mds_chain_weight_distribution(
             sp.n, k, t, sp.m, sp.s, expected_d=codes.min_distance(code)
         )

@@ -11,8 +11,9 @@ members by their cosets, and otherwise every vector by an integer, and is
 budget-guarded rather than approximate.  An I-ball is one
 box, and `_r_ball_coords` splits a radius ball into disjoint boxes sphere
 by sphere, so no ball is listed member by member or found by filtering the
-space.  `ball_code_intersection` walks whichever of the ball and the code
-is smaller.
+space.  `ball_code_intersection` filters the codewords: each word's Lee
+distance to the center is tested coordinate by coordinate against its
+block's count, so no ball is listed.
 
 Codewords are sorted coordinate tuples, made and read by columns:
 `_lex_span` lists a span from its Howell rows already in lexicographic
@@ -130,10 +131,6 @@ class Code:
         """|C|: the words held, or else the span size of the form, unlisted."""
         words = self.__dict__.get("codewords")
         return len(words) if words is not None else _span_size(self._form, self.space.m)
-
-    @cached_property
-    def coord_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.codewords)
 
     @cached_property
     def _form(self):
@@ -756,19 +753,13 @@ def min_ideal_root_size(c: Code) -> int:
 def ball_code_intersection(c: Code, i, x: Vector) -> int:
     """Exact size of { codewords inside the I-ball centered at x }.
 
-    `i` is an Ideal or an Mset.  The ball's size comes from the ball rows.
-    A ball smaller than the code is listed, as the product of the residues
-    x_t + r with r within coordinate t's count, and looked up in the code;
-    otherwise each codeword's Lee distance to x is tested coordinate by
-    coordinate against its block's count, so no residue is listed.
+    `i` is an Ideal or an Mset.  Each codeword's Lee distance to x is tested
+    coordinate by coordinate against its block's count, so no residue is
+    listed; a coordinate whose count covers all of Z_m filters nothing.
     """
     _check_space(c, x)
     sp, m = c.space, c.space.m
     counts = _counts_of(sp, i)
-    if math.prod(map(operator.getitem, sp._ball_rows, counts)) < c.size:
-        words = c.coord_set
-        shifted = _ball_block_choices(sp, counts, x.coords)
-        return sum(1 for w in itertools.product(*shifted) if w in words)
     words = c.codewords
     caps = itertools.chain.from_iterable(map(itertools.repeat, counts, sp.labeling))
     for t, (a, cap) in enumerate(zip(x.coords, caps)):

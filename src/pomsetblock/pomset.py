@@ -7,12 +7,13 @@ counts are forced to the full height strictly below any present element,
 so the whole ideal lattice is driven by the poset alone.
 
 An ideal is a downset whose maximal elements carry counts 1..height and
-whose other elements carry the full height.  Each order keeps, grown level
-by level only as far as asked, its downsets by size and a root table that
-groups each level's downsets by their number of maximal elements, found
-once; both ideal enumerators walk that table.  What they build is kept in
-a third table, the order's ideals by cardinality, bounded by
-`IDEAL_TABLE_LIMIT`, so a repeated enumeration on one order is a list copy.
+whose other elements carry the full height.  Each order keeps one level
+table, grown by downset size only as far as asked: a level holds its
+downsets, sorted, and the same downsets grouped by their number of maximal
+elements, found once; both ideal enumerators walk those groups.  What they
+build is kept in a second table, the order's ideals by cardinality, bounded
+by `IDEAL_TABLE_LIMIT`, so a repeated enumeration on one order is a list
+copy.
 """
 
 from __future__ import annotations
@@ -159,14 +160,9 @@ class Pomset:
         return dual
 
     @cached_property
-    def _downset_levels(self) -> list[tuple[frozenset[int], ...]]:
-        """Downsets by size, grown by `downsets_of_size` as far as asked."""
-        return [(frozenset(),)]
-
-    @cached_property
-    def _root_levels(self) -> dict[int, tuple]:
-        """The root table by downset size, filled by `_root_groups` as asked."""
-        return {}
+    def _downset_levels(self) -> list[tuple[tuple, tuple]]:
+        """The level table, grown by `_downset_level` as far as asked."""
+        return []
 
     @cached_property
     def _ideal_levels(self) -> "_IdealTable":
@@ -184,42 +180,41 @@ class Pomset:
     def downsets_of_size(self, size: int) -> tuple[frozenset[int], ...]:
         """The downward-closed subsets with `size` elements, by sorted elements.
 
-        A downset of size j+1 is one of size j plus an element outside it
-        whose lower elements it holds, so each level grows from the one
-        below.  Levels are built only as far as asked and cached on the
-        order, so listing small downsets of a wide order stays cheap.
+        Levels are built only as far as asked and kept on the order (see
+        `_downset_level`), so listing small downsets of a wide order stays
+        cheap.
         """
         if not 0 <= size <= self.ground_size:
             raise ValueError(f"size {size} outside 0..{self.ground_size}")
+        return self._downset_level(size)[0]
+
+    def _downset_level(self, size: int) -> tuple[tuple, tuple]:
+        """Level `size` of the level table: (downsets, root groups).
+
+        A downset of size j+1 is one of size j plus an element outside it
+        whose lower elements it holds, so each level grows from the one
+        below.  The downsets are sorted by their sorted elements.  The same
+        downsets are grouped by maximal elements: each group is a pair
+        (k, entries), one entry per downset with k maximal elements, its
+        counts with every element at full height and the 0-based indices of
+        its maximal elements in ascending order.
+        """
         levels = self._downset_levels
-        below = self.strictly_below
+        l, below, above = self.height, self.strictly_below, self.strictly_above
         while len(levels) <= size:
             grown = {
-                d | {i} for d in levels[-1] for i in below
+                d | {i} for d in levels[-1][0] for i in below
                 if i not in d and below[i] <= d
-            }
-            levels.append(tuple(sorted(grown, key=sorted)))
-        return levels[size]
-
-    def _root_groups(self, size: int) -> tuple:
-        """Level `size` of the root table: its downsets grouped by maximal elements.
-
-        Each group is a pair (k, entries), one entry per downset with k
-        maximal elements: its counts with every element at full height, and
-        the 0-based indices of its maximal elements in ascending order.  The
-        level is read from `downsets_of_size` once and cached on the order.
-        """
-        levels = self._root_levels
-        if size not in levels:
-            l, above = self.height, self.strictly_above
+            } if levels else {frozenset()}
+            downs = tuple(sorted(grown, key=sorted))
             groups = {}
-            for down in self.downsets_of_size(size):
+            for down in downs:
                 full = [0] * self.ground_size
                 for i in down:
                     full[i - 1] = l
                 maximal = tuple(i - 1 for i in sorted(down) if above[i].isdisjoint(down))
                 groups.setdefault(len(maximal), []).append((tuple(full), maximal))
-            levels[size] = tuple((k, tuple(entries)) for k, entries in groups.items())
+            levels.append((downs, tuple((k, tuple(entries)) for k, entries in groups.items())))
         return levels[size]
 
     @property
@@ -368,21 +363,22 @@ def _ideals_weighing(p: Pomset, sizes, lo: int, hi: int) -> list[Ideal]:
     """The ideals on downsets of the given sizes weighing lo..hi, by count vector.
 
     Elements below another element of their downset carry the full height;
-    the k maximal ones carry counts in 1..height.  The root table groups a
-    level's downsets by k, so a group's full-height weight, and with it the
-    window first..last of its maximal counts' sum, is worked out once: a
-    group outside lo..hi is skipped without touching its downsets.  Each
-    list of maximal counts is built once per call, keyed by (first, last, k).
-    The cost is O(table groups in the window + output).  Plain count tuples
-    are sorted first and wrapped as ideals last.  The enumerators below call
-    this only for ideals their order's ideal table does not hold.
+    the k maximal ones carry counts in 1..height.  Each level of the order's
+    level table groups its downsets by k, so a group's full-height weight,
+    and with it the window first..last of its maximal counts' sum, is worked
+    out once: a group outside lo..hi is skipped without touching its
+    downsets.  Each list of maximal counts is built once per call, keyed by
+    (first, last, k).  The cost is O(table groups in the window + output).
+    Plain count tuples are sorted first and wrapped as ideals last.  The
+    enumerators below call this only for ideals their order's ideal table
+    does not hold.
     """
     l = p.height
     count_lists = {}
     out = []
     counts = [0] * p.ground_size
     for j in sizes:
-        for k, entries in p._root_groups(j):
+        for k, entries in p._downset_level(j)[1]:
             full = l * (j - k)
             first, last = lo - full, hi - full
             if first < k:

@@ -114,14 +114,14 @@ def test_radius_one_ball_of_a_wide_antichain_builds_only_small_downsets(monkeypa
     # two vectors each, so only downset levels 0 and 1 are needed.
     space = make_space(5, [], (1,) * 24)
     levels = []
-    level = Pomset.downsets_of_size
+    level = Pomset._downset_level
 
     def guarded_level(self, size):
         assert size <= 1, f"downset level {size} built"
         levels.append(size)
         return level(self, size)
 
-    monkeypatch.setattr(Pomset, "downsets_of_size", guarded_level)
+    monkeypatch.setattr(Pomset, "_downset_level", guarded_level)
     assert r_ball_cardinality(space, 1) == 49
     assert r_ball_cardinality(space, 0) == 1
     assert max(levels) == 1

@@ -208,6 +208,23 @@ def test_weight_dist_closed_form_rejects_bad_shape():
     assert status == 2  # K = 2 is not a power of 6
 
 
+def test_weight_dist_closed_form_rejects_a_non_linear_code(tmp_path):
+    # A translate of the MDS span of (1, 1) that misses zero: the right size
+    # and shape, but its census has no weight-0 word, so no closed form fits.
+    doc = {
+        "m": 5,
+        "pomset": {"s": 2, "relations": [[1, 2]]},
+        "labeling": [1, 1],
+        "code": {"codewords": [[1, 0], [2, 1], [3, 2], [4, 3], [0, 4]]},
+    }
+    path = tmp_path / "translate.json"
+    path.write_text(json.dumps(doc))
+    assert invoke("weight-dist", str(path), "--closed-form") == (
+        2, "# input error: closed form needs a linear code\nerror=input\n")
+    status, out = invoke("weight-dist", str(path), "--machine")
+    assert status == 0 and kv(out)["A.0"] == "0"
+
+
 def test_intersect():
     status, out = invoke(
         "intersect", fixture_path("mds_chain_z6"), "--ideal", "3,1", "--center", "0,0"

@@ -174,7 +174,7 @@ def test_trusted_codes_equal_checked_ones(case):
 def test_is_linear_by_generating_set_matches_closure(case, seed):
     space, rows = case
     rng = random.Random(seed)
-    span_words = sorted(span_generator(space, rows).coord_set)
+    span_words = list(span_generator(space, rows).codewords)
     # Subsets of a span, with or without zero, and sets drawn from the space.
     if rng.random() < 0.5:
         subset = rng.sample(span_words, rng.randint(1, len(span_words)))

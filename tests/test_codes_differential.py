@@ -98,7 +98,7 @@ def closed(words, m):
 def test_span_matches_all_coefficient_combinations(case):
     space, rows = case
     code = span_generator(space, rows)
-    assert code.coord_set == combinations_of(space.m, space.n, rows)
+    assert set(code.codewords) == combinations_of(space.m, space.n, rows)
     assert vars(code)["_form"] == _howell(rows, space.n, space.m)
 
 
@@ -113,18 +113,18 @@ def test_dual_matches_annihilator_scan(case):
     }
     code = span_generator(space, rows)
     dual = dual_code(code)
-    assert dual.coord_set == scan
+    assert set(dual.codewords) == scan
     assert code.size * dual.size == space.size
     # A code listed by its codewords has the same dual.
-    listed = Code.from_codewords(space, sorted(code.coord_set))
-    assert dual_code(listed).coord_set == scan
+    listed = Code.from_codewords(space, code.codewords)
+    assert set(dual_code(listed).codewords) == scan
 
 
 @bounded(150)
 @given(generated(max_vectors=300), SEEDS)
 def test_is_linear_matches_closure_on_subsets_of_spans(case, seed):
     space, rows = case
-    words = sorted(span_generator(space, rows).coord_set)
+    words = list(span_generator(space, rows).codewords)
     rng = random.Random(seed)
     subset = rng.sample(words, rng.randint(1, len(words)))
     if rng.random() < 0.5 and (0,) * space.n not in subset:
@@ -223,7 +223,7 @@ def test_r_ball_walk_stops_at_the_budget(monkeypatch):
     # a vector.
     space = Space(5, Pomset.from_relations(24, 2, []), (1,) * 24)
     levels = []
-    level = Pomset.downsets_of_size
+    level = Pomset._downset_level
 
     def guarded_level(self, size):
         assert size <= 1, f"downset level {size} built"
@@ -233,7 +233,7 @@ def test_r_ball_walk_stops_at_the_budget(monkeypatch):
     def no_closure(self, weights):
         raise AssertionError("the lister weighed a vector")
 
-    monkeypatch.setattr(Pomset, "downsets_of_size", guarded_level)
+    monkeypatch.setattr(Pomset, "_downset_level", guarded_level)
     monkeypatch.setattr(Pomset, "closure_counts", no_closure)
     code = Code(space, [(0,) * 24, (1,) * 24])
     message = "census of 2 codewords x a radius-12 ball of more than 10 vectors exceeds budget 21"
@@ -270,13 +270,19 @@ def test_r_ball_lister_builds_each_ideal_once(monkeypatch):
 @bounded(150)
 @given(ordered_spaces(max_vectors=600), SEEDS)
 def test_ball_code_intersection_matches_in_I_ball(space, seed):
-    # Code sizes from 1 to the whole space put the ball on either side of
-    # the code's size; the counts come as an ideal or as a plain multiset.
+    # The code is a span or a list of words, of 1 to the whole space's size.
+    # The empty ideal's one-vector ball and the top ideal's whole space,
+    # beside random ideals, put the ball on both sides of any code of two or
+    # more words; the counts come as an ideal or as a plain multiset.
     rng = random.Random(seed)
-    words = rng.sample(list(space.iter_coords()), rng.randint(1, space.size))
-    code = Code.from_codewords(space, words)
+    if rng.random() < 0.5:
+        rows = divisor_scaled_rows(rng, space.m, space.n, rng.randint(0, 3))
+        code = span_generator(space, rows)
+    else:
+        words = rng.sample(list(space.iter_coords()), rng.randint(1, space.size))
+        code = Code.from_codewords(space, words)
     ideals = all_ideals(space.pomset)
-    for i in rng.sample(ideals, min(4, len(ideals))):
+    for i in [ideals[0], ideals[-1], *rng.sample(ideals, min(2, len(ideals)))]:
         counts = i if rng.random() < 0.5 else Mset(space.s, space.height, i.counts)
         for _ in range(3):
             x = space.vector([rng.randrange(space.m) for _ in range(space.n)])
