@@ -45,7 +45,6 @@ from .codes import (
     UndefinedDistanceError,
     WeightDistribution,
     ball_code_intersection,
-    block_dependency_threshold,
     block_dependency_witnesses,
     check_I_perfect,
     check_r_error_correcting,
@@ -53,10 +52,7 @@ from .codes import (
     construct_I_perfect,
     critical_ideals,
     dual_code,
-    is_I_perfect,
     is_MDS,
-    is_r_error_correcting,
-    is_r_perfect,
     mds_chain_weight_distribution,
     min_distance,
     min_ideal_root_size,

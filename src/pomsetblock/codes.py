@@ -535,10 +535,6 @@ def check_I_perfect(c: Code, i: Ideal, budget: int = DEFAULT_BUDGET) -> CheckRes
     return _ball_census(c, [_ball_box(c.space, i, budget)], budget, True)
 
 
-def is_I_perfect(c: Code, i: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
-    return check_I_perfect(c, i, budget).ok
-
-
 def _r_ball_coords(c: Code, r: int, budget: int):
     """The radius-r ball about zero, as disjoint boxes for `_ball_census`.
 
@@ -587,18 +583,10 @@ def check_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> CheckResul
     return _ball_census(c, _r_ball_coords(c, r, budget), budget, True)
 
 
-def is_r_perfect(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> bool:
-    return check_r_perfect(c, r, budget).ok
-
-
 def check_r_error_correcting(
     c: Code, r: int, budget: int = DEFAULT_BUDGET
 ) -> CheckResult:
     return _ball_census(c, _r_ball_coords(c, r, budget), budget, False)
-
-
-def is_r_error_correcting(c: Code, r: int, budget: int = DEFAULT_BUDGET) -> bool:
-    return check_r_error_correcting(c, r, budget).ok
 
 
 def ceil_log(k: int, m: int) -> int:
@@ -734,14 +722,10 @@ def block_dependency_witnesses(c: Code) -> tuple[int, list[frozenset[int]]]:
     raise InternalInconsistencyError("no dependent block set found")
 
 
-def block_dependency_threshold(c: Code) -> int:
-    return block_dependency_witnesses(c)[0]
-
-
 def min_ideal_root_size(c: Code) -> int:
     """Smallest root-set size of the generated ideal over nonzero codewords.
 
-    Independent counterpart of `block_dependency_threshold`; the two agree
+    Independent counterpart of `block_dependency_witnesses`' size; the two agree
     for every linear code.
     """
     if c.size < 2:

@@ -10,22 +10,24 @@ The census visits no vector: per block, each residue tuple is weighed once,
 in lexicographic order, as the `max` of its Lee weights in one C-level pass,
 and since block weights are independent from block to block, the vectors of
 each block-weight tuple number the product of the per-block tallies of its
-weights; each closed tuple's ideal counts are read by one masked bit count
-per block.  Each I-ball is built at most once per suite, as one bitset whose
-bit j stands for the vector of big-endian base-m value j: radius by radius,
-the bitsets of the I-balls of that cardinality are ORed into the union
-whose bit count is checked against the census's r-ball, and a full-count
-ball's bitset also gives its coordinate projections, by folding it onto
-each coordinate.  Those decide whether it is a product of subgroups of Z_m,
-and that product's annihilator is compared, coordinate by coordinate, with
-the dual order's ball of the complement.  The tiling check is per
-coordinate too: centers listed as a product tile with a product ball
-exactly when each coordinate's projection and residue list tile Z_m, so it
-lists no translate; the listing is sorted once and compared lazily with the
-product of the lists read off it.  I-ball sizes are the census's ideal
-counts summed over nested ideal keys, by prefix sums over the grid of
-counts.  The suite has one budget: what it lists lies in the space, which
-the census refuses past that budget, so no bitset exceeds it in bits.
+weights; the tuples are held as one column of weights per block, and each
+tuple's ideal counts are its weights with every block below a present one
+raised to full height, by C-level maps over the columns.  Each I-ball is
+built at most once per suite, as one bitset whose bit j stands for the
+vector of big-endian base-m value j: radius by radius, the bitsets of the
+I-balls of that cardinality are ORed into the union whose bit count is
+checked against the census's r-ball, and a full-count ball's bitset also
+gives its coordinate projections, by folding it onto each coordinate.  Those
+decide whether it is a product of subgroups of Z_m, and that product's
+annihilator is compared, coordinate by coordinate, with the dual order's
+ball of the complement.  The tiling check is per coordinate too: centers
+listed as a product tile with a product ball exactly when each coordinate's
+projection and residue list tile Z_m, so it lists no translate; the listing
+is sorted once and compared lazily with the product of the lists read off
+it.  I-ball sizes are the census's ideal counts summed over nested ideal
+keys, by prefix sums over the grid of counts.  The suite has one budget:
+what it lists lies in the space, which the census refuses past that budget,
+so no bitset exceeds it in bits.
 
 The metric check works by columns, on every triple or on a seeded sample:
 a chunk of triples is one run of indices into the m^3 residue triples,
@@ -98,18 +100,19 @@ def weight_census(
     vectors with block-weight tuple (w_1, ..., w_s) number the product of
     how many tuples of each block weigh w_t, its largest Lee weight
     min(x, m - x).  Per block, the weights are tallied by one C-level pass,
-    the `max` of each tuple of the residues' Lee weights.  Each
-    block-weight tuple's generated ideal is taken once, so no vector is
-    visited: block t's weight w is the unary code 2^w - 1 in its field, the
-    OR of one per block is closed by `_close_ideals`, and each field, read
-    as one masked bit count per block, is a count of the ideal; their sum
-    is the weight.  Per block the tuples are listed in lexicographic order
-    and their weights tallied in the order first met; the product over
-    blocks meets the block-weight tuples in the order of their first vector
-    (Knuth, TAOCP 4A 7.2.1.1), so the ideal counts fill in the order a
-    vector-by-vector scan would fill them, and so do the weight counts,
-    read off the ideal counts in their order.  A space of more than
-    `budget` vectors is refused.
+    the `max` of each tuple of the residues' Lee weights.  Each block-weight tuple's
+    generated ideal is taken once, so no vector is visited: the tuples are
+    held as one column of weights per block, a presence mask per tuple has
+    bit b set where block b weighs more than 0, and a block with blocks
+    strictly above it counts h in a tuple whose mask meets them, its own
+    weight otherwise.  The counts are the ideal, and their sum is the
+    weight.  Per block the tuples are listed in lexicographic order and
+    their weights tallied in the order first met; the product over blocks
+    meets the block-weight tuples in the order of their first vector (Knuth,
+    TAOCP 4A 7.2.1.1), so the ideal counts fill in the order a
+    vector-by-vector scan would fill them, and so do the weight counts, read
+    off the ideal counts in their order.  A space of more than `budget`
+    vectors is refused.
     """
     if space.size > budget:
         raise BudgetExceededError(
@@ -117,13 +120,18 @@ def weight_census(
         )
     m, h = space.m, space.height
     lees = [min(x, m - x) for x in range(m)]
-    shifts = range(0, h * space.s, h)
     tallies = [Counter(map(max, itertools.product(lees, repeat=k)))
                for k in space.labeling]
-    unary = [[(1 << w) - 1 << lo for w in t] for t, lo in zip(tallies, shifts)]
-    closed = list(_close_ideals(space, list(map(sum, itertools.product(*unary)))))
-    keys = zip(*(map(int.bit_count, map(and_, closed, repeat((1 << h) - 1 << lo)))
-                 for lo in shifts))
+    columns = list(zip(*itertools.product(*tallies)))
+    mask = repeat(0)
+    for b, column in enumerate(columns):
+        mask = map(or_, mask, map(lshift, map(bool, column), repeat(b)))
+    mask = list(mask)
+    for b, upper in space.pomset.strictly_above.items():
+        if upper:
+            meets = map(bool, map(and_, mask, repeat(sum(1 << a - 1 for a in upper))))
+            columns[b - 1] = map(max, columns[b - 1], map(mul, meets, repeat(h)))
+    keys = zip(*columns)
     counts = map(math.prod, itertools.product(*(t.values() for t in tallies)))
     ideal_counts: dict[tuple[int, ...], int] = {}
     for key, count in zip(keys, counts):
@@ -172,9 +180,9 @@ def _fold_blocks(blocks, columns):
 
 
 def _close_ideals(space: Space, words):
-    """The list `words`, each holding unary block maxima in up to five
-    fields of f = h*s bits, block b from bit b*h of a field, with each field
-    closed into the unary code of the ideal it generates.
+    """The metric check's list `words`, each holding unary block maxima in
+    up to five fields of f = h*s bits, block b from bit b*h of a field, with
+    each field closed into the unary code of the ideal it generates.
 
     Block b is present in field p exactly when bit p*f + b*h is set.  For
     each block b with blocks strictly below it, those bits, times the

@@ -218,13 +218,6 @@ class Pomset:
         return levels[size]
 
     @property
-    def downsets(self) -> tuple[frozenset[int], ...]:
-        """All downward-closed subsets, by size and then by sorted elements."""
-        return tuple(itertools.chain.from_iterable(
-            map(self.downsets_of_size, range(self.ground_size + 1))
-        ))
-
-    @property
     def is_chain(self) -> bool:
         s = self.ground_size
         return len(self.order) == s * (s - 1) // 2

@@ -137,10 +137,6 @@ class Space:
     def zero(self) -> "Vector":
         return Vector(self, (0,) * self.n)
 
-    def iter_coords(self):
-        """All coordinate tuples in lexicographic order."""
-        return itertools.product(range(self.m), repeat=self.n)
-
     def block_weights(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Per-block maximum Lee weight of a raw coordinate tuple."""
         lee = self._lee.__getitem__

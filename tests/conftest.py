@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,11 @@ def load_fixture(name: str) -> Problem:
 @pytest.fixture(scope="session")
 def problems() -> dict[str, Problem]:
     return {name: load_fixture(name) for name in NAMES}
+
+
+def all_coords(space):
+    """Every coordinate tuple of the space, in lexicographic order."""
+    return itertools.product(range(space.m), repeat=space.n)
 
 
 def random_pomset(rng: random.Random, s: int, height: int, density: float = 0.4) -> Pomset:

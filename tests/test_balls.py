@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import all_coords
 from pomsetblock.balls import (
     BudgetExceededError,
     I_ball_cardinality,
@@ -72,7 +73,7 @@ def test_I_sphere_even_m_full_count_block():
     i = Ideal(sp.pomset, (3,))
     brute = sum(
         1
-        for coords in sp.iter_coords()
+        for coords in all_coords(sp)
         if sp.weight_counts(coords) == (3,)
     )
     assert brute == 36 - 25
@@ -83,7 +84,7 @@ def test_I_sphere_oracle_confirms_chain_case():
     i = Ideal(Z5_CHAIN.pomset, (2, 1))
     brute = sum(
         1
-        for coords in Z5_CHAIN.iter_coords()
+        for coords in all_coords(Z5_CHAIN)
         if Z5_CHAIN.weight_counts(coords) == (2, 1)
     )
     assert brute == 10
@@ -177,7 +178,7 @@ def test_enumerate_I_ball_matches_formula_and_membership():
             assert len(members) == I_ball_cardinality(sp, i)
             assert members == sorted(members)
             member_set = set(members)
-            for coords in sp.iter_coords():
+            for coords in all_coords(sp):
                 v = sp.vector(coords)
                 assert (coords in member_set) == in_I_ball(v, zero, i)
 
@@ -240,7 +241,7 @@ def test_ball_duality_small_space():
         members = list(iter_I_ball_coords(sp, i))
         annihilator = {
             coords
-            for coords in sp.iter_coords()
+            for coords in all_coords(sp)
             if all(sum(x * y for x, y in zip(coords, b)) % 6 == 0 for b in members)
         }
         comp = ideal_complement(sp.pomset, i)

@@ -21,7 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_fixture, random_pomset
+from conftest import all_coords, load_fixture, random_pomset
 from pomsetblock import codes
 from pomsetblock.balls import BudgetExceededError
 from pomsetblock.cli import Report, _row_format
@@ -179,7 +179,7 @@ def test_is_linear_by_generating_set_matches_closure(case, seed):
     if rng.random() < 0.5:
         subset = rng.sample(span_words, rng.randint(1, len(span_words)))
     else:
-        every = list(space.iter_coords())
+        every = list(all_coords(space))
         subset = rng.sample(every, rng.randint(1, min(len(every), 30)))
     if rng.random() < 0.5:
         subset.append((0,) * space.n)
@@ -260,7 +260,7 @@ def word_sets(draw, max_vectors=400):
     cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
     labeling = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
     space = Space(m, random_pomset(rng, len(labeling), m // 2), labeling)
-    every = list(space.iter_coords())
+    every = list(all_coords(space))
     rows = [[rng.choice([g for g in range(1, m + 1) if m % g == 0]) * rng.randrange(m) % m
              for _ in range(n)] for _ in range(rng.randint(0, 3))]
     spanned = span_generator(space, rows)
@@ -300,7 +300,7 @@ def test_the_one_word_zero_code_is_linear_with_the_whole_space_as_dual(m, n):
     assert code.is_linear
     assert code._form == []
     dual = dual_code(code)
-    assert dual.codewords == tuple(space.iter_coords())
+    assert dual.codewords == tuple(all_coords(space))
 
 
 @bounded(120)

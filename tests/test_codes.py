@@ -4,24 +4,23 @@ import tracemalloc
 
 import pytest
 
-from conftest import load_fixture
+import pomsetblock
+from conftest import all_coords, load_fixture
 from pomsetblock.balls import in_I_ball
 from pomsetblock.codes import (
     Code,
     UndefinedDistanceError,
     WeightDistribution,
     ball_code_intersection,
-    block_dependency_threshold,
     block_dependency_witnesses,
     ceil_log,
+    check_I_perfect,
+    check_r_error_correcting,
     check_r_perfect,
     construct_I_perfect,
     critical_ideals,
     dual_code,
-    is_I_perfect,
     is_MDS,
-    is_r_error_correcting,
-    is_r_perfect,
     mds_chain_weight_distribution,
     min_distance,
     min_ideal_root_size,
@@ -189,28 +188,56 @@ def test_linearity_detection():
 
 def test_I_perfect_fixture_codes():
     pr = load_fixture("partial_perfect_z6")
-    assert is_I_perfect(pr.code, pr.ideal)
+    assert check_I_perfect(pr.code, pr.ideal).ok
     d_example = load_fixture("iperfect_not_mds_z6")
-    assert is_I_perfect(d_example.code, d_example.ideal)
+    assert check_I_perfect(d_example.code, d_example.ideal).ok
     z9 = load_fixture("iperfect_z9_mds")
-    assert is_I_perfect(z9.code, z9.ideal)
+    assert check_I_perfect(z9.code, z9.ideal).ok
     z9rep = load_fixture("iperfect_z9_repetition")
-    assert is_I_perfect(z9rep.code, z9rep.ideal)
+    assert check_I_perfect(z9rep.code, z9rep.ideal).ok
     chain = load_fixture("mds_chain_z6")
-    assert is_I_perfect(chain.code, chain.ideal)
+    assert check_I_perfect(chain.code, chain.ideal).ok
 
 
 def test_r_perfect_examples():
     one = load_fixture("perfect_r1_z5")
-    assert is_r_perfect(one.code, 1)
+    assert check_r_perfect(one.code, 1).ok
     pr = load_fixture("partial_perfect_z6")
     check = check_r_perfect(pr.code, 4)
     assert not check.ok and check.witness is not None
     pr_chain = load_fixture("partial_perfect_z6_chain")
-    assert is_r_perfect(pr_chain.code, 4)
+    assert check_r_perfect(pr_chain.code, 4).ok
     # The radius is checked before the space is measured against the budget.
     with pytest.raises(ValueError, match=r"radius 99 outside 0\.\.8"):
         check_r_perfect(load_fixture("mds_z5_len6").code, 99, budget=100)
+
+
+def test_check_results_are_truthy_exactly_when_ok():
+    # Each verdict has one entry point, its check_* function, whose result
+    # is the verdict when read as a bool; no bool-returning twin remains.
+    pr = load_fixture("partial_perfect_z6")
+    mds = load_fixture("mds_z5_len6")
+    one = load_fixture("perfect_r1_z5")
+    results = {
+        "I-perfect": check_I_perfect(pr.code, pr.ideal),
+        "I-ball gap": check_I_perfect(mds.code, Ideal(mds.space.pomset, (1, 0, 0, 0))),
+        "r-perfect": check_r_perfect(one.code, 1),
+        "r-ball overlap": check_r_perfect(pr.code, 4),
+        "0-error-correcting": check_r_error_correcting(pr.code, 0),
+        "4-error overlap": check_r_error_correcting(pr.code, 4),
+    }
+    assert [r.ok for r in results.values()] == [True, False] * 3
+    for name, result in results.items():
+        assert bool(result) == result.ok, name
+        assert (result.witness is None) == result.ok, name
+    assert results["I-ball gap"].reason == "vector covered by no ball"
+    removed = ("is_I_perfect", "is_r_perfect", "is_r_error_correcting",
+               "block_dependency_threshold")
+    for name in removed:
+        assert not hasattr(pomsetblock, name), name
+        assert not hasattr(pomsetblock.codes, name), name
+    assert not hasattr(Space, "iter_coords")
+    assert not hasattr(Pomset, "downsets")
 
 
 def test_code_equality_ignores_how_the_code_was_built():
@@ -234,10 +261,10 @@ def test_quoted_witness_lies_in_two_four_balls():
 
 def test_r_error_correcting():
     pr = load_fixture("partial_perfect_z6")
-    assert is_r_error_correcting(pr.code, 0)
-    assert not is_r_error_correcting(pr.code, 4)
+    assert check_r_error_correcting(pr.code, 0).ok
+    assert not check_r_error_correcting(pr.code, 4).ok
     one = load_fixture("perfect_r1_z5")
-    assert is_r_error_correcting(one.code, 1)
+    assert check_r_error_correcting(one.code, 1).ok
 
 
 def test_singleton_rhs():
@@ -281,11 +308,11 @@ def test_mds_iff_I_perfect_on_linear_power_fixtures():
         if is_MDS(code):
             assert crit
             for i in crit:
-                assert is_I_perfect(code, i), (name, str(i))
+                assert check_I_perfect(code, i).ok, (name, str(i))
         # Converse: full-count ideals at the critical cardinality that tile
         # the space certify MDS.
         for i in enumerate_ideals(sp.pomset, sp.height * r):
-            if i.is_full_count and is_I_perfect(code, i):
+            if i.is_full_count and check_I_perfect(code, i).ok:
                 assert is_MDS(code)
 
 
@@ -297,7 +324,7 @@ def test_non_mds_code_has_no_critical_perfect_ideal():
     r = (d - 1) // sp.height
     for i in enumerate_ideals(sp.pomset, sp.height * r):
         if i.is_full_count:
-            assert not is_I_perfect(code, i)
+            assert not check_I_perfect(code, i).ok
 
 
 def test_dual_perfectness_equivalence():
@@ -311,7 +338,7 @@ def test_dual_perfectness_equivalence():
             if not i.is_full_count or i.cardinality == 0:
                 continue
             comp = ideal_complement(sp.pomset, i)
-            assert is_I_perfect(code, i) == is_I_perfect(dual, comp), (name, str(i))
+            assert check_I_perfect(code, i).ok == check_I_perfect(dual, comp).ok, (name, str(i))
 
 
 def _all_duality_conditions(code):
@@ -326,12 +353,12 @@ def _all_duality_conditions(code):
 
     cond1 = is_MDS(code)
     cond2 = all(
-        is_I_perfect(code, i)
+        check_I_perfect(code, i).ok
         for i in enumerate_ideals(sp.pomset, (sp.n - k) // t * lh)
         if i.is_full_count
     )
     cond3 = all(
-        is_I_perfect(dual, i)
+        check_I_perfect(dual, i).ok
         for i in enumerate_ideals(dual_sp.pomset, k // t * lh)
         if i.is_full_count
     )
@@ -343,7 +370,7 @@ def _all_duality_conditions(code):
         l = len(i.root_set)
         ball = None
         counts = {}
-        for x_coords in sp.iter_coords():
+        for x_coords in all_coords(sp):
             counts[x_coords] = ball_code_intersection(code, i, sp.vector(x_coords))
         if l * t >= sp.n - k:
             expected = sp.m ** (t * l - sp.n + k)
@@ -383,17 +410,17 @@ def test_construct_I_perfect():
     i = Ideal(sp.pomset, (2, 0))
     doubled = construct_I_perfect(sp, i, lambda v: (2 * v[0],))
     assert set(doubled.codewords) == {(2 * y % 5, y) for y in range(5)}
-    assert is_I_perfect(doubled, i)
+    assert check_I_perfect(doubled, i).ok
     assert construct_I_perfect(sp, i, lambda v: iter((2 * v[0],))) == doubled
 
     zero_section = construct_I_perfect(sp, i, lambda v: (0,))
     assert all(w[0] == 0 for w in zero_section.codewords)
-    assert is_I_perfect(zero_section, i)
+    assert check_I_perfect(zero_section, i).ok
 
     rng = random.Random(12)
     table = {(y,): (rng.randrange(5),) for y in range(5)}
     random_graph = construct_I_perfect(sp, i, lambda v: table[v])
-    assert is_I_perfect(random_graph, i)
+    assert check_I_perfect(random_graph, i).ok
 
     with pytest.raises(ValueError):
         construct_I_perfect(sp, Ideal(sp.pomset, (1, 0)), lambda v: (0,))
@@ -402,19 +429,19 @@ def test_construct_I_perfect():
 
 
 def test_block_dependency_threshold():
-    assert block_dependency_threshold(CHAIN_REPETITION) == 2
+    assert block_dependency_witnesses(CHAIN_REPETITION)[0] == 2
     assert min_ideal_root_size(CHAIN_REPETITION) == 2
 
     whole = span_generator(Z5_CHAIN, [[1, 0], [0, 1]])
-    assert block_dependency_threshold(whole) == 1
+    assert block_dependency_witnesses(whole)[0] == 1
     assert min_ideal_root_size(whole) == 1
 
     code = load_fixture("mds_z5_len6").code
-    assert block_dependency_threshold(code) == min_ideal_root_size(code)
+    assert block_dependency_witnesses(code)[0] == min_ideal_root_size(code)
     # A code that is not a submodule has no parity checks.
     for name in ("mds_chain_z6", "iperfect_z9_mds"):
         with pytest.raises(ValueError):
-            block_dependency_threshold(load_fixture(name).code)
+            block_dependency_witnesses(load_fixture(name).code)[0]
 
 
 def test_block_dependency_agrees_on_linear_fixtures():
@@ -531,7 +558,7 @@ def test_error_correcting_ball_sum_criteria():
         layer = enumerate_ideals(sp.pomset, r)
         # Forward: an r-error-correcting code at a full-height multiple keeps
         # codeword differences outside every capped sum of two full ideals.
-        if r % lh == 0 and is_r_error_correcting(code, r):
+        if r % lh == 0 and check_r_error_correcting(code, r).ok:
             for i, j in itertools.product(layer, repeat=2):
                 if not (i.is_full_count and j.is_full_count):
                     continue
@@ -551,7 +578,7 @@ def test_error_correcting_ball_sum_criteria():
             for diff in diffs
         )
         if hypothesis:
-            assert is_r_error_correcting(code, r)
+            assert check_r_error_correcting(code, r).ok
 
 
 def test_finer_order_preserves_mds():
@@ -577,19 +604,19 @@ def test_chain_tiling_implies_mds():
     # Chain order, equal block dimensions, block size dividing ceil(log_m K):
     # any tiling ideal certifies MDS.
     chain = load_fixture("mds_chain_z6")
-    assert is_I_perfect(chain.code, chain.ideal)
+    assert check_I_perfect(chain.code, chain.ideal).ok
     assert is_MDS(chain.code)
 
     sp = make_space(9, [(1, 2)], (1, 1))
     i = Ideal(sp.pomset, (4, 1))
     for coords in ([(0, 0), (0, 3), (0, 6)], [(0, 0), (2, 3), (4, 6)]):
         code = Code.from_codewords(sp, coords)
-        assert is_I_perfect(code, i)
+        assert check_I_perfect(code, i).ok
         assert is_MDS(code)
 
 
 def test_r_perfect_at_full_height_multiple_implies_mds():
-    assert is_r_perfect(CHAIN_REPETITION, 2)
+    assert check_r_perfect(CHAIN_REPETITION, 2).ok
     assert is_MDS(CHAIN_REPETITION)
 
 
@@ -600,7 +627,7 @@ def test_perfect_for_every_critical_ideal_implies_mds_nonlinear():
     assert not graph.is_linear
     critical = sp.n - ceil_log(graph.size, sp.m)
     layer = enumerate_ideals(sp.pomset, critical * sp.height)
-    assert layer and all(is_I_perfect(graph, j) for j in layer)
+    assert layer and all(check_I_perfect(graph, j).ok for j in layer)
     assert is_MDS(graph)
 
 
@@ -609,4 +636,4 @@ def test_prime_modulus_forbids_partial_count_perfection():
         code = load_fixture(name).code
         for i in all_ideals(code.space.pomset):
             if i.cardinality and not i.is_full_count:
-                assert not is_I_perfect(code, i), (name, str(i))
+                assert not check_I_perfect(code, i).ok, (name, str(i))

@@ -17,7 +17,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_pomset
+from conftest import all_coords, random_pomset
 from pomsetblock import balls, codes
 from pomsetblock.balls import (
     DEFAULT_BUDGET,
@@ -32,7 +32,6 @@ from pomsetblock.codes import (
     _lex_span,
     _r_ball_coords,
     ball_code_intersection,
-    block_dependency_threshold,
     block_dependency_witnesses,
     check_I_perfect,
     check_r_error_correcting,
@@ -108,7 +107,7 @@ def test_dual_matches_annihilator_scan(case):
     space, rows = case
     m = space.m
     scan = {
-        v for v in space.iter_coords()
+        v for v in all_coords(space)
         if all(sum(x * y for x, y in zip(v, row)) % m == 0 for row in rows)
     }
     code = span_generator(space, rows)
@@ -153,7 +152,7 @@ def test_r_ball_lists_the_weight_filter_in_its_order(space):
     # The ball is the union of the returned boxes, which are disjoint: each
     # member is listed exactly once.
     for r in range(space.max_weight + 1):
-        expected = [co for co in space.iter_coords() if space.coords_weight(co) <= r]
+        expected = [co for co in all_coords(space) if space.coords_weight(co) <= r]
         boxes = _r_ball_coords(Code(space, [(0,) * space.n]), r, space.size)
         listed = sorted(co for box in boxes for co in itertools.product(*box))
         assert listed == expected
@@ -180,12 +179,15 @@ def test_block_dependency_is_the_least_downsets_holding_a_codeword(space, seed):
         for w in code.codewords
         if any(w)
     }
-    holding = [d for d in space.pomset.downsets if any(s <= d for s in supports)]
+    holding = [
+        d for j in range(space.s + 1) for d in space.pomset.downsets_of_size(j)
+        if any(s <= d for s in supports)
+    ]
     least = min(map(len, holding))
     expected = (least, [d for d in holding if len(d) == least])
     assert block_dependency_witnesses(code) == expected
     assert block_dependency_witnesses(listed) == expected
-    assert block_dependency_threshold(code) == min_ideal_root_size(code) == least
+    assert block_dependency_witnesses(code)[0] == min_ideal_root_size(code) == least
 
 
 @bounded(120)
@@ -204,7 +206,7 @@ def test_census_budget_counts_memberships_not_the_space(space, seed):
              (check_r_error_correcting, r, r_size)]
     rows = divisor_scaled_rows(rng, space.m, space.n, rng.randint(0, 3))
     room = (space.size - 1) // max(i_size, r_size)
-    words = rng.sample(list(space.iter_coords()), rng.randint(1, room))
+    words = rng.sample(list(all_coords(space)), rng.randint(1, room))
     for code in (span_generator(space, rows), Code.from_codewords(space, words)):
         for check, ball, size in cases:
             need = code.size * size
@@ -279,7 +281,7 @@ def test_ball_code_intersection_matches_in_I_ball(space, seed):
         rows = divisor_scaled_rows(rng, space.m, space.n, rng.randint(0, 3))
         code = span_generator(space, rows)
     else:
-        words = rng.sample(list(space.iter_coords()), rng.randint(1, space.size))
+        words = rng.sample(list(all_coords(space)), rng.randint(1, space.size))
         code = Code.from_codewords(space, words)
     ideals = all_ideals(space.pomset)
     for i in [ideals[0], ideals[-1], *rng.sample(ideals, min(2, len(ideals)))]:

@@ -74,7 +74,8 @@ def test_downsets_match_subset_filter(p, seed):
     random.Random(seed).shuffle(sizes)
     for j in sizes:
         assert p.downsets_of_size(j) == tuple(d for d in expected if len(d) == j)
-    assert p.downsets == expected
+    every = map(p.downsets_of_size, range(p.ground_size + 1))
+    assert tuple(itertools.chain.from_iterable(every)) == expected
 
 
 @bounded(60)

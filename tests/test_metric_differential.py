@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pomset
+from conftest import all_coords, random_pomset
 from pomsetblock import oracle
 from pomsetblock.oracle import MetricReport, verify_metric
 from pomsetblock.pomset import Pomset
@@ -319,7 +319,7 @@ def reference_exhaustive_metric(space, distance_fn):
     """The pair-table exhaustive check: every pair's distance in one dict,
     identity and symmetry over all pairs, then the triangle over all
     triples, each in lexicographic order; any report counts all triples."""
-    points = list(space.iter_coords())
+    points = list(all_coords(space))
     count = len(points) ** 3
     dist = {(u, v): distance_fn(u, v) for u in points for v in points}
     for u in points:
@@ -392,6 +392,6 @@ def test_the_exhaustive_check_weighs_each_triple_once(m, labeling):
     report = verify_metric(space, space.size ** 3, distance_fn=counted)
     assert report == MetricReport(True, True, space.size ** 3)
     expected = Counter()
-    for u, v, w in itertools.product(space.iter_coords(), repeat=3):
+    for u, v, w in itertools.product(all_coords(space), repeat=3):
         expected.update([(u, v), (u, u), (v, u), (u, w), (w, v)])
     assert calls == expected

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import from_bits, to_bits
+from conftest import all_coords, from_bits, to_bits
 from pomsetblock import balls
 from pomsetblock.balls import BudgetExceededError
 from pomsetblock.codes import Code, _ball_census
@@ -288,7 +289,7 @@ def test_formula_suite_detects_a_ball_that_is_not_closed(monkeypatch):
     def swapped(space, ideal, members):
         if ideal.is_full_count and 0 < len(members) < space.size:
             inside = set(members)
-            members[-1] = next(c for c in space.iter_coords() if c not in inside)
+            members[-1] = next(c for c in all_coords(space) if c not in inside)
         return members
 
     monkeypatch.setattr("pomsetblock.balls.I_ball_bits", tampered_bits(swapped))
@@ -731,7 +732,7 @@ def small_spaces(draw, cap):
 @given(small_spaces(3000))
 def test_census_matches_a_vector_by_vector_scan(space):
     spheres, ideals = {}, {}
-    for coords in space.iter_coords():
+    for coords in all_coords(space):
         key = space.weight_counts(coords)
         if sum(key):
             spheres[sum(key)] = spheres.get(sum(key), 0) + 1
@@ -1000,6 +1001,22 @@ def test_census_tallies_blocks_without_visiting_vectors(monkeypatch):
         (2, 3 ** 10 * (3 ** 10 - 1)),
         (1, 3 ** 10 - 1),
     ]
+
+
+def test_census_of_one_wide_coordinate_holds_no_table_quadratic_in_height():
+    # One coordinate over Z_20011 has h + 1 = 10006 block weights.  A table of
+    # one unary code 2^w - 1 per weight would hold O(h^2) bits; the census
+    # holds one column of weights and one presence mask instead.
+    space = make_space(20011, [], (1,))
+    tracemalloc.start()
+    try:
+        report = weight_census(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.total == 20011
+    assert report.sphere_counts == {w: 2 for w in range(1, 10006)}
+    assert peak < 6 * 2 ** 20
 
 
 @pytest.mark.parametrize("factor", [1, 3])

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import all_coords
 from pomsetblock.mset import Mset, ShapeError
 from pomsetblock.pomset import Pomset
 from pomsetblock.space import (
@@ -74,7 +75,7 @@ def test_metric_axioms_small_exhaustive():
         make_space(5, [], (2,)),
         make_space(3, [(1, 2)], (1, 2)),
     ):
-        vecs = [sp.vector(c) for c in sp.iter_coords()]
+        vecs = [sp.vector(c) for c in all_coords(sp)]
         for u in vecs:
             for v in vecs:
                 d = distance(u, v)
@@ -108,7 +109,7 @@ def test_block_subadditivity_exhaustive():
 
 def test_weight_bounds():
     sp = make_space(7, [(1, 2), (1, 3)], (1, 2, 1))
-    for coords in sp.iter_coords():
+    for coords in all_coords(sp):
         assert 0 <= sp.coords_weight(coords) <= sp.max_weight
 
 
