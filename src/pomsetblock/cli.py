@@ -514,18 +514,7 @@ def cmd_oracle(problem, args, rep) -> int:
             rep.put(f"ideal_sphere.{name}", report.ideal_sphere_counts[key])
         return EXIT_OK
     if args.mode == "metric":
-        _, triples = oracle.metric_triples(sp)
-        if triples > args.budget:
-            raise BudgetExceededError(
-                f"metric check of {triples} triples exceeds budget {args.budget}"
-            )
-        cells = sp.m ** 3
-        if cells > args.budget:
-            raise BudgetExceededError(
-                f"metric check's table of m^3 = {cells} residue-triple words "
-                f"exceeds budget {args.budget}"
-            )
-        report = oracle.verify_metric(sp, seed=args.seed)
+        report = oracle.verify_metric(sp, seed=args.seed, budget=args.budget)
         rep.say(
             ("exhaustive" if report.exhaustive else "sampled")
             + f" metric check over {report.triples_checked} triples"

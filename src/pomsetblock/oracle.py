@@ -29,18 +29,20 @@ keys, by prefix sums over the grid of counts.  The suite has one budget:
 what it lists lies in the space, which the census refuses past that budget,
 so no bitset exceeds it in bits.
 
-The metric check works by columns, on every triple or on a seeded sample:
-a chunk of triples is one run of indices into the m^3 residue triples,
-sampled as `Random.choices` draws them, floor(random() * m^3), by C-level
-maps over the generator's stream, and coordinate t is every n-th index.
-Each index reads one word from a table, holding the unary codes 2^w - 1 of
-the Lee weights w of the five differences a triple checks and a flag for
-u_t != v_t.  The OR of unary codes is the unary code of their maximum, so
-ORing a triple's words, each block's shifted to its own field, gives every
-difference's block maxima at once.  One mask per block, read off the order
-relation, closes each difference's ideal inside its field, so each weight
-is one bit count of the word under its field's mask, and the triangle's
-right side d(u, w) + d(w, v) one count under the union of their two fields.
+The metric check works by columns, on every triple or on a seeded sample: a
+chunk of triples is one run of indices into the m^3 residue triples, sampled
+as `Random.choices` draws them, floor(random() * m^3), by C-level maps over
+the generator's stream, and coordinate t is every n-th index.  Each index
+reads one word of 5hs + 1 bits from a table, holding the unary codes 2^w - 1
+of the Lee weights w of the five differences a triple checks and a flag for
+u_t != v_t; more triples than the check's budget, or a table of more 64-bit
+units, is refused before anything is drawn or built.  The OR of unary codes
+is the unary code of their maximum, so ORing a triple's words, each block's
+shifted to its own field, gives every difference's block maxima at once.
+One mask per block, read off the order relation, closes each difference's
+ideal inside its field, so each weight is one bit count of the word under
+its field's mask, and the triangle's right side d(u, w) + d(w, v) one count
+under the union of their two fields.
 """
 
 from __future__ import annotations
@@ -237,26 +239,22 @@ def _unzip(cells, m: int, n: int):
     return [list(zip(*[iter(flat)] * n)) for flat in flats]
 
 
-def metric_triples(space: Space, triple_budget: int = DEFAULT_TRIPLE_BUDGET,
-                   samples: int = DEFAULT_SAMPLES) -> tuple[bool, int]:
-    """Whether `verify_metric` checks all (m^n)^3 triples, as it does when they
-    fit `triple_budget`, and how many a passing check visits."""
-    cube = space.size ** 3
-    return (True, cube) if cube <= triple_budget else (False, samples)
-
-
 def verify_metric(
     space: Space,
     triple_budget: int = DEFAULT_TRIPLE_BUDGET,
     seed: int = 0,
     samples: int = DEFAULT_SAMPLES,
     distance_fn=None,
+    budget: int = balls.DEFAULT_BUDGET,
 ) -> MetricReport:
     """Check identity, symmetry and the triangle inequality.
 
-    Over all (m^n)^3 triples when `metric_triples` says they fit the budget,
-    otherwise over a seeded uniform sample; the two differ only in where the
-    draws come from.  A triple is n indices c_t = u_t m^2 + v_t m + w_t into
+    Over all (m^n)^3 triples when they fit `triple_budget`, otherwise over
+    `samples` seeded uniform draws; the two differ only in where the draws
+    come from.  Before it draws or builds anything, it raises
+    BudgetExceededError past `budget` triples and, with the default
+    distance, past a `_cell_words` table of `budget` 64-bit units: m^3 words
+    of 5hs + 1 bits.  A triple is n indices c_t = u_t m^2 + v_t m + w_t into
     the m^3 residue triples, unzipped into u, v and w.  Chunk by chunk, the
     indices of up to `_METRIC_CHUNK` triples are drawn at once: a sample as
     `random.Random(seed).choices(range(m**3), k)` draws it, index
@@ -269,13 +267,13 @@ def verify_metric(
     and across blocks, a triple's words hold from bit p*h*s the unary block
     maxima of its p-th difference of u - v, u - u, v - u, u - w and w - v,
     closed by `_close_ideals`, and above those a flag region that is zero
-    exactly when u = v.  Each field is closed inside its own bits, so d(u, v), d(u, u)
-    and d(v, u) are each the bit count of the word under their field's mask,
-    and d(u, w) + d(w, v) one bit count under the union of fields 3 and 4;
-    an injected distance's two are added.  Each triple checks d(u, u) = 0,
-    d(u, v) = 0 iff u = v, d(u, v) = d(v, u) and d(u, v) <= d(u, w) +
-    d(w, v), in that order; the first failure is reported with the number
-    of triples checked up to and including it.
+    exactly when u = v.  Each field is closed inside its own bits, so
+    d(u, v), d(u, u) and d(v, u) are each the bit count of the word under
+    their field's mask, and d(u, w) + d(w, v) one bit count under the union
+    of fields 3 and 4; an injected distance's two are added.  Each triple
+    checks d(u, u) = 0, d(u, v) = 0 iff u = v, d(u, v) = d(v, u) and
+    d(u, v) <= d(u, w) + d(w, v), in that order; the first failure is
+    reported with the number of triples checked up to and including it.
     The default distance is built from definitions alone, by the words
     above.  Another one, taking two coordinate tuples, can be injected to
     confirm the check has teeth; its triples are decoded from the drawn
@@ -285,11 +283,20 @@ def verify_metric(
         raise ValueError(f"samples must be at least 1, got {samples}")
 
     m, n = space.m, space.n
-    exhaustive, count = metric_triples(space, triple_budget, samples)
+    cube = space.size ** 3
+    exhaustive, count = (True, cube) if cube <= triple_budget else (False, samples)
+    if count > budget:
+        raise BudgetExceededError(f"metric check of {count} triples exceeds budget {budget}")
     if distance_fn is None:
+        f = space.height * space.s
+        bits = len(_PAIRS) * f + 1
+        units = m ** 3 * -(-bits // 64)
+        if units > budget:
+            raise BudgetExceededError(f"metric check's table of m^3 = {m ** 3} residue-triple "
+                                      f"words of {bits} bits, {units} 64-bit units, exceeds "
+                                      f"budget {budget}")
         cell = _cell_words(space).__getitem__
         blocks = _block_shifts(space)
-        f = space.height * space.s
         # Fields 0-2 hold d(u, v), d(u, u) and d(v, u); fields 3 and 4 the
         # triangle's right side d(u, w) + d(w, v), read as one.
         masks = [(1 << f) - 1 << p * f for p in range(3)] + [(1 << 2 * f) - 1 << 3 * f]
@@ -454,7 +461,7 @@ def verify_formula_suite(
             "all radii",
         ),
         _outcome("sphere-partition", None if census.telescopes() else total, total),
-        *_check_ball_listings(space, census, ideals, budget),
+        *_check_ball_listings(space, census, ideals, budget, ball_size),
         _check_partition_tiling(space, ideals, budget),
     ])
 
@@ -506,14 +513,15 @@ def _bit_projections(space, bits):
     return projections
 
 
-def _check_ball_listings(space, census, ideals, budget):
+def _check_ball_listings(space, census, ideals, budget, ball_size):
     """The rball-union, submodule and duality outcomes, building each I-ball once.
 
     Each I-ball is one bitset from `balls.I_ball_bits`, bit j for the vector
     of big-endian base-m value j.  Radius by radius, the bitsets of the
     ideals of that cardinality are ORed into one union, whose bit count must
-    be the census's r-ball size.  A radius whose balls sum past `budget` is
-    skipped, and no radius past the first mismatch is built into a union.
+    be the census's r-ball size.  A radius whose balls, sized by the census
+    through `ball_size`, sum past `budget` is skipped, and no radius past
+    the first mismatch is built into a union.
     Each bitset is built under `budget`, which no I-ball of a space the
     census accepted exceeds, and holds at most m^n <= `budget` bits.
 
@@ -539,9 +547,7 @@ def _check_ball_listings(space, census, ideals, budget):
     closure, duality = {}, {}
     for r, layer in enumerate(layers):
         listed = mismatch is None
-        if listed and sum(
-            balls.I_ball_cardinality(space, i) for _, i in layer
-        ) > budget:
+        if listed and sum(ball_size(i.counts) for _, i in layer) > budget:
             skipped += 1
             listed = False
         union = 0

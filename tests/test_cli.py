@@ -261,16 +261,23 @@ def test_oracle_metric_honours_the_budget():
 
 
 def test_oracle_metric_budgets_its_table_of_residue_triples(tmp_path):
-    # One coordinate over Z_101: 10^5 sampled triples, from m^3 = 1030301 cell words.
+    # One coordinate over Z_101: 10^5 sampled triples, from m^3 = 1030301
+    # cell words of 5h + 1 = 251 bits, four 64-bit units each.
     line = {"pomset": {"s": 1, "relations": []}, "labeling": [1]}
     path = tmp_path / "z101.json"
     path.write_text(json.dumps({"m": 101, **line}))
-    status, out = invoke("oracle", "metric", "--budget", "1030300", str(path))
+    status, out = invoke("oracle", "metric", "--budget", "4121203", str(path))
     assert status == 3 and kv(out)["error"] == "budget"
-    assert ("metric check's table of m^3 = 1030301 residue-triple words exceeds "
-            "budget 1030300") in out
-    status, out = invoke("oracle", "metric", "--budget", "1030301", "--machine", str(path))
+    assert ("metric check's table of m^3 = 1030301 residue-triple words of 251 bits, "
+            "4121204 64-bit units, exceeds budget 4121203") in out
+    status, out = invoke("oracle", "metric", "--budget", "4121204", "--machine", str(path))
     assert status == 0 and kv(out)["triples"] == "100000"
+    # Over Z_211 the 9393931 words of 526 bits, charged as m^3 units, ran
+    # out of memory under the default budget.
+    wide = tmp_path / "z211.json"
+    wide.write_text(json.dumps({"m": 211, **line}))
+    status, out = invoke("oracle", "metric", "--machine", str(wide))
+    assert status == 3 and kv(out)["error"] == "budget"
     # Over Z_100000007 the table of 10^24 words ran out of memory.
     huge = tmp_path / "z100000007.json"
     huge.write_text(json.dumps({"m": 100000007, **line, "code": {"codewords": [[0], [1]]}}))
@@ -384,7 +391,7 @@ def test_oracle_metric_reports_a_counterexample(monkeypatch, axiom):
     w = (1, 1) if axiom == "triangle" else None
     seeds = []
 
-    def failing(space, seed):
+    def failing(space, seed, budget):
         seeds.append(seed)
         return oracle.MetricReport(False, True, 625, (axiom, u, v, w))
 

@@ -20,7 +20,6 @@ from pomsetblock.oracle import (
     _dual_ball_matches,
     _outcome,
     _tiles,
-    metric_triples,
     verify_formula_suite,
     verify_metric,
     weight_census,
@@ -193,12 +192,47 @@ def test_exhaustive_negative_control_breaks_the_triangle_inequality():
     (SAMPLED, oracle.DEFAULT_TRIPLE_BUDGET, 300),
 ])
 def test_metric_triples_states_what_a_passing_check_visits(space, triple_budget, samples):
+    # All (m^n)^3 triples when they fit the triple budget, else the samples.
+    cube = space.size ** 3
     report = verify_metric(space, triple_budget=triple_budget, samples=samples)
     assert report.passed
-    assert metric_triples(space, triple_budget, samples) == (
+    assert ((True, cube) if cube <= triple_budget else (False, samples)) == (
         report.exhaustive, report.triples_checked
     )
     assert report.exhaustive == (space.size ** 3 <= triple_budget)
+
+
+@pytest.mark.parametrize("m, bits", [(211, 526), (10 ** 8 + 7, 250000016)])
+def test_metric_check_refuses_its_triples_and_its_table_before_building(m, bits):
+    # One coordinate: 10^5 sampled triples, and a table of m^3 words of
+    # 5h + 1 bits, each charged ceil(bits / 64) 64-bit units.  Neither
+    # refusal builds a word.
+    space = make_space(m, [], (1,))
+    units = m ** 3 * -(-bits // 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as triples:
+            verify_metric(space, budget=10 ** 5 - 1)
+        with pytest.raises(BudgetExceededError) as table:
+            verify_metric(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(triples.value) == "metric check of 100000 triples exceeds budget 99999"
+    assert str(table.value) == (
+        f"metric check's table of m^3 = {m ** 3} residue-triple words of {bits} bits, "
+        f"{units} 64-bit units, exceeds budget 10000000"
+    )
+    assert peak < 2 ** 20
+
+
+def test_metric_check_with_an_injected_distance_charges_only_its_triples():
+    # An injected distance builds no table, so Z_211 runs at budget 10.
+    def lee(a, b):
+        return min((a[0] - b[0]) % 211, (b[0] - a[0]) % 211)
+
+    report = verify_metric(make_space(211, [], (1,)), samples=10, distance_fn=lee, budget=10)
+    assert report == MetricReport(True, False, 10)
 
 
 def test_metric_deterministic_sampling():
@@ -858,7 +892,7 @@ def test_full_count_checks_match_a_per_ideal_reference(case):
         patch.setattr("pomsetblock.oracle.ideal_complement", complement)
         census = weight_census(space)
         outcomes = _check_ball_listings(
-            space, census, all_ideals(space.pomset), balls.DEFAULT_BUDGET
+            space, census, all_ideals(space.pomset), balls.DEFAULT_BUDGET, _ball_sizes(census)
         )[1:]
     expected = reference_full_count_checks(space, lister, complement)
     assert [c.name for c in outcomes] == ["full-ball-submodule", "ball-duality"]
@@ -951,7 +985,7 @@ def test_rball_union_matches_a_per_radius_reference(case):
         patch.setattr("pomsetblock.balls.I_ball_bits", tampered_bits(tamper))
         ideals = all_ideals(space.pomset)
         census = weight_census(space, budget)
-        union = _check_ball_listings(space, census, ideals, budget)[0]
+        union = _check_ball_listings(space, census, ideals, budget, _ball_sizes(census))[0]
         expected = reference_rball_union(space, census, ideals, budget)
     assert union.name == "rball-union"
     assert (union.status, union.detail) == expected
@@ -1001,6 +1035,21 @@ def test_census_tallies_blocks_without_visiting_vectors(monkeypatch):
         (2, 3 ** 10 * (3 ** 10 - 1)),
         (1, 3 ** 10 - 1),
     ]
+
+
+def test_rball_union_skips_radii_by_the_census_not_the_closed_form(monkeypatch):
+    # Two unit blocks over Z_5: radius 3's I-balls, (2, 1) and (1, 2), hold
+    # 15 vectors each, so at budget 25 that radius alone is skipped.  A
+    # closed form that reads 1 for every I-ball must not change the skip.
+    space = make_space(5, [], (1, 1))
+
+    def union():
+        (check,) = (c for c in verify_formula_suite(space, 25).checks if c.name == "rball-union")
+        return check.status, check.detail
+
+    assert union() == ("skip", "1 radii over budget")
+    monkeypatch.setattr(balls, "I_ball_cardinality", lambda sp, i: 1)
+    assert union() == ("skip", "1 radii over budget")
 
 
 def test_census_of_one_wide_coordinate_holds_no_table_quadratic_in_height():
@@ -1229,9 +1278,9 @@ def reference_ball_listings(space, census, ideals, budget):
 def assert_listings_match_the_reference(space, budget):
     census = weight_census(space, budget)
     ideals = all_ideals(space.pomset)
-    assert _check_ball_listings(space, census, ideals, budget) == reference_ball_listings(
-        space, census, ideals, budget
-    )
+    assert _check_ball_listings(
+        space, census, ideals, budget, _ball_sizes(census)
+    ) == reference_ball_listings(space, census, ideals, budget)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
