@@ -29,10 +29,10 @@ keys, by prefix sums over the grid of counts.  The suite has one budget:
 what it lists lies in the space, which the census refuses past that budget,
 so no bitset exceeds it in bits.
 
-The metric check works by columns, on every triple or on a seeded sample: a
-chunk of triples is one run of indices into the m^3 residue triples, sampled
-as `Random.choices` draws them, floor(random() * m^3), by C-level maps over
-the generator's stream, and coordinate t is every n-th index.  Each index
+The metric check works by columns, on all triples if they number at most its
+sample, else on a seeded sample: a chunk of triples is one run of indices
+into the m^3 residue triples, sampled as `Random.choices` draws them,
+floor(random() * m^3), and coordinate t is every n-th index.  Each index
 reads one word of 5hs + 1 bits from a table, holding the unary codes 2^w - 1
 of the Lee weights w of the five differences a triple checks and a flag for
 u_t != v_t; more triples than the check's budget, or a table of more 64-bit
@@ -61,7 +61,6 @@ from .balls import BudgetExceededError, PartitionImpossibleError
 from .pomset import all_ideals, ideal_complement
 from .space import Space
 
-DEFAULT_TRIPLE_BUDGET = 10 ** 5
 DEFAULT_SAMPLES = 10 ** 5
 # Triples drawn, weighed and checked together, so a chunk's columns hold at
 # most n times this many entries.
@@ -241,7 +240,7 @@ def _unzip(cells, m: int, n: int):
 
 def verify_metric(
     space: Space,
-    triple_budget: int = DEFAULT_TRIPLE_BUDGET,
+    *,
     seed: int = 0,
     samples: int = DEFAULT_SAMPLES,
     distance_fn=None,
@@ -249,9 +248,9 @@ def verify_metric(
 ) -> MetricReport:
     """Check identity, symmetry and the triangle inequality.
 
-    Over all (m^n)^3 triples when they fit `triple_budget`, otherwise over
-    `samples` seeded uniform draws; the two differ only in where the draws
-    come from.  Before it draws or builds anything, it raises
+    Keyword-only after `space`.  All (m^n)^3 triples if at most `samples`,
+    else `samples` seeded uniform draws; the two differ only in where the
+    draws come from.  Before it draws or builds anything, it raises
     BudgetExceededError past `budget` triples and, with the default
     distance, past a `_cell_words` table of `budget` 64-bit units: m^3 words
     of 5hs + 1 bits.  A triple is n indices c_t = u_t m^2 + v_t m + w_t into
@@ -283,8 +282,7 @@ def verify_metric(
         raise ValueError(f"samples must be at least 1, got {samples}")
 
     m, n = space.m, space.n
-    cube = space.size ** 3
-    exhaustive, count = (True, cube) if cube <= triple_budget else (False, samples)
+    exhaustive, count = space.size ** 3 <= samples, min(space.size ** 3, samples)
     if count > budget:
         raise BudgetExceededError(f"metric check of {count} triples exceeds budget {budget}")
     if distance_fn is None:

@@ -305,8 +305,7 @@ def test_criterion_10_property_suites():
         # Metric axioms: exhaustive where the triple count allows, at least
         # 1e5 seeded samples everywhere else.
         for sp in spaces:
-            report = verify_metric(sp, triple_budget=10 ** 5, seed=0,
-                                   samples=10 ** 5)
+            report = verify_metric(sp, seed=0, samples=10 ** 5)
             assert report.passed, (sp, report.counterexample)
             assert report.exhaustive == (sp.size ** 3 <= 10 ** 5)
 

@@ -8,11 +8,16 @@ relation sets, one per isomorphism class: 1, 2, 5 and 16 for s = 1..4.
 - Spaces: every order on 1-4 blocks, every labeling with blocks of 1-3
   coordinates and every m in 2..7 with m^n <= 5 000, 2 681 spaces.  The
   oracle's formula suite must pass on each with no check skipped.
-- Codes: every order on 1-3 blocks, blocks of 1-2 coordinates and m^n <= 36.
-  Each nonzero vector spans a one-row code, 1 293 codes.  Minimum distance,
-  weight distribution, dual, I-perfectness at every ideal, and
-  r-perfectness and r-error-correction at every radius must match a
-  reference written from the definitions in this file.
+- Codes: every order on 1-3 blocks and blocks of 1-2 coordinates, three
+  sweeps.  Each nonzero vector spans a one-row code at m^n <= 36, 1 293
+  codes.  Each pair of nonzero vectors spans a two-row code at m^n <= 25,
+  736 distinct codes.  Each pair u < v of nonzero vectors gives the listed
+  code {0, u, v} at m^n <= 16, 2 417 codes, all but 14 of them no submodule,
+  so that sweep meets the translate census and the pairwise minimum distance.
+  Linearity, minimum distance, weight distribution, the dual of a linear
+  code, I-perfectness at every ideal, and r-perfectness and r-error-
+  correction at every radius must match a reference written from the
+  definitions in this file.
 """
 
 import itertools
@@ -109,9 +114,15 @@ class Reference:
         return [key for key in itertools.product(range(h + 1), repeat=self.space.s)
                 if all(key[a - 1] == h for a, b in self.order if key[b - 1])]
 
-    def span(self, v):
+    def span(self, rows):
         m = self.space.m
-        return sorted({self.index[tuple(a * x % m for x in v)] for a in range(m)})
+        return sorted({self.index[tuple(sum(map(mul, a, column)) % m for column in zip(*rows))]
+                       for a in itertools.product(range(m), repeat=len(rows))})
+
+    def is_submodule(self, words):
+        """Whether the words hold every difference of two of them."""
+        held = set(words)
+        return all(self.minus[x][y] in held for x in words for y in words)
 
     def annihilator(self, words):
         m = self.space.m
@@ -145,9 +156,13 @@ def assert_census_matches(result, covers, perfect, ref, label):
         assert (result.reason, at) == ("vector covered by no ball", covers.index(0)), label
 
 
-def test_every_one_row_code_of_a_small_space_matches_the_definitions():
+def sweep_codes(most_vectors, codes_of):
+    """Check every code `codes_of(ref)` yields, as (code, sorted word
+    indices), on each space of orders on 1-3 blocks, blocks of 1-2
+    coordinates and at most `most_vectors` vectors, against the reference.
+    Returns the number of codes and of radius checks."""
     codes_checked = radius_checks = 0
-    for space, order in spaces(3, (1, 2), 36):
+    for space, order in spaces(3, (1, 2), most_vectors):
         ref = Reference(space, order)
         ideal_keys = ref.ideals()
         assert sorted(i.counts for i in all_ideals(space.pomset)) == ideal_keys
@@ -155,19 +170,21 @@ def test_every_one_row_code_of_a_small_space_matches_the_definitions():
         # Each I-ball about zero, as a set of indices.
         i_balls = {key: {x for x, k in enumerate(ref.keys) if all(map(le, k, key))}
                    for key in ideal_keys}
-        for v in ref.vectors[1:]:
-            code = codes.span_generator(space, [v])
-            words = ref.span(v)
+        for code, words in codes_of(ref):
+            label = (space, [ref.vectors[x] for x in words])
             assert sorted(map(ref.index.__getitem__, code.codewords)) == words
+            linear = ref.is_submodule(words)
+            assert code.is_linear == linear, label
             assert codes.min_distance(code) == min(
                 ref.weights[ref.minus[x][y]] for x in words for y in words if x != y)
             weights = Counter(ref.weights[x] for x in words)
             assert codes.weight_distribution(code).counts == tuple(weights[r] for r in radii)
-            assert set(codes.dual_code(code).codewords) == ref.annihilator(words)
+            if linear:
+                assert set(codes.dual_code(code).codewords) == ref.annihilator(words)
             for key in ideal_keys:
                 result = codes.check_I_perfect(code, Ideal(space.pomset, key))
                 assert_census_matches(result, ref.covers(words, i_balls[key]), True, ref,
-                                      ("I-perfect", space, v, key))
+                                      ("I-perfect", label, key))
             distances = ref.distances(words)
             for r in radii:
                 # The r-ball about c holds x when d(x, c) <= r.
@@ -175,7 +192,36 @@ def test_every_one_row_code_of_a_small_space_matches_the_definitions():
                 for perfect, check in ((True, codes.check_r_perfect),
                                        (False, codes.check_r_error_correcting)):
                     assert_census_matches(check(code, r), covers, perfect, ref,
-                                          (check.__name__, space, v, r))
+                                          (check.__name__, label, r))
                     radius_checks += 1
             codes_checked += 1
-    assert (codes_checked, radius_checks) == (1293, 10404)
+    return codes_checked, radius_checks
+
+
+def test_every_one_row_code_of_a_small_space_matches_the_definitions():
+    def one_row_codes(ref):
+        for v in ref.vectors[1:]:
+            yield codes.span_generator(ref.space, [v]), ref.span([v])
+
+    assert sweep_codes(36, one_row_codes) == (1293, 10404)
+
+
+def test_every_two_row_code_of_a_small_space_matches_the_definitions():
+    def two_row_codes(ref):
+        seen = set()
+        for u, v in itertools.combinations(ref.vectors[1:], 2):
+            words = ref.span([u, v])
+            if tuple(words) not in seen:
+                seen.add(tuple(words))
+                yield codes.span_generator(ref.space, [u, v]), words
+
+    assert sweep_codes(25, two_row_codes) == (736, 5672)
+
+
+def test_every_listed_three_word_code_of_a_small_space_matches_the_definitions():
+    def listed_codes(ref):
+        for u, v in itertools.combinations(range(1, len(ref.vectors)), 2):
+            words = [0, u, v]
+            yield codes.Code.from_codewords(ref.space, [ref.vectors[x] for x in words]), words
+
+    assert sweep_codes(16, listed_codes) == (2417, 18688)

@@ -13,7 +13,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import all_coords, random_pomset
 from pomsetblock import oracle
@@ -120,15 +120,19 @@ def test_kernel_weighs_lee_tuples_by_their_block_maxima(labeling):
 
 
 @bounded(40)
-@given(spaces(), SEEDS, st.sampled_from((0, 10 ** 4)))
-def test_metric_report_is_that_of_the_coordinate_weight(space, seed, triple_budget):
-    m = space.m
+@given(spaces(), SEEDS, st.booleans())
+def test_metric_report_is_that_of_the_coordinate_weight(space, seed, every_triple):
+    # Every triple when there are at most 10^4 of them and the case asks
+    # for it, else 200 sampled ones.
+    m, cube = space.m, space.size ** 3
+    assume(every_triple or cube > 200)
+    samples = cube if every_triple and cube <= 10 ** 4 else 200
 
     def coords_distance(a, b):
         return space.coords_weight(tuple((x - y) % m for x, y in zip(a, b)))
 
-    default = verify_metric(space, triple_budget, seed=seed, samples=200)
-    injected = verify_metric(space, triple_budget, seed=seed, samples=200,
+    default = verify_metric(space, seed=seed, samples=samples)
+    injected = verify_metric(space, seed=seed, samples=samples,
                              distance_fn=coords_distance)
     assert default == injected
     assert default.passed
@@ -190,10 +194,12 @@ def distances(space):
     st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)),
 )
 def test_columnar_sample_matches_the_per_triple_reference(name, space, seed, samples):
+    # A space of at most `samples` triples would be checked in full.
+    assume(space.size ** 3 > samples)
     table = distances(space)
     reference = reference_sampled_metric(space, seed, samples,
                                          table["weight" if name == "default" else name])
-    report = verify_metric(space, 0, seed=seed, samples=samples,
+    report = verify_metric(space, seed=seed, samples=samples,
                            distance_fn=None if name == "default" else table[name])
     assert report == reference
 
@@ -212,7 +218,7 @@ def test_a_failure_is_reported_at_its_own_triple_across_chunks(k):
     def broken(a, b):
         return weight(a, b) + (a == b == u)
 
-    report = verify_metric(space, 0, seed=17, samples=2 * CHUNK + 3, distance_fn=broken)
+    report = verify_metric(space, seed=17, samples=2 * CHUNK + 3, distance_fn=broken)
     assert report == MetricReport(False, False, k, ("identity", u, v, None))
     assert report == reference_sampled_metric(space, 17, 2 * CHUNK + 3, broken)
 
@@ -271,25 +277,24 @@ def test_words_past_64_bits_match_the_per_triple_reference(space_id, name):
     samples = CHUNK + 3
     reference = reference_sampled_metric(space, 29, samples,
                                          table["weight" if name == "default" else name])
-    report = verify_metric(space, 0, seed=29, samples=samples,
+    report = verify_metric(space, seed=29, samples=samples,
                            distance_fn=None if name == "default" else table[name])
     assert report == reference
     assert report.passed
 
 
-@pytest.mark.parametrize("space", [
-    pytest.param(Space(7, Pomset.chain(3, 3), (2, 1, 3)), id="z7-chain"),
+@pytest.mark.parametrize("space, samples", [
+    pytest.param(Space(7, Pomset.chain(3, 3), (2, 1, 3)), 2 * CHUNK + 3, id="z7-chain"),
     pytest.param(Space(6, random_pomset(random.Random(41), 4, 3, 0.5), (1, 2, 1, 2)),
-                 id="z6-random-order"),
-    pytest.param(WIDE_SPACES["z5-24-unit-blocks"], id="z5-24-unit-blocks"),
-    pytest.param(Space(3, Pomset.chain(2, 1), (1, 2)), id="z3-chain-every-triple"),
+                 2 * CHUNK + 3, id="z6-random-order"),
+    pytest.param(WIDE_SPACES["z5-24-unit-blocks"], 2 * CHUNK + 3, id="z5-24-unit-blocks"),
+    pytest.param(Space(3, Pomset.chain(2, 1), (1, 2)), 27 ** 3, id="z3-chain-every-triple"),
 ])
-def test_the_default_distance_generates_no_ideal_through_the_library(space):
+def test_the_default_distance_generates_no_ideal_through_the_library(space, samples):
     # The oracle closes ideals by its own masks, read off the order
     # relation, so the check passes with the library's closure broken, and
-    # reports as the library's coordinate weight does.  Z_3^3 has few
-    # enough triples to check them all.
-    samples = 2 * CHUNK + 3
+    # reports as the library's coordinate weight does.  Z_3^3's 27^3
+    # triples fit its sample, so they are all checked.
 
     def broken(pomset, weights):
         raise AssertionError("closure_counts called")
@@ -297,7 +302,7 @@ def test_the_default_distance_generates_no_ideal_through_the_library(space):
     with mock.patch.object(Pomset, "closure_counts", broken):
         report = verify_metric(space, seed=43, samples=samples)
     cube = space.size ** 3
-    exhaustive = cube <= oracle.DEFAULT_TRIPLE_BUDGET
+    exhaustive = cube <= samples
     assert report == MetricReport(True, exhaustive, cube if exhaustive else samples)
     assert report == verify_metric(space, seed=43, samples=samples,
                                    distance_fn=distances(space)["weight"])
@@ -357,7 +362,7 @@ def test_every_triple_is_checked_as_the_pair_table_checked_them(name, space):
     table = distances(space)
     distance_fn = table["weight" if name == "default" else name]
     reference = reference_exhaustive_metric(space, distance_fn)
-    report = verify_metric(space, space.size ** 3,
+    report = verify_metric(space, samples=space.size ** 3,
                            distance_fn=None if name == "default" else distance_fn)
     assert report.exhaustive
     if name in ("default", "weight", "skewed"):
@@ -391,7 +396,7 @@ def test_the_exhaustive_check_weighs_each_triple_once(m, labeling):
         calls[a, b] += 1
         return weight(a, b)
 
-    report = verify_metric(space, space.size ** 3, distance_fn=counted)
+    report = verify_metric(space, samples=space.size ** 3, distance_fn=counted)
     assert report == MetricReport(True, True, space.size ** 3)
     expected = Counter()
     for u, v, w in itertools.product(all_coords(space), repeat=3):

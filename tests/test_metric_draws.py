@@ -20,8 +20,11 @@ from pomsetblock.pomset import Pomset
 from pomsetblock.space import Space
 
 SEEDS = (0, 1, 17, 2 ** 40 + 3)
-# (m, labeling): the population m^3 runs from 8 to 2 197.
-SPACES = ((2, (1,)), (3, (2, 1)), (5, (1, 1, 1)), (6, (2,)), (7, (1, 2)), (12, (1,)), (13, (1,)))
+# (m, labeling): the population m^3 runs from 8 to 2 197, and every space
+# has more than 2 500 triples, so each sample count is drawn, not checked in
+# full.
+SPACES = ((2, (1, 1, 1, 1)), (3, (2, 1)), (5, (1, 1, 1)), (6, (2,)), (7, (1, 2)),
+          (12, (1, 1)), (13, (1, 1)))
 SAMPLE_COUNTS = (1, oracle._METRIC_CHUNK, oracle._METRIC_CHUNK + 1, 2500)
 
 
@@ -35,7 +38,7 @@ def drawn_indices(space, seed, samples):
         calls.append((a, b))
         return sum(map(ne, a, b))
 
-    report = verify_metric(space, 0, seed=seed, samples=samples, distance_fn=hamming)
+    report = verify_metric(space, seed=seed, samples=samples, distance_fn=hamming)
     assert report == MetricReport(True, False, samples)
     # Five calls a triple: d(u, v), d(u, u), d(v, u), d(u, w), d(w, v).
     assert len(calls) == 5 * samples

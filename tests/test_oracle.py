@@ -108,7 +108,7 @@ def test_metric_rejects_sample_counts_below_one(samples):
         verify_metric(sp, samples=samples)
 
 
-# 125 vectors: 125^3 triples exceed the default triple budget, so sampled.
+# 125 vectors: 125^3 triples exceed the default sample, so sampled.
 SAMPLED = make_space(5, [], (1, 1, 1))
 
 
@@ -186,20 +186,29 @@ def test_exhaustive_negative_control_breaks_the_triangle_inequality():
     assert report.counterexample == ("triangle", (0, 0), (0, 2), (0, 1))
 
 
-@pytest.mark.parametrize("space, triple_budget, samples", [
-    (EXHAUSTIVE, 25 ** 3, 7),
-    (EXHAUSTIVE, 25 ** 3 - 1, 7),
-    (SAMPLED, oracle.DEFAULT_TRIPLE_BUDGET, 300),
+@pytest.mark.parametrize("space, samples", [
+    (EXHAUSTIVE, 25 ** 3),
+    (EXHAUSTIVE, 25 ** 3 - 1),
+    (SAMPLED, 300),
 ])
-def test_metric_triples_states_what_a_passing_check_visits(space, triple_budget, samples):
-    # All (m^n)^3 triples when they fit the triple budget, else the samples.
+def test_metric_triples_states_what_a_passing_check_visits(space, samples):
+    # All (m^n)^3 triples when there are at most `samples` of them, else the
+    # samples: 25^3 triples are checked in full at 25^3 samples, and drawn
+    # at one fewer.
     cube = space.size ** 3
-    report = verify_metric(space, triple_budget=triple_budget, samples=samples)
+    report = verify_metric(space, samples=samples)
     assert report.passed
-    assert ((True, cube) if cube <= triple_budget else (False, samples)) == (
+    assert ((True, cube) if cube <= samples else (False, samples)) == (
         report.exhaustive, report.triples_checked
     )
-    assert report.exhaustive == (space.size ** 3 <= triple_budget)
+    assert report.exhaustive == (space.size ** 3 <= samples)
+
+
+def test_metric_check_takes_no_second_positional_argument():
+    # Every parameter after the space is keyword-only, so a caller that
+    # still passes the old triple count positionally fails loudly.
+    with pytest.raises(TypeError):
+        verify_metric(EXHAUSTIVE, 0)
 
 
 @pytest.mark.parametrize("m, bits", [(211, 526), (10 ** 8 + 7, 250000016)])
